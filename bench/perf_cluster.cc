@@ -16,6 +16,10 @@
  *      per-node event queues on N workers. The harness hard-fails if
  *      the parallel metrics diverge from pass 2: determinism is part
  *      of what this gate protects.
+ *   4. mesh fabric    — pass 1's workload over a 2-D mesh fabric with
+ *      topology-aware dispatch (every request crosses the wire as a
+ *      1 MB message). Reports fabric_events_per_request and its wall
+ *      time as a multiple of pass 1 (fabric_wall_ratio).
  *
  * Workload: Zipf(1.0) over 150 experts, replicate-hot placement,
  * near-saturation open-loop arrivals — the configuration cluster
@@ -24,8 +28,10 @@
  * Emits BENCH_cluster.json, stamped with the git commit and UTC
  * timestamp. With --floor FILE, exits non-zero if serial events/sec
  * (or, when --threads N was given, parallel events/sec) falls below
- * 80% of the checked-in floor — the CI regression gate (see
- * bench/perf_cluster_floor.json).
+ * 80% of the checked-in floor, or if the fabric pass executes more
+ * events per request than the floor's exact ceiling (deterministic,
+ * so checked only at the floor's own nodes/requests) — the CI
+ * regression gate (see bench/perf_cluster_floor.json).
  *
  *   perf_cluster [--smoke] [--requests N] [--nodes N] [--threads N]
  *                [--json FILE] [--floor FILE]
@@ -217,6 +223,22 @@ main(int argc, char **argv)
                   << "affinity (" << affinity_wall << " s)\n";
     }
 
+    // Pass 4: the same workload over a mesh fabric. Event counts are
+    // machine-independent, so this pass is gated exactly.
+    coe::ClusterConfig mesh_cfg = baseConfig(nodes, requests);
+    mesh_cfg.dispatch = coe::DispatchPolicy::TopologyAware;
+    mesh_cfg.fabric.enabled = true;
+    mesh_cfg.fabric.topology = sim::Topology::Mesh2D;
+    PassResult mesh = runPass(mesh_cfg, requests, "mesh fabric");
+    double fabric_epr =
+        static_cast<double>(mesh.result.stream.eventsExecuted) / requests;
+    double fabric_ratio = serial.wall > 0.0 ? mesh.wall / serial.wall : 0.0;
+    std::cout << "cluster mesh fabric: " << mesh.result.networkMessages
+              << " messages, " << mesh.result.stream.eventsExecuted
+              << " events in " << mesh.wall << " s\n"
+              << "  " << fabric_epr << " events/request, "
+              << fabric_ratio << "x the fabric-off serial wall\n";
+
     std::int64_t rss = peakRssBytes();
 
     std::ofstream out(json_path);
@@ -236,6 +258,9 @@ main(int argc, char **argv)
             .field("requests_per_sec",
                    serial.wall > 0.0 ? requests / serial.wall : 0.0)
             .field("load_imbalance", serial.result.loadImbalance)
+            .field("fabric_wall_seconds", mesh.wall)
+            .field("fabric_events_per_request", fabric_epr)
+            .field("fabric_wall_ratio", fabric_ratio)
             .field("peak_rss_bytes", rss);
         if (threads > 1) {
             w.field("parallel_threads", threads)
@@ -263,6 +288,24 @@ main(int argc, char **argv)
         }
         std::cout << "floor check passed: " << serial_eps
                   << " events/s >= gate " << gate << "\n";
+        if (nodes == jsonNumber("perf_cluster", floor_path,
+                                "fabric_nodes") &&
+            requests == jsonNumber("perf_cluster", floor_path,
+                                   "fabric_requests")) {
+            double ceiling = jsonNumber("perf_cluster", floor_path,
+                                        "fabric_events_per_request");
+            if (fabric_epr > ceiling) {
+                std::cerr << "perf_cluster: FABRIC REGRESSION: "
+                          << fabric_epr << " events/request > ceiling "
+                          << ceiling << " (from " << floor_path << ")\n";
+                return 1;
+            }
+            std::cout << "fabric check passed: " << fabric_epr
+                      << " events/request <= ceiling " << ceiling << "\n";
+        } else {
+            std::cout << "fabric check skipped: the ceiling is pinned "
+                         "at the floor's fabric_nodes/fabric_requests\n";
+        }
         if (threads > 1) {
             double pfloor = jsonNumber("perf_cluster", floor_path,
                                        "parallel_events_per_sec");

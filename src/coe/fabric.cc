@@ -1,5 +1,8 @@
 #include "coe/fabric.h"
 
+#include <algorithm>
+#include <cstdio>
+
 #include "sim/log.h"
 
 namespace sn40l::coe {
@@ -23,6 +26,21 @@ validateFabricConfig(const FabricConfig &cfg)
         sim::fatal("fabric: negative request overhead");
     if (cfg.requestPayloadBytes < 0.0)
         sim::fatal("fabric: negative request payload");
+    // Whole-message serialization: a dispatched request, or a full
+    // message of maxFlitsPerMessage flits, must span a Tick-sized time.
+    double bytes = std::max(cfg.requestPayloadBytes + cfg.requestOverheadBytes,
+                            cfg.flitBytes * cfg.maxFlitsPerMessage);
+    double ticks = bytes / (cfg.linkGbps * 1e9 / 8.0) *
+        static_cast<double>(sim::kTicksPerSec);
+    if (!(ticks < sim::kMaxSerializationTicks)) {
+        char msg[192];
+        std::snprintf(msg, sizeof msg,
+                      "fabric: linkGbps (--link-gbps) too low: a %g-byte "
+                      "message would take %g s to serialize, past the "
+                      "simulator's Tick range",
+                      bytes, ticks / sim::kTicksPerSec);
+        sim::fatal(msg);
+    }
 }
 
 sim::NetworkConfig

@@ -33,6 +33,16 @@
  * cached, so routes — and therefore results — are a pure function of
  * the configuration.
  *
+ * Trains: while no two input ports contend for a link and no credit
+ * window can bind, a message rides as a train (virtual cut-through):
+ * send() plans every hop's flit departures in closed form
+ * (start + k * pitch) and schedules one event, the delivery. All
+ * observers report the per-flit values at eq.now(). The first send
+ * that would contend, or a rate change under a moving train, hands
+ * every train to the per-flit engine at the current tick (exact
+ * queues, credits, cursors, and pending rx/tx/credit events); the
+ * network returns to trains once the per-flit engine drains.
+ *
  * Determinism: all state lives behind one EventQueue; ties resolve in
  * FIFO schedule order and the round-robin cursors advance only inside
  * events, so a run is bit-reproducible for a fixed config regardless
@@ -45,7 +55,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,8 +106,15 @@ struct NetworkConfig
     int fatTreeSpines = 2;
 };
 
-/** FatalError on a non-positive or contradictory configuration. */
+/**
+ * FatalError on a non-positive or contradictory configuration, or on
+ * links so slow that a full message's serialization would not fit in
+ * a Tick.
+ */
 void validateNetworkConfig(const NetworkConfig &cfg);
+
+/** Longest serialization span (ticks) a message may occupy a link. */
+constexpr double kMaxSerializationTicks = static_cast<double>(kMaxTick / 4);
 
 class Network
 {
@@ -143,9 +159,12 @@ class Network
     std::int64_t messagesDelivered() const { return messagesDelivered_; }
     std::int64_t messagesInFlight() const { return inFlight_; }
     /** Flits ejected at their destination endpoint. */
-    std::int64_t flitsDelivered() const { return flitsDelivered_; }
+    std::int64_t flitsDelivered() const;
     /** Transmit attempts that found flits queued but zero credits. */
     std::int64_t creditStalls() const { return creditStalls_; }
+    /** Messages the per-flit engine carried, wholly or in part
+     *  (sent while it was active, or handed over mid-train). */
+    std::int64_t trainFallbacks() const { return trainFallbacks_; }
 
     int linkCount() const { return static_cast<int>(links_.size()); }
     int linkFrom(int link) const;
@@ -157,10 +176,42 @@ class Network
     std::string nodeLabel(int node) const;
 
   private:
+    friend class NetworkTestPeer; ///< per-flit-only reference runs
+
     struct Entry
     {
         int msg;
         int hop; ///< index into the message's route
+    };
+
+    /**
+     * One message's train on one link. Flit k lands in the link's
+     * input queue at arrive0 + k * arrivePitch, leaves it at
+     * depart0 + k * pitch, and its credit is back on the link at
+     * credit0 + k * creditPitch. A virtual event at exactly eq.now()
+     * counts as not yet run, except what send() itself did (queue the
+     * message and, on an idle link, start the first flit).
+     */
+    struct Train
+    {
+        int msg = 0;
+        int hop = 0;
+        int port = 0;      ///< input port on the link
+        int ports = 1;     ///< port count while it transmits (rr modulus)
+        bool newPort = false; ///< this train registered the port
+        bool lastHop = false;
+        bool delivered = false; ///< last hop: the delivery event ran
+        int flits = 0;
+        Tick ser = 0;      ///< per-flit serialization on this link
+        Tick arrive0 = 0, arrivePitch = 0; ///< arrivePitch 0: queued at send
+        Tick depart0 = 0, pitch = 0;
+        Tick credit0 = 0, creditPitch = 0;
+
+        Tick departAt(int k) const { return depart0 + k * pitch; }
+        Tick lastDepart() const { return departAt(flits - 1); }
+        Tick creditAt(int k) const { return credit0 + k * creditPitch; }
+        int arrived(Tick now) const;
+        int departed(Tick now) const;
     };
 
     struct Link
@@ -178,6 +229,10 @@ class Network
         // stats
         std::int64_t flits = 0;
         Tick busyTicks = 0;
+        /** Live trains in time order from trainHead; the fields above
+         *  hold only what retired trains and the per-flit engine did. */
+        std::vector<Train> trains;
+        std::size_t trainHead = 0;
     };
 
     struct Message
@@ -187,19 +242,44 @@ class Network
         int flits = 0;
         int delivered = 0;
         Callback onDelivered;
+        // while it rides as a train
+        int trainSlot = -1;      ///< index in trainMsgs_
+        Tick eject0 = 0, ejectPitch = 0; ///< landings at the destination
+        EventQueue::Handle delivery;
     };
 
     int addLink(int from, int to);
+    int linkBetween(int from, int to) const;
     void buildStar();
     void buildGrid(bool wrap);
     void buildFatTree();
     std::vector<int> computeRoute(int src, int dst) const;
     std::vector<int> gridRoute(int src, int dst, bool wrap) const;
+    int portOf(const Link &l, int upstream_link) const;
     void pushFlit(int link, int upstream_link, int msg, int hop);
     void pump(int link);
     void arm(int link, Tick when);
     void returnCredit(int link);
     void arriveFlit(int link, int msg, int hop);
+    Tick serTicks(double chunk_bytes, const Link &l) const;
+    void checkSpan(const std::vector<int> &path, double chunk_bytes,
+                   int flits) const;
+
+    // ---- per-flit engine events (counted so it knows when it drains)
+    void scheduleTx(int link, Tick when);
+    void scheduleRx(int link, int msg, int hop, Tick when);
+    void scheduleCredit(int link, Tick when);
+    void flitEventDone();
+
+    // ---- trains
+    bool planTrains(int msg, const std::vector<int> &path);
+    bool creditsHold(const Link &l, const Train &t) const;
+    void startTrains(int msg);
+    void deliverTrain(int msg);
+    void retireTrains(Link &l);
+    void handOver();
+    void linkNow(const Link &l, int &queued, Tick &free_at) const;
+
     int allocMessage();
     void freeMessage(int msg);
 
@@ -209,8 +289,11 @@ class Network
     int meshCols_ = 0;    ///< resolved grid width (mesh/torus)
     int meshRows_ = 0;
     std::vector<Link> links_;
-    std::map<std::pair<int, int>, int> linkIndex_; ///< (from,to) -> id
-    std::map<std::pair<int, int>, std::vector<int>> routes_;
+    std::vector<std::vector<int>> linksFrom_; ///< node -> outgoing links
+    /** Flat route table: src * endpoints + dst -> index into routes_
+     *  (-1 until first use). A deque keeps cached paths in place. */
+    std::vector<int> routeSlot_;
+    std::deque<std::vector<int>> routes_;
     std::vector<Message> messages_; ///< slab, recycled via freeIds_
     std::vector<int> freeIds_;
     std::int64_t messagesSent_ = 0;
@@ -218,6 +301,13 @@ class Network
     std::int64_t inFlight_ = 0;
     std::int64_t flitsDelivered_ = 0;
     std::int64_t creditStalls_ = 0;
+    std::int64_t trainFallbacks_ = 0;
+
+    bool trainsEnabled_ = true; ///< false only in test reference runs
+    bool trainMode_ = true;     ///< false while the per-flit engine runs
+    std::int64_t flitEvents_ = 0; ///< pending per-flit engine events
+    std::vector<int> trainMsgs_;  ///< undelivered train messages
+    std::vector<Train> plan_;     ///< scratch for planTrains
 };
 
 } // namespace sn40l::sim

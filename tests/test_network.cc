@@ -7,12 +7,17 @@
  * later than with deep buffers), same-tick round-robin arbitration
  * fairness at a shared switch, the zero-network identity contract
  * (fabric knobs are inert until enabled), networked serial-vs-parallel
- * determinism, link-degrade request conservation, and the RDN replay
- * entry point arch::simulatedCongestionFactor.
+ * determinism, link-degrade request conservation, the RDN replay
+ * entry point arch::simulatedCongestionFactor, and the train fast path
+ * (NetworkTrain.*: differential against the per-flit reference, the
+ * event count it buys, and the Tick-range guards).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "arch/rdn.h"
@@ -22,7 +27,24 @@
 #include "sim/event_queue.h"
 #include "sim/log.h"
 #include "sim/network.h"
+#include "sim/rng.h"
 #include "sim/ticks.h"
+
+namespace sn40l::sim {
+
+/** Test-only access: a Network that never forms trains is the per-flit
+ *  reference the train path is checked against. */
+class NetworkTestPeer
+{
+  public:
+    static void perFlitOnly(Network &net)
+    {
+        net.trainsEnabled_ = false;
+        net.trainMode_ = false;
+    }
+};
+
+} // namespace sn40l::sim
 
 using namespace sn40l;
 using namespace sn40l::coe;
@@ -136,6 +158,8 @@ TEST(NetworkNames, ConfigValidationRejectsNonsense)
     expect_fatal([](sim::NetworkConfig &c) { c.flitBytes = 0.0; });
     expect_fatal([](sim::NetworkConfig &c) { c.maxFlitsPerMessage = 0; });
     expect_fatal([](sim::NetworkConfig &c) { c.fatTreeSpines = 0; });
+    // A full message would serialize past the Tick range.
+    expect_fatal([](sim::NetworkConfig &c) { c.linkBytesPerSec = 1e-20; });
 }
 
 TEST(NetworkNames, FabricValidationOnlyBitesWhenEnabled)
@@ -424,6 +448,473 @@ TEST(FabricCluster, LinkDegradeConservesRequests)
     EXPECT_EQ(r.stream.completed + r.stream.shed + r.stream.lost, 400);
     EXPECT_EQ(r.faultsInjected, 1);
     EXPECT_EQ(r.crashes, 0);
+}
+
+// ------------------------------------------------- train fast path
+//
+// Differential tests: every send stream runs twice, on a Network that
+// forms trains and on a per-flit-only reference (NetworkTestPeer), each
+// on its own EventQueue. Everything an observer can read must match
+// exactly: per-message delivery ticks, flitsDelivered (also inside the
+// delivery callbacks), creditStalls, messagesInFlight, every link's
+// busy ticks and flit count, and pathCongestion for every endpoint pair
+// before every operation.
+
+namespace {
+
+/** One operation of a replayed stream, issued at tick `at`. Ops that
+ *  share a tick run back to back inside one event. */
+struct NetOp
+{
+    enum Kind { Send, Degrade, Probe };
+    Kind kind = Send;
+    sim::Tick at = 0;
+    int src = 0;
+    int dst = 0;             ///< Send; ignored when `hosts` is set
+    double bytes = 0.0;
+    double factor = 1.0;     ///< Degrade: endpoint `src`'s links
+    std::vector<int> hosts;  ///< Send: topology-aware pick among these
+};
+
+NetOp
+sendOp(sim::Tick at, int src, int dst, double bytes)
+{
+    NetOp op;
+    op.at = at;
+    op.src = src;
+    op.dst = dst;
+    op.bytes = bytes;
+    return op;
+}
+
+NetOp
+degradeOp(sim::Tick at, int endpoint, double factor)
+{
+    NetOp op;
+    op.kind = NetOp::Degrade;
+    op.at = at;
+    op.src = endpoint;
+    op.factor = factor;
+    return op;
+}
+
+NetOp
+probeOp(sim::Tick at)
+{
+    NetOp op;
+    op.kind = NetOp::Probe;
+    op.at = at;
+    return op;
+}
+
+/** Ops in issue order (stable: same-tick ops keep their order). */
+void
+sortByTick(std::vector<NetOp> &ops)
+{
+    std::stable_sort(ops.begin(), ops.end(),
+                     [](const NetOp &a, const NetOp &b) {
+                         return a.at < b.at;
+                     });
+}
+
+/** Everything observable about one replay. */
+struct NetTrace
+{
+    std::vector<sim::Tick> deliveredAt; ///< per send, in op order
+    std::vector<int> dstOf;             ///< per send
+    std::vector<double> congestion;
+    std::vector<std::int64_t> counters;
+    std::int64_t fallbacks = 0;
+    std::uint64_t events = 0;
+};
+
+NetTrace
+replay(const sim::NetworkConfig &cfg, const std::vector<NetOp> &ops,
+       bool trains)
+{
+    sim::EventQueue eq;
+    sim::Network net(eq, cfg);
+    if (!trains)
+        sim::NetworkTestPeer::perFlitOnly(net);
+    NetTrace t;
+    const int E = net.endpointCount();
+    auto observe = [&](bool drained) {
+        for (int s = 0; s < E; ++s)
+            for (int d = 0; d < E; ++d)
+                if (s != d)
+                    t.congestion.push_back(net.pathCongestion(s, d));
+        // After the run the per-flit queue has also executed the
+        // trailing credit returns, which a train never schedules: the
+        // drained clock is the one reading the two may disagree on.
+        if (!drained)
+            t.counters.push_back(eq.now());
+        t.counters.push_back(net.flitsDelivered());
+        t.counters.push_back(net.creditStalls());
+        t.counters.push_back(net.messagesInFlight());
+        for (int l = 0; l < net.linkCount(); ++l) {
+            t.counters.push_back(net.linkBusyTicks(l));
+            t.counters.push_back(net.linkFlits(l));
+        }
+    };
+    std::vector<std::int64_t> sent(static_cast<std::size_t>(E), 0);
+    std::size_t sends = 0;
+    for (const NetOp &op : ops)
+        sends += op.kind == NetOp::Send;
+    t.deliveredAt.assign(sends, -1);
+    t.dstOf.assign(sends, -1);
+    std::size_t next_op = 0, next_send = 0;
+    std::function<void()> issue = [&]() {
+        const sim::Tick now = eq.now();
+        while (next_op < ops.size() && ops[next_op].at == now) {
+            const NetOp &op = ops[next_op++];
+            observe(false);
+            if (op.kind == NetOp::Degrade) {
+                net.setEndpointLinkFactor(op.src, op.factor);
+            } else if (op.kind == NetOp::Send) {
+                int dst = op.dst;
+                if (!op.hosts.empty()) {
+                    // The cluster's topology-aware pick: least path
+                    // congestion, ties to the fewest sent so far.
+                    dst = op.hosts.front();
+                    double best = net.pathCongestion(op.src, dst);
+                    for (int h : op.hosts) {
+                        double c = net.pathCongestion(op.src, h);
+                        if (c < best ||
+                            (c == best && sent[static_cast<std::size_t>(h)] <
+                                              sent[static_cast<std::size_t>(
+                                                  dst)])) {
+                            dst = h;
+                            best = c;
+                        }
+                    }
+                }
+                ++sent[static_cast<std::size_t>(dst)];
+                std::size_t id = next_send++;
+                t.dstOf[id] = dst;
+                net.send(op.src, dst, op.bytes, [&, id]() {
+                    t.deliveredAt[id] = eq.now();
+                    t.counters.push_back(static_cast<std::int64_t>(id));
+                    t.counters.push_back(net.flitsDelivered());
+                });
+            }
+        }
+        if (next_op < ops.size())
+            eq.schedule(ops[next_op].at, [&issue]() { issue(); }, "issue");
+    };
+    if (!ops.empty())
+        eq.schedule(ops.front().at, [&issue]() { issue(); }, "issue");
+    eq.run();
+    observe(true);
+    EXPECT_EQ(net.messagesInFlight(), 0);
+    t.fallbacks = net.trainFallbacks();
+    t.events = eq.executedCount();
+    return t;
+}
+
+/** Equal sequences, or a failure naming the first differing index. */
+template <typename T>
+void
+expectSameSeq(const char *what, const std::vector<T> &train,
+              const std::vector<T> &flit)
+{
+    std::size_t n = std::min(train.size(), flit.size());
+    for (std::size_t i = 0; i < n; ++i)
+        if (!(train[i] == flit[i])) {
+            ADD_FAILURE() << what << "[" << i << "]: train " << train[i]
+                          << ", per-flit " << flit[i];
+            return;
+        }
+    EXPECT_EQ(train.size(), flit.size()) << what;
+}
+
+/** Replays @p ops both ways and requires identical observations. */
+NetTrace
+expectTrainsExact(const sim::NetworkConfig &cfg,
+                  const std::vector<NetOp> &ops)
+{
+    NetTrace train = replay(cfg, ops, /*trains=*/true);
+    NetTrace flit = replay(cfg, ops, /*trains=*/false);
+    expectSameSeq("deliveredAt", train.deliveredAt, flit.deliveredAt);
+    expectSameSeq("dstOf", train.dstOf, flit.dstOf);
+    expectSameSeq("counters", train.counters, flit.counters);
+    expectSameSeq("congestion", train.congestion, flit.congestion);
+    for (sim::Tick t : train.deliveredAt)
+        EXPECT_GE(t, 0);
+    return train;
+}
+
+sim::NetworkConfig
+smallFlits(int endpoints)
+{
+    sim::NetworkConfig cfg;
+    cfg.endpoints = endpoints;
+    cfg.flitBytes = 64.0;
+    return cfg;
+}
+
+/** Poisson hub -> node dispatches plus node -> node transfers, probes
+ *  in between, on a `nodes`-node fabric whose hub is endpoint `nodes`. */
+std::vector<NetOp>
+fabricStream(int nodes, int count, double rate_per_sec,
+             double node_to_node, std::uint64_t seed)
+{
+    sim::Rng rng(seed);
+    std::vector<NetOp> ops;
+    double t = 0.0;
+    for (int i = 0; i < count; ++i) {
+        t += rng.exponential(1.0 / rate_per_sec);
+        sim::Tick at = sim::fromSeconds(t);
+        int dst = static_cast<int>(rng.uniformInt(
+            static_cast<std::uint64_t>(nodes)));
+        if (rng.uniformDouble() < node_to_node) {
+            int src = static_cast<int>(rng.uniformInt(
+                static_cast<std::uint64_t>(nodes)));
+            ops.push_back(sendOp(at, src, dst, 4.0e6));
+        } else {
+            ops.push_back(sendOp(at, nodes, dst, 1.0e6 + 2048.0));
+        }
+        ops.push_back(probeOp(at + sim::fromUs(rng.uniformDouble() * 500)));
+    }
+    sortByTick(ops);
+    return ops;
+}
+
+} // namespace
+
+TEST(NetworkTrain, ExistingScenariosMatchThePerFlitModel)
+{
+    // MessageArrivesWholeAndInFlightDrains.
+    expectTrainsExact(smallFlits(2), {sendOp(0, 0, 1, 64.0 * 10)});
+    // LocalSendTouchesNoLink.
+    expectTrainsExact(smallFlits(2), {sendOp(0, 0, 0, 1e9)});
+    // ExhaustionStallsButDeliversEverything, both buffer depths.
+    for (int buffer : {2, 64}) {
+        sim::NetworkConfig cfg = smallFlits(2);
+        cfg.bufferFlits = buffer;
+        NetTrace t = expectTrainsExact(cfg, {sendOp(0, 0, 1, 64.0 * 40)});
+        SCOPED_TRACE(buffer);
+        EXPECT_EQ(t.fallbacks, buffer == 2 ? 1 : 0);
+    }
+    // SameTickSendersInterleaveAtASharedSwitch.
+    NetTrace same = expectTrainsExact(
+        smallFlits(3),
+        {sendOp(0, 0, 2, 64.0 * 10), sendOp(0, 1, 2, 64.0 * 10)});
+    EXPECT_GT(same.fallbacks, 0);
+    // DegradedLinkAdvertisesItsStretchWhenIdle, then traffic over it.
+    expectTrainsExact(smallFlits(3),
+                      {degradeOp(0, 1, 40.0), sendOp(0, 0, 1, 6400.0),
+                       sendOp(0, 0, 2, 6400.0), degradeOp(5, 1, 1.0)});
+    // Exact-tick edges at ep2's hub link (2560-tick flits, 2 us hops):
+    // the 1 -> 2 train's last flit leaves it at tick 2,025,600 and the
+    // link is free again at 2,028,160.
+    //  - a second port landing in the very tick the last flit leaves
+    //    (sent at 23,040): arbitration, even though the queue looks
+    //    empty to the train ahead;
+    //  - a 4x-slow port landing while that last flit serializes (sent
+    //    at 16,000 over degraded ep0 links): it waits for the wire,
+    //    then arrives slower than the link drains, so no single pitch.
+    for (sim::Tick second : {23'040, 16'000}) {
+        std::vector<NetOp> ops = {sendOp(0, 1, 2, 64.0 * 10),
+                                  sendOp(second, 0, 2, 64.0 * 10)};
+        if (second == 16'000)
+            ops.insert(ops.begin(), degradeOp(0, 0, 4.0));
+        SCOPED_TRACE(second);
+        EXPECT_GT(expectTrainsExact(smallFlits(3), ops).fallbacks, 0);
+    }
+    // Two trains landing in the same tick, handed over before they
+    // land: 2 -> 3 crosses a 4x-slow last hop, so its last flit leaves
+    // first, and its completion must fire first too.
+    expectTrainsExact(smallFlits(4),
+                      {degradeOp(0, 3, 4.0), sendOp(0, 2, 3, 64.0 * 10),
+                       sendOp(76'800, 0, 1, 64.0 * 10),
+                       sendOp(3'000'000, 0, 2, 64.0 * 10),
+                       sendOp(3'000'000, 1, 2, 64.0 * 10)});
+    // Route shapes: corner to corner on mesh / torus, cross-leaf.
+    for (sim::Topology topo :
+         {sim::Topology::Mesh2D, sim::Topology::Torus2D,
+          sim::Topology::FatTree}) {
+        sim::NetworkConfig cfg = smallFlits(9);
+        cfg.topology = topo;
+        cfg.meshCols = 3;
+        SCOPED_TRACE(sim::topologyName(topo));
+        expectTrainsExact(cfg, {sendOp(0, 0, 8, 64.0 * 30),
+                                sendOp(1, 8, 0, 64.0 * 30),
+                                sendOp(sim::fromUs(3), 2, 6, 64.0 * 30)});
+    }
+}
+
+TEST(NetworkTrain, BackToBackTrainsQueueWithoutFallingBack)
+{
+    // One source, one port: a second message sent while the first is
+    // still serializing queues behind it. FIFO, not arbitration, so
+    // both stay trains.
+    sim::NetworkConfig cfg;
+    cfg.topology = sim::Topology::Mesh2D;
+    cfg.endpoints = 9;
+    NetTrace t = expectTrainsExact(
+        cfg, {sendOp(0, 8, 0, 1e6), sendOp(sim::fromUs(5), 8, 1, 1e6),
+              sendOp(sim::fromUs(5), 8, 0, 2e5), probeOp(sim::fromUs(30)),
+              probeOp(sim::fromUs(44))});
+    EXPECT_EQ(t.fallbacks, 0);
+}
+
+TEST(NetworkTrain, InterconnectCornersMatchThePerFlitModel)
+{
+    // abl_interconnect's corners: 1 Gb/s links, a 40x degrade landing
+    // mid-train on node 2 and healing later, on star, mesh, and
+    // fat-tree, with node -> node transfers contending at switches.
+    for (sim::Topology topo :
+         {sim::Topology::Star, sim::Topology::Mesh2D,
+          sim::Topology::FatTree}) {
+        const int nodes = 4;
+        sim::NetworkConfig cfg;
+        cfg.topology = topo;
+        cfg.endpoints = nodes + 1;
+        cfg.linkBytesPerSec = 1e9 / 8.0;
+        cfg.fatTreeRadix = 2;
+        std::vector<NetOp> ops =
+            fabricStream(nodes, 160, 40.0, 0.15, 7);
+        // Land the degrade 1 ms into the 40th dispatch's serialization.
+        sim::Tick hit = ops[80].at + sim::fromMs(1.0);
+        ops.push_back(degradeOp(hit, 2, 40.0));
+        ops.push_back(degradeOp(hit + sim::fromSeconds(1.0), 2, 1.0));
+        for (std::size_t i = 0; i < ops.size(); i += 10) {
+            NetOp pick = ops[i];
+            if (pick.kind == NetOp::Send && pick.src == nodes) {
+                pick.at += 1; // dispatch with a topology-aware choice
+                pick.hosts = {1, 2, 3};
+                ops.push_back(pick);
+            }
+        }
+        sortByTick(ops);
+        SCOPED_TRACE(sim::topologyName(topo));
+        NetTrace t = expectTrainsExact(cfg, ops);
+        EXPECT_GT(t.fallbacks, 0); // the corner really contends
+    }
+}
+
+TEST(NetworkTrain, ClusterMeshDispatchStreamMatchesThePerFlitModel)
+{
+    // The cluster_mesh shape: 8 nodes + hub on a 3x3 mesh, 200 Gb/s,
+    // every request a 1 MB dispatch to the least-congested of its
+    // expert's hosts. At 96 req/s plus a 20x-denser copy so that
+    // dispatches overlap on the hub's links.
+    for (double rate : {96.0, 2000.0}) {
+        sim::Rng rng(42);
+        sim::NetworkConfig cfg;
+        cfg.topology = sim::Topology::Mesh2D;
+        cfg.endpoints = 9;
+        cfg.linkBytesPerSec = 200e9 / 8.0;
+        std::vector<NetOp> ops;
+        double t = 0.0;
+        for (int i = 0; i < 1500; ++i) {
+            t += rng.exponential(1.0 / rate);
+            NetOp op = sendOp(sim::fromSeconds(t), 8, 0, 1.0e6 + 2048.0);
+            int a = static_cast<int>(rng.uniformInt(8));
+            int b = static_cast<int>(rng.uniformInt(8));
+            op.hosts = a == b ? std::vector<int>{a} : std::vector<int>{a, b};
+            ops.push_back(op);
+        }
+        SCOPED_TRACE(rate);
+        NetTrace tr = expectTrainsExact(cfg, ops);
+        // The hub's routes form a tree: nothing ever contends.
+        EXPECT_EQ(tr.fallbacks, 0);
+    }
+}
+
+TEST(NetworkTrain, RandomStreamsMatchThePerFlitModel)
+{
+    // Random topologies, buffer depths, message sizes, and send ticks
+    // on a coarse grid (so same-tick sends and exact-tick coincidences
+    // happen), with degrades mixed in.
+    std::int64_t sends = 0, fallbacks = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        sim::Rng rng(seed);
+        sim::NetworkConfig cfg;
+        cfg.topology = static_cast<sim::Topology>(rng.uniformInt(4));
+        cfg.endpoints = 2 + static_cast<int>(rng.uniformInt(8));
+        cfg.bufferFlits = 1 + static_cast<int>(rng.uniformInt(40));
+        cfg.flitBytes = 256.0;
+        cfg.maxFlitsPerMessage = 48;
+        cfg.linkBytesPerSec = 1e9;
+        cfg.linkLatency = sim::fromNs(50.0 + 10.0 * rng.uniformInt(20));
+        cfg.fatTreeRadix = 2;
+        std::vector<NetOp> ops;
+        for (int i = 0; i < 60; ++i) {
+            // Odd seeds crowd 60 ops into 400 us, even ones spread
+            // them over 20 ms.
+            sim::Tick at = sim::fromUs(static_cast<double>(
+                rng.uniformInt(seed % 2 ? 400 : 20000)));
+            double roll = rng.uniformDouble();
+            int a = static_cast<int>(rng.uniformInt(
+                static_cast<std::uint64_t>(cfg.endpoints)));
+            int b = static_cast<int>(rng.uniformInt(
+                static_cast<std::uint64_t>(cfg.endpoints)));
+            if (roll < 0.05)
+                ops.push_back(degradeOp(at, a, 1.0 + rng.uniformInt(8)));
+            else if (roll < 0.2)
+                ops.push_back(probeOp(at + 7));
+            else
+                ops.push_back(sendOp(at, a, b,
+                                     64.0 + rng.uniformDouble() * 20000.0));
+        }
+        sortByTick(ops);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        NetTrace t = expectTrainsExact(cfg, ops);
+        sends += static_cast<std::int64_t>(t.deliveredAt.size());
+        fallbacks += t.fallbacks;
+    }
+    // Both paths and the hand-over between them were exercised.
+    EXPECT_GT(fallbacks, 0);
+    EXPECT_LT(fallbacks, sends * 3 / 4);
+}
+
+TEST(NetworkTrain, UncontendedSendsCostOneEventPerMessage)
+{
+    // Uncontended 1 MB sends between every ordered pair of a 9-endpoint
+    // mesh (1 to 4 hops, 245 flits each), one at a time: each message
+    // is exactly one event — its delivery — on top of the event that
+    // issues it, where the per-flit model pays ~3 events per flit-hop.
+    sim::NetworkConfig cfg;
+    cfg.topology = sim::Topology::Mesh2D;
+    cfg.endpoints = 9;
+    std::vector<NetOp> ops;
+    sim::Tick at = 0;
+    for (int s = 0; s < 9; ++s)
+        for (int d = 0; d < 9; ++d)
+            if (s != d) {
+                ops.push_back(sendOp(at, s, d, 1e6));
+                at += sim::fromMs(1.0);
+            }
+    NetTrace train = expectTrainsExact(cfg, ops);
+    EXPECT_EQ(train.fallbacks, 0);
+    EXPECT_EQ(train.events, 2 * ops.size());
+    NetTrace flit = replay(cfg, ops, /*trains=*/false);
+    EXPECT_EQ(flit.fallbacks, static_cast<std::int64_t>(ops.size()));
+    EXPECT_GT(flit.events, 500 * ops.size());
+}
+
+TEST(NetworkTrain, UnrepresentableSerializationIsFatal)
+{
+    sim::EventQueue eq;
+    sim::NetworkConfig cfg;
+    cfg.endpoints = 2;
+    sim::Network net(eq, cfg);
+    // 1e30 bytes in 256 flits at 25 GB/s: ~1e19 s per flit.
+    EXPECT_THROW(net.send(0, 1, 1e30, nullptr), sim::FatalError);
+    EXPECT_EQ(net.messagesInFlight(), 0);
+
+    coe::FabricConfig fab;
+    fab.enabled = true;
+    fab.linkGbps = 1e-30;
+    try {
+        coe::validateFabricConfig(fab);
+        ADD_FAILURE() << "1e-30 Gb/s links must not validate";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("--link-gbps"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // -------------------------------------------------- RDN replay bridge
