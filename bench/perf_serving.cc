@@ -14,9 +14,12 @@
  *    events/sec, requests/sec, and peak RSS.
  *
  * Emits BENCH_serving.json. With --floor FILE, exits non-zero if
- * serving events/sec falls below 80% of the checked-in floor — the CI
- * regression gate (the floor is set far enough below a healthy run to
- * absorb shared-runner noise; see bench/perf_serving_floor.json).
+ * serving events/sec falls below 80% of the checked-in floor, or if
+ * the run executes more events per request than the floor's exact
+ * ceiling (deterministic, so checked only at the floor's own request
+ * count) — the CI regression gate (the wall-clock floor is set far
+ * enough below a healthy run to absorb shared-runner noise; see
+ * bench/perf_serving_floor.json).
  *
  *   perf_serving [--smoke] [--requests N] [--json FILE] [--floor FILE]
  */
@@ -137,12 +140,15 @@ main(int argc, char **argv)
         : 0.0;
     double requests_per_sec =
         wall > 0.0 ? static_cast<double>(requests) / wall : 0.0;
+    double events_per_request =
+        static_cast<double>(result.stream.eventsExecuted) / requests;
     std::int64_t rss = peakRssBytes();
 
     std::cout << "serving: " << requests << " requests, "
               << result.stream.eventsExecuted << " events in " << wall
               << " s\n"
-              << "  " << static_cast<std::uint64_t>(events_per_sec)
+              << "  " << events_per_request << " events/request, "
+              << static_cast<std::uint64_t>(events_per_sec)
               << " events/s, "
               << static_cast<std::uint64_t>(requests_per_sec)
               << " requests/s, peak RSS " << rss / (1 << 20) << " MiB\n";
@@ -158,6 +164,7 @@ main(int argc, char **argv)
         << "  \"wall_seconds\": " << wall << ",\n"
         << "  \"events_executed\": " << result.stream.eventsExecuted
         << ",\n"
+        << "  \"events_per_request\": " << events_per_request << ",\n"
         << "  \"events_per_sec\": " << events_per_sec << ",\n"
         << "  \"requests_per_sec\": " << requests_per_sec << ",\n"
         << "  \"core_events_per_sec\": " << core_eps << ",\n"
@@ -177,6 +184,24 @@ main(int argc, char **argv)
         }
         std::cout << "floor check passed: " << events_per_sec
                   << " events/s >= gate " << gate << "\n";
+        if (requests == jsonNumber("perf_serving", floor_path,
+                                   "requests")) {
+            double ceiling = jsonNumber("perf_serving", floor_path,
+                                        "events_per_request");
+            if (events_per_request > ceiling) {
+                std::cerr << "perf_serving: EVENT REGRESSION: "
+                          << events_per_request
+                          << " events/request > ceiling " << ceiling
+                          << " (from " << floor_path << ")\n";
+                return 1;
+            }
+            std::cout << "events/request check passed: "
+                      << events_per_request << " <= ceiling " << ceiling
+                      << "\n";
+        } else {
+            std::cout << "events/request check skipped: the ceiling is "
+                         "pinned at the floor's requests\n";
+        }
     }
     return 0;
 }

@@ -24,10 +24,10 @@
 #ifndef SN40L_COE_COE_RUNTIME_H
 #define SN40L_COE_COE_RUNTIME_H
 
+#include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "coe/expert.h"
 #include "mem/free_list_allocator.h"
@@ -48,7 +48,7 @@ struct Activation
 };
 
 /** Lifecycle of a resident expert on the async protocol. */
-enum class ExpertState {
+enum class ExpertState : std::uint8_t {
     Loaded,           ///< segments fully in HBM, runnable
     Loading,          ///< demand DMA in flight; pinned against eviction
     PrefetchReserved, ///< speculative reservation; cancellable
@@ -69,10 +69,15 @@ class CoeRuntime
 {
   public:
     /**
+     * @param zoo the expert set (ids 0..zoo.size() - 1); the runtime
+     *        keeps a reference, and the zoo must not grow after this.
      * @param hbm_region_bytes HBM set aside for expert segments
      *        (the "Expert Region" of Fig 9).
      */
     CoeRuntime(const ExpertZoo &zoo, std::int64_t hbm_region_bytes);
+
+    CoeRuntime(const CoeRuntime &) = delete;
+    CoeRuntime &operator=(const CoeRuntime &) = delete;
 
     // ----------------------------------------- synchronous protocol
 
@@ -124,7 +129,8 @@ class CoeRuntime
      * Drop every Loaded, unpinned expert (a cold restart: a cluster
      * node rejoining after a drain re-warms from live traffic).
      * Loading and PrefetchReserved entries survive — their DMA will
-     * land — as do pinned experts. Fires the eviction hook per drop.
+     * land — as do pinned experts. Fires the eviction hook per drop,
+     * in expert-id order.
      * @return the number of experts flushed.
      */
     int flushUnpinned();
@@ -155,7 +161,7 @@ class CoeRuntime
         evictionHook_ = std::move(hook);
     }
 
-    bool resident(int expert_id) const;
+    bool resident(int expert_id) const { return find(expert_id); }
     /** Resident and fully loaded (state Loaded). */
     bool loaded(int expert_id) const;
     /** Resident with a transfer reserved or in flight. */
@@ -163,10 +169,7 @@ class CoeRuntime
     ExpertState state(int expert_id) const; ///< panics if not resident
     int pinCount(int expert_id) const;
 
-    int residentCount() const
-    {
-        return static_cast<int>(lru_.size());
-    }
+    int residentCount() const { return residentCount_; }
 
     std::int64_t regionBytes() const { return region_.capacity(); }
     std::int64_t freeRegionBytes() const { return region_.freeBytes(); }
@@ -175,28 +178,64 @@ class CoeRuntime
     const sim::StatSet &stats() const { return stats_; }
 
   private:
+    /**
+     * One expert's residency record. The LRU order is a doubly linked
+     * list threaded through the records (expert ids as links, -1 at
+     * either end), so no activation allocates.
+     */
     struct Resident
     {
-        std::list<int>::iterator lruIt;
         std::int64_t offset = 0;
-        ExpertState state = ExpertState::Loaded;
+        int moreRecent = -1; ///< neighbour toward the MRU end
+        int lessRecent = -1; ///< neighbour toward the LRU end
         int pins = 0;
+        ExpertState state = ExpertState::Loaded;
+        bool present = false;
     };
 
     /** Evict (or cancel) entries until @p need bytes allocate. */
     std::int64_t allocateEvicting(std::int64_t need, int &evictions,
                                   double &bytes_to_write_back);
-    void dropEntry(std::map<int, Resident>::iterator it);
+    /** Make @p expert_id resident at @p offset, linked at the MRU end,
+     *  or at the LRU end when @p most_recent is false. */
+    void insertEntry(int expert_id, std::int64_t offset, ExpertState state,
+                     bool most_recent);
+    void dropEntry(int expert_id);
+    void linkLru(int expert_id, bool most_recent);
+    void unlinkLru(int expert_id);
+    /** The record of a resident expert, or nullptr. */
+    const Resident *find(int expert_id) const;
+    /** The resident record; panics naming @p why when absent. */
     Resident &entry(int expert_id, const char *why);
+    Resident &at(int expert_id)
+    {
+        return entries_[static_cast<std::size_t>(expert_id)];
+    }
 
     const ExpertZoo &zoo_;
     mem::FreeListAllocator region_;
-    /** Most-recently-used at front. */
-    std::list<int> lru_;
-    std::map<int, Resident> resident_;
+    /** Residency records, dense by expert id. */
+    std::vector<Resident> entries_;
+    int mostRecent_ = -1;  ///< LRU list head, -1 when empty
+    int leastRecent_ = -1; ///< LRU list tail, -1 when empty
+    int residentCount_ = 0;
     std::function<bool(int)> prefetchCancelHook_;
     std::function<void(int)> evictionHook_;
     sim::StatSet stats_;
+    // Counters resolved once (StatSet::counter): activations run per
+    // batch and per replayed request.
+    double &hitsStat_;
+    double &pendingHitsStat_;
+    double &missesStat_;
+    double &loadBytesStat_;
+    double &evictionsStat_;
+    double &writebackBytesStat_;
+    double &copybackSkippedStat_;
+    double &prefetchReservationsStat_;
+    double &prefetchBytesStat_;
+    double &prefetchCancelsStat_;
+    double &loadsCompletedStat_;
+    double &flushesStat_;
 };
 
 } // namespace sn40l::coe

@@ -1,5 +1,6 @@
 #include "coe/router.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/log.h"
@@ -60,12 +61,14 @@ Router::route()
       case RoutingDistribution::RoundRobin:
         return next_++ % numExperts_;
       case RoutingDistribution::Zipf: {
+        // First i with u <= cdf_[i]. The CDF is non-decreasing, so the
+        // binary search returns exactly the linear scan's index; a u
+        // above the last entry (rounding) falls back to the last expert.
         double u = rng_.uniformDouble();
-        for (int i = 0; i < numExperts_; ++i) {
-            if (u <= cdf_[i])
-                return i;
-        }
-        return numExperts_ - 1;
+        auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+        if (it == cdf_.end())
+            return numExperts_ - 1;
+        return static_cast<int>(it - cdf_.begin());
       }
     }
     sim::panic("Router::route: unknown distribution");

@@ -58,13 +58,19 @@ validateServingConfig(const ServingConfig &cfg)
     if (cfg.mode == ServingMode::EventDriven) {
         if (cfg.streamRequests <= 0)
             sim::fatal("ServingConfig: non-positive streamRequests");
+        // Written so NaN fails too: every comparison with NaN is false.
         if (cfg.arrival == ArrivalProcess::Poisson &&
-            cfg.arrivalRatePerSec <= 0.0)
-            sim::fatal("ServingConfig: non-positive arrival rate");
+            !(std::isfinite(cfg.arrivalRatePerSec) &&
+              cfg.arrivalRatePerSec > 0.0))
+            sim::fatal("ServingConfig: arrivalRatePerSec (--arrival-rate) "
+                       "must be finite and positive, got " +
+                       std::to_string(cfg.arrivalRatePerSec));
         if (cfg.arrival == ArrivalProcess::ClosedLoop && cfg.clients <= 0)
             sim::fatal("ServingConfig: non-positive client count");
-        if (cfg.thinkSeconds < 0.0)
-            sim::fatal("ServingConfig: negative think time");
+        if (!(std::isfinite(cfg.thinkSeconds) && cfg.thinkSeconds >= 0.0))
+            sim::fatal("ServingConfig: thinkSeconds (--think) must be "
+                       "finite and non-negative, got " +
+                       std::to_string(cfg.thinkSeconds));
         if (cfg.dmaEngines <= 0)
             sim::fatal("ServingConfig: need at least one DMA engine");
         if (cfg.prefetchDepth < 0)

@@ -98,21 +98,23 @@ ServingEngine::ServingEngine(sim::EventQueue &eq, const ServingConfig &cfg,
         ddrOffset_[static_cast<std::size_t>(e)] = cursor;
         cursor += static_cast<std::int64_t>(zoo_.expert(e).bytes);
     }
+    experts_.resize(static_cast<std::size_t>(zoo_.size()));
 
     // Eviction pressure reclaims speculative reservations: cancel the
     // queued DMA if it has not been issued yet.
     runtime_.setPrefetchCancelHook([this](int e) {
-        auto it = transferOf_.find(e);
-        if (it == transferOf_.end())
+        ExpertSlot &s = slot(e);
+        if (s.transfer == mem::kInvalidTransfer)
             return true;
-        if (!memsys_.cancel(it->second))
+        if (!memsys_.cancel(s.transfer))
             return false; // already streaming; it will land
-        transferOf_.erase(it);
-        prefetchOutstanding_.erase(e);
-        stats_.inc("prefetches_cancelled");
+        s.transfer = mem::kInvalidTransfer;
+        clearPrefetchOutstanding(s);
+        prefetchesCancelledStat_ += 1.0;
         return true;
     });
-    runtime_.setEvictionHook([this](int e) { prefetchReady_.erase(e); });
+    runtime_.setEvictionHook(
+        [this](int e) { slot(e).prefetchReady = false; });
 }
 
 void
@@ -145,7 +147,7 @@ ServingEngine::pickExpert()
 {
     const EngineRequest &front = queued_.begin()->second;
     if (batchCount_ - 1 - front.enqueuedAtBatch >= cfg_.affinityMaxSkips) {
-        stats_.inc("affinity_starvation_overrides");
+        starvationOverridesStat_ += 1.0;
         return front.expert;
     }
 
@@ -153,12 +155,10 @@ ServingEngine::pickExpert()
     bool best_resident = false;
     int best_count = 0;
     int best_oldest = 0;
-    for (const auto &kv : queuedByExpert_) {
-        int count = static_cast<int>(kv.second.size());
-        if (count == 0)
-            continue;
-        int oldest = *kv.second.begin();
-        bool res = runtime_.resident(kv.first);
+    for (const QueuedExpert &q : queuedExperts_) {
+        int count = static_cast<int>(q.ids.size());
+        int oldest = *q.ids.begin();
+        bool res = runtime_.resident(q.expert);
         bool better;
         if (best < 0) {
             better = true;
@@ -170,7 +170,7 @@ ServingEngine::pickExpert()
             better = oldest < best_oldest;
         }
         if (better) {
-            best = kv.first;
+            best = q.expert;
             best_resident = res;
             best_count = count;
             best_oldest = oldest;
@@ -179,19 +179,31 @@ ServingEngine::pickExpert()
     return best;
 }
 
+bool
+ServingEngine::clearPrefetchOutstanding(ExpertSlot &s)
+{
+    if (!s.prefetchOutstanding)
+        return false;
+    s.prefetchOutstanding = false;
+    --prefetchOutstanding_;
+    return true;
+}
+
 void
 ServingEngine::onLoadDone(int e)
 {
     runtime_.completeLoad(e);
-    transferOf_.erase(e);
-    if (awaited_.erase(e) > 0) {
+    ExpertSlot &s = slot(e);
+    s.transfer = mem::kInvalidTransfer;
+    bool speculative = clearPrefetchOutstanding(s);
+    if (s.awaited) {
+        s.awaited = false;
         --pendingLoads_;
-        prefetchOutstanding_.erase(e);
         maybeLaunch();
         return;
     }
-    if (prefetchOutstanding_.erase(e) > 0)
-        prefetchReady_.insert(e);
+    if (speculative)
+        s.prefetchReady = true;
 }
 
 /**
@@ -216,21 +228,24 @@ ServingEngine::maybePrefetch()
         if (cfg_.prefetchWindow > 0 && ++inspected > cfg_.prefetchWindow)
             break;
         const EngineRequest &r = kv.second;
-        if (static_cast<int>(prefetchOutstanding_.size()) >=
-            cfg_.prefetchDepth)
+        if (prefetchOutstanding_ >= cfg_.prefetchDepth)
             break;
         if (runtime_.resident(r.expert))
             continue;
         auto act = runtime_.beginPrefetch(r.expert);
         if (!act)
             break; // no free region block: stop speculating
-        stats_.inc("prefetches_issued");
+        prefetchesIssuedStat_ += 1.0;
         int e = r.expert;
-        transferOf_[e] = memsys_.load(
+        ExpertSlot &s = slot(e);
+        s.transfer = memsys_.load(
             ddrOffset_[static_cast<std::size_t>(e)], act->hbmOffset,
             act->bytesToLoad, mem::TransferPriority::Prefetch,
             [this, e]() { onLoadDone(e); });
-        prefetchOutstanding_.insert(e);
+        // A non-resident expert has no load in flight, so the flag was
+        // clear.
+        s.prefetchOutstanding = true;
+        ++prefetchOutstanding_;
     }
     samplePeakResident();
 }
@@ -383,11 +398,11 @@ ServingEngine::injectAt(EngineRequest request)
         // refusing it is silent (the primary copy's fate is the one
         // the conservation ledger tracks).
         if (request.hedgeDuplicate) {
-            stats_.inc("hedge_duplicates_refused");
+            hedgeRefusedStat_ += 1.0;
             return;
         }
         ++shedCount_;
-        stats_.inc("shed_requests");
+        shedRequestsStat_ += 1.0;
         // Per-tenant shed counters, through cached stable references
         // (StatSet::counter): an overloaded SLO run sheds most
         // arrivals, so the string-keyed lookup must not sit on the
@@ -407,8 +422,7 @@ ServingEngine::injectAt(EngineRequest request)
     request.enqueuedAtBatch = batchCount_;
     if (firstArrival_ < 0)
         firstArrival_ = request.arrival;
-    if (affinity_)
-        queuedByExpert_[request.expert].insert(request.id);
+    indexQueued(request.id, request.expert);
     int id = request.id;
     queued_.emplace(id, std::move(request));
     ++injectedCount_;
@@ -416,6 +430,40 @@ ServingEngine::injectAt(EngineRequest request)
         formBatch();
     else
         maybePrefetch();
+}
+
+void
+ServingEngine::indexQueued(int id, int expert)
+{
+    if (!affinity_)
+        return;
+    ExpertSlot &s = slot(expert);
+    if (s.queuedPos < 0) {
+        s.queuedPos = static_cast<int>(queuedExperts_.size());
+        queuedExperts_.push_back({expert, {}});
+    }
+    queuedExperts_[static_cast<std::size_t>(s.queuedPos)].ids.insert(id);
+}
+
+void
+ServingEngine::unindexQueued(int id, int expert)
+{
+    if (!affinity_)
+        return;
+    ExpertSlot &s = slot(expert);
+    auto pos = static_cast<std::size_t>(s.queuedPos);
+    std::set<int> &ids = queuedExperts_[pos].ids;
+    ids.erase(id);
+    if (!ids.empty())
+        return;
+    // Swap-remove: queuedExperts_ order carries no meaning, and moving
+    // a set moves no nodes.
+    if (pos + 1 != queuedExperts_.size()) {
+        queuedExperts_[pos] = std::move(queuedExperts_.back());
+        slot(queuedExperts_[pos].expert).queuedPos = s.queuedPos;
+    }
+    queuedExperts_.pop_back();
+    s.queuedPos = -1;
 }
 
 std::vector<EngineRequest>
@@ -427,7 +475,9 @@ ServingEngine::extractQueued()
     for (const auto &kv : queued_)
         out.push_back(kv.second);
     queued_.clear();
-    queuedByExpert_.clear();
+    for (const QueuedExpert &q : queuedExperts_)
+        slot(q.expert).queuedPos = -1;
+    queuedExperts_.clear();
     // The extracted requests complete elsewhere; they no longer count
     // against this engine's in-flight work.
     injectedCount_ -= static_cast<std::int64_t>(out.size());
@@ -440,10 +490,10 @@ ServingEngine::crashExtract()
     std::vector<EngineRequest> out = extractQueued();
     if (busy_) {
         // Abandon the in-flight batch. Its scheduled events (router,
-        // awaited DMA, prompt joins) still fire, but with curBatch_
-        // empty they fall straight through runNextPrompt into
-        // finishBatch, which releases the pinned experts and clears
-        // busy_ — a ghost batch that completes nothing.
+        // awaited DMA, prompt completion) still fire, but with
+        // curBatch_ empty they fall straight through runNextPrompt
+        // into finishBatch, which releases the pinned experts and
+        // clears busy_ — a ghost batch that completes nothing.
         out.reserve(out.size() + curBatch_.size());
         injectedCount_ -= static_cast<std::int64_t>(curBatch_.size());
         for (EngineRequest &r : curBatch_)
@@ -462,22 +512,19 @@ ServingEngine::cancelQueued(int id)
     if (it == queued_.end())
         return false;
     touchDepth(queued_.size() - 1);
-    eraseRequest(id, it->second.expert);
+    unindexQueued(id, it->second.expert);
+    queued_.erase(it);
     --injectedCount_;
-    stats_.inc("cancelled_queued");
+    cancelledQueuedStat_ += 1.0;
     return true;
 }
 
 void
-ServingEngine::eraseRequest(int id, int expert)
+ServingEngine::takeQueued(std::map<int, EngineRequest>::iterator it)
 {
-    queued_.erase(id);
-    if (affinity_) {
-        auto it = queuedByExpert_.find(expert);
-        it->second.erase(id);
-        if (it->second.empty())
-            queuedByExpert_.erase(it);
-    }
+    unindexQueued(it->first, it->second.expert);
+    curBatch_.push_back(std::move(it->second));
+    queued_.erase(it);
 }
 
 void
@@ -499,7 +546,7 @@ ServingEngine::finishBatch()
             // id (here its injection is un-counted so outstanding()
             // still converges to zero).
             --injectedCount_;
-            stats_.inc("hedge_duplicate_completions");
+            hedgeCompletionsStat_ += 1.0;
             continue;
         }
         latency_.record(seconds);
@@ -525,14 +572,12 @@ ServingEngine::finishBatch()
  * streaming drains — on a contended working tier (prefetch DMA
  * writing behind it) the traffic side finishes later and the slowdown
  * is real, not a closed-form adjustment.
+ *
+ * Both finish ticks are known when the prompt starts (MemorySystem::
+ * traffic books the channels FIFO and returns its last byte's tick),
+ * so the prompt is one event at the later of the two, as a DMA copy
+ * is one event for both of its tiers.
  */
-void
-ServingEngine::promptJoin()
-{
-    if (--promptJoinPending_ == 0)
-        runNextPrompt();
-}
-
 void
 ServingEngine::runNextPrompt()
 {
@@ -543,13 +588,13 @@ ServingEngine::runNextPrompt()
     }
     const EngineRequest &prompt = curBatch_[execIndex_];
     ++execIndex_;
-    promptJoinPending_ = 2;
     // serviceFactor_ is exactly 1.0 on a healthy node, and x * 1.0 is
     // IEEE-exact, so non-straggler runs schedule identical ticks.
-    eq_.scheduleIn(
-        sim::fromSeconds(prompt.execSeconds * serviceFactor_),
-        [this]() { promptJoin(); }, "coe.prompt_exec");
-    memsys_.traffic(prompt.trafficBytes, [this]() { promptJoin(); });
+    sim::Tick exec_done = eq_.now() +
+        sim::fromSeconds(prompt.execSeconds * serviceFactor_);
+    sim::Tick traffic_done = memsys_.traffic(prompt.trafficBytes);
+    eq_.schedule(std::max(exec_done, traffic_done),
+                 [this]() { runNextPrompt(); }, "coe.prompt_done");
 }
 
 // Launch once the router has decided AND every non-resident expert's
@@ -583,16 +628,12 @@ ServingEngine::formBatch()
     // batch drains the queue (no simulated time passes in here).
     touchDepth(queued_.size());
 
+    // The batch is taken straight into curBatch_, empty between
+    // batches; it keeps its capacity, so formation allocates nothing.
     const std::size_t cap = static_cast<std::size_t>(cfg_.batch);
-    std::vector<EngineRequest> batch;
-    auto take_id = [&](int id) {
-        const EngineRequest &r = queued_.at(id);
-        batch.push_back(r);
-        eraseRequest(id, r.expert);
-    };
     if (!affinity_) {
-        while (!queued_.empty() && batch.size() < cap)
-            take_id(queued_.begin()->first);
+        while (!queued_.empty() && curBatch_.size() < cap)
+            takeQueued(queued_.begin());
     } else {
         // Take every queued request for the chosen expert, then
         // backfill spare slots with requests whose experts are already
@@ -602,59 +643,68 @@ ServingEngine::formBatch()
         // as the historical FIFO walk did, but through the per-expert
         // index so formation cost scales with distinct experts, not
         // queue depth.
-        int expert = pickExpert();
-        while (batch.size() < cap) {
-            // Re-find per take: eraseRequest drops the expert's entry
-            // (invalidating iterators) once its last queued request is
-            // taken.
-            auto it = queuedByExpert_.find(expert);
-            if (it == queuedByExpert_.end())
-                break;
-            take_id(*it->second.begin());
+        // Re-find the expert's entry per take: the entry moves when
+        // another expert's is swap-removed, and goes when it empties.
+        const ExpertSlot &chosen = slot(pickExpert());
+        while (chosen.queuedPos >= 0 && curBatch_.size() < cap) {
+            const QueuedExpert &q =
+                queuedExperts_[static_cast<std::size_t>(chosen.queuedPos)];
+            takeQueued(queued_.find(*q.ids.begin()));
         }
         // Pass 2: oldest requests across resident experts. The
         // resident set cannot change mid-formation, so repeatedly
         // taking the minimum id over resident experts' ordered id sets
         // reproduces the old front-to-back resident scan.
-        while (batch.size() < cap) {
+        while (curBatch_.size() < cap) {
             int best_id = -1;
-            for (const auto &kv : queuedByExpert_) {
-                if (!runtime_.resident(kv.first))
+            for (const QueuedExpert &q : queuedExperts_) {
+                if (!runtime_.resident(q.expert))
                     continue;
-                int oldest = *kv.second.begin();
+                int oldest = *q.ids.begin();
                 if (best_id < 0 || oldest < best_id)
                     best_id = oldest;
             }
             if (best_id < 0)
                 break;
-            take_id(best_id);
+            takeQueued(queued_.find(best_id));
         }
         // Pass 3: whatever is oldest overall.
-        while (!queued_.empty() && batch.size() < cap)
-            take_id(queued_.begin()->first);
+        while (!queued_.empty() && curBatch_.size() < cap)
+            takeQueued(queued_.begin());
     }
     depthMark_ = eq_.now();
-    occupancyTotal_ += static_cast<double>(batch.size());
+    occupancyTotal_ += static_cast<double>(curBatch_.size());
 
     batchStart_ = eq_.now();
     routerDone_ = false;
-    awaited_.clear();
-    pendingLoads_ = 0;
+    // The previous batch launched only once every load it awaited had
+    // landed, so no expert is still awaited.
+    sim::simAssert(pendingLoads_ == 0,
+                   "serving: batch formed while loads are awaited");
+
+    // The batch's distinct experts in id order, the order both
+    // activation passes below must run in.
+    for (const EngineRequest &r : curBatch_)
+        curBatchExperts_.push_back(r.expert);
+    std::sort(curBatchExperts_.begin(), curBatchExperts_.end());
+    curBatchExperts_.erase(
+        std::unique(curBatchExperts_.begin(), curBatchExperts_.end()),
+        curBatchExperts_.end());
 
     // Per-request accounting: the first request to touch a non-loaded
     // expert is the miss; same-batch co-tenants ride along as hits
     // (matching the synchronous LRU accounting).
-    std::set<int> experts;
-    for (const EngineRequest &r : batch) {
-        if (!experts.insert(r.expert).second)
-            continue;
-        if (runtime_.loaded(r.expert)) {
-            if (prefetchReady_.erase(r.expert) > 0)
-                stats_.inc("prefetch_hits");
+    for (int e : curBatchExperts_) {
+        if (runtime_.loaded(e)) {
+            ExpertSlot &s = slot(e);
+            if (s.prefetchReady) {
+                s.prefetchReady = false;
+                prefetchHitsStat_ += 1.0;
+            }
         } else {
             ++missCount_;
-            if (runtime_.inFlight(r.expert))
-                stats_.inc("prefetch_partial_hits");
+            if (runtime_.inFlight(e))
+                prefetchPartialHitsStat_ += 1.0;
         }
     }
 
@@ -662,40 +712,38 @@ ServingEngine::formBatch()
     // expert. In-flight ones are promoted to demand priority and
     // awaited; pinning first keeps pass 2's evictions away from this
     // batch's experts.
-    for (int e : experts) {
+    for (int e : curBatchExperts_) {
         if (!runtime_.resident(e))
             continue;
         AsyncActivation act = runtime_.activateAsync(e);
         runtime_.pin(e);
         if (act.pending) {
-            auto it = transferOf_.find(e);
-            sim::simAssert(it != transferOf_.end(),
+            ExpertSlot &s = slot(e);
+            sim::simAssert(s.transfer != mem::kInvalidTransfer,
                            "serving: in-flight expert has no transfer");
-            memsys_.promote(it->second);
-            prefetchOutstanding_.erase(e);
-            awaited_.insert(e);
+            memsys_.promote(s.transfer);
+            clearPrefetchOutstanding(s);
+            s.awaited = true;
             ++pendingLoads_;
         }
     }
     // Pass 2: demand DMA for the absent experts. Activation may evict
     // cold residents or cancel speculative reservations; pinned and
     // Loading experts are never touched.
-    for (int e : experts) {
+    for (int e : curBatchExperts_) {
         if (runtime_.resident(e))
             continue;
         AsyncActivation act = runtime_.activateAsync(e);
         runtime_.pin(e);
-        awaited_.insert(e);
+        ExpertSlot &s = slot(e);
+        s.awaited = true;
         ++pendingLoads_;
-        transferOf_[e] = memsys_.load(
+        s.transfer = memsys_.load(
             ddrOffset_[static_cast<std::size_t>(e)], act.hbmOffset,
             act.bytesToLoad + act.bytesToWriteBack,
             mem::TransferPriority::Demand,
             [this, e]() { onLoadDone(e); });
     }
-
-    curBatch_ = std::move(batch);
-    curBatchExperts_.assign(experts.begin(), experts.end());
 
     // The demand activations above allocated region space; prefetch
     // reservations are sampled again inside maybePrefetch below.

@@ -323,6 +323,30 @@ class ServingEngine
     const ExpertZoo &zoo() const { return zoo_; }
 
   private:
+    /** Engine-side state of one expert, dense by expert id. */
+    struct ExpertSlot
+    {
+        /** Its load, queued or streaming; kInvalidTransfer if none. */
+        mem::TransferId transfer = mem::kInvalidTransfer;
+        /** Its entry in queuedExperts_, or -1 when none is queued. */
+        int queuedPos = -1;
+        bool awaited = false;             ///< the formed batch waits on it
+        bool prefetchOutstanding = false; ///< speculative load in flight
+        bool prefetchReady = false; ///< landed speculation, unused yet
+    };
+
+    /** An expert with queued requests (ExpertAffinity only). */
+    struct QueuedExpert
+    {
+        int expert = 0;
+        std::set<int> ids; ///< its queued request ids, oldest first
+    };
+
+    ExpertSlot &slot(int expert)
+    {
+        return experts_[static_cast<std::size_t>(expert)];
+    }
+
     void touchDepth(std::size_t next_depth);
     void samplePeakResident();
     double prefillSecondsFor(int prompt_len) const;
@@ -331,12 +355,16 @@ class ServingEngine
     bool shouldShed(const EngineRequest &request) const;
     int pickExpert();
     void onLoadDone(int expert);
+    /** Clear @p s's speculative flag. @return whether it was set. */
+    bool clearPrefetchOutstanding(ExpertSlot &s);
     void maybePrefetch();
-    void eraseRequest(int id, int expert);
+    void indexQueued(int id, int expert);
+    void unindexQueued(int id, int expert);
+    /** Move a queued request into the forming batch. */
+    void takeQueued(std::map<int, EngineRequest>::iterator it);
     void formBatch();
     void maybeLaunch();
     void runNextPrompt();
-    void promptJoin();
     void finishBatch();
 
     sim::EventQueue &eq_;
@@ -349,6 +377,21 @@ class ServingEngine
     sim::Distribution latency_{"request_latency"};
     sim::Distribution stalls_{"switch_stall"};
     sim::StatSet stats_{"serving"};
+    // Counters resolved once (StatSet::counter): these run per
+    // request, per batch or per load.
+    double &prefetchesIssuedStat_ = stats_.counter("prefetches_issued");
+    double &prefetchesCancelledStat_ =
+        stats_.counter("prefetches_cancelled");
+    double &prefetchHitsStat_ = stats_.counter("prefetch_hits");
+    double &prefetchPartialHitsStat_ =
+        stats_.counter("prefetch_partial_hits");
+    double &starvationOverridesStat_ =
+        stats_.counter("affinity_starvation_overrides");
+    double &shedRequestsStat_ = stats_.counter("shed_requests");
+    double &hedgeRefusedStat_ = stats_.counter("hedge_duplicates_refused");
+    double &hedgeCompletionsStat_ =
+        stats_.counter("hedge_duplicate_completions");
+    double &cancelledQueuedStat_ = stats_.counter("cancelled_queued");
     sim::Distribution *latencyMirror_ = nullptr;
     sim::Distribution *stallsMirror_ = nullptr;
     std::function<void(int)> onBatchComplete_;
@@ -372,8 +415,13 @@ class ServingEngine
     std::map<int, EngineRequest> queued_;
     bool busy_ = false;
     bool affinity_ = false;
-    /** Per-expert view of the queue (ExpertAffinity only). */
-    std::map<int, std::set<int>> queuedByExpert_;
+    /**
+     * Experts with queued requests, in no particular order: batch
+     * formation picks among them by request id, which is unique, so
+     * the scan order never shows in a result. Scans and memory scale
+     * with distinct queued experts, not zoo size.
+     */
+    std::vector<QueuedExpert> queuedExperts_;
 
     std::int64_t injectedCount_ = 0;
     std::int64_t completedCount_ = 0;
@@ -388,19 +436,16 @@ class ServingEngine
     sim::Tick firstArrival_ = -1, lastCompletion_ = 0;
 
     // ---- async expert-load state --------------------------------
-    std::map<int, mem::TransferId> transferOf_;
-    std::set<int> prefetchOutstanding_; ///< speculative subset
-    std::set<int> prefetchReady_; ///< landed speculations, unused yet
-    std::set<int> awaited_;       ///< experts the formed batch waits on
-    int pendingLoads_ = 0;
+    std::vector<ExpertSlot> experts_;
+    int prefetchOutstanding_ = 0; ///< experts with the flag set
+    int pendingLoads_ = 0;        ///< experts with awaited set
     bool routerDone_ = false;
     sim::Tick batchStart_ = 0;
     sim::Tick execStart_ = 0;
     std::size_t execIndex_ = 0;
     std::vector<EngineRequest> curBatch_;
-    std::vector<int> curBatchExperts_; ///< pinned for the batch
-    /** Join counter for the in-flight prompt's (compute, traffic). */
-    int promptJoinPending_ = 0;
+    /** The batch's distinct experts in id order, pinned for it. */
+    std::vector<int> curBatchExperts_;
 
     // Time-weighted queue-depth integral.
     sim::Tick depthMark_ = 0;

@@ -45,23 +45,11 @@ DmaEngine::scheduleCompletion(sim::Tick done, Callback on_done)
         done = now + static_cast<sim::Tick>(span);
     }
     ++inFlight_;
-    std::uint32_t slot;
-    if (!cbFree_.empty()) {
-        slot = cbFree_.back();
-        cbFree_.pop_back();
-        cbPool_[slot] = std::move(on_done);
-    } else {
-        slot = static_cast<std::uint32_t>(cbPool_.size());
-        cbPool_.push_back(std::move(on_done));
-    }
+    std::uint32_t slot = parked_.park(std::move(on_done));
     eq_.schedule(done,
                  [this, slot]() {
                      --inFlight_;
-                     // Free the slot before invoking: the callback may
-                     // issue another copy, which can reuse (or grow
-                     // past) it.
-                     Callback cb = std::move(cbPool_[slot]);
-                     cbFree_.push_back(slot);
+                     Callback cb = parked_.take(slot);
                      if (cb)
                          cb();
                  },

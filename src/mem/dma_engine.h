@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "mem/bandwidth_channel.h"
 
@@ -95,15 +94,8 @@ class DmaEngine
     int inFlight_ = 0;
     double rateFactor_ = 1.0;
     sim::Tick setupTicks_ = 0;
-    /**
-     * Parked completion callbacks, indexed by slot. The completion
-     * event captures only {engine, slot} (16 bytes, fits the inline
-     * callback buffer); capturing the callback itself would nest one
-     * InlineCallback inside another and spill to the heap on every
-     * copy.
-     */
-    std::vector<Callback> cbPool_;
-    std::vector<std::uint32_t> cbFree_;
+    /** Completion callbacks of copies in flight. */
+    sim::CallbackSlots parked_;
     sim::StatSet stats_;
     double &copiesStat_;
     double &bytesStat_;

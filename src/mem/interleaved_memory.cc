@@ -63,34 +63,46 @@ InterleavedMemory::bookAccess(std::int64_t addr, double bytes)
     accessesStat_ += 1.0;
     bytesStat_ += bytes;
 
-    // Closed-form split of the contiguous range: count whole
-    // interleave lines per channel over [first_line, last_line], then
-    // trim the truncated leading and trailing lines. O(channels)
-    // regardless of size — bulk streams (hundreds of GB of decode
-    // traffic per prompt) must not walk line by line.
-    std::fill(scratch_.begin(), scratch_.end(), 0.0);
     std::int64_t total = static_cast<std::int64_t>(bytes);
-    if (total > 0) {
-        const std::int64_t line = interleaveBytes_;
-        const std::int64_t chans =
-            static_cast<std::int64_t>(channels_.size());
-        const std::int64_t last_addr = addr + total - 1;
-        const std::int64_t first_line = addr / line;
-        const std::int64_t last_line = last_addr / line;
-        for (std::int64_t c = 0; c < chans; ++c) {
-            std::int64_t first_k = first_line +
-                (((c - first_line % chans) % chans) + chans) % chans;
-            if (first_k > last_line)
-                continue;
-            std::int64_t lines = (last_line - first_k) / chans + 1;
-            scratch_[static_cast<std::size_t>(c)] =
-                static_cast<double>(lines * line);
-        }
-        scratch_[static_cast<std::size_t>(channelOf(addr))] -=
-            static_cast<double>(addr % line);
-        scratch_[static_cast<std::size_t>(channelOf(last_addr))] -=
-            static_cast<double>(line - 1 - last_addr % line);
+    if (total <= 0) {
+        std::fill(scratch_.begin(), scratch_.end(), 0.0);
+        return bookScratch();
     }
+    if (addr < 0)
+        sim::panic("InterleavedMemory " + name_ + ": negative address");
+
+    // Closed-form split of the contiguous range: its n_lines interleave
+    // lines deal round-robin from the first line's channel, so every
+    // channel gets n_lines / chans whole lines and the n_lines % chans
+    // channels from first_chan on get one more. Then trim the
+    // truncated leading and trailing lines. Four divides and one pass
+    // over the channels regardless of size — bulk streams (hundreds of
+    // GB of decode traffic per prompt) must not walk line by line, and
+    // every access pays this split.
+    const std::int64_t line = interleaveBytes_;
+    const std::int64_t chans = static_cast<std::int64_t>(channels_.size());
+    const std::int64_t last_addr = addr + total - 1;
+    const std::int64_t first_line = addr / line;
+    const std::int64_t last_line = last_addr / line;
+    const std::int64_t n_lines = last_line - first_line + 1;
+    const std::int64_t rounds = n_lines / chans;
+    const std::int64_t extra = n_lines % chans;
+    const std::int64_t first_chan = first_line % chans;
+    std::int64_t c = first_chan;
+    for (std::int64_t k = 0; k < chans; ++k) {
+        scratch_[static_cast<std::size_t>(c)] =
+            static_cast<double>((rounds + (k < extra ? 1 : 0)) * line);
+        if (++c == chans)
+            c = 0;
+    }
+    // The last line sits (n_lines - 1) % chans channels past the first.
+    std::int64_t last_chan = first_chan + (extra > 0 ? extra : chans) - 1;
+    if (last_chan >= chans)
+        last_chan -= chans;
+    scratch_[static_cast<std::size_t>(first_chan)] -=
+        static_cast<double>(addr - first_line * line);
+    scratch_[static_cast<std::size_t>(last_chan)] -=
+        static_cast<double>(line - 1 - (last_addr - last_line * line));
     return bookScratch();
 }
 

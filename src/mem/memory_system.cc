@@ -23,7 +23,16 @@ MemorySystemConfig::validate() const
 
 MemorySystem::MemorySystem(sim::EventQueue &eq, std::string name,
                            const MemorySystemConfig &cfg)
-    : eq_(eq), name_(std::move(name)), stats_(name_)
+    : eq_(eq), name_(std::move(name)), stats_(name_),
+      demandLoadsStat_(stats_.counter("demand_loads")),
+      prefetchLoadsStat_(stats_.counter("prefetch_loads")),
+      cancelledLoadsStat_(stats_.counter("cancelled_loads")),
+      promotedLoadsStat_(stats_.counter("promoted_loads")),
+      trafficBytesStat_(stats_.counter("traffic_bytes")),
+      issuedLoadsStat_(stats_.counter("issued_loads")),
+      loadBytesStat_(stats_.counter("load_bytes")),
+      enginesBusyMaxStat_(stats_.counter("engines_busy_max")),
+      completedLoadsStat_(stats_.counter("completed_loads"))
 {
     cfg.validate();
     ddr_ = std::make_unique<InterleavedMemory>(
@@ -58,10 +67,10 @@ MemorySystem::load(std::int64_t ddr_addr, std::int64_t hbm_addr,
     job.onDone = std::move(on_done);
 
     if (priority == TransferPriority::Demand) {
-        stats_.inc("demand_loads");
+        demandLoadsStat_ += 1.0;
         demandQueue_.push_back(std::move(job));
     } else {
-        stats_.inc("prefetch_loads");
+        prefetchLoadsStat_ += 1.0;
         prefetchQueue_.push_back(std::move(job));
     }
     TransferId id = nextId_ - 1;
@@ -76,7 +85,7 @@ MemorySystem::cancel(TransferId id)
         for (auto it = queue->begin(); it != queue->end(); ++it) {
             if (it->id == id) {
                 queue->erase(it);
-                stats_.inc("cancelled_loads");
+                cancelledLoadsStat_ += 1.0;
                 return true;
             }
         }
@@ -93,20 +102,20 @@ MemorySystem::promote(TransferId id)
             job.priority = TransferPriority::Demand;
             prefetchQueue_.erase(it);
             demandQueue_.push_back(std::move(job));
-            stats_.inc("promoted_loads");
+            promotedLoadsStat_ += 1.0;
             return true;
         }
     }
     return false;
 }
 
-void
-MemorySystem::traffic(double bytes, Callback on_done)
+sim::Tick
+MemorySystem::traffic(double bytes)
 {
-    stats_.inc("traffic_bytes", bytes);
+    trafficBytesStat_ += bytes;
     // Contiguous stream over the whole working set: spreads evenly
     // across every HBM channel, queueing behind in-flight DMA writes.
-    hbm_->access(0, bytes, std::move(on_done));
+    return hbm_->bookAccess(0, bytes);
 }
 
 sim::Tick
@@ -140,29 +149,25 @@ MemorySystem::pump()
 void
 MemorySystem::issue(int engine_idx, Job job)
 {
-    stats_.inc("issued_loads");
-    stats_.inc("load_bytes", job.bytes);
-    stats_.max("engines_busy_max", [this] {
-        int busy = 0;
-        for (const auto &e : engines_)
-            busy += e->busy() ? 1 : 0;
-        return static_cast<double>(busy + 1);
-    }());
+    issuedLoadsStat_ += 1.0;
+    loadBytesStat_ += job.bytes;
+    int busy = 0;
+    for (const auto &e : engines_)
+        busy += e->busy() ? 1 : 0;
+    enginesBusyMaxStat_ =
+        std::max(enginesBusyMaxStat_, static_cast<double>(busy + 1));
 
-    TransferId id = job.id;
-    inFlight_.emplace(id, std::move(job.onDone));
+    std::uint32_t slot = inFlight_.park(std::move(job.onDone));
     engines_[engine_idx]->copy(*ddr_, job.srcAddr, *hbm_, job.dstAddr,
                                job.bytes,
-                               [this, id]() { completeLoad(id); });
+                               [this, slot]() { completeLoad(slot); });
 }
 
 void
-MemorySystem::completeLoad(TransferId id)
+MemorySystem::completeLoad(std::uint32_t slot)
 {
-    auto it = inFlight_.find(id);
-    Callback cb = std::move(it->second);
-    inFlight_.erase(it);
-    stats_.inc("completed_loads");
+    Callback cb = inFlight_.take(slot);
+    completedLoadsStat_ += 1.0;
     if (cb)
         cb();
     pump();

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,11 +95,13 @@ class MemorySystem
     bool promote(TransferId id);
 
     /**
-     * Execution-side traffic on the working tier (decode weight
-     * streaming, KV reads): occupies the same HBM channels the DMA
-     * engines write through.
+     * Book execution-side traffic on the working tier (decode weight
+     * streaming, KV reads): it occupies the same HBM channels the DMA
+     * engines write through. @return the tick its last byte lands
+     * (never before now). Booking is closed-form, so no event is
+     * scheduled: the caller folds the tick into its own completion.
      */
-    void traffic(double bytes, Callback on_done);
+    sim::Tick traffic(double bytes);
 
     InterleavedMemory &ddr() { return *ddr_; }
     InterleavedMemory &hbm() { return *hbm_; }
@@ -122,7 +123,7 @@ class MemorySystem
     {
         return static_cast<int>(demandQueue_.size() + prefetchQueue_.size());
     }
-    int loadsInFlight() const { return static_cast<int>(inFlight_.size()); }
+    int loadsInFlight() const { return static_cast<int>(inFlight_.parked()); }
 
     /** Idle-system estimate of one load: slower tier paces the copy. */
     sim::Tick estimateLoad(double bytes) const;
@@ -144,7 +145,7 @@ class MemorySystem
     /** Issue queued jobs onto free engines, demand queue first. */
     void pump();
     void issue(int engine_idx, Job job);
-    void completeLoad(TransferId id);
+    void completeLoad(std::uint32_t slot);
 
     sim::EventQueue &eq_;
     std::string name_;
@@ -155,14 +156,21 @@ class MemorySystem
     TransferId nextId_ = 1;
     std::deque<Job> demandQueue_;
     std::deque<Job> prefetchQueue_;
-    /**
-     * Loads streaming on an engine, with their completion callbacks
-     * parked here so the engine-side completion captures only
-     * {system, id} and stays within the inline callback buffer.
-     */
-    std::map<TransferId, Callback> inFlight_;
+    /** Completion callbacks of loads streaming on an engine. */
+    sim::CallbackSlots inFlight_;
 
     sim::StatSet stats_;
+    // Counters resolved once (StatSet::counter): loads and traffic run
+    // per request.
+    double &demandLoadsStat_;
+    double &prefetchLoadsStat_;
+    double &cancelledLoadsStat_;
+    double &promotedLoadsStat_;
+    double &trafficBytesStat_;
+    double &issuedLoadsStat_;
+    double &loadBytesStat_;
+    double &enginesBusyMaxStat_;
+    double &completedLoadsStat_;
 };
 
 } // namespace sn40l::mem

@@ -16,9 +16,11 @@
 #define SN40L_SIM_CALLBACK_H
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace sn40l::sim {
 
@@ -173,6 +175,50 @@ class InlineCallback
 
     alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
     const VTable *vt_ = nullptr;
+};
+
+/**
+ * Callbacks parked by slot until an event fires. A completion event
+ * that must run a caller's callback captures {owner, slot} instead of
+ * the callback itself — nesting one InlineCallback inside another
+ * would spill to the heap on every schedule — and freed slots are
+ * reused, so parking allocates nothing in steady state.
+ */
+class CallbackSlots
+{
+  public:
+    std::uint32_t
+    park(InlineCallback cb)
+    {
+        if (free_.empty()) {
+            slots_.push_back(std::move(cb));
+            return static_cast<std::uint32_t>(slots_.size() - 1);
+        }
+        std::uint32_t slot = free_.back();
+        free_.pop_back();
+        slots_[slot] = std::move(cb);
+        return slot;
+    }
+
+    /**
+     * Remove and return the callback in @p slot. The slot is free
+     * again before the caller invokes it, so the callback may park
+     * another.
+     */
+    InlineCallback
+    take(std::uint32_t slot)
+    {
+        InlineCallback cb = std::move(slots_[slot]);
+        free_.push_back(slot);
+        return cb;
+    }
+
+    /** Callbacks parked and not yet taken. */
+    std::size_t parked() const { return slots_.size() - free_.size(); }
+
+  private:
+    std::vector<InlineCallback> slots_;
+    std::vector<std::uint32_t> free_;
 };
 
 } // namespace sn40l::sim

@@ -118,6 +118,16 @@ class Distribution
     Rng reservoirRng_;
 };
 
+/**
+ * Named counters of one component.
+ *
+ * Rule: a counter bumped on a per-event, per-request, per-batch or
+ * per-load path is a handle — a `double &` resolved once through
+ * counter() at construction and bumped through the reference. The
+ * string-keyed inc()/max() cost a map lookup (and, for names past the
+ * small-string buffer, a heap allocation) per call, so they stay on
+ * control-plane and end-of-run paths only.
+ */
 class StatSet
 {
   public:
@@ -139,12 +149,12 @@ class StatSet
     bool has(const std::string &name) const;
 
     /**
-     * Stable reference to the named stat (created at 0). Hot-path
-     * components resolve their counters once at construction and
-     * accumulate through the reference, keeping the map lookup off the
-     * per-event path. References stay valid for the StatSet's lifetime
-     * (clear() empties the map, so don't mix clear() with cached
-     * references).
+     * Stable reference to the named stat (created at 0, so get() reads
+     * the same as before the first bump). Hot-path components resolve
+     * their counters once at construction and accumulate through the
+     * reference, keeping the map lookup off the per-event path.
+     * References stay valid for the StatSet's lifetime (clear()
+     * empties the map, so don't mix clear() with cached references).
      */
     double &counter(const std::string &name) { return values_[name]; }
 

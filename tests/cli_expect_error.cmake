@@ -1,0 +1,19 @@
+# Runs a command that must fail cleanly: exit status 1 and a message
+# naming the offending input, never a panic or an abort.
+#
+#   cmake -DCMD=<binary> "-DARGS=<space-separated arguments>"
+#         "-DEXPECT=<substring of the output>" -P cli_expect_error.cmake
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${CMD}" ${args}
+                RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "expected exit status 1, got '${rc}'\n"
+                      "stdout:\n${out}\nstderr:\n${err}")
+endif()
+string(FIND "${out}${err}" "${EXPECT}" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "output does not contain '${EXPECT}'\n"
+                      "stdout:\n${out}\nstderr:\n${err}")
+endif()

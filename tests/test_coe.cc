@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include "coe/coe_runtime.h"
 #include "coe/expert.h"
@@ -15,6 +18,7 @@
 #include "coe/router.h"
 #include "coe/serving.h"
 #include "sim/log.h"
+#include "sim/rng.h"
 
 using namespace sn40l;
 using namespace sn40l::coe;
@@ -59,6 +63,42 @@ TEST(Router, ZipfSkewsTowardHotExperts)
         ++counts[r.route()];
     // Expert 0 should dominate the tail.
     EXPECT_GT(counts[0], 10 * std::max(counts[50], 1));
+}
+
+TEST(Router, ZipfRoutesMatchLinearCdfScan)
+{
+    // Reference: the original linear scan for the first i with
+    // u <= cdf[i], over a CDF built exactly as the router builds it.
+    // Skew 8 flattens the tail into equal CDF entries (ties).
+    for (int experts : {1, 2, 7, 150, 2000}) {
+        for (double s : {0.0, 0.6, 1.0, 1.2, 8.0}) {
+            std::vector<double> cdf(static_cast<std::size_t>(experts));
+            double sum = 0.0;
+            for (int i = 0; i < experts; ++i) {
+                sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+                cdf[static_cast<std::size_t>(i)] = sum;
+            }
+            for (double &v : cdf)
+                v /= sum;
+            for (std::uint64_t seed : {1u, 7u, 4242u}) {
+                Router router(experts, RoutingDistribution::Zipf, seed, s);
+                sim::Rng rng(seed);
+                for (int k = 0; k < 2000; ++k) {
+                    double u = rng.uniformDouble();
+                    int expect = experts - 1;
+                    for (int i = 0; i < experts; ++i) {
+                        if (u <= cdf[static_cast<std::size_t>(i)]) {
+                            expect = i;
+                            break;
+                        }
+                    }
+                    ASSERT_EQ(router.route(), expect)
+                        << "experts " << experts << " s " << s << " seed "
+                        << seed << " draw " << k;
+                }
+            }
+        }
+    }
 }
 
 TEST(Router, RoundRobinCycles)

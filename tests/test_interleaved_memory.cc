@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "coe/serving.h"
 #include "mem/interleaved_memory.h"
 #include "runtime/machine.h"
 #include "sim/log.h"
+#include "sim/rng.h"
 
 using namespace sn40l;
 using sim::EventQueue;
@@ -132,6 +137,109 @@ TEST(InterleavedMemory, ValidatesConfig)
                  sim::FatalError);
     mem::InterleavedMemory ok(eq, "ok", 4, 1e9, 256);
     EXPECT_THROW(ok.channelOf(-1), sim::SimPanic);
+}
+
+namespace {
+
+/**
+ * Reference split: the original per-channel loop (three divides per
+ * channel plus two channel lookups). bookAccess must reproduce its
+ * per-channel bytes exactly, including the order of the two trims.
+ */
+std::vector<double>
+referenceSplit(std::int64_t chans, std::int64_t line, std::int64_t addr,
+               double bytes)
+{
+    std::vector<double> share(static_cast<std::size_t>(chans), 0.0);
+    std::int64_t total = static_cast<std::int64_t>(bytes);
+    if (total <= 0)
+        return share;
+    auto channel_of = [&](std::int64_t a) {
+        return static_cast<std::size_t>((a / line) % chans);
+    };
+    const std::int64_t last_addr = addr + total - 1;
+    const std::int64_t first_line = addr / line;
+    const std::int64_t last_line = last_addr / line;
+    for (std::int64_t c = 0; c < chans; ++c) {
+        std::int64_t first_k = first_line +
+            (((c - first_line % chans) % chans) + chans) % chans;
+        if (first_k > last_line)
+            continue;
+        std::int64_t lines = (last_line - first_k) / chans + 1;
+        share[static_cast<std::size_t>(c)] =
+            static_cast<double>(lines * line);
+    }
+    share[channel_of(addr)] -= static_cast<double>(addr % line);
+    share[channel_of(last_addr)] -=
+        static_cast<double>(line - 1 - last_addr % line);
+    return share;
+}
+
+} // namespace
+
+TEST(InterleavedMemory, ClosedFormSplitMatchesPerChannelReference)
+{
+    sim::Rng rng(20241016);
+    auto draw = [&rng](std::int64_t bound) {
+        return static_cast<std::int64_t>(
+            rng.uniformInt(static_cast<std::uint64_t>(bound)));
+    };
+    const std::int64_t lines[] = {1, 3, 64, 256, 4096, 1 << 20};
+    for (int trial = 0; trial < 400; ++trial) {
+        std::int64_t chans = 1 + draw(16);
+        std::int64_t line = lines[draw(6)];
+        EventQueue eq;
+        mem::InterleavedMemory fast(eq, "fast", static_cast<int>(chans),
+                                    100e9, line);
+        mem::InterleavedMemory ref(eq, "ref", static_cast<int>(chans),
+                                   100e9, line);
+        for (int op = 0; op < 12; ++op) {
+            std::int64_t addr = draw(64 * chans * line + 7);
+            double bytes = 0.0;
+            switch (draw(6)) {
+              case 0: // empty
+                break;
+              case 1: // sub-line, possibly straddling one boundary
+                bytes = static_cast<double>(1 + draw(line));
+                break;
+              case 2: // exact line boundaries at both ends
+                addr -= addr % line;
+                bytes = static_cast<double>(line * (1 + draw(2 * chans)));
+                break;
+              case 3: // ends on the last byte of a line
+                bytes = static_cast<double>(line - addr % line +
+                                            line * draw(3 * chans));
+                break;
+              case 4: // several full rounds over every channel
+                bytes = static_cast<double>(line * chans * (1 + draw(5)) +
+                                            draw(chans * line));
+                break;
+              default: // fractional byte counts truncate
+                bytes = rng.uniformDouble() * 3.0 *
+                    static_cast<double>(chans * line);
+                break;
+            }
+            std::vector<double> share =
+                referenceSplit(chans, line, addr, bytes);
+            Tick expect = eq.now();
+            for (std::size_t c = 0; c < share.size(); ++c)
+                if (share[c] > 0.0)
+                    expect = std::max(
+                        expect, ref.channel(static_cast<int>(c))
+                                    .book(share[c]));
+            ASSERT_EQ(fast.bookAccess(addr, bytes), expect)
+                << "chans " << chans << " line " << line << " addr "
+                << addr << " bytes " << bytes;
+            for (int c = 0; c < static_cast<int>(chans); ++c) {
+                ASSERT_EQ(fast.channel(c).stats().get("bytes"),
+                          ref.channel(c).stats().get("bytes"))
+                    << "channel " << c << " chans " << chans << " line "
+                    << line << " addr " << addr << " bytes " << bytes;
+                ASSERT_EQ(fast.channel(c).busyUntil(),
+                          ref.channel(c).busyUntil());
+            }
+        }
+    }
 }
 
 TEST(ServingConsistency, DesDmaAgreesWithAnalyticSwitchModel)

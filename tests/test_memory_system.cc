@@ -194,9 +194,8 @@ TEST(MemorySystem, TrafficContendsWithExpertStreaming)
     EventQueue eq;
     mem::MemorySystem m(eq, "m", narrowConfig());
 
-    Tick traffic_done = -1;
     m.load(0, 0, 1e9, mem::TransferPriority::Demand, nullptr);
-    m.traffic(1e9, [&]() { traffic_done = eq.now(); });
+    Tick traffic_done = m.traffic(1e9);
     eq.run();
 
     Tick hbm_share = sim::transferTicks(1e9, 1000e9);

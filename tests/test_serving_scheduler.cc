@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "coe/serving.h"
 #include "sim/log.h"
 #include "sim/stats.h"
@@ -354,4 +358,45 @@ TEST(StreamScheduler, RejectsBadStreamConfigs)
     cfg.arrival = ArrivalProcess::ClosedLoop;
     cfg.thinkSeconds = -0.5;
     EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError);
+
+    // Non-finite values fail validation instead of reaching the event
+    // queue as wrapped ticks.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {std::nan(""), inf, -inf}) {
+        cfg = streamConfig();
+        cfg.arrivalRatePerSec = bad;
+        EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError) << bad;
+
+        cfg = streamConfig();
+        cfg.arrival = ArrivalProcess::ClosedLoop;
+        cfg.thinkSeconds = bad;
+        EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError) << bad;
+    }
+}
+
+/**
+ * Event identity of a single-node serve run: every event is a request
+ * arrival, a batch's router decision, a prompt's completion (compute
+ * and HBM traffic joined in closed form) or a DMA load's completion.
+ * Each request runs exactly one prompt.
+ */
+TEST(StreamScheduler, OneEventPerArrivalBatchPromptAndLoad)
+{
+    for (bool prefetch : {false, true}) {
+        ServingConfig cfg = streamConfig();
+        cfg.scheduler = SchedulerPolicy::ExpertAffinity;
+        cfg.predictivePrefetch = prefetch;
+        ServingSimulator sim(cfg);
+        ServingResult r = sim.run();
+        const StreamMetrics &m = r.stream;
+        ASSERT_EQ(m.completed, cfg.streamRequests);
+        if (prefetch) {
+            EXPECT_GT(m.prefetchesIssued, 0);
+        }
+        auto loads =
+            static_cast<std::int64_t>(sim.stats().get("dma_loads_issued"));
+        EXPECT_EQ(static_cast<std::int64_t>(m.eventsExecuted),
+                  cfg.streamRequests + m.batches + m.completed + loads)
+            << "prefetch " << prefetch;
+    }
 }
