@@ -1,7 +1,9 @@
 #include "coe/fabric.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "sim/log.h"
 
@@ -12,20 +14,35 @@ validateFabricConfig(const FabricConfig &cfg)
 {
     if (!cfg.enabled)
         return;
+    auto finite = [](double v, const char *field) {
+        if (!std::isfinite(v))
+            sim::fatal(std::string("fabric: ") + field + " must be finite");
+    };
+    finite(cfg.linkGbps, "linkGbps (--link-gbps)");
+    finite(cfg.linkLatencyUs, "linkLatencyUs (--link-latency-us)");
+    finite(cfg.flitBytes, "flitBytes");
+    finite(cfg.requestOverheadBytes, "requestOverheadBytes");
+    finite(cfg.requestPayloadBytes, "requestPayloadBytes");
     if (cfg.linkGbps <= 0.0)
-        sim::fatal("fabric: non-positive link bandwidth");
+        sim::fatal("fabric: linkGbps (--link-gbps) must be positive");
     if (cfg.linkLatencyUs < 0.0)
-        sim::fatal("fabric: negative link latency");
+        sim::fatal("fabric: linkLatencyUs (--link-latency-us) must be "
+                   "non-negative");
+    if (!(cfg.linkLatencyUs * static_cast<double>(sim::kTicksPerUs) <
+          static_cast<double>(sim::kMaxTick)))
+        sim::fatal("fabric: linkLatencyUs (--link-latency-us) too large: "
+                   "its tick count does not fit in a Tick");
     if (cfg.linkBufferFlits < 1)
-        sim::fatal("fabric: need at least one link buffer flit");
+        sim::fatal("fabric: linkBufferFlits (--link-buffer-flits) must be "
+                   "at least 1");
     if (cfg.flitBytes <= 0.0)
-        sim::fatal("fabric: non-positive flit size");
+        sim::fatal("fabric: flitBytes must be positive");
     if (cfg.maxFlitsPerMessage < 1)
-        sim::fatal("fabric: need at least one flit per message");
+        sim::fatal("fabric: maxFlitsPerMessage must be at least 1");
     if (cfg.requestOverheadBytes < 0.0)
-        sim::fatal("fabric: negative request overhead");
+        sim::fatal("fabric: requestOverheadBytes must be non-negative");
     if (cfg.requestPayloadBytes < 0.0)
-        sim::fatal("fabric: negative request payload");
+        sim::fatal("fabric: requestPayloadBytes must be non-negative");
     // Whole-message serialization: a dispatched request, or a full
     // message of maxFlitsPerMessage flits, must span a Tick-sized time.
     double bytes = std::max(cfg.requestPayloadBytes + cfg.requestOverheadBytes,

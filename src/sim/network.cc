@@ -441,6 +441,8 @@ Network::checkSpan(const std::vector<int> &path, double chunk_bytes,
 void
 Network::send(int src, int dst, double bytes, Callback on_delivered)
 {
+    if (!std::isfinite(bytes))
+        fatal("Network: non-finite message size");
     if (bytes < 0.0)
         fatal("Network: negative message size");
     ++messagesSent_;
@@ -460,8 +462,11 @@ Network::send(int src, int dst, double bytes, Callback on_delivered)
         return;
     }
     const std::vector<int> &path = route(src, dst);
-    int flits = static_cast<int>(std::ceil(bytes / cfg_.flitBytes));
-    flits = std::max(1, std::min(flits, cfg_.maxFlitsPerMessage));
+    // Clamp in double: the raw quotient may not fit in an int.
+    int flits = static_cast<int>(
+        std::min(std::ceil(bytes / cfg_.flitBytes),
+                 static_cast<double>(cfg_.maxFlitsPerMessage)));
+    flits = std::max(1, flits);
     const double chunk_bytes = bytes / static_cast<double>(flits);
     checkSpan(path, chunk_bytes, flits);
     int id = allocMessage();
@@ -561,16 +566,40 @@ Network::planTrains(int msg, const std::vector<int> &path)
     return true;
 }
 
-/** True when every flit of @p t finds a credit on @p l as it departs. */
+/**
+ * True when every flit of @p t finds a credit on @p l as it departs.
+ * Exact in closed form unless another train still holds credits while
+ * the peak bound binds. planTrains makes creditPitch >= pitch, so at
+ * most one own credit lands per departure interval and the credits the
+ * train holds itself never fall from one departure to the next: they
+ * peak at its last flit. Credits held by earlier trains only fall as
+ * time passes: they peak at depart0.
+ */
 bool
-Network::creditsHold(const Link &l, const Train &t) const
+Network::creditsHold(const Link &l, const Train &t)
 {
     const int buffer = cfg_.bufferFlits;
-    int ahead = 0;
-    for (std::size_t i = l.trainHead; i < l.trains.size(); ++i)
-        ahead += l.trains[i].flits;
-    if (ahead + t.flits <= buffer)
+    const int own = t.flits - 1 -
+        countBefore(t.credit0, t.creditPitch, t.flits - 1, t.lastDepart());
+    int others = 0;
+    for (std::size_t i = l.trainHead; i < l.trains.size(); ++i) {
+        const Train &o = l.trains[i];
+        others += o.flits -
+            countBefore(o.credit0, o.creditPitch, o.flits, t.depart0);
+    }
+    if (own + others < buffer)
         return true;
+    if (others == 0)
+        return false;
+    ++creditScans_;
+    return creditsScan(l, t);
+}
+
+/** creditsHold by walking every flit: the exact reference. */
+bool
+Network::creditsScan(const Link &l, const Train &t) const
+{
+    const int buffer = cfg_.bufferFlits;
     int oldest = 0; // own first flit whose credit is still out
     for (int k = 0; k < t.flits; ++k) {
         Tick d = t.departAt(k);

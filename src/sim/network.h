@@ -273,7 +273,8 @@ class Network
 
     // ---- trains
     bool planTrains(int msg, const std::vector<int> &path);
-    bool creditsHold(const Link &l, const Train &t) const;
+    bool creditsHold(const Link &l, const Train &t);
+    bool creditsScan(const Link &l, const Train &t) const;
     void startTrains(int msg);
     void deliverTrain(int msg);
     void retireTrains(Link &l);
@@ -308,6 +309,7 @@ class Network
     std::int64_t flitEvents_ = 0; ///< pending per-flit engine events
     std::vector<int> trainMsgs_;  ///< undelivered train messages
     std::vector<Train> plan_;     ///< scratch for planTrains
+    std::int64_t creditScans_ = 0; ///< creditsHold calls that fell back
 };
 
 } // namespace sn40l::sim

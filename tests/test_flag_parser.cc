@@ -3,7 +3,8 @@
  * Unit tests for the sn40l_run flag parser (tools/flag_parser.h):
  * unknown flags name their subcommand, missing values and duplicate
  * flags fail, --flag=value and --flag value parse identically, --help
- * short-circuits, and parseList rejects malformed lists.
+ * short-circuits, malformed or out-of-range numbers name their flag,
+ * and parseList rejects malformed lists.
  */
 
 #include <gtest/gtest.h>
@@ -191,4 +192,23 @@ TEST(ParseListFn, EmptyElementsAndEmptyListsFail)
                      "empty element");
     expectUsageError([&]() { parseList<int>(p, "", parse); },
                      "empty list");
+}
+
+TEST(FlagParser, BadNumbersNameTheFlagAndValue)
+{
+    FlagParser p("fake", testHelp);
+    int nodes = 0;
+    double rate = 0.0;
+    p.value("--nodes", [&](const std::string &v) { nodes = std::stoi(v); });
+    p.value("--rate", [&](const std::string &v) { rate = std::stod(v); });
+    std::ostringstream help;
+    expectUsageError([&]() { p.parse({"--nodes", "abc"}, help); },
+                     "flag --nodes: malformed number 'abc'");
+    expectUsageError([&]() { p.parse({"--nodes=99999999999"}, help); },
+                     "flag --nodes: value '99999999999' is out of range");
+    expectUsageError([&]() { p.parse({"--rate", "1e999"}, help); },
+                     "flag --rate: value '1e999' is out of range");
+    EXPECT_FALSE(p.parse({"--nodes", "7", "--rate", "2.5"}, help));
+    EXPECT_EQ(nodes, 7);
+    EXPECT_DOUBLE_EQ(rate, 2.5);
 }

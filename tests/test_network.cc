@@ -10,12 +10,14 @@
  * determinism, link-degrade request conservation, the RDN replay
  * entry point arch::simulatedCongestionFactor, and the train fast path
  * (NetworkTrain.*: differential against the per-flit reference, the
+ * closed-form credit-window check against its per-flit scan, the
  * event count it buys, and the Tick-range guards).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <string>
 #include <vector>
@@ -33,14 +35,35 @@
 namespace sn40l::sim {
 
 /** Test-only access: a Network that never forms trains is the per-flit
- *  reference the train path is checked against. */
+ *  reference the train path is checked against, and the per-flit
+ *  credit scan is the reference for the closed-form admission check. */
 class NetworkTestPeer
 {
   public:
+    using Train = Network::Train;
+    using Link = Network::Link;
+
     static void perFlitOnly(Network &net)
     {
         net.trainsEnabled_ = false;
         net.trainMode_ = false;
+    }
+    static void setBufferFlits(Network &net, int buffer)
+    {
+        net.cfg_.bufferFlits = buffer;
+    }
+    static bool creditsHold(Network &net, const Link &l, const Train &t)
+    {
+        return net.creditsHold(l, t);
+    }
+    static bool creditsScan(const Network &net, const Link &l, const Train &t)
+    {
+        return net.creditsScan(l, t);
+    }
+    /** creditsHold calls that needed the scan. */
+    static std::int64_t creditScans(const Network &net)
+    {
+        return net.creditScans_;
     }
 };
 
@@ -171,8 +194,41 @@ TEST(NetworkNames, FabricValidationOnlyBitesWhenEnabled)
     coe::FabricConfig on;
     on.enabled = true;
     EXPECT_NO_THROW(coe::validateFabricConfig(on));
-    on.linkGbps = -5.0;
-    EXPECT_THROW(coe::validateFabricConfig(on), sim::FatalError);
+
+    // Each bad value fails naming its field (and flag, where one
+    // exists) instead of reaching a float-to-Tick cast.
+    auto expect_fatal = [](auto mutate, const std::string &field) {
+        coe::FabricConfig bad;
+        bad.enabled = true;
+        mutate(bad);
+        try {
+            coe::validateFabricConfig(bad);
+            ADD_FAILURE() << field << ": expected FatalError";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    const double nan = std::nan(""), inf = HUGE_VAL;
+    using F = coe::FabricConfig;
+    expect_fatal([](F &c) { c.linkGbps = -5.0; }, "linkGbps (--link-gbps)");
+    expect_fatal([&](F &c) { c.linkGbps = nan; }, "linkGbps (--link-gbps)");
+    expect_fatal([&](F &c) { c.linkGbps = inf; }, "linkGbps (--link-gbps)");
+    for (double us : {nan, inf, -1.0, 1e300})
+        expect_fatal([us](F &c) { c.linkLatencyUs = us; },
+                     "linkLatencyUs (--link-latency-us)");
+    expect_fatal([](F &c) { c.linkBufferFlits = 0; },
+                 "linkBufferFlits (--link-buffer-flits)");
+    expect_fatal([&](F &c) { c.flitBytes = nan; }, "flitBytes");
+    expect_fatal([](F &c) { c.flitBytes = 0.0; }, "flitBytes");
+    expect_fatal([](F &c) { c.maxFlitsPerMessage = 0; },
+                 "maxFlitsPerMessage");
+    expect_fatal([&](F &c) { c.requestOverheadBytes = inf; },
+                 "requestOverheadBytes");
+    expect_fatal([&](F &c) { c.requestPayloadBytes = nan; },
+                 "requestPayloadBytes");
+    expect_fatal([](F &c) { c.requestPayloadBytes = -1.0; },
+                 "requestPayloadBytes");
 }
 
 // ------------------------------------------------------------ routes
@@ -525,6 +581,7 @@ struct NetTrace
     std::vector<double> congestion;
     std::vector<std::int64_t> counters;
     std::int64_t fallbacks = 0;
+    std::int64_t creditScans = 0;
     std::uint64_t events = 0;
 };
 
@@ -607,6 +664,7 @@ replay(const sim::NetworkConfig &cfg, const std::vector<NetOp> &ops,
     observe(true);
     EXPECT_EQ(net.messagesInFlight(), 0);
     t.fallbacks = net.trainFallbacks();
+    t.creditScans = sim::NetworkTestPeer::creditScans(net);
     t.events = eq.executedCount();
     return t;
 }
@@ -819,6 +877,11 @@ TEST(NetworkTrain, ClusterMeshDispatchStreamMatchesThePerFlitModel)
         NetTrace tr = expectTrainsExact(cfg, ops);
         // The hub's routes form a tree: nothing ever contends.
         EXPECT_EQ(tr.fallbacks, 0);
+        // Every 245-flit dispatch overruns a 64-flit buffer, yet the
+        // closed-form admission check decides each one alone.
+        if (rate == 96.0) {
+            EXPECT_EQ(tr.creditScans, 0);
+        }
     }
 }
 
@@ -894,6 +957,69 @@ TEST(NetworkTrain, UncontendedSendsCostOneEventPerMessage)
     EXPECT_GT(flit.events, 500 * ops.size());
 }
 
+TEST(NetworkTrain, CreditWindowClosedFormMatchesTheScan)
+{
+    // Random trains against 0-3 earlier live trains on one link: the
+    // closed-form admission check (with its scan fallback) must give
+    // the per-flit scan's answer on every case. Credit ticks often land
+    // exactly on departure ticks, where a tie counts as binding.
+    using Peer = sim::NetworkTestPeer;
+    sim::EventQueue eq;
+    sim::NetworkConfig cfg;
+    cfg.endpoints = 2;
+    sim::Network net(eq, cfg);
+    sim::Rng rng(2024);
+    auto pick = [&rng](int lo, int hi) {
+        return lo + static_cast<int>(rng.uniformInt(
+                        static_cast<std::uint64_t>(hi - lo + 1)));
+    };
+    auto train = [&pick]() {
+        Peer::Train t;
+        t.flits = pick(1, 256);
+        t.pitch = pick(0, 8);
+        t.creditPitch = t.pitch + (pick(0, 1) ? 0 : pick(1, 4));
+        return t;
+    };
+    const int cases = 60'000;
+    int held = 0, refused = 0, scanned = 0; // by the path that decided
+    for (int c = 0; c < cases; ++c) {
+        Peer::setBufferFlits(net, pick(1, 128));
+        Peer::Train t = train();
+        t.depart0 = 10'000 + pick(0, 50);
+        t.credit0 = t.depart0 + pick(0, 400);
+        if (pick(0, 1)) // land the first credit on a departure tick
+            t.credit0 = t.departAt(pick(0, t.flits - 1));
+        Peer::Link l{};
+        const int others = pick(0, 3);
+        for (int o = 0; o < others; ++o) {
+            Peer::Train ot = train();
+            ot.credit0 = t.depart0 + pick(-900, 300);
+            if (pick(0, 1)) // some credit lands on one of t's departures
+                ot.credit0 = t.departAt(pick(0, t.flits - 1)) -
+                    pick(0, ot.flits - 1) * ot.creditPitch;
+            l.trains.push_back(ot);
+        }
+        const bool scan = Peer::creditsScan(net, l, t);
+        const std::int64_t scans = Peer::creditScans(net);
+        if (Peer::creditsHold(net, l, t) != scan) {
+            ADD_FAILURE() << "case " << c << ": closed form says " << !scan
+                          << ", scan says " << scan << " (flits " << t.flits
+                          << ", pitch " << t.pitch << ", creditPitch "
+                          << t.creditPitch << ", others " << others << ")";
+            return;
+        }
+        if (Peer::creditScans(net) != scans)
+            ++scanned;
+        else
+            ++(scan ? held : refused);
+    }
+    // Every path was taken: closed-form admit, exact closed-form
+    // refusal (no other train holds credits), and the scan fallback.
+    EXPECT_GT(held, cases / 10);
+    EXPECT_GT(refused, cases / 10);
+    EXPECT_GT(scanned, cases / 10);
+}
+
 TEST(NetworkTrain, UnrepresentableSerializationIsFatal)
 {
     sim::EventQueue eq;
@@ -902,6 +1028,8 @@ TEST(NetworkTrain, UnrepresentableSerializationIsFatal)
     sim::Network net(eq, cfg);
     // 1e30 bytes in 256 flits at 25 GB/s: ~1e19 s per flit.
     EXPECT_THROW(net.send(0, 1, 1e30, nullptr), sim::FatalError);
+    // A NaN size has no flit count at all.
+    EXPECT_THROW(net.send(0, 1, std::nan(""), nullptr), sim::FatalError);
     EXPECT_EQ(net.messagesInFlight(), 0);
 
     coe::FabricConfig fab;

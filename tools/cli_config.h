@@ -624,6 +624,8 @@ validateFabricFlags(const FlagParser &p, const coe::FabricConfig &cfg,
     if (dispatch == coe::DispatchPolicy::TopologyAware && !cfg.enabled)
         p.fail("--dispatch topo-aware routes around fabric congestion; "
                "it requires --topology");
+    // Field checks (finite, in range) before anything is printed.
+    coe::validateFabricConfig(cfg);
 }
 
 // ------------------------------------------------ chaos groups

@@ -6,10 +6,11 @@
  * Each subcommand registers its flag specs (shared groups plus its
  * own), then parse() walks argv: "--flag value" and "--flag=value"
  * both work, "--help"/"-h" prints the subcommand help, a flag given
- * twice is rejected, and an unrecognized flag fails with an error
- * naming the subcommand. Errors throw FlagUsageError instead of
- * exiting, so the tool's main() owns the exit path and tests can
- * assert on messages.
+ * twice is rejected, an unrecognized flag fails with an error naming
+ * the subcommand, and a value the flag's std::stoi/stod cannot parse
+ * (or that overflows) fails naming the flag and the value. Errors
+ * throw FlagUsageError instead of exiting, so the tool's main() owns
+ * the exit path and tests can assert on messages.
  */
 
 #ifndef SN40L_TOOLS_FLAG_PARSER_H
@@ -139,7 +140,16 @@ class FlagParser
             if (spec->takesValue) {
                 if (i + 1 >= args.size())
                     fail("flag " + arg + " expects a value");
-                spec->apply(args[++i]);
+                const std::string &v = args[++i];
+                // std::stoi/stod/stoull inside apply: name the flag.
+                try {
+                    spec->apply(v);
+                } catch (const std::invalid_argument &) {
+                    fail("flag " + arg + ": malformed number '" + v + "'");
+                } catch (const std::out_of_range &) {
+                    fail("flag " + arg + ": value '" + v +
+                         "' is out of range");
+                }
             } else {
                 spec->apply(std::string());
             }
