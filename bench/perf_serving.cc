@@ -4,10 +4,16 @@
  * how fast the simulator itself runs, so engine regressions are caught
  * the way model regressions are.
  *
- * Two measurements:
+ * Three measurements:
  *
  *  - core: a raw EventQueue schedule/fire/cancel loop (no model code),
  *    isolating the slab-pooled event core.
+ *
+ *  - cold set-up: the median of 5 ServingSimulator constructions with
+ *    the process-wide cost memo cleared first, as a CLI run pays it
+ *    (graph build, compile and machine walk of four phase shapes).
+ *    Reported only, never gated: a wall-clock ceiling loose enough for
+ *    shared CI runners would not catch even a 3x regression.
  *
  *  - serving: a full `serve`-equivalent EventDriven run (Zipf routing,
  *    Poisson arrivals, live DMA memory system), reporting simulator
@@ -24,6 +30,8 @@
  *   perf_serving [--smoke] [--requests N] [--json FILE] [--floor FILE]
  */
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -31,6 +39,7 @@
 #include <iostream>
 #include <string>
 
+#include "coe/cost_cache.h"
 #include "coe/serving.h"
 #include "perf_common.h"
 #include "sim/event_queue.h"
@@ -125,6 +134,19 @@ main(int argc, char **argv)
     cfg.scheduler = coe::SchedulerPolicy::ExpertAffinity;
     cfg.seed = 1;
 
+    std::array<double, 5> cold{};
+    for (double &c : cold) {
+        coe::CostModelCache::instance().clear();
+        auto t0 = std::chrono::steady_clock::now();
+        coe::ServingSimulator cold_sim(cfg);
+        c = wallSeconds(t0);
+    }
+    std::sort(cold.begin(), cold.end());
+    double cold_setup = cold[cold.size() / 2];
+    std::cout << "cold set-up: " << cold_setup
+              << " s (median of " << cold.size()
+              << " ServingSimulator constructions, cost memo cleared)\n";
+
     coe::ServingSimulator sim(cfg);
     auto start = std::chrono::steady_clock::now();
     coe::ServingResult result = sim.run();
@@ -168,6 +190,7 @@ main(int argc, char **argv)
         << "  \"events_per_sec\": " << events_per_sec << ",\n"
         << "  \"requests_per_sec\": " << requests_per_sec << ",\n"
         << "  \"core_events_per_sec\": " << core_eps << ",\n"
+        << "  \"cold_setup_s\": " << cold_setup << ",\n"
         << "  \"peak_rss_bytes\": " << rss << "\n"
         << "}\n";
     std::cout << "wrote " << json_path << "\n";

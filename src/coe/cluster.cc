@@ -667,7 +667,9 @@ ClusterSimulator::begin()
     // Placement feasibility: every node's placed experts must fit its
     // DDR backing tier (the single-node OOM check, per shard). With
     // the PEFT zoo enabled each node's DDR also carries one copy of
-    // the shared base weights the adapters are deltas on.
+    // the shared base weights the adapters are deltas on. Node
+    // overrides touch nothing buildServingZoo reads, so every engine
+    // below gets a copy of this one zoo.
     ExpertZoo zoo = buildServingZoo(base);
     rs->expertBytes.resize(static_cast<std::size_t>(base.numExperts));
     for (int e = 0; e < base.numExperts; ++e)
@@ -713,8 +715,7 @@ ClusterSimulator::begin()
         sim::EventQueue &nodeEq =
             parallel ? rs->shards[ns].eq : rs->eq;
         rs->engines.push_back(std::make_unique<ServingEngine>(
-            nodeEq, rs->nodeCfg[ns], rs->nodeCosts[ns],
-            buildServingZoo(rs->nodeCfg[ns])));
+            nodeEq, rs->nodeCfg[ns], rs->nodeCosts[ns], zoo));
         if (parallel) {
             // No shared latency/stall mirrors: engines record into
             // their per-node distributions only (worker threads may

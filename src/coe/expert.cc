@@ -15,6 +15,7 @@ ExpertZoo::uniform(int count, const models::LlmConfig &base)
                                      "german", "physics", "politics",
                                      "econ"};
     ExpertZoo zoo;
+    zoo.reserve(count);
     for (int i = 0; i < count; ++i) {
         ExpertModel e;
         e.name = base.name + "-expert-" + std::to_string(i);

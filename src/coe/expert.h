@@ -38,6 +38,13 @@ class ExpertZoo
     /** @return a zoo of @p count identical experts (Samba-CoE). */
     static ExpertZoo uniform(int count, const models::LlmConfig &base);
 
+    /** Pre-size for @p count experts, so add() never regrows. */
+    void
+    reserve(int count)
+    {
+        experts_.reserve(static_cast<std::size_t>(count));
+    }
+
     void add(ExpertModel expert);
 
     int size() const { return static_cast<int>(experts_.size()); }

@@ -83,12 +83,12 @@ validateServingConfig(const ServingConfig &cfg)
     if (cfg.specDecode.enabled) {
         if (cfg.specDecode.gamma < 0)
             sim::fatal("ServingConfig: negative spec-decode gamma");
-        if (cfg.specDecode.acceptRate < 0.0 ||
-            cfg.specDecode.acceptRate > 1.0)
+        if (!(cfg.specDecode.acceptRate >= 0.0 &&
+              cfg.specDecode.acceptRate <= 1.0))
             sim::fatal("ServingConfig: spec-decode acceptRate outside "
                        "[0, 1]");
-        if (cfg.specDecode.draftRatio <= 0.0 ||
-            cfg.specDecode.draftRatio >= 1.0)
+        if (!(cfg.specDecode.draftRatio > 0.0 &&
+              cfg.specDecode.draftRatio < 1.0))
             sim::fatal("ServingConfig: spec-decode draftRatio outside "
                        "(0, 1)");
     }
@@ -121,6 +121,7 @@ buildServingZoo(const ServingConfig &cfg)
         return ExpertZoo::uniform(cfg.numExperts, cfg.expertBase);
     double adapter = loraAdapterBytes(cfg.expertBase, cfg.zoo.rank);
     ExpertZoo zoo;
+    zoo.reserve(cfg.numExperts);
     for (int i = 0; i < cfg.numExperts; ++i) {
         ExpertModel m;
         m.id = i;
@@ -129,7 +130,7 @@ buildServingZoo(const ServingConfig &cfg)
         m.config = cfg.expertBase;
         m.bytes = adapter;
         m.mutableBytes = 0.0;
-        zoo.add(m);
+        zoo.add(std::move(m));
     }
     return zoo;
 }

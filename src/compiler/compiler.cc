@@ -1,7 +1,7 @@
 #include "compiler/compiler.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "compiler/placer.h"
 #include "sim/log.h"
@@ -42,18 +42,18 @@ buildSymbols(const graph::DataflowGraph &graph,
 {
     int num_kernels = static_cast<int>(kernels.size());
 
-    // Tensor -> kernel steps that touch it.
-    std::map<TensorId, std::pair<int, int>> live; // first, last
+    // Tensor -> kernel steps that touch it (first < 0: never touched)
+    // and boundary traffic for spill prioritization. Tensor ids are
+    // dense indices into the graph, so both tables are plain vectors.
+    std::vector<std::pair<int, int>> live(graph.numTensors(), {-1, -1});
+    std::vector<double> footprint(graph.numTensors(), 0.0);
     auto touch = [&](TensorId id, int step) {
-        auto it = live.find(id);
-        if (it == live.end())
-            live[id] = {step, step};
+        std::pair<int, int> &span = live[static_cast<std::size_t>(id)];
+        if (span.first < 0)
+            span = {step, step};
         else
-            it->second.second = std::max(it->second.second, step);
+            span.second = std::max(span.second, step);
     };
-
-    // Count boundary traffic per tensor for spill prioritization.
-    std::map<TensorId, double> footprint;
 
     for (int step = 0; step < num_kernels; ++step) {
         const Kernel &k = kernels[step];
@@ -61,11 +61,13 @@ buildSymbols(const graph::DataflowGraph &graph,
             const graph::Operator &op = graph.op(id);
             for (TensorId in : op.inputs) {
                 touch(in, step);
-                footprint[in] += graph.effectiveReadBytes(id, in);
+                footprint[static_cast<std::size_t>(in)] +=
+                    graph.effectiveReadBytes(id, in);
             }
             for (TensorId out : op.outputs) {
                 touch(out, step);
-                footprint[out] += graph.effectiveWriteBytes(id, out);
+                footprint[static_cast<std::size_t>(out)] +=
+                    graph.effectiveWriteBytes(id, out);
             }
         }
     }
@@ -73,8 +75,9 @@ buildSymbols(const graph::DataflowGraph &graph,
     std::vector<mem::Symbol> symbols;
     symbol_tensors.clear();
     for (const graph::Tensor &t : graph.tensors()) {
-        auto it = live.find(t.id);
-        if (it == live.end())
+        const std::pair<int, int> &span =
+            live[static_cast<std::size_t>(t.id)];
+        if (span.first < 0)
             continue;
 
         // Activations entirely internal to one fused kernel never go
@@ -83,7 +86,7 @@ buildSymbols(const graph::DataflowGraph &graph,
                                t.kind == TensorKind::Constant ||
                                t.kind == TensorKind::KvCache;
         if (!persistent_kind && t.kind == TensorKind::Activation &&
-            it->second.first == it->second.second) {
+            span.first == span.second) {
             continue;
         }
 
@@ -91,7 +94,8 @@ buildSymbols(const graph::DataflowGraph &graph,
         sym.name = t.name;
         sym.bytes = std::max<std::int64_t>(1, t.bytes() / tp);
         sym.readOnly = graph::isReadOnlyKind(t.kind);
-        sym.transferFootprint = footprint[t.id] / tp;
+        sym.transferFootprint =
+            footprint[static_cast<std::size_t>(t.id)] / tp;
 
         bool persistent = t.kind == TensorKind::Weight ||
                           t.kind == TensorKind::Constant ||
@@ -103,8 +107,8 @@ buildSymbols(const graph::DataflowGraph &graph,
             sym.lastUse = num_kernels - 1;
             sym.transferFootprint *= options.weightReuseFactor;
         } else {
-            sym.firstUse = it->second.first;
-            sym.lastUse = it->second.second;
+            sym.firstUse = span.first;
+            sym.lastUse = span.second;
         }
         symbols.push_back(std::move(sym));
         symbol_tensors.push_back(t.id);

@@ -41,8 +41,14 @@ placeWithLifetimeReuse(const std::vector<Symbol> &symbols,
         return a < b;
     });
 
+    // Placed intervals, kept ordered by (lo, hi). Walking them in that
+    // order and skipping lifetimes that do not overlap visits exactly
+    // the overlapping intervals sorted by offset, so the first-fit
+    // scan needs no per-symbol collection or sort. Entries tied on lo
+    // cannot change the answer: `candidate` only grows.
     struct Placed { std::int64_t lo, hi; int first, last; };
     std::vector<Placed> placed;
+    placed.reserve(symbols.size());
     std::int64_t peak = 0;
 
     for (std::size_t idx : order) {
@@ -56,27 +62,25 @@ placeWithLifetimeReuse(const std::vector<Symbol> &symbols,
             sim::panic("placeWithLifetimeReuse: symbol '" + sym.name +
                        "' has inverted lifetime");
 
-        // Collect live intervals overlapping this symbol's lifetime,
-        // then scan gaps in offset order.
-        std::vector<std::pair<std::int64_t, std::int64_t>> busy;
-        for (const Placed &p : placed) {
-            bool overlaps = !(p.last < sym.firstUse || p.first > sym.lastUse);
-            if (overlaps)
-                busy.emplace_back(p.lo, p.hi);
-        }
-        std::sort(busy.begin(), busy.end());
-
         std::int64_t candidate = 0;
-        for (const auto &range : busy) {
-            if (candidate + sym.bytes <= range.first)
+        for (const Placed &p : placed) {
+            if (p.last < sym.firstUse || p.first > sym.lastUse)
+                continue;
+            if (candidate + sym.bytes <= p.lo)
                 break;
-            candidate = std::max(candidate, range.second);
+            candidate = std::max(candidate, p.hi);
         }
 
         offsets[idx] = candidate;
-        placed.push_back({candidate, candidate + sym.bytes,
-                          sym.firstUse, sym.lastUse});
-        peak = std::max(peak, candidate + sym.bytes);
+        Placed entry{candidate, candidate + sym.bytes, sym.firstUse,
+                     sym.lastUse};
+        auto at = std::upper_bound(
+            placed.begin(), placed.end(), entry,
+            [](const Placed &a, const Placed &b) {
+                return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
+            });
+        placed.insert(at, entry);
+        peak = std::max(peak, entry.hi);
     }
     return peak;
 }

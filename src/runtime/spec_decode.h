@@ -49,7 +49,8 @@ double specDecodeTokensPerSecond(const SpecDecodeConfig &cfg,
  * `rng` regardless of where the first rejection lands (common random
  * numbers), so for a fixed rng stream a higher acceptRate never
  * yields fewer tokens — the coupling that makes tokens/s monotone in
- * acceptance rate. Fatals on gamma < 0 or acceptRate outside [0, 1].
+ * acceptance rate. Fatals on gamma < 0 or acceptRate outside [0, 1]
+ * (NaN included).
  */
 int sampleTokensPerStep(const SpecDecodeConfig &cfg, sim::Rng &rng);
 

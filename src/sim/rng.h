@@ -62,11 +62,12 @@ class Rng
     std::uint64_t
     uniformInt(std::uint64_t bound)
     {
-        // Rejection sampling to avoid modulo bias.
-        std::uint64_t threshold = (-bound) % bound;
+        // Rejection sampling to avoid modulo bias: accept r unless
+        // r < 2^64 mod bound. That threshold is below bound, so any
+        // r >= bound is accepted without paying for its division.
         for (;;) {
             std::uint64_t r = next();
-            if (r >= threshold)
+            if (r >= bound || r >= (-bound) % bound)
                 return r % bound;
         }
     }

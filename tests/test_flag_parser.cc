@@ -4,12 +4,17 @@
  * unknown flags name their subcommand, missing values and duplicate
  * flags fail, --flag=value and --flag value parse identically, --help
  * short-circuits, malformed or out-of-range numbers name their flag,
- * and parseList rejects malformed lists.
+ * the whole-string number parsers reject trailing garbage, and
+ * parseList rejects malformed lists.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,7 +23,11 @@
 using namespace sn40l;
 using tools::FlagParser;
 using tools::FlagUsageError;
+using tools::parseDouble;
+using tools::parseInt;
+using tools::parseInt64;
 using tools::parseList;
+using tools::parseUint64;
 using tools::splitEqualsArgs;
 
 namespace {
@@ -211,4 +220,73 @@ TEST(FlagParser, BadNumbersNameTheFlagAndValue)
     EXPECT_FALSE(p.parse({"--nodes", "7", "--rate", "2.5"}, help));
     EXPECT_EQ(nodes, 7);
     EXPECT_DOUBLE_EQ(rate, 2.5);
+}
+
+TEST(WholeNumberParsers, AcceptCompleteNumbers)
+{
+    EXPECT_EQ(parseInt("42"), 42);
+    EXPECT_EQ(parseInt("-7"), -7);
+    EXPECT_EQ(parseInt64("-1"), -1);
+    EXPECT_EQ(parseInt64("9000000000"), std::int64_t{9000000000});
+    EXPECT_EQ(parseUint64("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_DOUBLE_EQ(parseDouble("1.5"), 1.5);
+    EXPECT_DOUBLE_EQ(parseDouble("2e-3"), 2e-3);
+    // Non-finite spellings still parse; the config validators reject
+    // them with the field and flag named.
+    EXPECT_TRUE(std::isnan(parseDouble("nan")));
+    EXPECT_TRUE(std::isinf(parseDouble("inf")));
+}
+
+TEST(WholeNumberParsers, RejectTrailingGarbage)
+{
+    for (const char *bad : {"3x", "3 ", "1.5", "1e3", "0x", ""})
+        EXPECT_THROW(parseInt(bad), std::invalid_argument) << bad;
+    for (const char *bad : {"1.5abc", "2.5 ", "1e", "abc", ""})
+        EXPECT_THROW(parseDouble(bad), std::invalid_argument) << bad;
+    for (const char *bad : {"7seven", "-1", " -1", "1.0"})
+        EXPECT_THROW(parseUint64(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(parseInt64("12ms"), std::invalid_argument);
+    EXPECT_THROW(parseInt("99999999999"), std::out_of_range);
+    EXPECT_THROW(parseUint64("18446744073709551616"), std::out_of_range);
+}
+
+TEST(FlagParser, TrailingGarbageNamesTheFlagAndValue)
+{
+    FlagParser p("fake", testHelp);
+    int requests = 0;
+    double rate = 0.0;
+    std::uint64_t seed = 0;
+    p.value("--requests",
+            [&](const std::string &v) { requests = parseInt(v); });
+    p.value("--arrival-rate",
+            [&](const std::string &v) { rate = parseDouble(v); });
+    p.value("--seed", [&](const std::string &v) { seed = parseUint64(v); });
+    std::ostringstream help;
+    expectUsageError([&]() { p.parse({"--requests", "3x"}, help); },
+                     "flag --requests: malformed number '3x'");
+    expectUsageError([&]() { p.parse({"--arrival-rate=1.5abc"}, help); },
+                     "flag --arrival-rate: malformed number '1.5abc'");
+    expectUsageError([&]() { p.parse({"--seed", "-1"}, help); },
+                     "flag --seed: malformed number '-1'");
+    EXPECT_EQ(requests, 0);
+    EXPECT_EQ(rate, 0.0);
+    EXPECT_EQ(seed, 0u);
+    EXPECT_FALSE(p.parse({"--requests", "3", "--arrival-rate", "1.5",
+                          "--seed", "9"},
+                         help));
+    EXPECT_EQ(requests, 3);
+    EXPECT_DOUBLE_EQ(rate, 1.5);
+    EXPECT_EQ(seed, 9u);
+}
+
+TEST(ParseListFn, WholeNumberElementsRejectTrailingGarbage)
+{
+    FlagParser p("fake", testHelp);
+    EXPECT_EQ(parseList<int>(p, "100,150", &parseInt),
+              (std::vector<int>{100, 150}));
+    EXPECT_THROW(parseList<int>(p, "100,150x", &parseInt),
+                 std::invalid_argument);
+    EXPECT_THROW(parseList<double>(p, "8,16.5/s", &parseDouble),
+                 std::invalid_argument);
 }

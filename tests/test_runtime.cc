@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "models/transformer_builder.h"
 #include "runtime/executor.h"
 #include "runtime/runner.h"
@@ -291,4 +296,117 @@ TEST(SpecDecode, StepsForTokensCorners)
     // accept == 0: every step retires exactly the bonus token.
     cfg.acceptRate = 0.0;
     EXPECT_EQ(sampleStepsForTokens(cfg, 20, rng), 20);
+}
+
+namespace reference {
+
+// Verbatim copy of the branchy sampler the threshold form replaced.
+int
+sampleTokensPerStep(const SpecDecodeConfig &cfg, sim::Rng &rng)
+{
+    if (cfg.gamma < 0)
+        sim::fatal("specDecode: negative gamma");
+    if (cfg.acceptRate < 0.0 || cfg.acceptRate > 1.0)
+        sim::fatal("specDecode: acceptRate outside [0, 1]");
+    // Burn all gamma draws even after the first rejection so that the
+    // same rng stream at a higher acceptRate accepts a superset of
+    // tokens (common-random-numbers coupling).
+    int accepted = 0;
+    bool rejected = false;
+    for (int i = 0; i < cfg.gamma; ++i) {
+        bool accept = rng.uniformDouble() < cfg.acceptRate;
+        if (!rejected && accept)
+            ++accepted;
+        else
+            rejected = true;
+    }
+    return accepted + 1;
+}
+
+int
+sampleStepsForTokens(const SpecDecodeConfig &cfg, int output_tokens,
+                     sim::Rng &rng)
+{
+    if (output_tokens <= 0)
+        return 0;
+    int emitted = 0;
+    int steps = 0;
+    while (emitted < output_tokens) {
+        emitted += reference::sampleTokensPerStep(cfg, rng);
+        ++steps;
+    }
+    return steps;
+}
+
+} // namespace reference
+
+TEST(SpecDecode, ThresholdSamplerMatchesReferenceBitForBit)
+{
+    // Rates whose 2^53 multiple is an integer put a draw exactly on the
+    // accept boundary; their nextafter neighbours sit one ulp either
+    // side of it. Rates built from the case's own upcoming draws make
+    // those boundaries actually get hit.
+    std::vector<double> fixed = {0.0, 1.0, 0.5, 0.8, 0.93, 0.25,
+                                 0x1.0p-53, 1.0 - 0x1.0p-53, 0.1, 0.999};
+    std::vector<double> rates;
+    for (double a : fixed) {
+        rates.push_back(a);
+        rates.push_back(std::nextafter(a, 0.0));
+        rates.push_back(std::nextafter(a, 1.0));
+    }
+    sim::Rng pick(99);
+    for (int i = 0; i < 10; ++i)
+        rates.push_back(pick.uniformDouble());
+
+    int on_boundary = 0;
+    for (std::uint64_t seed = 0; seed < 100'000; ++seed) {
+        SpecDecodeConfig cfg;
+        cfg.gamma = static_cast<int>(seed % 9);
+        int tokens = static_cast<int>((seed / 9) % 65);
+        sim::Rng want_rng(seed), got_rng(seed);
+        switch (seed % 3) {
+          case 0:
+            cfg.acceptRate = rates[(seed / 3) % rates.size()];
+            break;
+          case 1:
+            cfg.acceptRate = pick.uniformDouble();
+            break;
+          default: {
+            // k * 2^-53 for one of this stream's first draws, or a
+            // neighbour one ulp away.
+            sim::Rng peek(seed);
+            std::uint64_t skip = pick.uniformInt(8);
+            for (std::uint64_t i = 0; i < skip; ++i)
+                peek.next();
+            double a = static_cast<double>(peek.next() >> 11) * 0x1.0p-53;
+            std::uint64_t side = pick.uniformInt(3);
+            if (side == 1)
+                a = std::nextafter(a, 0.0);
+            else if (side == 2)
+                a = std::nextafter(a, 1.0);
+            cfg.acceptRate = a;
+            on_boundary += side == 0 && cfg.gamma > 0 && tokens > 0 &&
+                           skip < static_cast<std::uint64_t>(cfg.gamma);
+            break;
+          }
+        }
+
+        ASSERT_EQ(sampleStepsForTokens(cfg, tokens, got_rng),
+                  reference::sampleStepsForTokens(cfg, tokens, want_rng))
+            << "seed " << seed << " gamma " << cfg.gamma << " accept "
+            << cfg.acceptRate << " tokens " << tokens;
+        ASSERT_EQ(sampleTokensPerStep(cfg, got_rng),
+                  reference::sampleTokensPerStep(cfg, want_rng))
+            << "seed " << seed;
+        ASSERT_EQ(got_rng.next(), want_rng.next()) << "seed " << seed;
+    }
+    EXPECT_GT(on_boundary, 1000);
+
+    // The threshold needs an ordered rate: NaN is rejected, not
+    // silently treated as "never accept".
+    SpecDecodeConfig nan_cfg;
+    nan_cfg.acceptRate = std::numeric_limits<double>::quiet_NaN();
+    sim::Rng rng(1);
+    EXPECT_THROW(sampleTokensPerStep(nan_cfg, rng), sim::FatalError);
+    EXPECT_THROW(sampleStepsForTokens(nan_cfg, 8, rng), sim::FatalError);
 }

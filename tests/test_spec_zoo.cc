@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "coe/cluster.h"
 #include "coe/serving.h"
 #include "coe/serving_engine.h"
@@ -139,8 +141,12 @@ TEST(Config, SpecAndZooFieldsArePolicedOnlyWhenEnabled)
     cfg.specDecode.gamma = 4;
     cfg.specDecode.acceptRate = 1.5;
     EXPECT_THROW(validateServingConfig(cfg), sim::FatalError);
+    cfg.specDecode.acceptRate = std::nan("");
+    EXPECT_THROW(validateServingConfig(cfg), sim::FatalError);
     cfg.specDecode.acceptRate = 0.8;
     cfg.specDecode.draftRatio = 1.0;
+    EXPECT_THROW(validateServingConfig(cfg), sim::FatalError);
+    cfg.specDecode.draftRatio = std::nan("");
     EXPECT_THROW(validateServingConfig(cfg), sim::FatalError);
     cfg.specDecode.draftRatio = 0.05;
     validateServingConfig(cfg);

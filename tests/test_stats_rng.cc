@@ -6,6 +6,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "sim/log.h"
 #include "sim/rng.h"
@@ -399,6 +400,47 @@ TEST(Rng, UniformIntInBounds)
     }
     // All 10 values should appear in 1000 draws.
     EXPECT_EQ(seen.size(), 10u);
+}
+
+TEST(Rng, UniformIntMatchesAlwaysModuloReference)
+{
+    // The reference computes the rejection threshold 2^64 mod bound
+    // before every draw; uniformInt skips it when the draw is already
+    // >= bound. Same draws consumed, same values returned.
+    std::uint64_t rejections = 0;
+    auto reference = [&](sim::Rng &rng, std::uint64_t bound) {
+        std::uint64_t threshold = (-bound) % bound;
+        for (;;) {
+            std::uint64_t r = rng.next();
+            if (r >= threshold)
+                return r % bound;
+            ++rejections;
+        }
+    };
+
+    constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+    std::vector<std::uint64_t> bounds = {1, 2, 3, std::uint64_t{1} << 63,
+                                         (std::uint64_t{1} << 63) + 1, kTop};
+    for (int k = 1; k < 64; ++k) {
+        std::uint64_t p = std::uint64_t{1} << k;
+        bounds.push_back(p - 1);
+        bounds.push_back(p);
+        bounds.push_back(p + 1);
+    }
+    sim::Rng pick(5);
+    for (int i = 0; i < 200; ++i)
+        bounds.push_back(pick.next() >> pick.uniformInt(64) | 1);
+
+    for (std::size_t b = 0; b < bounds.size(); ++b) {
+        sim::Rng got(1000 + b), want(1000 + b);
+        for (int i = 0; i < 500; ++i)
+            ASSERT_EQ(got.uniformInt(bounds[b]),
+                      reference(want, bounds[b]))
+                << "bound " << bounds[b] << " draw " << i;
+        ASSERT_EQ(got.next(), want.next()) << "bound " << bounds[b];
+    }
+    // 2^63 + 1 rejects about half its draws (threshold 2^63 - 1).
+    EXPECT_GT(rejections, 1000u);
 }
 
 TEST(Rng, UniformDoubleInUnitInterval)

@@ -65,32 +65,32 @@ addWorkloadFlags(FlagParser &p, coe::ServingConfig &cfg,
         cfg.platform = platformByName(v);
     });
     p.value("--tokens", [&](const std::string &v) {
-        cfg.outputTokens = std::stoi(v);
+        cfg.outputTokens = parseInt(v);
     });
     p.value("--requests", [&](const std::string &v) {
-        cfg.streamRequests = std::stoi(v);
+        cfg.streamRequests = parseInt(v);
     });
     p.value("--routing", [&](const std::string &v) {
         cfg.routing = coe::routingDistributionFromName(v);
     });
     p.value("--zipf-s", [&](const std::string &v) {
-        cfg.zipfS = std::stod(v);
+        cfg.zipfS = parseDouble(v);
         st.setZipfS = true;
     });
     p.flag("--prefetch", [&]() { cfg.predictivePrefetch = true; });
     p.value("--prefetch-depth", [&](const std::string &v) {
-        cfg.prefetchDepth = std::stoi(v);
+        cfg.prefetchDepth = parseInt(v);
         st.setPrefetchDepth = true;
     });
     p.value("--prefetch-window", [&](const std::string &v) {
-        cfg.prefetchWindow = std::stoi(v);
+        cfg.prefetchWindow = parseInt(v);
         st.setPrefetchWindow = true;
     });
     p.value("--dma-engines", [&](const std::string &v) {
-        cfg.dmaEngines = std::stoi(v);
+        cfg.dmaEngines = parseInt(v);
     });
     p.value("--expert-region-gb", [&p, &cfg](const std::string &v) {
-        double gb = std::stod(v);
+        double gb = parseDouble(v);
         if (gb <= 0.0)
             p.fail("--expert-region-gb must be positive");
         cfg.expertRegionBytes = static_cast<std::int64_t>(gb * 1e9);
@@ -130,7 +130,7 @@ addArrivalFlags(FlagParser &p, coe::ServingConfig &cfg,
                 ArrivalFlagState &st)
 {
     p.value("--arrival-rate", [&](const std::string &v) {
-        cfg.arrivalRatePerSec = std::stod(v);
+        cfg.arrivalRatePerSec = parseDouble(v);
         st.setArrivalRate = true;
     });
     p.flag("--closed-loop", [&]() {
@@ -138,11 +138,11 @@ addArrivalFlags(FlagParser &p, coe::ServingConfig &cfg,
         st.setClosedLoop = true;
     });
     p.value("--clients", [&](const std::string &v) {
-        cfg.clients = std::stoi(v);
+        cfg.clients = parseInt(v);
         st.setClients = true;
     });
     p.value("--think", [&](const std::string &v) {
-        cfg.thinkSeconds = std::stod(v);
+        cfg.thinkSeconds = parseDouble(v);
         st.setThink = true;
     });
 }
@@ -184,37 +184,37 @@ addScenarioFlags(FlagParser &p, coe::ServingConfig &cfg,
         st.setWorkload = true;
     });
     p.value("--tenants", [&](const std::string &v) {
-        cfg.workload.tenants = std::stoi(v);
+        cfg.workload.tenants = parseInt(v);
         st.setTenants = true;
     });
     p.value("--slo-ms", [&p, &cfg](const std::string &v) {
-        double ms = std::stod(v);
+        double ms = parseDouble(v);
         if (ms <= 0.0)
             p.fail("--slo-ms must be positive");
         cfg.workload.sloSeconds = ms / 1000.0;
     });
     p.value("--session-prob", [&](const std::string &v) {
-        cfg.workload.sessionFollowProb = std::stod(v);
+        cfg.workload.sessionFollowProb = parseDouble(v);
         st.setSession = true;
     });
     p.value("--session-think", [&](const std::string &v) {
-        cfg.workload.sessionThinkSeconds = std::stod(v);
+        cfg.workload.sessionThinkSeconds = parseDouble(v);
         st.setSession = true;
     });
     p.value("--session-turns", [&](const std::string &v) {
-        cfg.workload.sessionMaxTurns = std::stoi(v);
+        cfg.workload.sessionMaxTurns = parseInt(v);
         st.setSession = true;
     });
     p.value("--burst-factor", [&](const std::string &v) {
-        cfg.workload.shape.burstFactor = std::stod(v);
+        cfg.workload.shape.burstFactor = parseDouble(v);
         st.setBurst = true;
     });
     p.value("--burst-every", [&](const std::string &v) {
-        cfg.workload.shape.burstEverySeconds = std::stod(v);
+        cfg.workload.shape.burstEverySeconds = parseDouble(v);
         st.setBurst = true;
     });
     p.value("--burst-seconds", [&](const std::string &v) {
-        cfg.workload.shape.burstSeconds = std::stod(v);
+        cfg.workload.shape.burstSeconds = parseDouble(v);
         st.setBurst = true;
     });
     p.value("--trace-out", [&](const std::string &v) {
@@ -281,15 +281,15 @@ addCoreServingFlags(FlagParser &p, coe::ServingConfig &cfg,
                     bool *set_experts = nullptr)
 {
     p.value("--experts", [&cfg, set_experts](const std::string &v) {
-        cfg.numExperts = std::stoi(v);
+        cfg.numExperts = parseInt(v);
         if (set_experts)
             *set_experts = true;
     });
     p.value("--batch", [&](const std::string &v) {
-        cfg.batch = std::stoi(v);
+        cfg.batch = parseInt(v);
     });
     p.value("--seed", [&](const std::string &v) {
-        cfg.seed = std::stoull(v);
+        cfg.seed = parseUint64(v);
     });
     p.value("--scheduler",
             [&](const std::string &v) { scheduler_name = v; });
@@ -322,28 +322,28 @@ addSpecZooFlags(FlagParser &p, coe::ServingConfig &cfg,
 {
     p.flag("--spec-decode", [&]() { cfg.specDecode.enabled = true; });
     p.value("--spec-gamma", [&](const std::string &v) {
-        cfg.specDecode.gamma = std::stoi(v);
+        cfg.specDecode.gamma = parseInt(v);
         st.setGamma = true;
     });
     p.value("--spec-accept", [&](const std::string &v) {
-        cfg.specDecode.acceptRate = std::stod(v);
+        cfg.specDecode.acceptRate = parseDouble(v);
         st.setAccept = true;
     });
     p.value("--spec-draft-ratio", [&](const std::string &v) {
-        cfg.specDecode.draftRatio = std::stod(v);
+        cfg.specDecode.draftRatio = parseDouble(v);
         st.setDraftRatio = true;
     });
     p.value("--zoo-adapters", [&](const std::string &v) {
         cfg.zoo.enabled = true;
-        cfg.numExperts = std::stoi(v);
+        cfg.numExperts = parseInt(v);
         st.setZooAdapters = true;
     });
     p.value("--zoo-rank", [&](const std::string &v) {
-        cfg.zoo.rank = std::stoi(v);
+        cfg.zoo.rank = parseInt(v);
         st.setZooRank = true;
     });
     p.value("--zoo-churn", [&](const std::string &v) {
-        cfg.zoo.churnEverySeconds = std::stod(v);
+        cfg.zoo.churnEverySeconds = parseDouble(v);
         st.setZooChurn = true;
     });
 }
@@ -365,11 +365,11 @@ validateSpecZooFlags(const FlagParser &p, const coe::ServingConfig &cfg,
     if (cfg.specDecode.enabled) {
         if (cfg.specDecode.gamma < 0)
             p.fail("--spec-gamma must be non-negative");
-        if (cfg.specDecode.acceptRate < 0.0 ||
-            cfg.specDecode.acceptRate > 1.0)
+        if (!(cfg.specDecode.acceptRate >= 0.0 &&
+              cfg.specDecode.acceptRate <= 1.0))
             p.fail("--spec-accept must be in [0, 1]");
-        if (cfg.specDecode.draftRatio <= 0.0 ||
-            cfg.specDecode.draftRatio >= 1.0)
+        if (!(cfg.specDecode.draftRatio > 0.0 &&
+              cfg.specDecode.draftRatio < 1.0))
             p.fail("--spec-draft-ratio must be in (0, 1)");
     }
     if (!st.setZooAdapters && (st.setZooRank || st.setZooChurn))
@@ -405,7 +405,7 @@ inline void
 addExecFlags(FlagParser &p, ExecFlagState &st)
 {
     auto parse = [&p, &st](const std::string &v) {
-        st.threads = std::stoi(v);
+        st.threads = parseInt(v);
         if (st.threads < 1)
             p.fail("--threads must be at least 1");
         st.setThreads = true;
@@ -473,35 +473,35 @@ addControllerFlags(FlagParser &p, coe::ControllerConfig &cfg,
         st.setPolicy = true;
     });
     p.value("--controller-tick", [&](const std::string &v) {
-        cfg.tickSeconds = std::stod(v);
+        cfg.tickSeconds = parseDouble(v);
         st.setTuning = true;
     });
     p.value("--controller-min", [&](const std::string &v) {
-        cfg.minNodes = std::stoi(v);
+        cfg.minNodes = parseInt(v);
         st.setTuning = true;
     });
     p.value("--controller-max", [&](const std::string &v) {
-        cfg.maxNodes = std::stoi(v);
+        cfg.maxNodes = parseInt(v);
         st.setTuning = true;
     });
     p.value("--controller-up-depth", [&](const std::string &v) {
-        cfg.scaleUpQueueDepth = std::stod(v);
+        cfg.scaleUpQueueDepth = parseDouble(v);
         st.setTuning = true;
     });
     p.value("--controller-down-depth", [&](const std::string &v) {
-        cfg.scaleDownQueueDepth = std::stod(v);
+        cfg.scaleDownQueueDepth = parseDouble(v);
         st.setTuning = true;
     });
     p.value("--controller-target-util", [&](const std::string &v) {
-        cfg.targetUtilization = std::stod(v);
+        cfg.targetUtilization = parseDouble(v);
         st.setTuning = true;
     });
     p.value("--controller-cooldown", [&](const std::string &v) {
-        cfg.cooldownTicks = std::stoi(v);
+        cfg.cooldownTicks = parseInt(v);
         st.setTuning = true;
     });
     p.value("--controller-hot", [&](const std::string &v) {
-        cfg.hotExpertTrack = std::stoi(v);
+        cfg.hotExpertTrack = parseInt(v);
         st.setTuning = true;
     });
     p.value("--controller-log", [&](const std::string &v) {
@@ -543,21 +543,21 @@ parseScheduleList(const FlagParser &p, const std::string &csv)
             p.fail("--schedule entry '" + entry +
                    "' is not KIND:AT[:ARG]");
         coe::ScheduledAction a;
-        a.atSeconds = std::stod(parts[1]);
+        a.atSeconds = parseDouble(parts[1]);
         if (parts[0] == "drain") {
             a.kind = coe::ActionKind::Drain;
             if (parts.size() == 3)
-                a.node = std::stoi(parts[2]);
+                a.node = parseInt(parts[2]);
         } else if (parts[0] == "rejoin") {
             a.kind = coe::ActionKind::Rejoin;
             if (parts.size() == 3)
-                a.node = std::stoi(parts[2]);
+                a.node = parseInt(parts[2]);
         } else if (parts[0] == "rate") {
             a.kind = coe::ActionKind::RateOverride;
             if (parts.size() != 3)
                 p.fail("--schedule rate entries need a factor: "
                        "rate:AT:FACTOR");
-            a.rateFactor = std::stod(parts[2]);
+            a.rateFactor = parseDouble(parts[2]);
         } else {
             p.fail("--schedule entry '" + entry +
                    "' has unknown kind '" + parts[0] +
@@ -593,19 +593,19 @@ addFabricFlags(FlagParser &p, coe::FabricConfig &cfg,
         cfg.enabled = true;
     });
     p.value("--link-gbps", [&p, &cfg, &st](const std::string &v) {
-        cfg.linkGbps = std::stod(v);
+        cfg.linkGbps = parseDouble(v);
         if (cfg.linkGbps <= 0.0)
             p.fail("--link-gbps must be positive");
         st.setLinkGbps = true;
     });
     p.value("--link-latency-us", [&p, &cfg, &st](const std::string &v) {
-        cfg.linkLatencyUs = std::stod(v);
+        cfg.linkLatencyUs = parseDouble(v);
         if (cfg.linkLatencyUs < 0.0)
             p.fail("--link-latency-us must be non-negative");
         st.setLinkLatency = true;
     });
     p.value("--link-buffer-flits", [&p, &cfg, &st](const std::string &v) {
-        cfg.linkBufferFlits = std::stoi(v);
+        cfg.linkBufferFlits = parseInt(v);
         if (cfg.linkBufferFlits < 1)
             p.fail("--link-buffer-flits must be at least 1");
         st.setLinkBuffer = true;
@@ -655,34 +655,34 @@ addFaultFlags(FlagParser &p, coe::FaultPolicyConfig &cfg,
         st.setFaults = true;
     });
     p.value("--retry-max", [&](const std::string &v) {
-        cfg.retryMax = std::stoi(v);
+        cfg.retryMax = parseInt(v);
         st.setRetry = true;
     });
     p.value("--retry-backoff-ms", [&p, &cfg, &st](const std::string &v) {
-        double ms = std::stod(v);
+        double ms = parseDouble(v);
         if (ms <= 0.0)
             p.fail("--retry-backoff-ms must be positive");
         cfg.retryBackoffSeconds = ms / 1000.0;
         st.setRetry = true;
     });
     p.value("--retry-budget", [&](const std::string &v) {
-        cfg.retryBudget = std::stoll(v);
+        cfg.retryBudget = parseInt64(v);
         st.setRetry = true;
     });
     p.flag("--hedge", [&]() { cfg.hedge = true; });
     p.value("--hedge-threshold", [&](const std::string &v) {
-        cfg.hedgeThreshold = std::stod(v);
+        cfg.hedgeThreshold = parseDouble(v);
         st.setHedgeThreshold = true;
     });
     p.value("--brownout-depth", [&](const std::string &v) {
-        cfg.brownoutDepth = std::stod(v);
+        cfg.brownoutDepth = parseDouble(v);
     });
     p.value("--brownout-prio", [&](const std::string &v) {
-        cfg.brownoutPriorityMax = std::stoi(v);
+        cfg.brownoutPriorityMax = parseInt(v);
         st.setBrownoutPrio = true;
     });
     p.value("--policy-tick-ms", [&p, &cfg, &st](const std::string &v) {
-        double ms = std::stod(v);
+        double ms = parseDouble(v);
         if (ms <= 0.0)
             p.fail("--policy-tick-ms must be positive");
         cfg.policyTickSeconds = ms / 1000.0;
@@ -745,15 +745,15 @@ addPlanFlags(FlagParser &p, PlanFlagState &st)
 {
     p.flag("--plan-capacity", [&]() { st.plan = true; });
     p.value("--plan-max-nodes", [&](const std::string &v) {
-        st.maxNodes = std::stoi(v);
+        st.maxNodes = parseInt(v);
         st.setMaxNodes = true;
     });
     p.value("--plan-p95-ms", [&](const std::string &v) {
-        st.p95Ms = std::stod(v);
+        st.p95Ms = parseDouble(v);
         st.setP95 = true;
     });
     p.value("--plan-max-shed-pct", [&](const std::string &v) {
-        st.maxShedPct = std::stod(v);
+        st.maxShedPct = parseDouble(v);
         st.setShed = true;
     });
 }

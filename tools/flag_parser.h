@@ -7,15 +7,16 @@
  * own), then parse() walks argv: "--flag value" and "--flag=value"
  * both work, "--help"/"-h" prints the subcommand help, a flag given
  * twice is rejected, an unrecognized flag fails with an error naming
- * the subcommand, and a value the flag's std::stoi/stod cannot parse
- * (or that overflows) fails naming the flag and the value. Errors
- * throw FlagUsageError instead of exiting, so the tool's main() owns
- * the exit path and tests can assert on messages.
+ * the subcommand, and a value the flag's parseInt/parseDouble/...
+ * cannot parse whole (or that overflows) fails naming the flag and the
+ * value. Errors throw FlagUsageError instead of exiting, so the tool's
+ * main() owns the exit path and tests can assert on messages.
  */
 
 #ifndef SN40L_TOOLS_FLAG_PARSER_H
 #define SN40L_TOOLS_FLAG_PARSER_H
 
+#include <cstdint>
 #include <functional>
 #include <ostream>
 #include <sstream>
@@ -43,6 +44,71 @@ class FlagUsageError : public std::runtime_error
   private:
     std::string subcommand_;
 };
+
+namespace detail {
+
+/**
+ * Run a std::sto* conversion and require it to consume all of @p s,
+ * so "3x" or "1.5abc" is malformed rather than silently 3 or 1.5.
+ */
+template <typename T, typename Convert>
+T
+parseWhole(const std::string &s, Convert convert)
+{
+    std::size_t used = 0;
+    T value = convert(s, &used);
+    if (used != s.size())
+        throw std::invalid_argument("trailing characters in '" + s + "'");
+    return value;
+}
+
+} // namespace detail
+
+/**
+ * Whole-string numeric parsers for flag values. Malformed input
+ * (including trailing garbage) throws std::invalid_argument and an
+ * unrepresentable value std::out_of_range, which FlagParser::parse
+ * turns into an error naming the flag and the value. parseDouble
+ * still accepts "nan" and "inf"; the config validators reject them.
+ */
+inline int
+parseInt(const std::string &s)
+{
+    return detail::parseWhole<int>(
+        s, [](const std::string &v, std::size_t *n) {
+            return std::stoi(v, n);
+        });
+}
+
+inline std::int64_t
+parseInt64(const std::string &s)
+{
+    return detail::parseWhole<std::int64_t>(
+        s, [](const std::string &v, std::size_t *n) {
+            return static_cast<std::int64_t>(std::stoll(v, n));
+        });
+}
+
+/** A minus sign is malformed: std::stoull would wrap "-1" to 2^64-1. */
+inline std::uint64_t
+parseUint64(const std::string &s)
+{
+    if (s.find('-') != std::string::npos)
+        throw std::invalid_argument("negative value '" + s + "'");
+    return detail::parseWhole<std::uint64_t>(
+        s, [](const std::string &v, std::size_t *n) {
+            return static_cast<std::uint64_t>(std::stoull(v, n));
+        });
+}
+
+inline double
+parseDouble(const std::string &s)
+{
+    return detail::parseWhole<double>(
+        s, [](const std::string &v, std::size_t *n) {
+            return std::stod(v, n);
+        });
+}
 
 /**
  * Flatten "--flag=value" arguments into "--flag value" so both
@@ -141,7 +207,7 @@ class FlagParser
                 if (i + 1 >= args.size())
                     fail("flag " + arg + " expects a value");
                 const std::string &v = args[++i];
-                // std::stoi/stod/stoull inside apply: name the flag.
+                // parseInt/parseDouble/... inside apply: name the flag.
                 try {
                     spec->apply(v);
                 } catch (const std::invalid_argument &) {

@@ -571,26 +571,19 @@ runSweepCmd(int argc, char **argv)
     addSpecZooFlags(parser, grid.base, szst);
     bool set_placement = false, set_dispatch = false;
     parser.value("--experts", [&](const std::string &v) {
-        grid.expertCounts = parseList<int>(
-            parser, v, +[](const std::string &s) { return std::stoi(s); });
+        grid.expertCounts = parseList<int>(parser, v, &parseInt);
     });
     parser.value("--arrival-rate", [&](const std::string &v) {
-        grid.arrivalRates = parseList<double>(
-            parser, v, +[](const std::string &s) { return std::stod(s); });
+        grid.arrivalRates = parseList<double>(parser, v, &parseDouble);
     });
     parser.value("--batch", [&](const std::string &v) {
-        grid.batchSizes = parseList<int>(
-            parser, v, +[](const std::string &s) { return std::stoi(s); });
+        grid.batchSizes = parseList<int>(parser, v, &parseInt);
     });
     parser.value("--seeds", [&](const std::string &v) {
-        grid.seeds = parseList<std::uint64_t>(
-            parser, v, +[](const std::string &s) {
-                return static_cast<std::uint64_t>(std::stoull(s));
-            });
+        grid.seeds = parseList<std::uint64_t>(parser, v, &parseUint64);
     });
     parser.value("--nodes", [&](const std::string &v) {
-        grid.nodeCounts = parseList<int>(
-            parser, v, +[](const std::string &s) { return std::stoi(s); });
+        grid.nodeCounts = parseList<int>(parser, v, &parseInt);
     });
     parser.value("--placement", [&](const std::string &v) {
         grid.placements = parseList<coe::PlacementPolicy>(
@@ -603,9 +596,9 @@ runSweepCmd(int argc, char **argv)
     });
     parser.value("--scheduler",
                  [&](const std::string &v) { scheduler_name = v; });
-    parser.value("-j", [&](const std::string &v) { jobs = std::stoi(v); });
+    parser.value("-j", [&](const std::string &v) { jobs = parseInt(v); });
     parser.value("--jobs",
-                 [&](const std::string &v) { jobs = std::stoi(v); });
+                 [&](const std::string &v) { jobs = parseInt(v); });
     parser.value("--json", [&](const std::string &v) { json_path = v; });
 
     if (parser.parse(argc, argv, std::cout))
@@ -888,7 +881,7 @@ runClusterCmd(int argc, char **argv)
     std::string json_path;
 
     parser.value("--nodes", [&](const std::string &v) {
-        cfg.nodes = std::stoi(v);
+        cfg.nodes = parseInt(v);
     });
     parser.value("--placement", [&](const std::string &v) {
         cfg.placement = coe::placementPolicyFromName(v);
@@ -897,39 +890,37 @@ runClusterCmd(int argc, char **argv)
         cfg.dispatch = coe::dispatchPolicyFromName(v);
     });
     parser.value("--hot-experts", [&](const std::string &v) {
-        cfg.hotExperts = std::stoi(v);
+        cfg.hotExperts = parseInt(v);
         set_hot = true;
     });
     parser.value("--drain-at", [&](const std::string &v) {
-        cfg.drainAtSeconds = std::stod(v);
+        cfg.drainAtSeconds = parseDouble(v);
         set_drain_at = true;
     });
     parser.value("--drain-node", [&](const std::string &v) {
-        cfg.drainNode = std::stoi(v);
+        cfg.drainNode = parseInt(v);
         set_drain_node = true;
     });
     parser.value("--rejoin-at", [&](const std::string &v) {
-        cfg.rejoinAtSeconds = std::stod(v);
+        cfg.rejoinAtSeconds = parseDouble(v);
         set_rejoin = true;
     });
     parser.value("--schedule", [&](const std::string &v) {
         schedule_csv = v;
     });
     parser.value("--diurnal-amplitude", [&](const std::string &v) {
-        cfg.diurnalAmplitude = std::stod(v);
+        cfg.diurnalAmplitude = parseDouble(v);
         set_diurnal_amp = true;
     });
     parser.value("--diurnal-period", [&](const std::string &v) {
-        cfg.diurnalPeriodSeconds = std::stod(v);
+        cfg.diurnalPeriodSeconds = parseDouble(v);
         set_diurnal_period = true;
     });
     parser.value("--node-dma-engines", [&](const std::string &v) {
-        node_dma = parseList<int>(
-            parser, v, +[](const std::string &s) { return std::stoi(s); });
+        node_dma = parseList<int>(parser, v, &parseInt);
     });
     parser.value("--node-region-gb", [&](const std::string &v) {
-        node_region_gb = parseList<double>(
-            parser, v, +[](const std::string &s) { return std::stod(s); });
+        node_region_gb = parseList<double>(parser, v, &parseDouble);
     });
     parser.value("--json", [&](const std::string &v) { json_path = v; });
 
@@ -1204,10 +1195,10 @@ run(int argc, char **argv)
         };
         if (arg == "--model") model_name = next();
         else if (arg == "--phase") phase_name = next();
-        else if (arg == "--seq") seq = std::stoi(next());
-        else if (arg == "--batch") batch = std::stoi(next());
-        else if (arg == "--tp") tp = std::stoi(next());
-        else if (arg == "--sockets") sockets = std::stoi(next());
+        else if (arg == "--seq") seq = parseInt(next());
+        else if (arg == "--batch") batch = parseInt(next());
+        else if (arg == "--tp") tp = parseInt(next());
+        else if (arg == "--sockets") sockets = parseInt(next());
         else if (arg == "--config") config_name = next();
         else if (arg == "--trace") trace_path = next();
         else usage();
