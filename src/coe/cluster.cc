@@ -473,20 +473,6 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
         sim::fatal("ClusterConfig: negative hotExperts");
     if (cfg_.hotExperts > cfg_.node.numExperts)
         sim::fatal("ClusterConfig: hotExperts exceeds the expert count");
-    if (cfg_.drainAtSeconds < 0.0 || cfg_.rejoinAtSeconds < 0.0)
-        sim::fatal("ClusterConfig: negative drain/rejoin time");
-    if (cfg_.drainAtSeconds > 0.0) {
-        if (cfg_.nodes < 2)
-            sim::fatal("ClusterConfig: draining needs at least 2 nodes "
-                       "(requests must have somewhere to go)");
-        if (cfg_.drainNode < 0 || cfg_.drainNode >= cfg_.nodes)
-            sim::fatal("ClusterConfig: drainNode out of range");
-        if (cfg_.rejoinAtSeconds > 0.0 &&
-            cfg_.rejoinAtSeconds <= cfg_.drainAtSeconds)
-            sim::fatal("ClusterConfig: rejoin must come after the drain");
-    } else if (cfg_.rejoinAtSeconds > 0.0) {
-        sim::fatal("ClusterConfig: rejoin without a drain");
-    }
     if (cfg_.threads < 1)
         sim::fatal("ClusterConfig: threads must be at least 1");
     if (cfg_.threads > 1) {
@@ -538,26 +524,14 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
             sim::fatal("ClusterConfig: negative override value");
     }
 
-    // The legacy drain trio desugars onto the general action list,
-    // ahead of any explicit actions, preserving the historical event
-    // creation order exactly.
-    if (cfg_.drainAtSeconds > 0.0) {
-        ScheduledAction drain;
-        drain.atSeconds = cfg_.drainAtSeconds;
-        drain.kind = ActionKind::Drain;
-        drain.node = cfg_.drainNode;
-        effectiveActions_.push_back(drain);
-        if (cfg_.rejoinAtSeconds > 0.0) {
-            ScheduledAction rejoin;
-            rejoin.atSeconds = cfg_.rejoinAtSeconds;
-            rejoin.kind = ActionKind::Rejoin;
-            rejoin.node = cfg_.drainNode;
-            effectiveActions_.push_back(rejoin);
-        }
-    }
     for (const ScheduledAction &a : cfg_.actions) {
-        if (a.atSeconds < 0.0)
-            sim::fatal("ScheduledAction: negative action time");
+        // Written so NaN fails too; the upper bound keeps the firing
+        // tick representable.
+        if (!(a.atSeconds >= 0.0 &&
+              a.atSeconds < sim::toSeconds(sim::kMaxTick)))
+            sim::fatal("ScheduledAction: atSeconds (--schedule) must be "
+                       "finite, non-negative and within the Tick range "
+                       "(< 9.2e6 s), got " + std::to_string(a.atSeconds));
         switch (a.kind) {
           case ActionKind::Drain:
             if (cfg_.nodes < 2)
@@ -569,9 +543,10 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
                 sim::fatal("ScheduledAction: node out of range");
             break;
           case ActionKind::RateOverride:
-            if (a.rateFactor <= 0.0)
-                sim::fatal("ScheduledAction: rate factor must be "
-                           "positive");
+            if (!(std::isfinite(a.rateFactor) && a.rateFactor > 0.0))
+                sim::fatal("ScheduledAction: rateFactor (--schedule) "
+                           "must be finite and positive, got " +
+                           std::to_string(a.rateFactor));
             if (cfg_.node.arrival == ArrivalProcess::ClosedLoop)
                 sim::fatal("ScheduledAction: rate overrides modulate "
                            "open-loop arrivals; they cannot be combined "
@@ -582,7 +557,6 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
                            "recorded)");
             break;
         }
-        effectiveActions_.push_back(a);
     }
 
     validateControllerConfig(cfg_.controller, cfg_.nodes);
@@ -785,10 +759,10 @@ ClusterSimulator::begin()
     // sink below) can reference the actuators.
     rs_ = std::move(rs);
 
-    // ---- scripted actions (legacy drain/rejoin desugared + explicit)
+    // ---- scripted actions
     // Control callbacks go through scheduleControlAt: straight onto
     // the shared queue at threads==1, onto the sync agenda otherwise.
-    for (const ScheduledAction &a : effectiveActions_) {
+    for (const ScheduledAction &a : cfg_.actions) {
         sim::Tick at = sim::fromSeconds(a.atSeconds);
         switch (a.kind) {
           case ActionKind::Drain:
@@ -2077,6 +2051,8 @@ ClusterSimulator::finish()
     std::int64_t completed = 0, batches = 0, misses = 0, shedTotal = 0;
     std::int64_t specSteps = 0;
     double occupancyTotal = 0.0, depthIntegral = 0.0;
+    double routerTotal = 0.0, switchTotal = 0.0, execTotal = 0.0;
+    double dmaLoads = 0.0, dmaLoadBytes = 0.0;
     sim::Tick lastCompletion = 0;
     for (int n = 0; n < N; ++n) {
         ServingEngine &e = *rs.engines[static_cast<std::size_t>(n)];
@@ -2092,6 +2068,11 @@ ClusterSimulator::finish()
         specSteps += e.specStepsTotal();
         occupancyTotal += e.occupancyTotal();
         depthIntegral += e.depthIntegral();
+        routerTotal += e.routerSecondsTotal();
+        switchTotal += e.switchSecondsTotal();
+        execTotal += e.execSecondsTotal();
+        dmaLoads += e.memorySystem().stats().get("issued_loads");
+        dmaLoadBytes += e.memorySystem().stats().get("load_bytes");
         lastCompletion = std::max(lastCompletion, e.lastCompletion());
     }
     // Hub-side ledger: hedge wins are completions the engines never
@@ -2157,6 +2138,11 @@ ClusterSimulator::finish()
     result.missRate = completed > 0
         ? static_cast<double>(misses) / static_cast<double>(completed)
         : 0.0;
+    double batchCount =
+        static_cast<double>(std::max<std::int64_t>(batches, 1));
+    result.perBatch.routerSeconds = routerTotal / batchCount;
+    result.perBatch.switchSeconds = switchTotal / batchCount;
+    result.perBatch.execSeconds = execTotal / batchCount;
 
     std::int64_t maxCompleted = 0;
     result.nodes.resize(static_cast<std::size_t>(N));
@@ -2201,6 +2187,10 @@ ClusterSimulator::finish()
             e.stats().get("prefetch_hits"));
         m.prefetchesCancelled += static_cast<std::int64_t>(
             e.stats().get("prefetches_cancelled"));
+        // The engines' own counters (prefetch_*, shed_tenant_*, ...),
+        // summed; the cluster-level keys below are set over them.
+        for (const std::string &name : e.stats().names())
+            stats_.inc(name, e.stats().get(name));
 
         maxCompleted = std::max(maxCompleted, nm.completed);
         result.placedBytesTotal += nm.placedBytes;
@@ -2261,6 +2251,12 @@ ClusterSimulator::finish()
     stats_.set("completed", static_cast<double>(completed));
     stats_.set("batches", static_cast<double>(batches));
     stats_.set("misses", static_cast<double>(misses));
+    stats_.set("hits", static_cast<double>(completed - misses));
+    stats_.set("dma_loads_issued", dmaLoads);
+    stats_.set("dma_load_bytes", dmaLoadBytes);
+    stats_.set("queue_depth_max", m.maxQueueDepth);
+    if (base.specDecode.enabled)
+        stats_.set("spec_steps", static_cast<double>(specSteps));
     stats_.set("shed", static_cast<double>(shedTotal));
     stats_.set("redispatched",
                static_cast<double>(rs.redispatchedTotal));

@@ -31,13 +31,13 @@
  * actuators drainNode() / rejoinNode() / migrateExpert() /
  * setReplication() / setRateFactor() generalize the old one-shot
  * drain scenario. ScheduledAction scripts those actuators at fixed
- * times (the legacy drainAtSeconds flags desugar onto it), and
- * coe::ClusterController (controller.h) closes the loop with a
- * policy. run() still does the whole dance in one call.
+ * times, and coe::ClusterController (controller.h) closes the loop
+ * with a policy. run() still does the whole dance in one call.
  *
- * A 1-node cluster with full replication reproduces the single-node
- * ServingSimulator EventDriven metrics bit-identically — the cluster
- * is the same engine behind a dispatch layer, not a second simulator.
+ * The cluster is the only event-driven driver: ServingSimulator's
+ * EventDriven mode runs a 1-node, full-replication, threads == 1
+ * cluster, so finish() is the one place that turns engines into
+ * StreamMetrics, the Fig 1 per-batch split and the run's counters.
  */
 
 #ifndef SN40L_COE_CLUSTER_H
@@ -99,18 +99,17 @@ enum class ActionKind {
 const char *actionKindName(ActionKind kind);
 
 /**
- * One scripted actuation at a fixed time: the general form of the
- * old drainAtSeconds / rejoinAtSeconds pair. Actions fire in list
- * order when times tie; each maps onto the same runtime actuator the
+ * One scripted actuation at a fixed time. Actions fire in list order
+ * when times tie; each maps onto the same runtime actuator the
  * controller uses, so scripted and closed-loop runs share one
  * mechanism.
  */
 struct ScheduledAction
 {
-    double atSeconds = 0.0;
+    double atSeconds = 0.0;  ///< finite, >= 0
     ActionKind kind = ActionKind::Drain;
     int node = 0;            ///< Drain / Rejoin target
-    double rateFactor = 1.0; ///< RateOverride multiplier (> 0)
+    double rateFactor = 1.0; ///< RateOverride multiplier (finite, > 0)
 };
 
 struct ClusterConfig
@@ -145,16 +144,6 @@ struct ClusterConfig
      * (at least 1).
      */
     int hotExperts = 0;
-
-    /**
-     * Legacy drain scenario, kept as sugar: when drainAtSeconds > 0
-     * the trio desugars to a Drain (and optional Rejoin) entry
-     * prepended to `actions`, bit-identical to the historical
-     * hard-coded scenario. Requires nodes >= 2.
-     */
-    double drainAtSeconds = 0.0;
-    double rejoinAtSeconds = 0.0;
-    int drainNode = 0;
 
     /** Scripted actuations, applied in time (then list) order. */
     std::vector<ScheduledAction> actions;
@@ -298,6 +287,12 @@ struct ClusterResult
     bool oom = false; ///< some node's placed experts exceed its DDR
     StreamMetrics stream; ///< cluster-wide (exact merged distributions)
     double missRate = 0.0;
+
+    /**
+     * The Fig 1 split: router, expert-switch and exec seconds summed
+     * over every engine's batches, divided by the total batch count.
+     */
+    LatencyBreakdown perBatch;
     std::vector<ClusterNodeMetrics> nodes;
 
     /** max / mean completed requests per node (1.0 = perfectly even). */
@@ -433,6 +428,9 @@ class ClusterSimulator
     /** Cluster-wide per-request latency samples from the last run. */
     const sim::Distribution &latencySamples() const { return latency_; }
 
+    /** Cluster-wide per-batch exposed expert-load stalls. */
+    const sim::Distribution &stallSamples() const { return stalls_; }
+
     /** Cluster-wide counters from the last run. */
     const sim::StatSet &stats() const { return stats_; }
 
@@ -458,8 +456,6 @@ class ClusterSimulator
     void resolveHedges();
 
     ClusterConfig cfg_;
-    /** Legacy drain sugar desugared + cfg.actions, in firing order. */
-    std::vector<ScheduledAction> effectiveActions_;
     PhaseCosts costs_;
     sim::Distribution latency_{"cluster_latency"};
     sim::Distribution stalls_{"cluster_stall"};

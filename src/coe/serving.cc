@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <memory>
+#include <utility>
 
 #include "baseline/gpu_executor.h"
+#include "coe/cluster.h"
 #include "coe/cost_cache.h"
 #include "coe/serving_engine.h"
 #include "coe/workload.h"
@@ -13,7 +13,6 @@
 #include "runtime/spec_decode.h"
 #include "sim/event_queue.h"
 #include "sim/log.h"
-#include "sim/rng.h"
 #include "sim/ticks.h"
 
 namespace sn40l::coe {
@@ -281,8 +280,42 @@ platformMemoryConfig(const ServingConfig &cfg)
 ServingResult
 ServingSimulator::run()
 {
-    return cfg_.mode == ServingMode::EventDriven ? runEventDriven()
-                                                 : runAnalytic();
+    if (cfg_.mode == ServingMode::LegacyAnalytic)
+        return runAnalytic();
+
+    ServingResult result;
+    ExpertZoo zoo = buildServingZoo(cfg_);
+    result.residentCapacityExperts = static_cast<int>(
+        static_cast<double>(
+            ServingEngine::effectiveExpertRegionBytes(cfg_, costs_)) /
+        zoo.maxExpertBytes());
+    double backing = zoo.totalBytes();
+    if (cfg_.zoo.enabled)
+        backing += cfg_.expertBase.weightBytes();
+    if (backing > costs_.capacityBytes) {
+        result.oom = true;
+        return result;
+    }
+
+    // The node stack is one ServingEngine behind a 1-node,
+    // full-replication, single-threaded cluster: the cluster's
+    // dispatch layer reduces to a direct inject, so the run is the
+    // engine's own event sequence and finish() assembles the metrics.
+    ClusterConfig single;
+    single.node = cfg_;
+    ClusterSimulator cluster(std::move(single));
+    ClusterResult r = cluster.run();
+    result.oom = r.oom;
+    result.stream = r.stream;
+    result.perBatch = r.perBatch;
+    result.missRate = r.missRate;
+    result.expertSecondsPerPrompt =
+        costs_.prefillSeconds +
+        cfg_.outputTokens * costs_.decodeSecondsPerToken;
+    latency_ = cluster.latencySamples();
+    stalls_ = cluster.stallSamples();
+    stats_ = cluster.stats();
+    return result;
 }
 
 ServingResult
@@ -359,149 +392,6 @@ ServingSimulator::runAnalytic()
     result.missRate =
         static_cast<double>(misses) / static_cast<double>(prompts);
     result.expertSecondsPerPrompt = per_prompt_exec;
-    return result;
-}
-
-ServingResult
-ServingSimulator::runEventDriven()
-{
-    ServingResult result;
-
-    ExpertZoo zoo = buildServingZoo(cfg_);
-    result.residentCapacityExperts = static_cast<int>(
-        static_cast<double>(
-            ServingEngine::effectiveExpertRegionBytes(cfg_, costs_)) /
-        zoo.maxExpertBytes());
-
-    double backing = zoo.totalBytes();
-    if (cfg_.zoo.enabled)
-        backing += cfg_.expertBase.weightBytes();
-    if (backing > costs_.capacityBytes) {
-        result.oom = true;
-        return result;
-    }
-
-    sim::EventQueue eq;
-
-    // The node serving stack itself (admission queue, continuous
-    // batching, expert DMA, speculative prefetch) lives in
-    // ServingEngine so a cluster can run many of them on one queue;
-    // the arrival process and routing decisions live in a pluggable
-    // WorkloadModel (coe/workload.h). The legacy Poisson/closed-loop
-    // modes are expressed as models that reproduce the historical
-    // event-creation order bit-identically.
-    ServingEngine engine(eq, cfg_, costs_, std::move(zoo));
-    std::unique_ptr<WorkloadModel> workload = makeWorkloadModel(cfg_);
-    TraceRecorder recorder(cfg_.workload.traceOut);
-
-    engine.setOnBatchComplete(
-        [&](int finished) { workload->onBatchComplete(finished); });
-    engine.setOnRequestComplete([&](const EngineRequest &r) {
-        workload->onRequestComplete(toTrafficRequest(r));
-    });
-    engine.setOnRequestShed([&](const EngineRequest &r) {
-        workload->onRequestShed(toTrafficRequest(r));
-    });
-    workload->bind(eq, [&](const TrafficRequest &r) {
-        recorder.record(r, eq.now());
-        engine.inject(r);
-    });
-    workload->start();
-
-    eq.run();
-    sim::simAssert(engine.queueDepth() == 0 && !engine.busy(),
-                   "serving: event stream drained with work pending");
-    sim::simAssert(workload->emitted() == workload->plannedRequests(),
-                   "serving: workload did not emit its full budget");
-    sim::simAssert(engine.completedCount() + engine.shedCount() ==
-                       workload->emitted(),
-                   "serving: arrivals != completions + shed at drain");
-    sim::simAssert(engine.memorySystem().queuedLoads() == 0 &&
-                       engine.memorySystem().loadsInFlight() == 0,
-                   "serving: DMA queue drained with transfers pending");
-    recorder.write();
-
-    latency_ = engine.latency();
-    stalls_ = engine.stalls();
-    stats_ = engine.stats();
-
-    std::int64_t completed = engine.completedCount();
-    std::int64_t batches = engine.batchCount();
-    std::int64_t misses = engine.missCount();
-    double makespan = sim::toSeconds(
-        engine.lastCompletion() -
-        std::max<sim::Tick>(engine.firstArrival(), 0));
-
-    StreamMetrics &m = result.stream;
-    m.p50LatencySeconds = latency_.quantile(0.50);
-    m.p95LatencySeconds = latency_.quantile(0.95);
-    m.p99LatencySeconds = latency_.quantile(0.99);
-    m.meanLatencySeconds = latency_.mean();
-    m.maxLatencySeconds = latency_.max();
-    m.completed = completed;
-    m.batches = batches;
-    m.meanBatchOccupancy = batches > 0
-        ? engine.occupancyTotal() / static_cast<double>(batches)
-        : 0.0;
-    m.makespanSeconds = makespan;
-    if (makespan > 0.0) {
-        m.throughputRequestsPerSec =
-            static_cast<double>(completed) / makespan;
-        m.throughputTokensPerSec = m.throughputRequestsPerSec *
-            static_cast<double>(cfg_.outputTokens);
-        m.meanQueueDepth = engine.depthIntegral() / makespan;
-    }
-    m.maxQueueDepth = engine.queueDepthMax();
-    m.eventsExecuted = eq.executedCount();
-
-    m.meanSwitchStallSeconds = stalls_.mean();
-    m.p95SwitchStallSeconds = stalls_.quantile(0.95);
-    m.prefetchesIssued =
-        static_cast<std::int64_t>(stats_.get("prefetches_issued"));
-    m.prefetchHits =
-        static_cast<std::int64_t>(stats_.get("prefetch_hits"));
-    m.prefetchesCancelled =
-        static_cast<std::int64_t>(stats_.get("prefetches_cancelled"));
-
-    if (cfg_.specDecode.enabled) {
-        m.specSteps = engine.specStepsTotal();
-        m.specTokensPerStep = m.specSteps > 0
-            ? static_cast<double>(completed) *
-                static_cast<double>(cfg_.outputTokens) /
-                static_cast<double>(m.specSteps)
-            : 0.0;
-        stats_.set("spec_steps", static_cast<double>(m.specSteps));
-    }
-
-    m.shed = engine.shedCount();
-    m.shedRate = completed + m.shed > 0
-        ? static_cast<double>(m.shed) /
-            static_cast<double>(completed + m.shed)
-        : 0.0;
-
-    stats_.set("shed", static_cast<double>(m.shed));
-    stats_.set("queue_depth_max", engine.queueDepthMax());
-    stats_.set("events_executed",
-               static_cast<double>(eq.executedCount()));
-    stats_.set("batches", static_cast<double>(batches));
-    stats_.set("completed", static_cast<double>(completed));
-    stats_.set("misses", static_cast<double>(misses));
-    stats_.set("hits", static_cast<double>(completed - misses));
-    stats_.set("dma_loads_issued",
-               engine.memorySystem().stats().get("issued_loads"));
-    stats_.set("dma_load_bytes",
-               engine.memorySystem().stats().get("load_bytes"));
-
-    double b = static_cast<double>(std::max<std::int64_t>(batches, 1));
-    result.perBatch.routerSeconds = engine.routerSecondsTotal() / b;
-    result.perBatch.switchSeconds = engine.switchSecondsTotal() / b;
-    result.perBatch.execSeconds = engine.execSecondsTotal() / b;
-    result.missRate = completed > 0
-        ? static_cast<double>(misses) / static_cast<double>(completed)
-        : 0.0;
-    result.expertSecondsPerPrompt =
-        costs_.prefillSeconds +
-        cfg_.outputTokens * costs_.decodeSecondsPerToken;
     return result;
 }
 

@@ -17,7 +17,9 @@
  *    formed into continuous batches by a policy (FIFO or
  *    expert-affinity) that plays against the live CoeRuntime LRU
  *    state. This reports tail latency (p50/p95/p99), sustained
- *    throughput, queue depth, and miss rate under load.
+ *    throughput, queue depth, and miss rate under load. It runs as a
+ *    1-node, full-replication coe::ClusterSimulator (cluster.h), the
+ *    one event-driven driver.
  */
 
 #ifndef SN40L_COE_SERVING_H
@@ -397,7 +399,6 @@ class ServingSimulator
   private:
     void computeCosts();
     ServingResult runAnalytic();
-    ServingResult runEventDriven();
 
     ServingConfig cfg_;
     PhaseCosts costs_;

@@ -1,14 +1,16 @@
 /**
  * @file
- * One node's event-driven serving stack, extracted from the original
- * ServingSimulator::runEventDriven so a cluster can instantiate many
- * of them on a single shared sim::EventQueue — or, in the cluster's
- * parallel mode (ClusterConfig::threads > 1), one engine per
- * per-node queue shard executed by a worker pool under conservative
- * time-window sync. The engine itself is queue-agnostic: it only
- * ever schedules against the sim::EventQueue it was constructed
- * with, touches no state outside its node, and is therefore safe to
- * run concurrently with other engines on other queues.
+ * One node's event-driven serving stack. coe::ClusterSimulator runs
+ * one engine per node on a single shared sim::EventQueue — or, in its
+ * parallel mode (ClusterConfig::threads > 1), one engine per per-node
+ * queue shard executed by a worker pool under conservative
+ * time-window sync. Single-node EventDriven serving
+ * (ServingSimulator) is a 1-node cluster, so every event-driven run
+ * drives its engines through the cluster. The engine is
+ * queue-agnostic: it only ever schedules against the sim::EventQueue
+ * it was constructed with, touches no state outside its node, and is
+ * therefore safe to run concurrently with other engines on other
+ * queues.
  *
  * The engine owns the node's expert zoo, CoeRuntime (HBM expert
  * region + LRU), and mem::MemorySystem (DDR/HBM tiers + DMA pool),
@@ -19,12 +21,10 @@
  *   completion
  *
  * entirely through events on the caller's queue. It does NOT generate
- * arrivals and does NOT draw routing decisions: the driver (single
- * node ServingSimulator or ClusterSimulator) owns the Router and the
- * arrival process and calls inject() from inside arrival events. That
- * split is what keeps a 1-node cluster bit-identical to the
- * single-node simulator: the engine performs the exact event sequence
- * the historical monolithic loop performed.
+ * arrivals and does NOT draw routing decisions: the cluster owns the
+ * workload model (arrivals + routing) and calls inject() from inside
+ * arrival events, and its finish() turns the engines' totals into
+ * StreamMetrics and the Fig 1 per-batch split.
  */
 
 #ifndef SN40L_COE_SERVING_ENGINE_H

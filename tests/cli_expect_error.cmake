@@ -17,3 +17,8 @@ if(pos EQUAL -1)
   message(FATAL_ERROR "output does not contain '${EXPECT}'\n"
                       "stdout:\n${out}\nstderr:\n${err}")
 endif()
+string(FIND "${out}${err}" "panic:" pos)
+if(NOT pos EQUAL -1)
+  message(FATAL_ERROR "the command panicked instead of naming the input\n"
+                      "stdout:\n${out}\nstderr:\n${err}")
+endif()

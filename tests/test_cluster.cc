@@ -10,7 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "coe/cluster.h"
 #include "coe/sweep.h"
@@ -124,29 +130,134 @@ TEST(ExpertPlacementMap, ShapesPerPolicy)
 
 // -------------------------------------------- single-node anchoring
 
+namespace {
+
+/** One row of the 1-node anchor table: a shaped serving config. */
+struct OneNodeCase
+{
+    const char *name;
+    std::function<void(ServingConfig &)> shape;
+};
+
+ServingConfig
+oneNodeCaseConfig(const OneNodeCase &c)
+{
+    ServingConfig cfg;
+    cfg.mode = ServingMode::EventDriven;
+    cfg.batch = 8;
+    cfg.streamRequests = 384;
+    cfg.arrivalRatePerSec = 16.0;
+    cfg.routing = RoutingDistribution::Zipf;
+    cfg.zipfS = 1.2;
+    cfg.seed = 7;
+    c.shape(cfg);
+    return cfg;
+}
+
+/**
+ * Every serving feature the single-node path drives: both schedulers,
+ * prefetch, the closed loop, SLO tiers, sessions, spec decode over an
+ * adapter zoo, both DGX baselines (one with a region override), a
+ * wider DMA pool, and a DGX that cannot hold the experts.
+ */
+const std::vector<OneNodeCase> &
+oneNodeCases()
+{
+    static const std::vector<OneNodeCase> cases = {
+        {"fifo", [](ServingConfig &) {}},
+        {"affinity",
+         [](ServingConfig &c) {
+             c.scheduler = SchedulerPolicy::ExpertAffinity;
+         }},
+        {"prefetch",
+         [](ServingConfig &c) {
+             c.scheduler = SchedulerPolicy::ExpertAffinity;
+             c.predictivePrefetch = true;
+             c.prefetchDepth = 4;
+         }},
+        {"closed_loop",
+         [](ServingConfig &c) {
+             c.batch = 4;
+             c.streamRequests = 256;
+             c.arrival = ArrivalProcess::ClosedLoop;
+             c.clients = 24;
+             c.thinkSeconds = 0.25;
+             c.routing = RoutingDistribution::Uniform;
+             c.seed = 11;
+             c.scheduler = SchedulerPolicy::ExpertAffinity;
+         }},
+        {"slo_three_tenants",
+         [](ServingConfig &c) {
+             c.streamRequests = 300;
+             c.arrivalRatePerSec = 120.0;
+             for (int p = 0; p < 3; ++p) {
+                 TenantSpec t;
+                 t.name = "tier" + std::to_string(p);
+                 t.priority = p;
+                 t.sloSeconds = 1.0;
+                 c.workload.tenantSpecs.push_back(t);
+             }
+         }},
+        {"sessions",
+         [](ServingConfig &c) {
+             c.workload.tenants = 2;
+             c.workload.sessionFollowProb = 0.5;
+             c.scheduler = SchedulerPolicy::ExpertAffinity;
+         }},
+        {"spec_zoo_500",
+         [](ServingConfig &c) {
+             c.numExperts = 500;
+             c.specDecode.enabled = true;
+             c.zoo.enabled = true;
+             c.zoo.churnEverySeconds = 5.0;
+         }},
+        {"dgx_a100",
+         [](ServingConfig &c) { c.platform = Platform::DgxA100; }},
+        {"dgx_h100_region",
+         [](ServingConfig &c) {
+             c.platform = Platform::DgxH100;
+             c.expertRegionBytes = 200'000'000'000;
+         }},
+        {"dma_engines_4",
+         [](ServingConfig &c) {
+             c.batch = 1;
+             c.arrivalRatePerSec = 24.0;
+             c.predictivePrefetch = true;
+             c.dmaEngines = 4;
+         }},
+        {"dgx_oom",
+         [](ServingConfig &c) {
+             c.platform = Platform::DgxA100;
+             c.numExperts = 300;
+         }},
+    };
+    return cases;
+}
+
+const OneNodeCase &
+oneNodeCase(const std::string &name)
+{
+    for (const OneNodeCase &c : oneNodeCases())
+        if (name == c.name)
+            return c;
+    throw std::invalid_argument("no 1-node case " + name);
+}
+
+} // namespace
+
 /**
  * The cluster must not be a second simulator: a 1-node cluster with
  * full replication is the same engine behind a trivial dispatch
  * layer, and every stream metric must match the single-node
- * ServingSimulator bit for bit. The single-node side is itself locked
- * to the PR 2 engine goldens in test_serving_scheduler.cc, so this
- * transitively anchors the cluster to the paper baseline.
+ * ServingSimulator bit for bit under every dispatch policy.
  */
 TEST(ClusterSimulator, OneNodeFullReplicationMatchesSingleNode)
 {
-    ServingConfig base;
-    base.mode = ServingMode::EventDriven;
-    base.batch = 8;
-    base.streamRequests = 384;
-    base.arrivalRatePerSec = 16.0;
-    base.routing = RoutingDistribution::Zipf;
-    base.zipfS = 1.2;
-    base.seed = 7;
-
-    for (SchedulerPolicy policy :
-         {SchedulerPolicy::Fifo, SchedulerPolicy::ExpertAffinity}) {
-        base.scheduler = policy;
+    for (const OneNodeCase &c : oneNodeCases()) {
+        SCOPED_TRACE(c.name);
+        ServingConfig base = oneNodeCaseConfig(c);
         ServingResult single = ServingSimulator(base).run();
+        EXPECT_EQ(single.oom, std::string(c.name) == "dgx_oom");
 
         ClusterConfig ccfg;
         ccfg.node = base;
@@ -157,65 +268,80 @@ TEST(ClusterSimulator, OneNodeFullReplicationMatchesSingleNode)
               DispatchPolicy::ExpertAffinity}) {
             ccfg.dispatch = dispatch;
             ClusterResult cluster = ClusterSimulator(ccfg).run();
+            EXPECT_EQ(cluster.oom, single.oom);
             expectStreamEq(cluster.stream, single.stream);
+            EXPECT_EQ(cluster.stream.eventsExecuted,
+                      single.stream.eventsExecuted);
+            EXPECT_EQ(cluster.stream.shed, single.stream.shed);
+            EXPECT_EQ(cluster.stream.specSteps, single.stream.specSteps);
             EXPECT_DOUBLE_EQ(cluster.missRate, single.missRate);
+            EXPECT_DOUBLE_EQ(cluster.perBatch.routerSeconds,
+                             single.perBatch.routerSeconds);
+            EXPECT_DOUBLE_EQ(cluster.perBatch.switchSeconds,
+                             single.perBatch.switchSeconds);
+            EXPECT_DOUBLE_EQ(cluster.perBatch.execSeconds,
+                             single.perBatch.execSeconds);
             EXPECT_DOUBLE_EQ(cluster.loadImbalance, 1.0);
         }
     }
 }
 
-/** Same anchor for the prefetch path and the closed loop. */
-TEST(ClusterSimulator, OneNodeMatchesSingleNodePrefetchAndClosedLoop)
+/** The single-node result of one table row, as literals. */
+struct ServePin
 {
-    {
-        ServingConfig base;
-        base.mode = ServingMode::EventDriven;
-        base.batch = 8;
-        base.streamRequests = 384;
-        base.arrivalRatePerSec = 16.0;
-        base.routing = RoutingDistribution::Zipf;
-        base.zipfS = 1.2;
-        base.seed = 7;
-        base.scheduler = SchedulerPolicy::ExpertAffinity;
-        base.predictivePrefetch = true;
-        base.prefetchDepth = 4;
+    const char *name;
+    double p50, p99;
+    double router, switchSeconds, exec; ///< ServingResult::perBatch
+    double missRate;
+    int residentCapacityExperts;
+    // ServingSimulator::stats() keys
+    double misses, hits, dmaLoads, dmaLoadBytes;
+    double shedTenant0, shedTenant1, prefetchesIssued;
+};
 
-        ServingResult single = ServingSimulator(base).run();
-        // Cross-check against the PR 2 golden directly, so the anchor
-        // does not silently drift with the single-node simulator.
-        EXPECT_DOUBLE_EQ(single.stream.p99LatencySeconds,
-                         0.75591874410116133);
-        EXPECT_DOUBLE_EQ(single.missRate, 0.19270833333333334);
-
-        ClusterConfig ccfg;
-        ccfg.node = base;
-        ccfg.nodes = 1;
-        ClusterResult cluster = ClusterSimulator(ccfg).run();
-        expectStreamEq(cluster.stream, single.stream);
-        EXPECT_DOUBLE_EQ(cluster.missRate, single.missRate);
-    }
-    {
-        ServingConfig base;
-        base.mode = ServingMode::EventDriven;
-        base.batch = 4;
-        base.streamRequests = 256;
-        base.arrival = ArrivalProcess::ClosedLoop;
-        base.clients = 24;
-        base.thinkSeconds = 0.25;
-        base.routing = RoutingDistribution::Uniform;
-        base.seed = 11;
-        base.scheduler = SchedulerPolicy::ExpertAffinity;
-
-        ServingResult single = ServingSimulator(base).run();
-        EXPECT_DOUBLE_EQ(single.stream.p50LatencySeconds,
-                         1.0710945877325);
-
-        ClusterConfig ccfg;
-        ccfg.node = base;
-        ccfg.nodes = 1;
-        ClusterResult cluster = ClusterSimulator(ccfg).run();
-        expectStreamEq(cluster.stream, single.stream);
-        EXPECT_DOUBLE_EQ(cluster.missRate, single.missRate);
+/**
+ * The values the table above is anchored to, computed by the
+ * standalone single-node driver before event-driven serve became a
+ * 1-node cluster: the Fig 1 split, miss rate, resident capacity, and
+ * the stats() keys that tests, benches and perfbench read.
+ */
+TEST(ClusterSimulator, OneNodeServeValuesArePinned)
+{
+    const ServePin pins[] = {
+        {"prefetch", 0.35731539149050001, 0.75591874410116133,
+         0.071381331987000085, 0.0, 0.12780347394357885,
+         0.19270833333333334, 38, 74, 310, 104, 1401590448128, 0, 0, 34},
+        {"slo_three_tenants", 2.3067357520164999, 2.9952354218371,
+         0.071381331987000002, 0.0030037283502666692,
+         0.26812103804413323, 0.50943396226415094, 38, 54, 52, 54,
+         727748886528, 80, 85, 0},
+        {"spec_zoo_500", 0.17831427341799999, 0.29911135337457001,
+         0.071381331987000154, 0.0, 0.038880389555663288,
+         0.40364583333333331, 15083, 155, 229, 155, 5200936960, 0, 0, 0},
+        {"closed_loop", 1.0710945877325, 1.4539057563269999,
+         0.034397931938999989, 0.0040944381822615381,
+         0.1494317541494154, 0.65625, 38, 168, 88, 168, 2264107646976,
+         0, 0, 0},
+    };
+    for (const ServePin &pin : pins) {
+        SCOPED_TRACE(pin.name);
+        ServingSimulator sim(oneNodeCaseConfig(oneNodeCase(pin.name)));
+        ServingResult r = sim.run();
+        EXPECT_DOUBLE_EQ(r.stream.p50LatencySeconds, pin.p50);
+        EXPECT_DOUBLE_EQ(r.stream.p99LatencySeconds, pin.p99);
+        EXPECT_DOUBLE_EQ(r.perBatch.routerSeconds, pin.router);
+        EXPECT_DOUBLE_EQ(r.perBatch.switchSeconds, pin.switchSeconds);
+        EXPECT_DOUBLE_EQ(r.perBatch.execSeconds, pin.exec);
+        EXPECT_DOUBLE_EQ(r.missRate, pin.missRate);
+        EXPECT_EQ(r.residentCapacityExperts, pin.residentCapacityExperts);
+        const sim::StatSet &s = sim.stats();
+        EXPECT_EQ(s.get("misses"), pin.misses);
+        EXPECT_EQ(s.get("hits"), pin.hits);
+        EXPECT_EQ(s.get("dma_loads_issued"), pin.dmaLoads);
+        EXPECT_EQ(s.get("dma_load_bytes"), pin.dmaLoadBytes);
+        EXPECT_EQ(s.get("shed_tenant_0"), pin.shedTenant0);
+        EXPECT_EQ(s.get("shed_tenant_1"), pin.shedTenant1);
+        EXPECT_EQ(s.get("prefetches_issued"), pin.prefetchesIssued);
     }
 }
 
@@ -318,8 +444,7 @@ TEST(ClusterSimulator, ConsistentHashHomesSingleExpertUntilDrain)
     ASSERT_GE(home, 0);
 
     ClusterConfig drained = cfg;
-    drained.drainAtSeconds = 3.0;
-    drained.drainNode = home;
+    drained.actions = {{3.0, ActionKind::Drain, home}};
     ClusterResult dr = ClusterSimulator(drained).run();
     EXPECT_EQ(dr.stream.completed, cfg.node.streamRequests);
     int successors = 0;
@@ -359,8 +484,7 @@ TEST(ClusterSimulator, DrainMidRunLosesNothingAndRedispatches)
     cfg.dispatch = DispatchPolicy::ExpertAffinity;
     cfg.node.streamRequests = 600;
     cfg.node.arrivalRatePerSec = 96.0; // saturating: queues build
-    cfg.drainAtSeconds = 2.0;
-    cfg.drainNode = 1;
+    cfg.actions = {{2.0, ActionKind::Drain, 1}};
 
     ClusterResult r = ClusterSimulator(cfg).run();
     EXPECT_EQ(r.stream.completed, cfg.node.streamRequests);
@@ -382,9 +506,8 @@ TEST(ClusterSimulator, RejoinColdServesAgainAfterDrain)
     cfg.dispatch = DispatchPolicy::RoundRobin;
     cfg.node.streamRequests = 800;
     cfg.node.arrivalRatePerSec = 48.0;
-    cfg.drainAtSeconds = 2.0;
-    cfg.rejoinAtSeconds = 6.0;
-    cfg.drainNode = 0;
+    cfg.actions = {{2.0, ActionKind::Drain, 0},
+                   {6.0, ActionKind::Rejoin, 0}};
 
     ClusterSimulator sim(cfg);
     ClusterResult drained = sim.run();
@@ -399,17 +522,26 @@ TEST(ClusterSimulator, RejoinColdServesAgainAfterDrain)
 TEST(ClusterSimulator, RejectsBadClusterConfigs)
 {
     ClusterConfig cfg = clusterConfig(1);
-    cfg.drainAtSeconds = 1.0; // drain with nowhere to go
+    cfg.actions = {{1.0, ActionKind::Drain, 0}}; // nowhere to go
     EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
 
     cfg = clusterConfig(2);
-    cfg.drainAtSeconds = 2.0;
-    cfg.rejoinAtSeconds = 1.0; // rejoin before drain
+    cfg.actions = {{1.0, ActionKind::Drain, 2}}; // no such node
     EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
 
-    cfg = clusterConfig(2);
-    cfg.rejoinAtSeconds = 1.0; // rejoin without drain
-    EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
+    // Action times must map to a tick and rate factors must be finite
+    // and positive, or a NaN would reach the event queue.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double at : {-1.0, std::nan(""), inf, 1e300}) {
+        cfg = clusterConfig(2);
+        cfg.actions = {{at, ActionKind::Drain, 1}};
+        EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
+    }
+    for (double factor : {0.0, -2.0, std::nan(""), inf}) {
+        cfg = clusterConfig(2);
+        cfg.actions = {{1.0, ActionKind::RateOverride, 0, factor}};
+        EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
+    }
 
     cfg = clusterConfig(2);
     cfg.diurnalAmplitude = 1.5; // rate would go negative

@@ -2,9 +2,8 @@
  * @file
  * Tests for the autoscaling control plane and the observable/actuable
  * cluster API it is built on: controller policy name tables and
- * config validation, bit-identity of the scripted-action path against
- * the legacy drain sugar and of inert controllers against plain runs,
- * actuator idempotence through begin()/finish(), windowed
+ * config validation, bit-identity of inert controllers against plain
+ * runs, actuator idempotence through begin()/finish(), windowed
  * MetricsSnapshot observation, and the reactive policy's
  * node-hours-for-same-work win on a replayed diurnal trace.
  */
@@ -133,39 +132,7 @@ TEST(ControllerPolicies, ConfigValidation)
     validateControllerConfig(bad, 4);
 }
 
-// ------------------------------------- scripted-action bit identity
-
-TEST(ScheduledActions, ExplicitActionsMatchLegacyDrainSugar)
-{
-    ClusterConfig legacy = clusterConfig(4);
-    legacy.drainAtSeconds = 3.0;
-    legacy.drainNode = 1;
-    legacy.rejoinAtSeconds = 8.0;
-
-    ClusterConfig scripted = clusterConfig(4);
-    ScheduledAction drain;
-    drain.kind = ActionKind::Drain;
-    drain.atSeconds = 3.0;
-    drain.node = 1;
-    ScheduledAction rejoin;
-    rejoin.kind = ActionKind::Rejoin;
-    rejoin.atSeconds = 8.0;
-    rejoin.node = 1;
-    scripted.actions = {drain, rejoin};
-
-    ClusterResult a = ClusterSimulator(legacy).run();
-    ClusterResult b = ClusterSimulator(scripted).run();
-    expectStreamEq(a.stream, b.stream);
-    EXPECT_EQ(a.stream.eventsExecuted, b.stream.eventsExecuted);
-    EXPECT_EQ(a.redispatched, b.redispatched);
-    EXPECT_DOUBLE_EQ(a.nodeSecondsLive, b.nodeSecondsLive);
-    ASSERT_EQ(a.nodes.size(), b.nodes.size());
-    for (std::size_t n = 0; n < a.nodes.size(); ++n) {
-        EXPECT_EQ(a.nodes[n].dispatched, b.nodes[n].dispatched);
-        EXPECT_EQ(a.nodes[n].completed, b.nodes[n].completed);
-        EXPECT_EQ(a.nodes[n].drained, b.nodes[n].drained);
-    }
-}
+// ----------------------------------------- inert-controller identity
 
 TEST(ScheduledActions, StaticControllerConfigIsInert)
 {

@@ -206,11 +206,11 @@ TEST(ClusterInvariants, RandomizedClusterConservation)
         cfg.node.arrivalRatePerSec *= cfg.nodes;
         if (cfg.node.arrival != ArrivalProcess::ClosedLoop &&
             rng.uniformInt(3) == 0) {
-            cfg.drainAtSeconds = 1.0;
-            cfg.drainNode = static_cast<int>(
+            int node = static_cast<int>(
                 rng.uniformInt(static_cast<std::uint64_t>(cfg.nodes)));
+            cfg.actions.push_back({1.0, ActionKind::Drain, node});
             if (rng.uniformInt(2) == 0)
-                cfg.rejoinAtSeconds = 3.0;
+                cfg.actions.push_back({3.0, ActionKind::Rejoin, node});
         }
         // Scripted rate overrides on open-loop trials: the generator
         // must keep emitting the full budget through the change.

@@ -294,7 +294,7 @@ clusterHelp(std::ostream &os)
        << "  --schedule LIST       scripted actions KIND:AT[:ARG] with\n"
        << "                        KIND drain|rejoin|rate, e.g.\n"
        << "                        drain:3:1,rejoin:8:1,rate:12:0.5\n"
-       << "                        (generalizes the --drain-* sugar)\n"
+       << "                        (--drain-* alias entries fired first)\n"
        << "  --diurnal-amplitude A sinusoidal ramp on the Poisson rate,\n"
        << "                        in [0,1) (open loop only)\n"
        << "  --diurnal-period SEC  ramp period (requires\n"
@@ -758,7 +758,7 @@ runPlanCapacity(const FlagParser &parser, coe::ClusterConfig cfg,
     if (!cfg.overrides.empty())
         parser.fail("--plan-capacity varies the node count; per-node "
                     "override lists do not apply");
-    if (cfg.drainAtSeconds > 0.0 || !cfg.actions.empty())
+    if (!cfg.actions.empty())
         parser.fail("--plan-capacity runs clean static clusters; drop "
                     "--drain-at/--schedule");
     if (cfg.controller.policy != coe::ControllerPolicy::Static)
@@ -875,6 +875,8 @@ runClusterCmd(int argc, char **argv)
     bool set_drain_at = false, set_drain_node = false;
     bool set_rejoin = false, set_diurnal_amp = false;
     bool set_diurnal_period = false;
+    double drain_at = 0.0, rejoin_at = 0.0;
+    int drain_node = 0;
     std::vector<int> node_dma;
     std::vector<double> node_region_gb;
     std::string schedule_csv;
@@ -894,15 +896,15 @@ runClusterCmd(int argc, char **argv)
         set_hot = true;
     });
     parser.value("--drain-at", [&](const std::string &v) {
-        cfg.drainAtSeconds = parseDouble(v);
+        drain_at = parseDouble(v);
         set_drain_at = true;
     });
     parser.value("--drain-node", [&](const std::string &v) {
-        cfg.drainNode = parseInt(v);
+        drain_node = parseInt(v);
         set_drain_node = true;
     });
     parser.value("--rejoin-at", [&](const std::string &v) {
-        cfg.rejoinAtSeconds = parseDouble(v);
+        rejoin_at = parseDouble(v);
         set_rejoin = true;
     });
     parser.value("--schedule", [&](const std::string &v) {
@@ -964,15 +966,29 @@ runClusterCmd(int argc, char **argv)
     if (set_hot &&
         cfg.placement != coe::PlacementPolicy::ReplicateHotPartitionCold)
         parser.fail("--hot-experts requires --placement replicate-hot");
-    if (set_drain_at && cfg.drainAtSeconds <= 0.0)
+    // Written so NaN fails too: every comparison with NaN is false.
+    if (set_drain_at && !(drain_at > 0.0))
         parser.fail("--drain-at must be positive (the drain fires "
                     "mid-run)");
     if ((set_drain_node || set_rejoin) && !set_drain_at)
         parser.fail("--drain-node/--rejoin-at require --drain-at");
+    if (set_rejoin && !(rejoin_at > drain_at))
+        parser.fail("--rejoin-at must come after --drain-at");
     if (set_diurnal_period && !set_diurnal_amp)
         parser.fail("--diurnal-period requires --diurnal-amplitude");
+    // --drain-at/--drain-node/--rejoin-at alias a drain (and a cold
+    // rejoin) of one node, fired ahead of the --schedule entries.
+    if (set_drain_at)
+        cfg.actions.push_back(
+            {drain_at, coe::ActionKind::Drain, drain_node});
+    if (set_rejoin)
+        cfg.actions.push_back(
+            {rejoin_at, coe::ActionKind::Rejoin, drain_node});
+    std::vector<coe::ScheduledAction> scheduled;
     if (!schedule_csv.empty())
-        cfg.actions = parseScheduleList(parser, schedule_csv);
+        scheduled = parseScheduleList(parser, schedule_csv);
+    cfg.actions.insert(cfg.actions.end(), scheduled.begin(),
+                       scheduled.end());
     if (!node_dma.empty() &&
         static_cast<int>(node_dma.size()) != cfg.nodes)
         parser.fail("--node-dma-engines needs exactly --nodes entries");
@@ -1138,21 +1154,18 @@ runClusterCmd(int argc, char **argv)
                   << " hedged (" << m.hedgeWon << " hedge win"
                   << (m.hedgeWon == 1 ? "" : "s") << ")\n";
     }
-    if (!cfg.actions.empty())
-        std::cout << "Schedule: " << cfg.actions.size()
-                  << " scripted action"
-                  << (cfg.actions.size() == 1 ? "" : "s") << " applied, "
+    if (!scheduled.empty())
+        std::cout << "Schedule: " << scheduled.size() << " scripted action"
+                  << (scheduled.size() == 1 ? "" : "s") << " applied, "
                   << r.redispatched << " requests re-dispatched\n";
-    if (cfg.drainAtSeconds > 0.0) {
-        std::cout << "Drain: node " << cfg.drainNode << " drained at "
-                  << util::formatDouble(cfg.drainAtSeconds, 1) << " s, "
+    if (set_drain_at) {
+        std::cout << "Drain: node " << drain_node << " drained at "
+                  << util::formatDouble(drain_at, 1) << " s, "
                   << r.redispatched << " queued requests re-dispatched"
-                  << (cfg.rejoinAtSeconds > 0.0
-                          ? ", rejoined cold at " +
-                                util::formatDouble(cfg.rejoinAtSeconds,
-                                                   1) +
-                                " s"
-                          : ", no rejoin")
+                  << (set_rejoin ? ", rejoined cold at " +
+                                       util::formatDouble(rejoin_at, 1) +
+                                       " s"
+                                 : ", no rejoin")
                   << "\n";
     }
     if (!cfg.node.workload.traceOut.empty())
