@@ -20,6 +20,11 @@
  *      topology-aware dispatch (every request crosses the wire as a
  *      1 MB message). Reports fabric_events_per_request and its wall
  *      time as a multiple of pass 1 (fabric_wall_ratio).
+ *   5. spec/zoo chaos — a 2000-adapter LoRA zoo with speculative
+ *      decoding, expert-affinity dispatch and a scripted fault
+ *      schedule (DMA stall, straggler, crash, flaky node) with
+ *      retries. Reports chaos_events_per_request; requests lost to
+ *      exhausted retries are allowed, the event count is exact.
  *
  * Workload: Zipf(1.0) over 150 experts, replicate-hot placement,
  * near-saturation open-loop arrivals — the configuration cluster
@@ -29,9 +34,10 @@
  * timestamp. With --floor FILE, exits non-zero if serial events/sec
  * (or, when --threads N was given, parallel events/sec) falls below
  * 80% of the checked-in floor, or if the fabric pass executes more
- * events per request than the floor's exact ceiling (deterministic,
- * so checked only at the floor's own nodes/requests) — the CI
- * regression gate (see bench/perf_cluster_floor.json).
+ * events per request than the floor's exact ceilings (fabric and
+ * spec/zoo chaos passes; deterministic, so checked only at the
+ * floor's own nodes/requests) — the CI regression gate (see
+ * bench/perf_cluster_floor.json).
  *
  *   perf_cluster [--smoke] [--requests N] [--nodes N] [--threads N]
  *                [--json FILE] [--floor FILE]
@@ -44,7 +50,11 @@
 #include <iostream>
 #include <string>
 
+#include <memory>
+#include <vector>
+
 #include "coe/cluster.h"
+#include "coe/faults.h"
 #include "perf_common.h"
 #include "util/json.h"
 
@@ -97,6 +107,43 @@ runPass(const coe::ClusterConfig &cfg, int requests, const char *label)
         std::exit(1);
     }
     return pr;
+}
+
+/**
+ * Pass 5's workload: baseConfig's arrivals over a 2000-adapter LoRA
+ * zoo whose region holds a small share of it (many tiny DMA loads),
+ * spec decode, and four faults at fixed shares of the arrival span
+ * with up to three retries per request.
+ */
+coe::ClusterConfig
+chaosConfig(int nodes, int requests)
+{
+    coe::ClusterConfig cfg = baseConfig(nodes, requests);
+    cfg.dispatch = coe::DispatchPolicy::ExpertAffinity;
+    cfg.hotExperts = 0; // the default hot set, numExperts / 10
+    cfg.node.numExperts = 2000;
+    cfg.node.zoo.enabled = true;
+    cfg.node.zoo.rank = 16;
+    cfg.node.zoo.churnEverySeconds = 30.0;
+    cfg.node.expertRegionBytes = 15'600'000'000;
+    cfg.node.specDecode.enabled = true;
+    cfg.node.specDecode.gamma = 4;
+    cfg.node.specDecode.acceptRate = 0.8;
+    const double span = requests / cfg.node.arrivalRatePerSec;
+    const int last = nodes - 1;
+    cfg.faults = std::make_shared<std::vector<coe::FaultEvent>>(
+        std::vector<coe::FaultEvent>{
+            {0.12 * span, coe::FaultKind::DmaStall, 1 % nodes, 4.0,
+             0.1 * span},
+            {0.30 * span, coe::FaultKind::Straggler, 2 % nodes, 1.3,
+             0.1 * span},
+            {0.48 * span, coe::FaultKind::NodeCrash, last, 1.0,
+             0.05 * span},
+            {0.66 * span, coe::FaultKind::FlakyNode, 0, 0.02,
+             0.1 * span},
+        });
+    cfg.faultPolicy.retryMax = 3;
+    return cfg;
 }
 
 double
@@ -239,6 +286,30 @@ main(int argc, char **argv)
               << "  " << fabric_epr << " events/request, "
               << fabric_ratio << "x the fabric-off serial wall\n";
 
+    // Pass 5: spec decode + adapter zoo + faults with retries; gated
+    // exactly like pass 4.
+    coe::ClusterConfig chaos_cfg = chaosConfig(nodes, requests);
+    coe::ClusterSimulator chaos_sim(chaos_cfg);
+    auto chaos_start = std::chrono::steady_clock::now();
+    coe::ClusterResult chaos = chaos_sim.run();
+    double chaos_wall = wallSeconds(chaos_start);
+    auto chaos_lost =
+        static_cast<std::int64_t>(chaos_sim.stats().get("lost"));
+    if (chaos.oom || chaos.stream.completed + chaos_lost != requests) {
+        std::cerr << "perf_cluster: spec/zoo chaos run did not account "
+                     "for every request\n";
+        return 1;
+    }
+    double chaos_epr =
+        static_cast<double>(chaos.stream.eventsExecuted) / requests;
+    std::cout << "cluster spec/zoo chaos: " << chaos.faultsInjected
+              << " faults, "
+              << static_cast<std::int64_t>(chaos_sim.stats().get("retried"))
+              << " retried, " << chaos_lost << " lost, "
+              << chaos.stream.eventsExecuted << " events in " << chaos_wall
+              << " s\n"
+              << "  " << chaos_epr << " events/request\n";
+
     std::int64_t rss = peakRssBytes();
 
     std::ofstream out(json_path);
@@ -261,6 +332,8 @@ main(int argc, char **argv)
             .field("fabric_wall_seconds", mesh.wall)
             .field("fabric_events_per_request", fabric_epr)
             .field("fabric_wall_ratio", fabric_ratio)
+            .field("chaos_wall_seconds", chaos_wall)
+            .field("chaos_events_per_request", chaos_epr)
             .field("peak_rss_bytes", rss);
         if (threads > 1) {
             w.field("parallel_threads", threads)
@@ -302,9 +375,22 @@ main(int argc, char **argv)
             }
             std::cout << "fabric check passed: " << fabric_epr
                       << " events/request <= ceiling " << ceiling << "\n";
+            double chaos_ceiling = jsonNumber(
+                "perf_cluster", floor_path, "chaos_events_per_request");
+            if (chaos_epr > chaos_ceiling) {
+                std::cerr << "perf_cluster: SPEC/ZOO CHAOS REGRESSION: "
+                          << chaos_epr << " events/request > ceiling "
+                          << chaos_ceiling << " (from " << floor_path
+                          << ")\n";
+                return 1;
+            }
+            std::cout << "spec/zoo chaos check passed: " << chaos_epr
+                      << " events/request <= ceiling " << chaos_ceiling
+                      << "\n";
         } else {
-            std::cout << "fabric check skipped: the ceiling is pinned "
-                         "at the floor's fabric_nodes/fabric_requests\n";
+            std::cout << "fabric and spec/zoo chaos checks skipped: the "
+                         "ceilings are pinned at the floor's "
+                         "fabric_nodes/fabric_requests\n";
         }
         if (threads > 1) {
             double pfloor = jsonNumber("perf_cluster", floor_path,

@@ -451,6 +451,35 @@ struct ClusterSimulator::RunState
     std::unique_ptr<ClusterFabric> fabric;
     std::vector<sim::Tick> baseLinkBusy; ///< snapshot-window baseline
     std::int64_t migrationsInFlight = 0; ///< payload sent, flip pending
+    /**
+     * Requests on the wire, parked by slot: a delivery callback
+     * captures {simulator, node, slot} instead of a whole
+     * EngineRequest, which keeps it inside std::function's in-object
+     * buffer. Freed slots are reused, so steady-state hand-offs
+     * allocate nothing.
+     */
+    std::vector<EngineRequest> onWire;
+    std::vector<std::uint32_t> freeWire;
+
+    std::uint32_t
+    parkOnWire(EngineRequest request)
+    {
+        if (freeWire.empty()) {
+            onWire.push_back(std::move(request));
+            return static_cast<std::uint32_t>(onWire.size() - 1);
+        }
+        std::uint32_t slot = freeWire.back();
+        freeWire.pop_back();
+        onWire[slot] = std::move(request);
+        return slot;
+    }
+
+    EngineRequest
+    takeFromWire(std::uint32_t slot)
+    {
+        freeWire.push_back(slot);
+        return std::move(onWire[slot]);
+    }
 
     // ---- parallel-run state (inert at threads==1)
     int threads = 1; ///< effective worker count for this run
@@ -506,15 +535,22 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
             cfg_.threads = cfg_.nodes;
         }
     }
-    if (cfg_.diurnalAmplitude < 0.0 || cfg_.diurnalAmplitude >= 1.0)
-        sim::fatal("ClusterConfig: diurnal amplitude must be in [0, 1)");
+    // Written so NaN fails too: every comparison with NaN is false.
+    if (!(cfg_.diurnalAmplitude >= 0.0 && cfg_.diurnalAmplitude < 1.0))
+        sim::fatal("ClusterConfig: diurnalAmplitude (--diurnal-amplitude) "
+                   "must be in [0, 1), got " +
+                   std::to_string(cfg_.diurnalAmplitude));
     if (cfg_.diurnalAmplitude > 0.0) {
         if (cfg_.node.arrival != ArrivalProcess::Poisson)
             sim::fatal("ClusterConfig: diurnal ramp modulates the "
                        "open-loop Poisson rate; it cannot be combined "
                        "with a closed loop");
-        if (cfg_.diurnalPeriodSeconds <= 0.0)
-            sim::fatal("ClusterConfig: non-positive diurnal period");
+        if (!(std::isfinite(cfg_.diurnalPeriodSeconds) &&
+              cfg_.diurnalPeriodSeconds > 0.0))
+            sim::fatal("ClusterConfig: diurnalPeriodSeconds "
+                       "(--diurnal-period) must be finite and positive, "
+                       "got " +
+                       std::to_string(cfg_.diurnalPeriodSeconds));
     }
     for (const ClusterNodeOverride &o : cfg_.overrides) {
         if (o.node < 0 || o.node >= cfg_.nodes)
@@ -931,11 +967,12 @@ ClusterSimulator::forwardRequest(int node, EngineRequest request)
 {
     RunState &rs = *rs_;
     ++rs.dispatchedTo[static_cast<std::size_t>(node)];
-    rs.fabric->sendRequest(
-        node, cfg_.fabric.requestPayloadBytes,
-        [this, node, r = std::move(request)]() mutable {
-            deliverViaFabric(node, std::move(r));
-        });
+    std::uint32_t slot = rs.parkOnWire(std::move(request));
+    rs.fabric->sendRequest(node, cfg_.fabric.requestPayloadBytes,
+                           [this, node, slot]() {
+                               deliverViaFabric(
+                                   node, rs_->takeFromWire(slot));
+                           });
 }
 
 /**
@@ -1114,10 +1151,10 @@ ClusterSimulator::drainNode(int node)
             // Re-placement pays a node -> node transfer of the
             // request's wire size before the target takes it.
             ++rs.dispatchedTo[static_cast<std::size_t>(n)];
+            std::uint32_t slot = rs.parkOnWire(std::move(r));
             rs.fabric->sendTransfer(
-                node, n, rs.fabric->requestBytes(),
-                [this, n, rq = std::move(r)]() mutable {
-                    deliverViaFabric(n, std::move(rq));
+                node, n, rs.fabric->requestBytes(), [this, n, slot]() {
+                    deliverViaFabric(n, rs_->takeFromWire(slot));
                 });
             continue;
         }

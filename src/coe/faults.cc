@@ -1,5 +1,6 @@
 #include "coe/faults.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -90,15 +91,20 @@ validateFaultPolicy(const FaultPolicyConfig &policy)
 {
     if (policy.retryMax < 0)
         sim::fatal("FaultPolicyConfig: negative retry budget");
-    if (policy.retryBackoffSeconds < 0.0)
+    if (!(std::isfinite(policy.retryBackoffSeconds) &&
+          policy.retryBackoffSeconds >= 0.0))
         sim::fatal("FaultPolicyConfig: negative retry backoff");
     if (policy.retryBudget < -1)
         sim::fatal("FaultPolicyConfig: retry budget must be >= -1");
-    if (policy.hedgeThreshold <= 0.0)
+    if (!(std::isfinite(policy.hedgeThreshold) &&
+          policy.hedgeThreshold > 0.0))
         sim::fatal("FaultPolicyConfig: hedge threshold must be "
                    "positive");
-    if (policy.brownoutDepth < 0.0)
-        sim::fatal("FaultPolicyConfig: negative brown-out depth");
+    if (!(std::isfinite(policy.brownoutDepth) &&
+          policy.brownoutDepth >= 0.0))
+        sim::fatal("FaultPolicyConfig: brownoutDepth (--brownout-depth) "
+                   "must be finite and non-negative, got " +
+                   std::to_string(policy.brownoutDepth));
     if (policy.brownoutPriorityMax < 0)
         sim::fatal("FaultPolicyConfig: negative brown-out priority");
     if ((policy.hedge || policy.brownoutDepth > 0.0) &&

@@ -54,6 +54,10 @@ validateServingConfig(const ServingConfig &cfg)
 {
     if (cfg.numExperts <= 0 || cfg.batch <= 0 || cfg.requests <= 0)
         sim::fatal("ServingConfig: non-positive counts");
+    if (cfg.outputTokens < 0)
+        sim::fatal("ServingConfig: outputTokens (--tokens) must be "
+                   "non-negative, got " +
+                   std::to_string(cfg.outputTokens));
     if (cfg.mode == ServingMode::EventDriven) {
         if (cfg.streamRequests <= 0)
             sim::fatal("ServingConfig: non-positive streamRequests");

@@ -120,7 +120,7 @@ ServingEngine::ServingEngine(sim::EventQueue &eq, const ServingConfig &cfg,
 void
 ServingEngine::touchDepth(std::size_t next_depth)
 {
-    depthIntegral_ += static_cast<double>(queued_.size()) *
+    depthIntegral_ += static_cast<double>(queueDepth()) *
         sim::toSeconds(eq_.now() - depthMark_);
     depthMark_ = eq_.now();
     queueDepthMax_ =
@@ -145,7 +145,8 @@ ServingEngine::touchDepth(std::size_t next_depth)
 int
 ServingEngine::pickExpert()
 {
-    const EngineRequest &front = queued_.begin()->second;
+    QueuePos oldest = oldestQueued();
+    const EngineRequest &front = oldest.run->entries[oldest.pos].request;
     if (batchCount_ - 1 - front.enqueuedAtBatch >= cfg_.affinityMaxSkips) {
         starvationOverridesStat_ += 1.0;
         return front.expert;
@@ -155,10 +156,11 @@ ServingEngine::pickExpert()
     bool best_resident = false;
     int best_count = 0;
     int best_oldest = 0;
-    for (const QueuedExpert &q : queuedExperts_) {
-        int count = static_cast<int>(q.ids.size());
-        int oldest = *q.ids.begin();
-        bool res = runtime_.resident(q.expert);
+    for (int e : queuedExperts_) {
+        ExpertSlot &s = slot(e);
+        int count = s.queuedLive;
+        int oldest = expertOldest(s);
+        bool res = runtime_.resident(e);
         bool better;
         if (best < 0) {
             better = true;
@@ -170,7 +172,7 @@ ServingEngine::pickExpert()
             better = oldest < best_oldest;
         }
         if (better) {
-            best = q.expert;
+            best = e;
             best_resident = res;
             best_count = count;
             best_oldest = oldest;
@@ -224,17 +226,16 @@ ServingEngine::maybePrefetch()
     // arrival when the head of a deep queue is all resident experts;
     // overloaded prefetch sweeps should bound it.
     int inspected = 0;
-    for (const auto &kv : queued_) {
+    forEachQueued([&](const EngineRequest &r) {
         if (cfg_.prefetchWindow > 0 && ++inspected > cfg_.prefetchWindow)
-            break;
-        const EngineRequest &r = kv.second;
+            return false;
         if (prefetchOutstanding_ >= cfg_.prefetchDepth)
-            break;
+            return false;
         if (runtime_.resident(r.expert))
-            continue;
+            return true;
         auto act = runtime_.beginPrefetch(r.expert);
         if (!act)
-            break; // no free region block: stop speculating
+            return false; // no free region block: stop speculating
         prefetchesIssuedStat_ += 1.0;
         int e = r.expert;
         ExpertSlot &s = slot(e);
@@ -246,7 +247,8 @@ ServingEngine::maybePrefetch()
         // clear.
         s.prefetchOutstanding = true;
         ++prefetchOutstanding_;
-    }
+        return true;
+    });
     samplePeakResident();
 }
 
@@ -378,7 +380,7 @@ ServingEngine::shouldShed(const EngineRequest &request) const
     double batch_seconds = costs_.routerSeconds +
         static_cast<double>(cfg_.batch) * perPromptExec_;
     double batches_ahead = static_cast<double>(
-        queued_.size() / static_cast<std::size_t>(cfg_.batch) +
+        queueDepth() / static_cast<std::size_t>(cfg_.batch) +
         (busy_ ? 1 : 0));
     double estimate = batches_ahead * batch_seconds +
         costs_.routerSeconds + request.execSeconds;
@@ -418,18 +420,141 @@ ServingEngine::injectAt(EngineRequest request)
             onRequestShed_(request);
         return;
     }
-    touchDepth(queued_.size() + 1);
+    touchDepth(queueDepth() + 1);
     request.enqueuedAtBatch = batchCount_;
     if (firstArrival_ < 0)
         firstArrival_ = request.arrival;
     indexQueued(request.id, request.expert);
-    int id = request.id;
-    queued_.emplace(id, std::move(request));
+    enqueue(std::move(request));
     ++injectedCount_;
     if (!busy_)
         formBatch();
     else
         maybePrefetch();
+}
+
+std::size_t
+ServingEngine::QueueRun::find(int id) const
+{
+    auto it = std::lower_bound(
+        entries.begin() + static_cast<std::ptrdiff_t>(head), entries.end(),
+        id, [](const QueueEntry &q, int key) { return q.request.id < key; });
+    for (; it != entries.end() && it->request.id == id; ++it)
+        if (it->live)
+            return static_cast<std::size_t>(it - entries.begin());
+    return entries.size();
+}
+
+void
+ServingEngine::QueueRun::push(EngineRequest request)
+{
+    entries.push_back({std::move(request), true});
+    ++live;
+}
+
+EngineRequest
+ServingEngine::QueueRun::take(std::size_t pos)
+{
+    EngineRequest request = std::move(entries[pos].request);
+    entries[pos].live = false;
+    if (--live == 0) {
+        clear();
+        return request;
+    }
+    while (!entries[head].live)
+        ++head;
+    // Compact once half the entries are dead: each compaction moves
+    // the live half and is paid for by the takes that killed the
+    // other half.
+    if (entries.size() - live > live) {
+        entries.erase(std::remove_if(entries.begin(), entries.end(),
+                                     [](const QueueEntry &q) {
+                                         return !q.live;
+                                     }),
+                      entries.end());
+        head = 0;
+    }
+    return request;
+}
+
+void
+ServingEngine::QueueRun::clear()
+{
+    entries.clear();
+    head = 0;
+    live = 0;
+}
+
+void
+ServingEngine::enqueue(EngineRequest request)
+{
+    if (queue_.entries.empty() || queue_.backId() < request.id) {
+        queue_.push(std::move(request));
+        return;
+    }
+    if (!late_.entries.empty() && request.id < late_.backId())
+        mergeLate();
+    late_.push(std::move(request));
+}
+
+template <typename Fn>
+void
+ServingEngine::forEachQueued(Fn fn) const
+{
+    const std::vector<QueueEntry> &a = queue_.entries;
+    const std::vector<QueueEntry> &b = late_.entries;
+    std::size_t i = queue_.head, j = late_.head;
+    for (;;) {
+        while (i < a.size() && !a[i].live)
+            ++i;
+        while (j < b.size() && !b[j].live)
+            ++j;
+        bool more_a = i < a.size(), more_b = j < b.size();
+        if (!more_a && !more_b)
+            return;
+        const EngineRequest &r =
+            more_b && (!more_a || b[j].request.id < a[i].request.id)
+            ? b[j++].request
+            : a[i++].request;
+        if (!fn(r))
+            return;
+    }
+}
+
+/** Fold late_ into queue_: live entries only, in id order. */
+void
+ServingEngine::mergeLate()
+{
+    mergeBuf_.clear();
+    forEachQueued([this](const EngineRequest &r) {
+        mergeBuf_.push_back({r, true});
+        return true;
+    });
+    queue_.entries.swap(mergeBuf_);
+    queue_.head = 0;
+    queue_.live = queue_.entries.size();
+    late_.clear();
+}
+
+ServingEngine::QueuePos
+ServingEngine::findQueued(int id)
+{
+    for (QueueRun *run : {&late_, &queue_}) {
+        std::size_t pos = run->find(id);
+        if (pos != run->entries.size())
+            return {run, pos};
+    }
+    return {};
+}
+
+ServingEngine::QueuePos
+ServingEngine::oldestQueued()
+{
+    if (late_.live > 0 &&
+        (queue_.live == 0 || late_.entries[late_.head].request.id <
+                                 queue_.entries[queue_.head].request.id))
+        return {&late_, late_.head};
+    return {&queue_, queue_.head};
 }
 
 void
@@ -440,9 +565,12 @@ ServingEngine::indexQueued(int id, int expert)
     ExpertSlot &s = slot(expert);
     if (s.queuedPos < 0) {
         s.queuedPos = static_cast<int>(queuedExperts_.size());
-        queuedExperts_.push_back({expert, {}});
+        queuedExperts_.push_back(expert);
     }
-    queuedExperts_[static_cast<std::size_t>(s.queuedPos)].ids.insert(id);
+    ++s.queuedLive;
+    s.queuedIds.push_back(id);
+    std::push_heap(s.queuedIds.begin(), s.queuedIds.end(),
+                   std::greater<int>());
 }
 
 void
@@ -451,19 +579,39 @@ ServingEngine::unindexQueued(int id, int expert)
     if (!affinity_)
         return;
     ExpertSlot &s = slot(expert);
-    auto pos = static_cast<std::size_t>(s.queuedPos);
-    std::set<int> &ids = queuedExperts_[pos].ids;
-    ids.erase(id);
-    if (!ids.empty())
+    if (--s.queuedLive > 0) {
+        // Batch formation takes an expert's oldest request; a
+        // cancelled younger one stays behind as a stale id.
+        if (s.queuedIds.front() == id) {
+            std::pop_heap(s.queuedIds.begin(), s.queuedIds.end(),
+                          std::greater<int>());
+            s.queuedIds.pop_back();
+        }
         return;
-    // Swap-remove: queuedExperts_ order carries no meaning, and moving
-    // a set moves no nodes.
+    }
+    s.queuedIds.clear();
+    // Swap-remove: queuedExperts_ order carries no meaning.
+    auto pos = static_cast<std::size_t>(s.queuedPos);
     if (pos + 1 != queuedExperts_.size()) {
-        queuedExperts_[pos] = std::move(queuedExperts_.back());
-        slot(queuedExperts_[pos].expert).queuedPos = s.queuedPos;
+        queuedExperts_[pos] = queuedExperts_.back();
+        slot(queuedExperts_[pos]).queuedPos = s.queuedPos;
     }
     queuedExperts_.pop_back();
     s.queuedPos = -1;
+}
+
+int
+ServingEngine::expertOldest(ExpertSlot &s)
+{
+    // Stale ids exist only after a cancellation; until then the top
+    // is live and this is one load.
+    while (s.queuedIds.size() > static_cast<std::size_t>(s.queuedLive) &&
+           findQueued(s.queuedIds.front()).run == nullptr) {
+        std::pop_heap(s.queuedIds.begin(), s.queuedIds.end(),
+                      std::greater<int>());
+        s.queuedIds.pop_back();
+    }
+    return s.queuedIds.front();
 }
 
 std::vector<EngineRequest>
@@ -471,12 +619,19 @@ ServingEngine::extractQueued()
 {
     touchDepth(0);
     std::vector<EngineRequest> out;
-    out.reserve(queued_.size());
-    for (const auto &kv : queued_)
-        out.push_back(kv.second);
-    queued_.clear();
-    for (const QueuedExpert &q : queuedExperts_)
-        slot(q.expert).queuedPos = -1;
+    out.reserve(queueDepth());
+    forEachQueued([&out](const EngineRequest &r) {
+        out.push_back(r);
+        return true;
+    });
+    queue_.clear();
+    late_.clear();
+    for (int e : queuedExperts_) {
+        ExpertSlot &s = slot(e);
+        s.queuedPos = -1;
+        s.queuedIds.clear();
+        s.queuedLive = 0;
+    }
     queuedExperts_.clear();
     // The extracted requests complete elsewhere; they no longer count
     // against this engine's in-flight work.
@@ -508,23 +663,22 @@ ServingEngine::crashExtract()
 bool
 ServingEngine::cancelQueued(int id)
 {
-    auto it = queued_.find(id);
-    if (it == queued_.end())
+    QueuePos at = findQueued(id);
+    if (at.run == nullptr)
         return false;
-    touchDepth(queued_.size() - 1);
-    unindexQueued(id, it->second.expert);
-    queued_.erase(it);
+    touchDepth(queueDepth() - 1);
+    EngineRequest r = at.run->take(at.pos);
+    unindexQueued(r.id, r.expert);
     --injectedCount_;
     cancelledQueuedStat_ += 1.0;
     return true;
 }
 
 void
-ServingEngine::takeQueued(std::map<int, EngineRequest>::iterator it)
+ServingEngine::takeQueued(QueuePos at)
 {
-    unindexQueued(it->first, it->second.expert);
-    curBatch_.push_back(std::move(it->second));
-    queued_.erase(it);
+    curBatch_.push_back(at.run->take(at.pos));
+    unindexQueued(curBatch_.back().id, curBatch_.back().expert);
 }
 
 void
@@ -562,7 +716,7 @@ ServingEngine::finishBatch()
     busy_ = false;
     if (onBatchComplete_)
         onBatchComplete_(static_cast<int>(finished));
-    if (!queued_.empty())
+    if (queueDepth() > 0)
         formBatch();
 }
 
@@ -620,20 +774,20 @@ ServingEngine::maybeLaunch()
 void
 ServingEngine::formBatch()
 {
-    if (queued_.empty() || busy_)
+    if (queueDepth() == 0 || busy_)
         return;
     busy_ = true;
     ++batchCount_;
     // Close the depth integral at the pre-batch depth before the
     // batch drains the queue (no simulated time passes in here).
-    touchDepth(queued_.size());
+    touchDepth(queueDepth());
 
     // The batch is taken straight into curBatch_, empty between
     // batches; it keeps its capacity, so formation allocates nothing.
     const std::size_t cap = static_cast<std::size_t>(cfg_.batch);
     if (!affinity_) {
-        while (!queued_.empty() && curBatch_.size() < cap)
-            takeQueued(queued_.begin());
+        while (queueDepth() > 0 && curBatch_.size() < cap)
+            takeQueued(oldestQueued());
     } else {
         // Take every queued request for the chosen expert, then
         // backfill spare slots with requests whose experts are already
@@ -643,34 +797,31 @@ ServingEngine::formBatch()
         // as the historical FIFO walk did, but through the per-expert
         // index so formation cost scales with distinct experts, not
         // queue depth.
-        // Re-find the expert's entry per take: the entry moves when
-        // another expert's is swap-removed, and goes when it empties.
-        const ExpertSlot &chosen = slot(pickExpert());
-        while (chosen.queuedPos >= 0 && curBatch_.size() < cap) {
-            const QueuedExpert &q =
-                queuedExperts_[static_cast<std::size_t>(chosen.queuedPos)];
-            takeQueued(queued_.find(*q.ids.begin()));
-        }
+        // The chosen expert's queuedPos drops to -1 once its last
+        // queued request is taken.
+        ExpertSlot &chosen = slot(pickExpert());
+        while (chosen.queuedPos >= 0 && curBatch_.size() < cap)
+            takeQueued(findQueued(expertOldest(chosen)));
         // Pass 2: oldest requests across resident experts. The
         // resident set cannot change mid-formation, so repeatedly
         // taking the minimum id over resident experts' ordered id sets
         // reproduces the old front-to-back resident scan.
         while (curBatch_.size() < cap) {
             int best_id = -1;
-            for (const QueuedExpert &q : queuedExperts_) {
-                if (!runtime_.resident(q.expert))
+            for (int e : queuedExperts_) {
+                if (!runtime_.resident(e))
                     continue;
-                int oldest = *q.ids.begin();
+                int oldest = expertOldest(slot(e));
                 if (best_id < 0 || oldest < best_id)
                     best_id = oldest;
             }
             if (best_id < 0)
                 break;
-            takeQueued(queued_.find(best_id));
+            takeQueued(findQueued(best_id));
         }
         // Pass 3: whatever is oldest overall.
-        while (!queued_.empty() && curBatch_.size() < cap)
-            takeQueued(queued_.begin());
+        while (queueDepth() > 0 && curBatch_.size() < cap)
+            takeQueued(oldestQueued());
     }
     depthMark_ = eq_.now();
     occupancyTotal_ += static_cast<double>(curBatch_.size());

@@ -31,8 +31,6 @@
 #define SN40L_COE_SERVING_ENGINE_H
 
 #include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "coe/coe_runtime.h"
@@ -282,7 +280,7 @@ class ServingEngine
     // ------------------------------------------------- observability
 
     bool busy() const { return busy_; }
-    std::size_t queueDepth() const { return queued_.size(); }
+    std::size_t queueDepth() const { return queue_.live + late_.live; }
     /** Requests admitted but not yet completed. */
     std::int64_t outstanding() const
     {
@@ -333,13 +331,55 @@ class ServingEngine
         bool awaited = false;             ///< the formed batch waits on it
         bool prefetchOutstanding = false; ///< speculative load in flight
         bool prefetchReady = false; ///< landed speculation, unused yet
+
+        // ---- its queued requests (ExpertAffinity only) ----------
+        /**
+         * Queued request ids as a min-heap, oldest on top, so an
+         * older id re-entering costs what any other does. A cancelled
+         * id below the top lingers as a stale entry until it surfaces
+         * (see expertOldest); the vector keeps its capacity between
+         * batches.
+         */
+        std::vector<int> queuedIds;
+        int queuedLive = 0; ///< queued requests, stale ids excluded
     };
 
-    /** An expert with queued requests (ExpertAffinity only). */
-    struct QueuedExpert
+    /** One admission-queue entry; live == false marks a tombstone. */
+    struct QueueEntry
     {
-        int expert = 0;
-        std::set<int> ids; ///< its queued request ids, oldest first
+        EngineRequest request;
+        bool live = true;
+    };
+
+    /**
+     * One id-sorted run of the admission queue: a vector consumed
+     * from a head index. Taking an entry leaves a tombstone that keeps
+     * its id, so the run stays sorted for binary search; entries
+     * before head are all dead, and the run is compacted once half of
+     * it is dead. It keeps its capacity, so steady-state use
+     * allocates nothing.
+     */
+    struct QueueRun
+    {
+        std::vector<QueueEntry> entries;
+        std::size_t head = 0;
+        std::size_t live = 0;
+
+        int backId() const { return entries.back().request.id; }
+        /** Index of a live entry with @p id, or entries.size(). */
+        std::size_t find(int id) const;
+        /** Append @p request; its id is >= every id in the run. */
+        void push(EngineRequest request);
+        /** Move out the live entry at @p pos, leaving a tombstone. */
+        EngineRequest take(std::size_t pos);
+        void clear();
+    };
+
+    /** A live admission-queue entry; run is null for "none". */
+    struct QueuePos
+    {
+        QueueRun *run = nullptr;
+        std::size_t pos = 0;
     };
 
     ExpertSlot &slot(int expert)
@@ -358,10 +398,19 @@ class ServingEngine
     /** Clear @p s's speculative flag. @return whether it was set. */
     bool clearPrefetchOutstanding(ExpertSlot &s);
     void maybePrefetch();
+    void enqueue(EngineRequest request);
+    void mergeLate();
+    QueuePos findQueued(int id);
+    /** The oldest queued request; the queue must not be empty. */
+    QueuePos oldestQueued();
+    /** Visit queued requests in id order until @p fn returns false. */
+    template <typename Fn> void forEachQueued(Fn fn) const;
+    /** Move a queued request into the forming batch. */
+    void takeQueued(QueuePos at);
     void indexQueued(int id, int expert);
     void unindexQueued(int id, int expert);
-    /** Move a queued request into the forming batch. */
-    void takeQueued(std::map<int, EngineRequest>::iterator it);
+    /** @p s's oldest queued id, dropping stale (cancelled) ones. */
+    int expertOldest(ExpertSlot &s);
     void formBatch();
     void maybeLaunch();
     void runNextPrompt();
@@ -408,11 +457,17 @@ class ServingEngine
     std::vector<std::int64_t> ddrOffset_;
 
     // ---- admission queue ----------------------------------------
-    // Request ids are assigned in arrival order, so an id-ordered map
-    // IS the FIFO view: begin() is the oldest queued request, erase
-    // from any position is O(log queue), and iteration walks arrival
-    // order.
-    std::map<int, EngineRequest> queued_;
+    // Request ids are assigned in arrival order, so id order IS the
+    // FIFO view. Arrivals append to queue_. A retried or re-dispatched
+    // request carries an older id and appends to late_ instead: a
+    // drain or a retry burst re-enters in ascending id order, and an
+    // id older than late_'s newest first merges late_ into queue_, so
+    // no insert ever shifts a run's tail. The oldest queued request is
+    // the older of the two heads, a take or cancel is a binary search
+    // plus a tombstone, and an id-order walk merges the two runs.
+    QueueRun queue_;
+    QueueRun late_;
+    std::vector<QueueEntry> mergeBuf_; ///< reused by mergeLate()
     bool busy_ = false;
     bool affinity_ = false;
     /**
@@ -421,7 +476,7 @@ class ServingEngine
      * the scan order never shows in a result. Scans and memory scale
      * with distinct queued experts, not zoo size.
      */
-    std::vector<QueuedExpert> queuedExperts_;
+    std::vector<int> queuedExperts_;
 
     std::int64_t injectedCount_ = 0;
     std::int64_t completedCount_ = 0;

@@ -73,14 +73,19 @@ applyZooChurn(const ZooServingConfig &zoo, int num_experts,
 void
 validateShape(const RateShape &shape, const std::string &who)
 {
-    if (shape.diurnalAmplitude < 0.0 || shape.diurnalAmplitude >= 1.0)
+    // Comparisons are written so NaN fails them: every comparison
+    // with NaN is false.
+    if (!(shape.diurnalAmplitude >= 0.0 && shape.diurnalAmplitude < 1.0))
         sim::fatal(who + ": diurnal amplitude must be in [0, 1)");
-    if (shape.diurnalAmplitude > 0.0 && shape.diurnalPeriodSeconds <= 0.0)
+    if (shape.diurnalAmplitude > 0.0 &&
+        !(std::isfinite(shape.diurnalPeriodSeconds) &&
+          shape.diurnalPeriodSeconds > 0.0))
         sim::fatal(who + ": non-positive diurnal period");
-    if (shape.burstFactor < 1.0)
+    if (!(std::isfinite(shape.burstFactor) && shape.burstFactor >= 1.0))
         sim::fatal(who + ": burst factor must be at least 1");
     if (shape.burstFactor > 1.0) {
-        if (shape.burstEverySeconds <= 0.0 || shape.burstSeconds <= 0.0)
+        if (!(std::isfinite(shape.burstEverySeconds) &&
+              shape.burstEverySeconds > 0.0 && shape.burstSeconds > 0.0))
             sim::fatal(who + ": bursts need positive --burst-every and "
                              "--burst-seconds");
         if (shape.burstSeconds > shape.burstEverySeconds)
@@ -699,25 +704,32 @@ validateWorkloadConfig(const ServingConfig &cfg)
     const WorkloadConfig &w = cfg.workload;
     if (w.tenants < 1)
         sim::fatal("WorkloadConfig: tenants must be at least 1");
-    if (w.sloSeconds < 0.0)
-        sim::fatal("WorkloadConfig: negative SLO deadline");
-    if (w.sessionFollowProb < 0.0 || w.sessionFollowProb > 1.0)
+    // NaN fails every comparison below, so each check is written as
+    // "not (valid)".
+    if (!(std::isfinite(w.sloSeconds) && w.sloSeconds >= 0.0))
+        sim::fatal("WorkloadConfig: sloSeconds (--slo-ms) must be finite "
+                   "and non-negative, got " +
+                   std::to_string(w.sloSeconds));
+    if (!(w.sessionFollowProb >= 0.0 && w.sessionFollowProb <= 1.0))
         sim::fatal("WorkloadConfig: session follow probability outside "
                    "[0, 1]");
     if (w.sessionMaxTurns < 1)
         sim::fatal("WorkloadConfig: sessions need at least one turn");
-    if (w.sessionThinkSeconds < 0.0)
-        sim::fatal("WorkloadConfig: negative session think time");
+    if (!(std::isfinite(w.sessionThinkSeconds) &&
+          w.sessionThinkSeconds >= 0.0))
+        sim::fatal("WorkloadConfig: sessionThinkSeconds (--session-think) "
+                   "must be finite and non-negative, got " +
+                   std::to_string(w.sessionThinkSeconds));
     validateShape(w.shape, "WorkloadConfig");
     if (w.multiTenant() && cfg.arrival == ArrivalProcess::ClosedLoop)
         sim::fatal("WorkloadConfig: tenant mixes and sessions are "
                    "open-loop workloads; they cannot be combined with a "
                    "closed loop");
     for (const TenantSpec &t : w.tenantSpecs) {
-        if (t.rateShare <= 0.0)
+        if (!(std::isfinite(t.rateShare) && t.rateShare > 0.0))
             sim::fatal("TenantSpec " + t.name +
                        ": non-positive rate share");
-        if (t.zipfS <= 0.0)
+        if (!(std::isfinite(t.zipfS) && t.zipfS > 0.0))
             sim::fatal("TenantSpec " + t.name + ": non-positive zipf "
                                                 "skew");
         if (t.expertOffset < 0 || t.expertOffset >= cfg.numExperts)
@@ -729,15 +741,16 @@ validateWorkloadConfig(const ServingConfig &cfg)
                        ": malformed request-shape bounds");
         if (t.priority < 0)
             sim::fatal("TenantSpec " + t.name + ": negative priority");
-        if (t.sloSeconds < 0.0)
+        if (!(std::isfinite(t.sloSeconds) && t.sloSeconds >= 0.0))
             sim::fatal("TenantSpec " + t.name + ": negative SLO");
-        if (t.sessionFollowProb < 0.0 || t.sessionFollowProb > 1.0)
+        if (!(t.sessionFollowProb >= 0.0 && t.sessionFollowProb <= 1.0))
             sim::fatal("TenantSpec " + t.name +
                        ": session follow probability outside [0, 1]");
         if (t.sessionMaxTurns < 1)
             sim::fatal("TenantSpec " + t.name +
                        ": sessions need at least one turn");
-        if (t.thinkMeanSeconds < 0.0)
+        if (!(std::isfinite(t.thinkMeanSeconds) &&
+              t.thinkMeanSeconds >= 0.0))
             sim::fatal("TenantSpec " + t.name + ": negative think time");
         validateShape(t.shape, "TenantSpec " + t.name);
     }

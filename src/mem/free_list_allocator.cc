@@ -14,7 +14,7 @@ FreeListAllocator::FreeListAllocator(std::int64_t capacity,
         sim::fatal("FreeListAllocator: non-positive capacity");
     if (alignment <= 0 || (alignment & (alignment - 1)) != 0)
         sim::fatal("FreeListAllocator: alignment must be a power of two");
-    freeByOffset_[0] = capacity;
+    free_.push_back({0, capacity});
 }
 
 std::int64_t
@@ -30,15 +30,19 @@ FreeListAllocator::allocate(std::int64_t bytes)
         sim::panic("FreeListAllocator: non-positive allocation");
     std::int64_t need = align(bytes);
 
-    for (auto it = freeByOffset_.begin(); it != freeByOffset_.end(); ++it) {
-        if (it->second < need)
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+        if (it->size < need)
             continue;
-        std::int64_t offset = it->first;
-        std::int64_t remainder = it->second - need;
-        freeByOffset_.erase(it);
-        if (remainder > 0)
-            freeByOffset_[offset + need] = remainder;
-        allocated_[offset] = need;
+        std::int64_t offset = it->offset;
+        // The remainder keeps the block's place in offset order.
+        if (it->size > need)
+            *it = {offset + need, it->size - need};
+        else
+            free_.erase(it);
+        allocated_.insert(std::lower_bound(allocated_.begin(),
+                                           allocated_.end(), offset,
+                                           offsetBefore),
+                          Block{offset, need});
         used_ += need;
         return offset;
     }
@@ -48,38 +52,44 @@ FreeListAllocator::allocate(std::int64_t bytes)
 void
 FreeListAllocator::free(std::int64_t offset)
 {
-    auto it = allocated_.find(offset);
-    if (it == allocated_.end())
+    auto it = std::lower_bound(allocated_.begin(), allocated_.end(),
+                               offset, offsetBefore);
+    if (it == allocated_.end() || it->offset != offset)
         sim::panic("FreeListAllocator: freeing unallocated offset " +
                    std::to_string(offset));
-    std::int64_t size = it->second;
+    std::int64_t size = it->size;
     allocated_.erase(it);
     used_ -= size;
 
     // Insert and coalesce with neighbours.
-    auto inserted = freeByOffset_.emplace(offset, size).first;
-    if (inserted != freeByOffset_.begin()) {
-        auto prev = std::prev(inserted);
-        if (prev->first + prev->second == inserted->first) {
-            prev->second += inserted->second;
-            freeByOffset_.erase(inserted);
-            inserted = prev;
+    auto next = std::lower_bound(free_.begin(), free_.end(), offset,
+                                 offsetBefore);
+    bool joins_next = next != free_.end() && offset + size == next->offset;
+    if (next != free_.begin()) {
+        auto prev = std::prev(next);
+        if (prev->offset + prev->size == offset) {
+            prev->size += size;
+            if (joins_next) {
+                prev->size += next->size;
+                free_.erase(next);
+            }
+            return;
         }
     }
-    auto next = std::next(inserted);
-    if (next != freeByOffset_.end() &&
-        inserted->first + inserted->second == next->first) {
-        inserted->second += next->second;
-        freeByOffset_.erase(next);
+    if (joins_next) {
+        next->offset = offset;
+        next->size += size;
+        return;
     }
+    free_.insert(next, Block{offset, size});
 }
 
 std::int64_t
 FreeListAllocator::largestFreeBlock() const
 {
     std::int64_t best = 0;
-    for (const auto &kv : freeByOffset_)
-        best = std::max(best, kv.second);
+    for (const Block &b : free_)
+        best = std::max(best, b.size);
     return best;
 }
 

@@ -10,8 +10,8 @@
 #define SN40L_MEM_FREE_LIST_ALLOCATOR_H
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
 namespace sn40l::mem {
 
@@ -36,7 +36,7 @@ class FreeListAllocator
     std::int64_t freeBytes() const { return capacity_ - used_; }
     std::int64_t largestFreeBlock() const;
     std::size_t allocatedBlocks() const { return allocated_.size(); }
-    std::size_t freeBlocks() const { return freeByOffset_.size(); }
+    std::size_t freeBlocks() const { return free_.size(); }
 
     /** 1 - largestFree/totalFree; 0 when unfragmented or full. */
     double fragmentation() const;
@@ -44,11 +44,29 @@ class FreeListAllocator
   private:
     std::int64_t align(std::int64_t bytes) const;
 
+    struct Block
+    {
+        std::int64_t offset;
+        std::int64_t size;
+    };
+
+    static bool
+    offsetBefore(const Block &b, std::int64_t offset)
+    {
+        return b.offset < offset;
+    }
+
     std::int64_t capacity_;
     std::int64_t alignment_;
     std::int64_t used_ = 0;
-    std::map<std::int64_t, std::int64_t> freeByOffset_;  ///< offset -> size
-    std::map<std::int64_t, std::int64_t> allocated_;     ///< offset -> size
+    /**
+     * Both lists are sorted by offset. They stay small (one entry per
+     * resident expert or gap), so a flat vector's binary search and
+     * short shifts beat a node-based map, and an allocate/free pair
+     * reuses capacity instead of allocating a node each.
+     */
+    std::vector<Block> free_;      ///< disjoint, never adjacent
+    std::vector<Block> allocated_;
 };
 
 } // namespace sn40l::mem

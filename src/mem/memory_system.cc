@@ -68,45 +68,69 @@ MemorySystem::load(std::int64_t ddr_addr, std::int64_t hbm_addr,
 
     if (priority == TransferPriority::Demand) {
         demandLoadsStat_ += 1.0;
-        demandQueue_.push_back(std::move(job));
+        demandQueue_.push(std::move(job));
     } else {
         prefetchLoadsStat_ += 1.0;
-        prefetchQueue_.push_back(std::move(job));
+        prefetchQueue_.push(std::move(job));
     }
     TransferId id = nextId_ - 1;
     pump();
     return id;
 }
 
-bool
-MemorySystem::cancel(TransferId id)
+MemorySystem::Job
+MemorySystem::JobQueue::pop()
 {
-    for (std::deque<Job> *queue : {&prefetchQueue_, &demandQueue_}) {
-        for (auto it = queue->begin(); it != queue->end(); ++it) {
-            if (it->id == id) {
-                queue->erase(it);
-                cancelledLoadsStat_ += 1.0;
-                return true;
+    Job job = std::move(jobs_[head_++]);
+    if (head_ == jobs_.size()) {
+        jobs_.clear();
+        head_ = 0;
+    } else if (2 * head_ >= jobs_.size()) {
+        jobs_.erase(jobs_.begin(),
+                    jobs_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
+    return job;
+}
+
+bool
+MemorySystem::JobQueue::take(TransferId id, Job &out)
+{
+    for (auto it = jobs_.begin() + static_cast<std::ptrdiff_t>(head_);
+         it != jobs_.end(); ++it) {
+        if (it->id == id) {
+            out = std::move(*it);
+            jobs_.erase(it);
+            if (empty()) {
+                jobs_.clear();
+                head_ = 0;
             }
+            return true;
         }
     }
     return false;
 }
 
 bool
+MemorySystem::cancel(TransferId id)
+{
+    Job job;
+    if (!prefetchQueue_.take(id, job) && !demandQueue_.take(id, job))
+        return false;
+    cancelledLoadsStat_ += 1.0;
+    return true;
+}
+
+bool
 MemorySystem::promote(TransferId id)
 {
-    for (auto it = prefetchQueue_.begin(); it != prefetchQueue_.end(); ++it) {
-        if (it->id == id) {
-            Job job = std::move(*it);
-            job.priority = TransferPriority::Demand;
-            prefetchQueue_.erase(it);
-            demandQueue_.push_back(std::move(job));
-            promotedLoadsStat_ += 1.0;
-            return true;
-        }
-    }
-    return false;
+    Job job;
+    if (!prefetchQueue_.take(id, job))
+        return false;
+    job.priority = TransferPriority::Demand;
+    demandQueue_.push(std::move(job));
+    promotedLoadsStat_ += 1.0;
+    return true;
 }
 
 sim::Tick
@@ -132,17 +156,12 @@ MemorySystem::pump()
     for (int i = 0; i < static_cast<int>(engines_.size()); ++i) {
         if (engines_[i]->busy())
             continue;
-        Job job;
-        if (!demandQueue_.empty()) {
-            job = std::move(demandQueue_.front());
-            demandQueue_.pop_front();
-        } else if (!prefetchQueue_.empty()) {
-            job = std::move(prefetchQueue_.front());
-            prefetchQueue_.pop_front();
-        } else {
+        if (!demandQueue_.empty())
+            issue(i, demandQueue_.pop());
+        else if (!prefetchQueue_.empty())
+            issue(i, prefetchQueue_.pop());
+        else
             return;
-        }
-        issue(i, std::move(job));
     }
 }
 

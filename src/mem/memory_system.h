@@ -21,7 +21,6 @@
 #define SN40L_MEM_MEMORY_SYSTEM_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -142,6 +141,26 @@ class MemorySystem
         Callback onDone;
     };
 
+    /**
+     * FIFO of queued jobs: a vector consumed from a head index and
+     * compacted once half of it is consumed, so steady-state pushes
+     * and pops reuse its capacity.
+     */
+    class JobQueue
+    {
+      public:
+        bool empty() const { return head_ == jobs_.size(); }
+        std::size_t size() const { return jobs_.size() - head_; }
+        void push(Job job) { jobs_.push_back(std::move(job)); }
+        Job pop();
+        /** Move the job @p id into @p out and drop it from the queue. */
+        bool take(TransferId id, Job &out);
+
+      private:
+        std::vector<Job> jobs_;
+        std::size_t head_ = 0;
+    };
+
     /** Issue queued jobs onto free engines, demand queue first. */
     void pump();
     void issue(int engine_idx, Job job);
@@ -154,8 +173,8 @@ class MemorySystem
     std::vector<std::unique_ptr<DmaEngine>> engines_;
 
     TransferId nextId_ = 1;
-    std::deque<Job> demandQueue_;
-    std::deque<Job> prefetchQueue_;
+    JobQueue demandQueue_;
+    JobQueue prefetchQueue_;
     /** Completion callbacks of loads streaming on an engine. */
     sim::CallbackSlots inFlight_;
 

@@ -68,10 +68,12 @@ logWarn(const std::string &component, const std::string &msg)
 /**
  * Assert a simulator invariant; throws SimPanic with @p msg on failure.
  * Always checked (not compiled out), since model correctness depends
- * on these invariants holding in release builds too.
+ * on these invariants holding in release builds too. The message is a
+ * literal, so a passing check (some run once per request) builds no
+ * string.
  */
 inline void
-simAssert(bool condition, const std::string &msg)
+simAssert(bool condition, const char *msg)
 {
     if (!condition)
         panic(msg);

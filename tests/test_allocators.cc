@@ -2,14 +2,17 @@
  * @file
  * Tests for the free-list allocator (CoE runtime HBM region) and the
  * static lifetime-reuse planner with DDR spilling (Section V-A),
- * including a differential test of the planner against a reference
- * copy of the sort-per-symbol placement it replaced.
+ * including differential tests of the free list against a map-based
+ * first-fit reference and of the planner against a reference copy of
+ * the sort-per-symbol placement it replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,6 +123,155 @@ TEST(FreeListAllocator, RandomizedInvariants)
             live.erase(live.begin() + static_cast<long>(idx));
         }
         ASSERT_EQ(alloc.usedBytes() + alloc.freeBytes(), alloc.capacity());
+    }
+}
+
+namespace {
+
+/**
+ * The node-based first-fit free list FreeListAllocator replaced, kept
+ * as the reference: free and allocated blocks in offset-keyed maps,
+ * first fit in offset order, coalescing with both neighbours on free.
+ */
+class ReferenceFreeList
+{
+  public:
+    ReferenceFreeList(std::int64_t capacity, std::int64_t alignment)
+        : capacity_(capacity), alignment_(alignment)
+    {
+        free_[0] = capacity;
+    }
+
+    std::optional<std::int64_t>
+    allocate(std::int64_t bytes)
+    {
+        std::int64_t need = (bytes + alignment_ - 1) & ~(alignment_ - 1);
+        for (auto it = free_.begin(); it != free_.end(); ++it) {
+            if (it->second < need)
+                continue;
+            std::int64_t offset = it->first;
+            std::int64_t remainder = it->second - need;
+            free_.erase(it);
+            if (remainder > 0)
+                free_[offset + need] = remainder;
+            allocated_[offset] = need;
+            used_ += need;
+            return offset;
+        }
+        return std::nullopt;
+    }
+
+    void
+    free(std::int64_t offset)
+    {
+        auto it = allocated_.find(offset);
+        std::int64_t size = it->second;
+        allocated_.erase(it);
+        used_ -= size;
+        auto ins = free_.emplace(offset, size).first;
+        if (ins != free_.begin()) {
+            auto prev = std::prev(ins);
+            if (prev->first + prev->second == ins->first) {
+                prev->second += ins->second;
+                free_.erase(ins);
+                ins = prev;
+            }
+        }
+        auto next = std::next(ins);
+        if (next != free_.end() && ins->first + ins->second == next->first) {
+            ins->second += next->second;
+            free_.erase(next);
+        }
+    }
+
+    std::int64_t usedBytes() const { return used_; }
+    std::size_t freeBlocks() const { return free_.size(); }
+    std::size_t allocatedBlocks() const { return allocated_.size(); }
+
+    std::int64_t
+    largestFreeBlock() const
+    {
+        std::int64_t best = 0;
+        for (const auto &kv : free_)
+            best = std::max(best, kv.second);
+        return best;
+    }
+
+    double
+    fragmentation() const
+    {
+        std::int64_t free_total = capacity_ - used_;
+        if (free_total <= 0)
+            return 0.0;
+        return 1.0 - static_cast<double>(largestFreeBlock()) /
+                         static_cast<double>(free_total);
+    }
+
+  private:
+    std::int64_t capacity_;
+    std::int64_t alignment_;
+    std::int64_t used_ = 0;
+    std::map<std::int64_t, std::int64_t> free_;
+    std::map<std::int64_t, std::int64_t> allocated_;
+};
+
+} // namespace
+
+TEST(FreeListAllocator, MatchesMapReferenceOnRandomChurn)
+{
+    // Random alloc/free churn near capacity (so first fit skips
+    // holes, allocations fail and frees coalesce on one or both
+    // sides), compared with the reference after every step.
+    struct Case
+    {
+        std::uint64_t seed;
+        std::int64_t capacity;
+        std::int64_t alignment;
+        std::uint64_t maxBytes;
+    };
+    for (const Case &c : {Case{1, 1 << 16, 1, 4096},
+                          Case{2, 1 << 20, 256, 65536},
+                          Case{3, 1000, 8, 300},
+                          Case{4, 1 << 24, 4096, 1 << 20}}) {
+        SCOPED_TRACE(c.seed);
+        sim::Rng rng(c.seed);
+        FreeListAllocator fast(c.capacity, c.alignment);
+        ReferenceFreeList ref(c.capacity, c.alignment);
+        std::vector<std::int64_t> live;
+        for (int step = 0; step < 20000; ++step) {
+            if (live.empty() || rng.uniformDouble() < 0.55) {
+                auto bytes =
+                    static_cast<std::int64_t>(rng.uniformInt(c.maxBytes) + 1);
+                std::optional<std::int64_t> a = fast.allocate(bytes);
+                std::optional<std::int64_t> b = ref.allocate(bytes);
+                ASSERT_EQ(a, b) << "step " << step;
+                if (a)
+                    live.push_back(*a);
+            } else {
+                std::size_t idx = rng.uniformInt(live.size());
+                fast.free(live[idx]);
+                ref.free(live[idx]);
+                live[idx] = live.back();
+                live.pop_back();
+            }
+            ASSERT_EQ(fast.usedBytes(), ref.usedBytes()) << "step " << step;
+            ASSERT_EQ(fast.freeBlocks(), ref.freeBlocks()) << "step " << step;
+            ASSERT_EQ(fast.allocatedBlocks(), ref.allocatedBlocks())
+                << "step " << step;
+            ASSERT_EQ(fast.largestFreeBlock(), ref.largestFreeBlock())
+                << "step " << step;
+            ASSERT_EQ(fast.fragmentation(), ref.fragmentation())
+                << "step " << step;
+        }
+        // Free everything: both must coalesce back to one block.
+        for (std::int64_t off : live) {
+            fast.free(off);
+            ref.free(off);
+        }
+        EXPECT_EQ(fast.freeBlocks(), 1u);
+        EXPECT_EQ(ref.freeBlocks(), 1u);
+        EXPECT_EQ(fast.largestFreeBlock(), c.capacity);
+        EXPECT_THROW(fast.free(0), sim::SimPanic);
     }
 }
 

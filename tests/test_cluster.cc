@@ -547,6 +547,20 @@ TEST(ClusterSimulator, RejectsBadClusterConfigs)
     cfg.diurnalAmplitude = 1.5; // rate would go negative
     EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
 
+    // NaN used to pass both range checks and silently mean "off".
+    for (double v : {std::nan(""), inf, -1.0}) {
+        cfg = clusterConfig(2);
+        cfg.diurnalAmplitude = v;
+        EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
+        cfg = clusterConfig(2);
+        cfg.faultPolicy.brownoutDepth = v;
+        EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
+        cfg = clusterConfig(2);
+        cfg.diurnalAmplitude = 0.5;
+        cfg.diurnalPeriodSeconds = v;
+        EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
+    }
+
     cfg = clusterConfig(2);
     cfg.node.arrival = ArrivalProcess::ClosedLoop;
     cfg.node.clients = 8;

@@ -3,17 +3,26 @@
  * Tests for the event-driven CoE request-stream scheduler: scheduler
  * policies against the live LRU cache, latency-tail and saturation
  * behaviour, the closed-loop arrival process, the Distribution sample
- * recorder, and bit-exactness of the legacy analytic mode against
- * values captured from the pre-refactor simulator.
+ * recorder, bit-exactness of the legacy analytic mode against
+ * values captured from the pre-refactor simulator, and the engine's
+ * admission queue (older ids re-entering, mid-queue cancels,
+ * extraction order with tombstones, no O(queue) take).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <set>
+#include <vector>
 
 #include "coe/serving.h"
+#include "coe/serving_engine.h"
+#include "sim/event_queue.h"
 #include "sim/log.h"
 #include "sim/stats.h"
 
@@ -399,4 +408,203 @@ TEST(StreamScheduler, OneEventPerArrivalBatchPromptAndLoad)
                   cfg.streamRequests + m.batches + m.completed + loads)
             << "prefetch " << prefetch;
     }
+}
+
+// ------------------------------------------------- admission queue
+
+namespace {
+
+/** One engine on its own queue, recording completions in order. */
+struct EngineHarness
+{
+    sim::EventQueue eq;
+    std::unique_ptr<ServingEngine> engine;
+    std::vector<int> completed;
+
+    EngineHarness(SchedulerPolicy policy, int batch, int experts = 16)
+    {
+        ServingConfig cfg = streamConfig();
+        cfg.numExperts = experts;
+        cfg.batch = batch;
+        cfg.scheduler = policy;
+        engine = std::make_unique<ServingEngine>(
+            eq, cfg, computePhaseCosts(cfg),
+            ExpertZoo::uniform(experts, cfg.expertBase));
+        engine->setOnRequestComplete(
+            [this](const EngineRequest &r) { completed.push_back(r.id); });
+    }
+
+    /** Run @p fn inside an event at tick 0 (engines inject there). */
+    template <typename Fn>
+    void
+    atStart(Fn fn)
+    {
+        eq.schedule(0, [fn]() mutable { fn(); }, "test.start");
+    }
+
+    EngineRequest
+    request(int id, int expert)
+    {
+        TrafficRequest t;
+        t.id = id;
+        t.expert = expert;
+        return engine->makeEngineRequest(t, eq.now());
+    }
+};
+
+} // namespace
+
+TEST(AdmissionQueue, OlderIdReentersAheadOfNewerOnes)
+{
+    for (SchedulerPolicy policy :
+         {SchedulerPolicy::Fifo, SchedulerPolicy::ExpertAffinity}) {
+        EngineHarness h(policy, 2);
+        ServingEngine &e = *h.engine;
+        h.atStart([&]() {
+            e.inject(10, 0); // forms a batch of one at once
+            for (int id = 11; id <= 17; id += 2)
+                e.inject(id, 0);
+            // Retried requests keep their old ids and queue in id
+            // order among the newer ones: an ascending run (12, 16),
+            // then ids older than that run (14, 3).
+            for (int id : {12, 16, 14, 3})
+                e.injectAt(h.request(id, 0));
+            EXPECT_EQ(e.queueDepth(), 8u);
+        });
+        h.eq.run();
+        EXPECT_EQ(h.completed,
+                  (std::vector<int>{10, 3, 11, 12, 13, 14, 15, 16, 17}))
+            << "policy " << schedulerPolicyName(policy);
+    }
+}
+
+TEST(AdmissionQueue, CancelMidQueueKeepsOrder)
+{
+    for (SchedulerPolicy policy :
+         {SchedulerPolicy::Fifo, SchedulerPolicy::ExpertAffinity}) {
+        EngineHarness h(policy, 2);
+        ServingEngine &e = *h.engine;
+        h.atStart([&]() {
+            for (int id = 0; id <= 8; ++id)
+                e.inject(id, id % 2); // 0 executes; 1..8 queue
+            EXPECT_TRUE(e.cancelQueued(4)); // mid-queue, expert 0
+            EXPECT_TRUE(e.cancelQueued(3)); // mid-queue, expert 1
+            EXPECT_FALSE(e.cancelQueued(4)); // already gone
+            EXPECT_FALSE(e.cancelQueued(0)); // executing, not queued
+            EXPECT_FALSE(e.cancelQueued(99)); // never admitted
+            EXPECT_EQ(e.queueDepth(), 6u);
+            // The cancelled 3 re-enters (a retry), ahead of every
+            // newer id.
+            e.injectAt(h.request(3, 1));
+        });
+        h.eq.run();
+        std::vector<int> got = h.completed;
+        if (policy == SchedulerPolicy::Fifo) {
+            // FIFO: id order with the cancelled 4 skipped.
+            EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 5, 6, 7, 8}));
+        } else {
+            // Affinity groups by expert, but every queued request
+            // completes exactly once and each expert's run is in id
+            // order.
+            std::multiset<int> ids(got.begin(), got.end());
+            EXPECT_EQ(ids, (std::multiset<int>{0, 1, 2, 3, 5, 6, 7, 8}));
+            std::vector<int> odd, even;
+            for (int id : got)
+                (id % 2 ? odd : even).push_back(id);
+            EXPECT_TRUE(std::is_sorted(odd.begin(), odd.end()));
+            EXPECT_TRUE(std::is_sorted(even.begin(), even.end()));
+        }
+        EXPECT_EQ(e.queueDepth(), 0u);
+        EXPECT_EQ(e.outstanding(), 0);
+    }
+}
+
+TEST(AdmissionQueue, ExtractQueuedIsIdOrderedWithTombstones)
+{
+    // Affinity formation takes one expert's requests from the middle
+    // of the queue, leaving tombstones; cancels add more. Extraction
+    // must still return exactly the queued requests, oldest first.
+    EngineHarness h(SchedulerPolicy::ExpertAffinity, 4, 7);
+    ServingEngine &e = *h.engine;
+    std::set<int> cancelled;
+    std::vector<int> extracted;
+    int batches = 0;
+    e.setOnBatchComplete([&](int) {
+        if (++batches == 5) {
+            for (const EngineRequest &r : e.extractQueued())
+                extracted.push_back(r.id);
+        }
+    });
+    h.atStart([&]() {
+        for (int id = 100; id < 300; ++id)
+            e.inject(id, (id * 5) % 7);
+        for (int id = 103; id < 300; id += 11)
+            if (e.cancelQueued(id))
+                cancelled.insert(id);
+        e.injectAt(h.request(7, 2)); // older than everything queued
+    });
+    h.eq.run();
+    ASSERT_FALSE(extracted.empty());
+    EXPECT_TRUE(std::is_sorted(extracted.begin(), extracted.end()));
+    std::set<int> expect = {7};
+    for (int id = 100; id < 300; ++id)
+        expect.insert(id);
+    for (int id : cancelled)
+        expect.erase(id);
+    for (int id : h.completed)
+        expect.erase(id);
+    EXPECT_EQ(std::set<int>(extracted.begin(), extracted.end()), expect);
+    EXPECT_EQ(extracted.size(), expect.size());
+    EXPECT_EQ(e.queueDepth(), 0u);
+}
+
+namespace {
+
+/**
+ * Host seconds to drain @p n requests queued at once behind a busy
+ * engine (affinity over 150 experts). The even ids arrive first; the
+ * odd ids then re-enter in ascending order, each older than the
+ * newest queued, as a drained node's queue does. Every 9th request is
+ * cancelled. Best of three, to shed scheduler noise.
+ */
+double
+drainSeconds(int n)
+{
+    double best = 1e30;
+    for (int rep = 0; rep < 3; ++rep) {
+        EngineHarness h(SchedulerPolicy::ExpertAffinity, 8, 150);
+        ServingEngine &e = *h.engine;
+        h.atStart([&]() {
+            for (int id = 0; id < n; id += 2)
+                e.inject(id, (id * 7919) % 150);
+            for (int id = 1; id < n; id += 2)
+                e.injectAt(h.request(id, (id * 7919) % 150));
+            for (int id = 5; id < n; id += 9)
+                e.cancelQueued(id);
+        });
+        auto t0 = std::chrono::steady_clock::now();
+        h.eq.run();
+        std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        best = std::min(best, dt.count());
+        EXPECT_EQ(e.queueDepth(), 0u);
+        EXPECT_EQ(e.outstanding(), 0);
+    }
+    return best;
+}
+
+} // namespace
+
+TEST(AdmissionQueue, DeepQueueDrainsInLinearTime)
+{
+    // 50k queued requests: every insert, take, cancel and compaction
+    // is O(log queue) amortized, so 10x the requests costs ~10x the
+    // host time. An insert that shifts the queue or a take that scans
+    // it would make it ~100x. The
+    // bound is 30x the 5k drain plus 50 ms of slack for timer noise,
+    // and holds in sanitizer builds too because it is a ratio.
+    double small = drainSeconds(5'000);
+    double large = drainSeconds(50'000);
+    EXPECT_LT(large, 30.0 * small + 0.05)
+        << "5k drain " << small << " s, 50k drain " << large << " s";
 }

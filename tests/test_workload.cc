@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -520,6 +521,40 @@ TEST(WorkloadValidation, RejectsContradictoryConfigs)
         ServingConfig cfg = streamConfig();
         cfg.workload.sessionFollowProb = 1.5;
         EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError);
+    }
+    // Non-finite numbers fail in the config layer, naming the field
+    // and its flag, instead of reaching the event queue.
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+    auto expectFatalNaming = [](const ServingConfig &cfg,
+                                const std::string &field) {
+        try {
+            ServingSimulator sim(cfg);
+            ADD_FAILURE() << "accepted a bad " << field;
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    for (double v : {nan, inf}) {
+        ServingConfig cfg = streamConfig();
+        cfg.workload.sloSeconds = v;
+        expectFatalNaming(cfg, "sloSeconds (--slo-ms)");
+        cfg = streamConfig();
+        cfg.workload.sessionFollowProb = 0.5;
+        cfg.workload.sessionThinkSeconds = v;
+        expectFatalNaming(cfg, "sessionThinkSeconds (--session-think)");
+        cfg = streamConfig();
+        cfg.workload.sessionFollowProb = v;
+        EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError);
+        cfg = streamConfig();
+        cfg.workload.shape.burstFactor = v;
+        EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError);
+    }
+    {
+        ServingConfig cfg = streamConfig();
+        cfg.outputTokens = -1;
+        expectFatalNaming(cfg, "outputTokens (--tokens)");
     }
     {
         ServingConfig cfg = streamConfig();
