@@ -491,76 +491,79 @@ struct ClusterSimulator::RunState
     std::unique_ptr<ShardWorkerPool> pool;
 };
 
-ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
+void
+validateClusterConfig(const ClusterConfig &cfg)
 {
-    cfg_.node.mode = ServingMode::EventDriven;
-    validateServingConfig(cfg_.node);
+    // The node count first: a CLI default scales with it.
+    if (cfg.nodes <= 0)
+        sim::fatal("ClusterConfig: nodes (--nodes) must be at least 1, "
+                   "got " + std::to_string(cfg.nodes));
+    validateServingConfig(cfg.node);
 
-    if (cfg_.nodes <= 0)
-        sim::fatal("ClusterConfig: need at least one node");
-    if (cfg_.hotExperts < 0)
-        sim::fatal("ClusterConfig: negative hotExperts");
-    if (cfg_.hotExperts > cfg_.node.numExperts)
-        sim::fatal("ClusterConfig: hotExperts exceeds the expert count");
-    if (cfg_.threads < 1)
-        sim::fatal("ClusterConfig: threads must be at least 1");
-    if (cfg_.threads > 1) {
+    if (cfg.hotExperts < 0)
+        sim::fatal("ClusterConfig: hotExperts (--hot-experts) must be "
+                   "non-negative");
+    if (cfg.hotExperts > cfg.node.numExperts)
+        sim::fatal("ClusterConfig: hotExperts (--hot-experts) exceeds the "
+                   "expert count");
+    if (cfg.threads < 1)
+        sim::fatal("ClusterConfig: threads (--threads) must be at least 1, "
+                   "got " + std::to_string(cfg.threads));
+    if (cfg.threads > 1) {
         // Parallel windows only work when nothing closes a
         // zero-lookahead feedback loop from the shards back into the
         // hub (arrivals/dispatch) mid-window.
-        if (cfg_.node.arrival == ArrivalProcess::ClosedLoop)
-            sim::fatal("ClusterConfig: threads > 1 cannot drive "
-                       "closed-loop arrivals (batch completions on a "
-                       "shard re-issue clients instantly, which leaves "
-                       "the windows zero lookahead); use threads=1");
-        bool sessions = cfg_.node.workload.sessionFollowProb > 0.0;
-        for (const TenantSpec &t : cfg_.node.workload.tenantSpecs)
+        if (cfg.node.arrival == ArrivalProcess::ClosedLoop)
+            sim::fatal("ClusterConfig: threads (--threads) > 1 cannot "
+                       "drive closed-loop arrivals (--closed-loop): batch "
+                       "completions on a shard re-issue clients "
+                       "instantly, which leaves the windows zero "
+                       "lookahead; use threads=1");
+        bool sessions = cfg.node.workload.sessionFollowProb > 0.0;
+        for (const TenantSpec &t : cfg.node.workload.tenantSpecs)
             sessions = sessions || t.sessionFollowProb > 0.0;
-        if (sessions && !cfg_.node.workload.replay())
-            sim::fatal("ClusterConfig: threads > 1 cannot generate "
-                       "conversational sessions (follow-up turns are "
-                       "triggered by shard-side completions); replay a "
-                       "recorded trace or use threads=1");
-        if (cfg_.dispatch == DispatchPolicy::LeastOutstanding)
-            sim::fatal("ClusterConfig: threads > 1 cannot use "
-                       "least-outstanding dispatch (it reads per-node "
-                       "queue state that is stale mid-window); use "
-                       "round-robin or expert-affinity");
-        if (cfg_.threads > cfg_.nodes) {
-            sim::logWarn("cluster",
-                         "clamping threads from " +
-                             std::to_string(cfg_.threads) + " to the "
-                             "node count " + std::to_string(cfg_.nodes) +
-                             " (one shard per node)");
-            cfg_.threads = cfg_.nodes;
-        }
+        if (sessions && !cfg.node.workload.replay())
+            sim::fatal("ClusterConfig: threads (--threads) > 1 cannot "
+                       "generate conversational sessions (--session-prob): "
+                       "follow-up turns are triggered by shard-side "
+                       "completions; replay a recorded trace (--trace-in) "
+                       "or use threads=1");
+        if (cfg.dispatch == DispatchPolicy::LeastOutstanding)
+            sim::fatal("ClusterConfig: threads (--threads) > 1 cannot use "
+                       "least-outstanding dispatch (--dispatch): it reads "
+                       "per-node queue state that is stale mid-window; "
+                       "use round-robin or expert-affinity");
     }
     // Written so NaN fails too: every comparison with NaN is false.
-    if (!(cfg_.diurnalAmplitude >= 0.0 && cfg_.diurnalAmplitude < 1.0))
+    if (!(cfg.diurnalAmplitude >= 0.0 && cfg.diurnalAmplitude < 1.0))
         sim::fatal("ClusterConfig: diurnalAmplitude (--diurnal-amplitude) "
                    "must be in [0, 1), got " +
-                   std::to_string(cfg_.diurnalAmplitude));
-    if (cfg_.diurnalAmplitude > 0.0) {
-        if (cfg_.node.arrival != ArrivalProcess::Poisson)
+                   std::to_string(cfg.diurnalAmplitude));
+    if (cfg.diurnalAmplitude > 0.0) {
+        if (cfg.node.arrival != ArrivalProcess::Poisson)
             sim::fatal("ClusterConfig: diurnal ramp modulates the "
                        "open-loop Poisson rate; it cannot be combined "
                        "with a closed loop");
-        if (!(std::isfinite(cfg_.diurnalPeriodSeconds) &&
-              cfg_.diurnalPeriodSeconds > 0.0))
+        if (!(std::isfinite(cfg.diurnalPeriodSeconds) &&
+              cfg.diurnalPeriodSeconds > 0.0))
             sim::fatal("ClusterConfig: diurnalPeriodSeconds "
                        "(--diurnal-period) must be finite and positive, "
                        "got " +
-                       std::to_string(cfg_.diurnalPeriodSeconds));
+                       std::to_string(cfg.diurnalPeriodSeconds));
     }
-    for (const ClusterNodeOverride &o : cfg_.overrides) {
-        if (o.node < 0 || o.node >= cfg_.nodes)
+    for (const ClusterNodeOverride &o : cfg.overrides) {
+        if (o.node < 0 || o.node >= cfg.nodes)
             sim::fatal("ClusterConfig: override for out-of-range node " +
                        std::to_string(o.node));
-        if (o.dmaEngines < 0 || o.expertRegionBytes < 0)
-            sim::fatal("ClusterConfig: negative override value");
+        if (o.dmaEngines < 0)
+            sim::fatal("ClusterConfig: override dmaEngines "
+                       "(--node-dma-engines) must be non-negative");
+        if (o.expertRegionBytes < 0)
+            sim::fatal("ClusterConfig: override expertRegionBytes "
+                       "(--node-region-gb) must be non-negative");
     }
 
-    for (const ScheduledAction &a : cfg_.actions) {
+    for (const ScheduledAction &a : cfg.actions) {
         // Written so NaN fails too; the upper bound keeps the firing
         // tick representable.
         if (!(a.atSeconds >= 0.0 &&
@@ -570,12 +573,12 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
                        "(< 9.2e6 s), got " + std::to_string(a.atSeconds));
         switch (a.kind) {
           case ActionKind::Drain:
-            if (cfg_.nodes < 2)
+            if (cfg.nodes < 2)
                 sim::fatal("ScheduledAction: draining needs at least 2 "
                            "nodes (requests must have somewhere to go)");
             [[fallthrough]];
           case ActionKind::Rejoin:
-            if (a.node < 0 || a.node >= cfg_.nodes)
+            if (a.node < 0 || a.node >= cfg.nodes)
                 sim::fatal("ScheduledAction: node out of range");
             break;
           case ActionKind::RateOverride:
@@ -583,11 +586,11 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
                 sim::fatal("ScheduledAction: rateFactor (--schedule) "
                            "must be finite and positive, got " +
                            std::to_string(a.rateFactor));
-            if (cfg_.node.arrival == ArrivalProcess::ClosedLoop)
+            if (cfg.node.arrival == ArrivalProcess::ClosedLoop)
                 sim::fatal("ScheduledAction: rate overrides modulate "
                            "open-loop arrivals; they cannot be combined "
                            "with a closed loop");
-            if (cfg_.node.workload.replay())
+            if (cfg.node.workload.replay())
                 sim::fatal("ScheduledAction: rate overrides cannot "
                            "modulate a replayed trace (its timing is "
                            "recorded)");
@@ -595,26 +598,26 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
         }
     }
 
-    validateControllerConfig(cfg_.controller, cfg_.nodes);
+    validateControllerConfig(cfg.controller, cfg.nodes);
 
-    validateFabricConfig(cfg_.fabric);
-    if (cfg_.dispatch == DispatchPolicy::TopologyAware &&
-        !cfg_.fabric.enabled)
+    validateFabricConfig(cfg.fabric);
+    if (cfg.dispatch == DispatchPolicy::TopologyAware &&
+        !cfg.fabric.enabled)
         sim::fatal("ClusterConfig: topology-aware dispatch reads path "
                    "congestion off the interconnect; enable the fabric "
                    "(--topology)");
 
-    validateFaultPolicy(cfg_.faultPolicy);
-    if (cfg_.faults && !cfg_.faults->empty()) {
-        validateFaultSchedule(*cfg_.faults, cfg_.nodes);
+    validateFaultPolicy(cfg.faultPolicy);
+    if (cfg.faults && !cfg.faults->empty()) {
+        validateFaultSchedule(*cfg.faults, cfg.nodes);
         bool displacing = false;
-        for (const FaultEvent &e : *cfg_.faults) {
-            if (e.kind == FaultKind::NodeCrash && cfg_.nodes < 2)
+        for (const FaultEvent &e : *cfg.faults) {
+            if (e.kind == FaultKind::NodeCrash && cfg.nodes < 2)
                 sim::fatal("ClusterConfig: crash faults need at least "
                            "2 nodes (displaced requests must have "
                            "somewhere to go)");
             if (e.kind == FaultKind::LinkDegrade &&
-                !cfg_.fabric.enabled)
+                !cfg.fabric.enabled)
                 sim::fatal("ClusterConfig: link-degrade faults act on "
                            "the interconnect; enable the fabric "
                            "(--topology)");
@@ -627,20 +630,35 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
             // would wedge a client pool and starve session follow-ups
             // of their trigger — the workload could not emit its full
             // budget.
-            if (cfg_.node.arrival == ArrivalProcess::ClosedLoop)
+            if (cfg.node.arrival == ArrivalProcess::ClosedLoop)
                 sim::fatal("ClusterConfig: crash/flaky faults cannot "
                            "drive closed-loop arrivals (a lost request "
                            "would never free its client); use open-loop "
                            "arrivals");
-            bool sessions = cfg_.node.workload.sessionFollowProb > 0.0;
-            for (const TenantSpec &t : cfg_.node.workload.tenantSpecs)
+            bool sessions = cfg.node.workload.sessionFollowProb > 0.0;
+            for (const TenantSpec &t : cfg.node.workload.tenantSpecs)
                 sessions = sessions || t.sessionFollowProb > 0.0;
-            if (sessions && !cfg_.node.workload.replay())
+            if (sessions && !cfg.node.workload.replay())
                 sim::fatal("ClusterConfig: crash/flaky faults cannot "
                            "generate conversational sessions (a lost "
                            "turn would never trigger its follow-up); "
                            "replay a recorded trace instead");
         }
+    }
+
+}
+
+ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
+{
+    cfg_.node.mode = ServingMode::EventDriven;
+    validateClusterConfig(cfg_);
+    if (cfg_.threads > cfg_.nodes) {
+        sim::logWarn("cluster",
+                     "clamping threads from " +
+                         std::to_string(cfg_.threads) + " to the node "
+                         "count " + std::to_string(cfg_.nodes) +
+                         " (one shard per node)");
+        cfg_.threads = cfg_.nodes;
     }
 
     costs_ = computePhaseCosts(cfg_.node);

@@ -183,6 +183,15 @@ struct ClusterConfig
     FabricConfig fabric;
 };
 
+/**
+ * Reject invalid or contradictory ClusterConfig fields (the node
+ * stack via validateServingConfig, then the cluster, schedule,
+ * controller, fabric and fault fields) with a FatalError naming the
+ * field and its flag. node.mode is taken as given; ClusterSimulator
+ * forces EventDriven first. The CLI calls this before it prints.
+ */
+void validateClusterConfig(const ClusterConfig &cfg);
+
 /** Static expert-to-node placement map. */
 struct ExpertPlacement
 {

@@ -1,6 +1,7 @@
 #include "coe/controller.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <utility>
 #include <vector>
@@ -42,25 +43,37 @@ validateControllerConfig(const ControllerConfig &cfg, int nodes)
 {
     if (cfg.policy == ControllerPolicy::Static)
         return; // the remaining knobs are inert
-    if (cfg.tickSeconds <= 0.0)
-        sim::fatal("ControllerConfig: non-positive tick");
+    // NaN fails every comparison below, so each check is written as
+    // "not (valid)"; the tick's upper bound keeps it a Tick.
+    if (!(cfg.tickSeconds > 0.0 &&
+          cfg.tickSeconds < sim::toSeconds(sim::kMaxTick)))
+        sim::fatal("ControllerConfig: tickSeconds (--controller-tick) "
+                   "must be positive and within the Tick range "
+                   "(< 9.2e6 s), got " +
+                   std::to_string(cfg.tickSeconds));
     if (cfg.minNodes < 1 || cfg.minNodes > nodes)
-        sim::fatal("ControllerConfig: minNodes outside [1, nodes]");
+        sim::fatal("ControllerConfig: minNodes (--controller-min) "
+                   "outside [1, nodes]");
     if (cfg.maxNodes != 0 &&
         (cfg.maxNodes < cfg.minNodes || cfg.maxNodes > nodes))
-        sim::fatal("ControllerConfig: maxNodes outside [minNodes, "
-                   "nodes]");
-    if (cfg.scaleDownQueueDepth < 0.0 ||
-        cfg.scaleUpQueueDepth <= cfg.scaleDownQueueDepth)
-        sim::fatal("ControllerConfig: scale-up depth must exceed the "
-                   "non-negative scale-down depth");
-    if (cfg.targetUtilization <= 0.0 || cfg.targetUtilization > 1.0)
-        sim::fatal("ControllerConfig: target utilization outside "
-                   "(0, 1]");
+        sim::fatal("ControllerConfig: maxNodes (--controller-max) "
+                   "outside [minNodes, nodes]");
+    if (!(std::isfinite(cfg.scaleUpQueueDepth) &&
+          cfg.scaleDownQueueDepth >= 0.0 &&
+          cfg.scaleUpQueueDepth > cfg.scaleDownQueueDepth))
+        sim::fatal("ControllerConfig: scaleUpQueueDepth "
+                   "(--controller-up-depth) must be finite and exceed the "
+                   "non-negative scaleDownQueueDepth "
+                   "(--controller-down-depth)");
+    if (!(cfg.targetUtilization > 0.0 && cfg.targetUtilization <= 1.0))
+        sim::fatal("ControllerConfig: targetUtilization "
+                   "(--controller-target-util) must be in (0, 1]");
     if (cfg.cooldownTicks < 0)
-        sim::fatal("ControllerConfig: negative cooldown");
+        sim::fatal("ControllerConfig: cooldownTicks (--controller-cooldown) "
+                   "must be non-negative");
     if (cfg.hotExpertTrack < 0)
-        sim::fatal("ControllerConfig: negative hot-expert track count");
+        sim::fatal("ControllerConfig: hotExpertTrack (--controller-hot) "
+                   "must be non-negative");
 }
 
 ClusterController::ClusterController(ClusterSimulator &cluster,

@@ -90,27 +90,35 @@ void
 validateFaultPolicy(const FaultPolicyConfig &policy)
 {
     if (policy.retryMax < 0)
-        sim::fatal("FaultPolicyConfig: negative retry budget");
+        sim::fatal("FaultPolicyConfig: retryMax (--retry-max) must be "
+                   "non-negative");
     if (!(std::isfinite(policy.retryBackoffSeconds) &&
           policy.retryBackoffSeconds >= 0.0))
-        sim::fatal("FaultPolicyConfig: negative retry backoff");
+        sim::fatal("FaultPolicyConfig: retryBackoffSeconds "
+                   "(--retry-backoff-ms) must be finite and non-negative");
     if (policy.retryBudget < -1)
-        sim::fatal("FaultPolicyConfig: retry budget must be >= -1");
+        sim::fatal("FaultPolicyConfig: retryBudget (--retry-budget) must "
+                   "be -1 (unbounded) or non-negative");
     if (!(std::isfinite(policy.hedgeThreshold) &&
           policy.hedgeThreshold > 0.0))
-        sim::fatal("FaultPolicyConfig: hedge threshold must be "
-                   "positive");
+        sim::fatal("FaultPolicyConfig: hedgeThreshold (--hedge-threshold) "
+                   "must be finite and positive");
     if (!(std::isfinite(policy.brownoutDepth) &&
           policy.brownoutDepth >= 0.0))
         sim::fatal("FaultPolicyConfig: brownoutDepth (--brownout-depth) "
                    "must be finite and non-negative, got " +
                    std::to_string(policy.brownoutDepth));
     if (policy.brownoutPriorityMax < 0)
-        sim::fatal("FaultPolicyConfig: negative brown-out priority");
+        sim::fatal("FaultPolicyConfig: brownoutPriorityMax "
+                   "(--brownout-prio) must be non-negative");
+    // The upper bound keeps the tick a Tick; NaN fails it too.
     if ((policy.hedge || policy.brownoutDepth > 0.0) &&
-        policy.policyTickSeconds <= 0.0)
-        sim::fatal("FaultPolicyConfig: hedge/brown-out need a "
-                   "positive policy tick");
+        !(policy.policyTickSeconds > 0.0 &&
+          policy.policyTickSeconds < sim::toSeconds(sim::kMaxTick)))
+        sim::fatal("FaultPolicyConfig: policyTickSeconds "
+                   "(--policy-tick-ms) must be positive and within the "
+                   "Tick range (< 9.2e6 s) for hedge/brown-out, got " +
+                   std::to_string(policy.policyTickSeconds));
 }
 
 // -------------------------------------------------------- JSONL IO

@@ -52,16 +52,30 @@ schedulerPolicyFromName(const std::string &name)
 void
 validateServingConfig(const ServingConfig &cfg)
 {
-    if (cfg.numExperts <= 0 || cfg.batch <= 0 || cfg.requests <= 0)
-        sim::fatal("ServingConfig: non-positive counts");
+    if (cfg.numExperts <= 0)
+        sim::fatal(std::string("ServingConfig: numExperts (") +
+                   (cfg.zoo.enabled ? "--zoo-adapters" : "--experts") +
+                   ") must be positive, got " +
+                   std::to_string(cfg.numExperts));
+    if (cfg.batch <= 0)
+        sim::fatal("ServingConfig: batch (--batch) must be positive, got " +
+                   std::to_string(cfg.batch));
+    if (cfg.requests <= 0)
+        sim::fatal("ServingConfig: requests must be positive");
+    // Written so NaN fails too: every comparison with NaN is false.
+    if (cfg.routing == RoutingDistribution::Zipf &&
+        !(std::isfinite(cfg.zipfS) && cfg.zipfS > 0.0))
+        sim::fatal("ServingConfig: zipfS (--zipf-s) must be finite and "
+                   "positive, got " + std::to_string(cfg.zipfS));
     if (cfg.outputTokens < 0)
         sim::fatal("ServingConfig: outputTokens (--tokens) must be "
                    "non-negative, got " +
                    std::to_string(cfg.outputTokens));
     if (cfg.mode == ServingMode::EventDriven) {
         if (cfg.streamRequests <= 0)
-            sim::fatal("ServingConfig: non-positive streamRequests");
-        // Written so NaN fails too: every comparison with NaN is false.
+            sim::fatal("ServingConfig: streamRequests (--requests) must be "
+                       "positive, got " +
+                       std::to_string(cfg.streamRequests));
         if (cfg.arrival == ArrivalProcess::Poisson &&
             !(std::isfinite(cfg.arrivalRatePerSec) &&
               cfg.arrivalRatePerSec > 0.0))
@@ -69,37 +83,47 @@ validateServingConfig(const ServingConfig &cfg)
                        "must be finite and positive, got " +
                        std::to_string(cfg.arrivalRatePerSec));
         if (cfg.arrival == ArrivalProcess::ClosedLoop && cfg.clients <= 0)
-            sim::fatal("ServingConfig: non-positive client count");
+            sim::fatal("ServingConfig: clients (--clients) must be "
+                       "positive");
         if (!(std::isfinite(cfg.thinkSeconds) && cfg.thinkSeconds >= 0.0))
             sim::fatal("ServingConfig: thinkSeconds (--think) must be "
                        "finite and non-negative, got " +
                        std::to_string(cfg.thinkSeconds));
         if (cfg.dmaEngines <= 0)
-            sim::fatal("ServingConfig: need at least one DMA engine");
+            sim::fatal("ServingConfig: dmaEngines (--dma-engines) must be "
+                       "at least 1, got " + std::to_string(cfg.dmaEngines));
         if (cfg.prefetchDepth < 0)
-            sim::fatal("ServingConfig: negative prefetch depth");
+            sim::fatal("ServingConfig: prefetchDepth (--prefetch-depth) "
+                       "must be non-negative");
         if (cfg.prefetchWindow < 0)
-            sim::fatal("ServingConfig: negative prefetch window");
+            sim::fatal("ServingConfig: prefetchWindow (--prefetch-window) "
+                       "must be non-negative");
     }
     if (cfg.expertRegionBytes < 0)
-        sim::fatal("ServingConfig: negative expert region size");
+        sim::fatal("ServingConfig: expertRegionBytes (--expert-region-gb) "
+                   "must be non-negative");
     if (cfg.specDecode.enabled) {
         if (cfg.specDecode.gamma < 0)
-            sim::fatal("ServingConfig: negative spec-decode gamma");
+            sim::fatal("ServingConfig: specDecode.gamma (--spec-gamma) "
+                       "must be non-negative");
         if (!(cfg.specDecode.acceptRate >= 0.0 &&
               cfg.specDecode.acceptRate <= 1.0))
-            sim::fatal("ServingConfig: spec-decode acceptRate outside "
-                       "[0, 1]");
+            sim::fatal("ServingConfig: specDecode.acceptRate "
+                       "(--spec-accept) must be in [0, 1]");
         if (!(cfg.specDecode.draftRatio > 0.0 &&
               cfg.specDecode.draftRatio < 1.0))
-            sim::fatal("ServingConfig: spec-decode draftRatio outside "
-                       "(0, 1)");
+            sim::fatal("ServingConfig: specDecode.draftRatio "
+                       "(--spec-draft-ratio) must be in (0, 1)");
     }
     if (cfg.zoo.enabled) {
         if (cfg.zoo.rank <= 0)
-            sim::fatal("ServingConfig: non-positive zoo LoRA rank");
-        if (cfg.zoo.churnEverySeconds < 0.0)
-            sim::fatal("ServingConfig: negative zoo churn period");
+            sim::fatal("ServingConfig: zoo.rank (--zoo-rank) must be at "
+                       "least 1");
+        if (!(std::isfinite(cfg.zoo.churnEverySeconds) &&
+              cfg.zoo.churnEverySeconds >= 0.0))
+            sim::fatal("ServingConfig: zoo.churnEverySeconds (--zoo-churn) "
+                       "must be finite and non-negative, got " +
+                       std::to_string(cfg.zoo.churnEverySeconds));
         if (cfg.zoo.dmaSetupSeconds < 0.0)
             sim::fatal("ServingConfig: negative zoo DMA setup time");
     }

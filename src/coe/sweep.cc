@@ -91,6 +91,19 @@ SweepGrid::points() const
 
 namespace {
 
+ClusterConfig
+clusterConfig(const SweepPoint &point)
+{
+    ClusterConfig cluster;
+    cluster.node = point.cfg;
+    cluster.nodes = point.nodes;
+    cluster.placement = point.placement;
+    cluster.dispatch = point.dispatch;
+    cluster.faults = point.faults;
+    cluster.faultPolicy = point.faultPolicy;
+    return cluster;
+}
+
 SweepPointResult
 runPoint(const SweepPoint &point)
 {
@@ -98,14 +111,7 @@ runPoint(const SweepPoint &point)
     r.point = point;
     auto start = std::chrono::steady_clock::now();
     if (point.nodes > 0) {
-        ClusterConfig cluster;
-        cluster.node = point.cfg;
-        cluster.nodes = point.nodes;
-        cluster.placement = point.placement;
-        cluster.dispatch = point.dispatch;
-        cluster.faults = point.faults;
-        cluster.faultPolicy = point.faultPolicy;
-        ClusterResult cr = ClusterSimulator(cluster).run();
+        ClusterResult cr = ClusterSimulator(clusterConfig(point)).run();
         r.result.oom = cr.oom;
         r.result.stream = cr.stream;
         r.result.missRate = cr.missRate;
@@ -124,6 +130,15 @@ runPoint(const SweepPoint &point)
 }
 
 } // namespace
+
+void
+validateSweepPoint(const SweepPoint &point)
+{
+    if (point.nodes > 0)
+        validateClusterConfig(clusterConfig(point));
+    else
+        validateServingConfig(point.cfg);
+}
 
 std::vector<SweepPointResult>
 runSweep(const std::vector<SweepPoint> &points, int jobs)

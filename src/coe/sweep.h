@@ -102,6 +102,13 @@ struct SweepPointResult
 };
 
 /**
+ * Run the config validators a point's simulator would run
+ * (validateServingConfig, or validateClusterConfig for a cluster
+ * point) without simulating it.
+ */
+void validateSweepPoint(const SweepPoint &point);
+
+/**
  * Run every point and return results in point order. @p jobs > 1
  * shards points across that many worker threads (each point runs on
  * one thread with its own EventQueue); @p jobs <= 1 runs sequentially.

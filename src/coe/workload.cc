@@ -703,7 +703,8 @@ validateWorkloadConfig(const ServingConfig &cfg)
 {
     const WorkloadConfig &w = cfg.workload;
     if (w.tenants < 1)
-        sim::fatal("WorkloadConfig: tenants must be at least 1");
+        sim::fatal("WorkloadConfig: tenants (--tenants) must be at least "
+                   "1, got " + std::to_string(w.tenants));
     // NaN fails every comparison below, so each check is written as
     // "not (valid)".
     if (!(std::isfinite(w.sloSeconds) && w.sloSeconds >= 0.0))
@@ -711,10 +712,11 @@ validateWorkloadConfig(const ServingConfig &cfg)
                    "and non-negative, got " +
                    std::to_string(w.sloSeconds));
     if (!(w.sessionFollowProb >= 0.0 && w.sessionFollowProb <= 1.0))
-        sim::fatal("WorkloadConfig: session follow probability outside "
-                   "[0, 1]");
+        sim::fatal("WorkloadConfig: sessionFollowProb (--session-prob) "
+                   "must be in [0, 1]");
     if (w.sessionMaxTurns < 1)
-        sim::fatal("WorkloadConfig: sessions need at least one turn");
+        sim::fatal("WorkloadConfig: sessionMaxTurns (--session-turns) "
+                   "must be at least 1");
     if (!(std::isfinite(w.sessionThinkSeconds) &&
           w.sessionThinkSeconds >= 0.0))
         sim::fatal("WorkloadConfig: sessionThinkSeconds (--session-think) "

@@ -417,6 +417,10 @@ Builder::build()
     cfg_.validate();
     if (spec_.batch <= 0 || spec_.seqLen <= 0)
         sim::fatal("WorkloadSpec " + spec_.str() + ": bad batch/seq");
+    if (spec_.tensorParallel < 1)
+        sim::fatal("WorkloadSpec " + spec_.str() +
+                   ": tensorParallel (--tp) must be at least 1, got " +
+                   std::to_string(spec_.tensorParallel));
     if (cfg_.vision && spec_.phase == Phase::Train)
         sim::fatal("WorkloadSpec " + spec_.str() +
                    ": multimodal training not modeled");

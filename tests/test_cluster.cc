@@ -571,6 +571,15 @@ TEST(ClusterSimulator, RejectsBadClusterConfigs)
     cfg.overrides.push_back({5, 2, 0}); // override for missing node
     EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
 
+    // The free validator makes the same checks without constructing.
+    EXPECT_THROW(validateClusterConfig(cfg), sim::FatalError);
+    cfg = clusterConfig(2);
+    validateClusterConfig(cfg);
+    cfg.threads = 0;
+    EXPECT_THROW(validateClusterConfig(cfg), sim::FatalError);
+    cfg = clusterConfig(0);
+    EXPECT_THROW(validateClusterConfig(cfg), sim::FatalError);
+
     cfg = clusterConfig(2);
     cfg.hotExperts = 1000; // more hot experts than experts
     EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -123,6 +124,22 @@ TEST(ControllerPolicies, ConfigValidation)
 
     bad = cfg;
     bad.targetUtilization = 1.5;
+    EXPECT_THROW(validateControllerConfig(bad, 4), sim::FatalError);
+
+    // NaN used to pass every one of these checks (and a NaN tick
+    // panicked in the event queue).
+    const double nan = std::nan("");
+    for (double ControllerConfig::*field :
+         {&ControllerConfig::tickSeconds,
+          &ControllerConfig::scaleUpQueueDepth,
+          &ControllerConfig::scaleDownQueueDepth,
+          &ControllerConfig::targetUtilization}) {
+        bad = cfg;
+        bad.*field = nan;
+        EXPECT_THROW(validateControllerConfig(bad, 4), sim::FatalError);
+    }
+    bad = cfg;
+    bad.tickSeconds = 1e300; // past the Tick range
     EXPECT_THROW(validateControllerConfig(bad, 4), sim::FatalError);
 
     // Every knob is inert under Static, including bad ones.

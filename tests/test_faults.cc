@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -195,6 +196,14 @@ TEST(FaultValidation, PolicyRejectsContradictoryKnobs)
     bad.hedge = true;
     bad.policyTickSeconds = 0.0;
     EXPECT_THROW(validateFaultPolicy(bad), sim::FatalError);
+
+    // A NaN or out-of-range tick used to panic in the event queue.
+    for (double tick : {std::nan(""), 1e300}) {
+        bad = FaultPolicyConfig{};
+        bad.brownoutDepth = 4.0;
+        bad.policyTickSeconds = tick;
+        EXPECT_THROW(validateFaultPolicy(bad), sim::FatalError);
+    }
 }
 
 // ---------------------------------------------------------- JSONL IO

@@ -2,10 +2,12 @@
  * @file
  * Unit tests for the sn40l_run flag parser (tools/flag_parser.h):
  * unknown flags name their subcommand, missing values and duplicate
- * flags fail, --flag=value and --flag value parse identically, --help
- * short-circuits, malformed or out-of-range numbers name their flag,
- * the whole-string number parsers reject trailing garbage, and
- * parseList rejects malformed lists.
+ * flags fail (an alias pair counts as one flag), --flag=value and
+ * --flag value parse identically, --help short-circuits and is
+ * rendered (word-wrapped) from the registration table, malformed or
+ * out-of-range numbers name their flag, the whole-string number
+ * parsers reject trailing garbage, and parseList rejects malformed
+ * lists.
  */
 
 #include <gtest/gtest.h>
@@ -32,11 +34,7 @@ using tools::splitEqualsArgs;
 
 namespace {
 
-void
-testHelp(std::ostream &os)
-{
-    os << "usage: sn40l_run fake [flags]\n";
-}
+const char *const kAbout = "A fake subcommand for the parser tests.";
 
 /** Expect a FlagUsageError whose message contains @p needle. */
 template <typename Fn>
@@ -57,12 +55,12 @@ expectUsageError(Fn &&fn, const std::string &needle)
 
 TEST(FlagParser, ParsesValuesAndBareFlags)
 {
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     int experts = 0;
     bool prefetch = false;
-    p.value("--experts",
+    p.value("--experts", "X", "help",
             [&](const std::string &v) { experts = std::stoi(v); });
-    p.flag("--prefetch", [&]() { prefetch = true; });
+    p.flag("--prefetch", "help", [&]() { prefetch = true; });
 
     std::ostringstream help;
     EXPECT_FALSE(p.parse({"--experts", "150", "--prefetch"}, help));
@@ -76,9 +74,9 @@ TEST(FlagParser, EqualsSpellingMatchesSpaceSpelling)
     for (const std::vector<std::string> &args :
          {std::vector<std::string>{"--experts=42"},
           std::vector<std::string>{"--experts", "42"}}) {
-        FlagParser p("fake", testHelp);
+        FlagParser p("fake", kAbout);
         int experts = 0;
-        p.value("--experts",
+        p.value("--experts", "X", "help",
                 [&](const std::string &v) { experts = std::stoi(v); });
         std::ostringstream help;
         EXPECT_FALSE(p.parse(args, help));
@@ -102,8 +100,8 @@ TEST(FlagParser, SplitEqualsArgsOnlyTouchesDoubleDashFlags)
 
 TEST(FlagParser, UnknownFlagNamesTheSubcommand)
 {
-    FlagParser p("fake", testHelp);
-    p.flag("--known", []() {});
+    FlagParser p("fake", kAbout);
+    p.flag("--known", "help", []() {});
     std::ostringstream help;
     expectUsageError([&]() { p.parse({"--bogus"}, help); },
                      "unknown fake flag '--bogus'");
@@ -111,8 +109,8 @@ TEST(FlagParser, UnknownFlagNamesTheSubcommand)
 
 TEST(FlagParser, MissingValueFails)
 {
-    FlagParser p("fake", testHelp);
-    p.value("--experts", [](const std::string &) {});
+    FlagParser p("fake", kAbout);
+    p.value("--experts", "X", "help", [](const std::string &) {});
     std::ostringstream help;
     expectUsageError([&]() { p.parse({"--experts"}, help); },
                      "expects a value");
@@ -120,9 +118,9 @@ TEST(FlagParser, MissingValueFails)
 
 TEST(FlagParser, DuplicateFlagFails)
 {
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     int experts = 0;
-    p.value("--experts",
+    p.value("--experts", "X", "help",
             [&](const std::string &v) { experts = std::stoi(v); });
     std::ostringstream help;
     expectUsageError(
@@ -130,8 +128,8 @@ TEST(FlagParser, DuplicateFlagFails)
         "given more than once");
 
     // Bare flags are rejected on repeat too.
-    FlagParser q("fake", testHelp);
-    q.flag("--prefetch", []() {});
+    FlagParser q("fake", kAbout);
+    q.flag("--prefetch", "help", []() {});
     expectUsageError(
         [&]() { q.parse({"--prefetch", "--prefetch"}, help); },
         "given more than once");
@@ -141,9 +139,9 @@ TEST(FlagParser, ParseStateResetsBetweenRuns)
 {
     // The seen-set must reset, or a reused parser would report a
     // duplicate across independent parses.
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     int experts = 0;
-    p.value("--experts",
+    p.value("--experts", "X", "help",
             [&](const std::string &v) { experts = std::stoi(v); });
     std::ostringstream help;
     EXPECT_FALSE(p.parse({"--experts", "1"}, help));
@@ -153,9 +151,9 @@ TEST(FlagParser, ParseStateResetsBetweenRuns)
 
 TEST(FlagParser, HelpShortCircuitsAndPrints)
 {
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     bool touched = false;
-    p.flag("--touch", [&]() { touched = true; });
+    p.flag("--touch", "help", [&]() { touched = true; });
     std::ostringstream help;
     EXPECT_TRUE(p.parse({"--help", "--touch"}, help));
     EXPECT_FALSE(touched); // nothing after --help is applied
@@ -169,23 +167,104 @@ TEST(FlagParser, HelpShortCircuitsAndPrints)
 
 TEST(FlagParser, RegisteringTheSameFlagTwiceIsAProgrammerError)
 {
-    FlagParser p("fake", testHelp);
-    p.flag("--x", []() {});
-    EXPECT_THROW(p.flag("--x", []() {}), std::logic_error);
-    EXPECT_THROW(p.value("--x", [](const std::string &) {}),
+    FlagParser p("fake", kAbout);
+    p.flag("--x", "help", []() {});
+    EXPECT_THROW(p.flag("--x", "help", []() {}), std::logic_error);
+    EXPECT_THROW(p.value("--x", "X", "help", [](const std::string &) {}),
                  std::logic_error);
+    // Either half of an alias pair collides, and --help is reserved.
+    EXPECT_THROW(p.flag("-x, --x", "help", []() {}), std::logic_error);
+    EXPECT_THROW(p.flag("--help", "help", []() {}), std::logic_error);
+}
+
+TEST(FlagParser, AliasPairIsOneSpec)
+{
+    FlagParser p("fake", kAbout);
+    int threads = 0;
+    p.value("-j, --threads", "N", "worker threads",
+            [&](const std::string &v) { threads = parseInt(v); });
+    std::ostringstream help;
+    EXPECT_FALSE(p.parse({"-j", "3"}, help));
+    EXPECT_EQ(threads, 3);
+    EXPECT_FALSE(p.parse({"--threads=5"}, help));
+    EXPECT_EQ(threads, 5);
+    // Giving both names no longer silently keeps the last value.
+    expectUsageError([&]() { p.parse({"-j", "2", "--threads", "1"}, help); },
+                     "flag -j, --threads given more than once");
+    expectUsageError([&]() { p.parse({"--threads", "2", "-j", "1"}, help); },
+                     "given more than once");
+    expectUsageError([&]() { p.parse({"--j", "2"}, help); },
+                     "unknown fake flag '--j'");
+}
+
+TEST(FlagParser, HelpIsRenderedFromTheTable)
+{
+    FlagParser p("fake", kAbout);
+    p.group("First");
+    p.value("--alpha", "N", "the alpha knob", [](const std::string &) {});
+    p.group("Second");
+    p.flag("--beta", "the beta switch", []() {});
+    p.group("First"); // a reopened group keeps its first position
+    p.value("-g, --gamma", "G", "the gamma knob",
+            [](const std::string &) {});
+    std::ostringstream help;
+    ASSERT_TRUE(p.parse({"--help"}, help));
+    EXPECT_EQ(help.str(),
+              "usage: sn40l_run fake [flags]\n"
+              "\n"
+              "A fake subcommand for the parser tests.\n"
+              "\n"
+              "First:\n"
+              "  --alpha N               the alpha knob\n"
+              "  -g, --gamma G           the gamma knob\n"
+              "\n"
+              "Second:\n"
+              "  --beta                  the beta switch\n"
+              "\n"
+              "  -h, --help              print this help and exit\n");
+
+    // Flags before any group() land under "Flags"; a long help line
+    // wraps at 80 columns, continuing under the help column.
+    FlagParser wide("fake", kAbout);
+    wide.value("--long", "N",
+               "one two three four five six seven eight nine ten eleven "
+               "twelve thirteen",
+               [](const std::string &) {});
+    std::ostringstream wide_help;
+    ASSERT_TRUE(wide.parse({"--help"}, wide_help));
+    EXPECT_NE(wide_help.str().find(
+                  "Flags:\n"
+                  "  --long N                one two three four five six "
+                  "seven eight nine ten\n"
+                  "                          eleven twelve thirteen\n"),
+              std::string::npos)
+        << wide_help.str();
+
+    // The bare program path has no subcommand in its usage or errors.
+    FlagParser top("", "About the program.");
+    top.flag("--x", "x", []() {});
+    std::ostringstream top_help;
+    ASSERT_TRUE(top.parse({"-h"}, top_help));
+    EXPECT_EQ(top_help.str().rfind("usage: sn40l_run [flags]\n", 0), 0u);
+    try {
+        top.parse({"--y"}, top_help);
+        FAIL() << "expected FlagUsageError";
+    } catch (const FlagUsageError &e) {
+        EXPECT_STREQ(e.what(), "unknown flag '--y'");
+        EXPECT_TRUE(e.subcommand().empty());
+    }
 }
 
 TEST(FlagParser, FailThrowsWithSubcommand)
 {
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     expectUsageError([&]() { p.fail("custom validation message"); },
                      "custom validation message");
 }
 
 TEST(ParseListFn, ParsesCommaSeparatedValues)
 {
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     std::vector<int> v = parseList<int>(
         p, "1,2,3", +[](const std::string &s) { return std::stoi(s); });
     ASSERT_EQ(v.size(), 3u);
@@ -195,7 +274,7 @@ TEST(ParseListFn, ParsesCommaSeparatedValues)
 
 TEST(ParseListFn, EmptyElementsAndEmptyListsFail)
 {
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     auto parse = +[](const std::string &s) { return std::stoi(s); };
     expectUsageError([&]() { parseList<int>(p, "1,,3", parse); },
                      "empty element");
@@ -205,11 +284,13 @@ TEST(ParseListFn, EmptyElementsAndEmptyListsFail)
 
 TEST(FlagParser, BadNumbersNameTheFlagAndValue)
 {
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     int nodes = 0;
     double rate = 0.0;
-    p.value("--nodes", [&](const std::string &v) { nodes = std::stoi(v); });
-    p.value("--rate", [&](const std::string &v) { rate = std::stod(v); });
+    p.value("--nodes", "N", "help",
+            [&](const std::string &v) { nodes = std::stoi(v); });
+    p.value("--rate", "R", "help",
+            [&](const std::string &v) { rate = std::stod(v); });
     std::ostringstream help;
     expectUsageError([&]() { p.parse({"--nodes", "abc"}, help); },
                      "flag --nodes: malformed number 'abc'");
@@ -253,15 +334,16 @@ TEST(WholeNumberParsers, RejectTrailingGarbage)
 
 TEST(FlagParser, TrailingGarbageNamesTheFlagAndValue)
 {
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     int requests = 0;
     double rate = 0.0;
     std::uint64_t seed = 0;
-    p.value("--requests",
+    p.value("--requests", "X", "help",
             [&](const std::string &v) { requests = parseInt(v); });
-    p.value("--arrival-rate",
+    p.value("--arrival-rate", "X", "help",
             [&](const std::string &v) { rate = parseDouble(v); });
-    p.value("--seed", [&](const std::string &v) { seed = parseUint64(v); });
+    p.value("--seed", "N", "help",
+            [&](const std::string &v) { seed = parseUint64(v); });
     std::ostringstream help;
     expectUsageError([&]() { p.parse({"--requests", "3x"}, help); },
                      "flag --requests: malformed number '3x'");
@@ -282,7 +364,7 @@ TEST(FlagParser, TrailingGarbageNamesTheFlagAndValue)
 
 TEST(ParseListFn, WholeNumberElementsRejectTrailingGarbage)
 {
-    FlagParser p("fake", testHelp);
+    FlagParser p("fake", kAbout);
     EXPECT_EQ(parseList<int>(p, "100,150", &parseInt),
               (std::vector<int>{100, 150}));
     EXPECT_THROW(parseList<int>(p, "100,150x", &parseInt),

@@ -170,6 +170,18 @@ TEST(TransformerBuilder, TensorParallelEmitsAllReduce)
         EXPECT_NE(op.kind, graph::OpKind::AllReduce);
 }
 
+TEST(TransformerBuilder, RejectsNonPositiveTensorParallel)
+{
+    // The compiler used to clamp these to 1 and report "TP0".
+    WorkloadSpec spec;
+    spec.model = LlmConfig::llama2_7b();
+    spec.seqLen = 128;
+    for (int tp : {0, -1}) {
+        spec.tensorParallel = tp;
+        EXPECT_THROW(buildTransformer(spec), sim::FatalError) << tp;
+    }
+}
+
 TEST(TransformerBuilder, FalconParallelBlocksUseOneAllReduce)
 {
     WorkloadSpec spec;

@@ -157,10 +157,32 @@ TEST(Config, SpecAndZooFieldsArePolicedOnlyWhenEnabled)
     cfg.zoo.rank = 16;
     cfg.zoo.churnEverySeconds = -1.0;
     EXPECT_THROW(validateServingConfig(cfg), sim::FatalError);
+    cfg.zoo.churnEverySeconds = std::nan(""); // used to mean "off"
+    EXPECT_THROW(validateServingConfig(cfg), sim::FatalError);
     cfg.zoo.churnEverySeconds = 0.0;
     cfg.zoo.dmaSetupSeconds = -1e-6;
     EXPECT_THROW(validateServingConfig(cfg), sim::FatalError);
     cfg.zoo.dmaSetupSeconds = 4e-6;
+    validateServingConfig(cfg);
+}
+
+TEST(Config, ZipfSkewIsPolicedUnderZipfRouting)
+{
+    ServingConfig cfg;
+    cfg.mode = ServingMode::EventDriven;
+    cfg.zipfS = std::nan(""); // ignored without Zipf routing
+    validateServingConfig(cfg);
+
+    cfg.routing = RoutingDistribution::Zipf;
+    for (double s : {std::nan(""), -1.0, 0.0, HUGE_VAL})
+        EXPECT_THROW(
+            {
+                cfg.zipfS = s;
+                validateServingConfig(cfg);
+            },
+            sim::FatalError)
+            << s;
+    cfg.zipfS = 1.2;
     validateServingConfig(cfg);
 }
 

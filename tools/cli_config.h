@@ -4,10 +4,16 @@
  * subcommands register the same workload, arrival, scenario, and
  * core-serving flags; those groups (and the cross-flag validation
  * that goes with them) live here so each flag is defined exactly
- * once and every subcommand rejects the same contradictions with the
- * same messages. The PR-6 control-plane flags (--controller-*,
- * --schedule, --plan-*) are declared here too, so the cluster
- * subcommand and any future consumer share one definition.
+ * once, with one --help line, and every subcommand rejects the same
+ * contradictions with the same messages. The control-plane flags
+ * (--controller-*, --schedule, --plan-*) are declared here too.
+ *
+ * Range checks do not live here: the config validators
+ * (validateServingConfig, validateClusterConfig) run on the assembled
+ * config and name each field and its flag. This layer keeps only
+ * cross-flag contradictions, checks on values with no config field
+ * (--plan-*), and the few flags that are stricter than their field
+ * because the config reads 0 as "off".
  *
  * Everything is a header-only helper over tools::FlagParser; the
  * functions only wire callbacks, so including this costs nothing at
@@ -17,8 +23,11 @@
 #ifndef SN40L_TOOLS_CLI_CONFIG_H
 #define SN40L_TOOLS_CLI_CONFIG_H
 
+#include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,6 +51,39 @@ platformByName(const std::string &name)
     std::exit(1);
 }
 
+/**
+ * GB to bytes for --expert-region-gb and --node-region-gb. The config
+ * reads 0 bytes as "platform default", so the flags demand at least
+ * one byte; the range check comes before the cast, since NaN or a
+ * huge double has no int64 value.
+ */
+inline std::int64_t
+regionBytes(const FlagParser &p, const char *flag, double gb)
+{
+    double bytes = gb * 1e9;
+    if (!(bytes >= 1.0 && bytes < 0x1p63)) {
+        std::ostringstream msg;
+        msg << flag << " must be positive and finite (at least 1 byte, "
+            << "below 9.2e9 GB), got " << gb;
+        p.fail(msg.str());
+    }
+    return static_cast<std::int64_t>(bytes);
+}
+
+/**
+ * Parse a --trace-in file once, before anything is printed: a bad
+ * file fails up front, and every run of the command (both serve
+ * schedulers, each sweep point and worker, each capacity-plan node
+ * count) replays the same immutable entries.
+ */
+inline void
+loadTraceOnce(coe::WorkloadConfig &w)
+{
+    if (!w.traceIn.empty())
+        w.traceEntries = std::make_shared<const std::vector<coe::TraceEntry>>(
+            coe::loadTrace(w.traceIn));
+}
+
 // ------------------------------------------- shared flag groups
 
 /** Tracks which optional flags were set, for contradiction checks. */
@@ -61,40 +103,48 @@ inline void
 addWorkloadFlags(FlagParser &p, coe::ServingConfig &cfg,
                  WorkloadFlagState &st)
 {
-    p.value("--platform", [&](const std::string &v) {
-        cfg.platform = platformByName(v);
-    });
-    p.value("--tokens", [&](const std::string &v) {
-        cfg.outputTokens = parseInt(v);
-    });
-    p.value("--requests", [&](const std::string &v) {
-        cfg.streamRequests = parseInt(v);
-    });
-    p.value("--routing", [&](const std::string &v) {
-        cfg.routing = coe::routingDistributionFromName(v);
-    });
-    p.value("--zipf-s", [&](const std::string &v) {
-        cfg.zipfS = parseDouble(v);
-        st.setZipfS = true;
-    });
-    p.flag("--prefetch", [&]() { cfg.predictivePrefetch = true; });
-    p.value("--prefetch-depth", [&](const std::string &v) {
-        cfg.prefetchDepth = parseInt(v);
-        st.setPrefetchDepth = true;
-    });
-    p.value("--prefetch-window", [&](const std::string &v) {
-        cfg.prefetchWindow = parseInt(v);
-        st.setPrefetchWindow = true;
-    });
-    p.value("--dma-engines", [&](const std::string &v) {
-        cfg.dmaEngines = parseInt(v);
-    });
-    p.value("--expert-region-gb", [&p, &cfg](const std::string &v) {
-        double gb = parseDouble(v);
-        if (gb <= 0.0)
-            p.fail("--expert-region-gb must be positive");
-        cfg.expertRegionBytes = static_cast<std::int64_t>(gb * 1e9);
-    });
+    p.group("Workload");
+    p.value("--platform", "P", "sn40l | dgx-a100 | dgx-h100 (default sn40l)",
+            [&](const std::string &v) { cfg.platform = platformByName(v); });
+    p.value("--tokens", "N", "output tokens per prompt (default 20)",
+            [&](const std::string &v) { cfg.outputTokens = parseInt(v); });
+    p.value("--requests", "N",
+            "requests per run or sweep point (default 512)",
+            [&](const std::string &v) { cfg.streamRequests = parseInt(v); });
+    p.value("--routing", "D",
+            "uniform | zipf | round-robin (default uniform)",
+            [&](const std::string &v) {
+                cfg.routing = coe::routingDistributionFromName(v);
+            });
+    p.value("--zipf-s", "S", "Zipf skew (requires --routing zipf; default 1)",
+            [&](const std::string &v) {
+                cfg.zipfS = parseDouble(v);
+                st.setZipfS = true;
+            });
+    p.group("Memory system");
+    p.flag("--prefetch",
+           "prefetch queued requests' experts at low DMA priority",
+           [&]() { cfg.predictivePrefetch = true; });
+    p.value("--prefetch-depth", "N",
+            "max outstanding prefetches (default 4)",
+            [&](const std::string &v) {
+                cfg.prefetchDepth = parseInt(v);
+                st.setPrefetchDepth = true;
+            });
+    p.value("--prefetch-window", "N",
+            "queue entries scanned per prefetch (default 0 = all)",
+            [&](const std::string &v) {
+                cfg.prefetchWindow = parseInt(v);
+                st.setPrefetchWindow = true;
+            });
+    p.value("--dma-engines", "N", "DMA engines streaming experts (default 2)",
+            [&](const std::string &v) { cfg.dmaEngines = parseInt(v); });
+    p.value("--expert-region-gb", "G",
+            "HBM expert region in GB (default: HBM minus router/KV)",
+            [&p, &cfg](const std::string &v) {
+                cfg.expertRegionBytes =
+                    regionBytes(p, "--expert-region-gb", parseDouble(v));
+            });
 }
 
 /** Reject contradictory workload flag combinations. */
@@ -108,12 +158,6 @@ validateWorkloadFlags(const FlagParser &p, const coe::ServingConfig &cfg,
         p.fail("--prefetch-depth requires --prefetch");
     if (st.setPrefetchWindow && !cfg.predictivePrefetch)
         p.fail("--prefetch-window requires --prefetch");
-    if (cfg.prefetchWindow < 0)
-        p.fail("--prefetch-window must be non-negative");
-    if (cfg.dmaEngines <= 0)
-        p.fail("--dma-engines must be at least 1");
-    if (cfg.prefetchDepth < 0)
-        p.fail("--prefetch-depth must be non-negative");
 }
 
 struct ArrivalFlagState
@@ -129,22 +173,30 @@ inline void
 addArrivalFlags(FlagParser &p, coe::ServingConfig &cfg,
                 ArrivalFlagState &st)
 {
-    p.value("--arrival-rate", [&](const std::string &v) {
-        cfg.arrivalRatePerSec = parseDouble(v);
-        st.setArrivalRate = true;
-    });
-    p.flag("--closed-loop", [&]() {
-        cfg.arrival = coe::ArrivalProcess::ClosedLoop;
-        st.setClosedLoop = true;
-    });
-    p.value("--clients", [&](const std::string &v) {
-        cfg.clients = parseInt(v);
-        st.setClients = true;
-    });
-    p.value("--think", [&](const std::string &v) {
-        cfg.thinkSeconds = parseDouble(v);
-        st.setThink = true;
-    });
+    p.group("Arrivals");
+    p.value("--arrival-rate", "R",
+            "open-loop Poisson req/s (default 8); under cluster "
+            "the total rate, default 8 x nodes",
+            [&](const std::string &v) {
+                cfg.arrivalRatePerSec = parseDouble(v);
+                st.setArrivalRate = true;
+            });
+    p.flag("--closed-loop", "fixed client pool instead of Poisson arrivals",
+           [&]() {
+               cfg.arrival = coe::ArrivalProcess::ClosedLoop;
+               st.setClosedLoop = true;
+           });
+    p.value("--clients", "N", "pool size (requires --closed-loop; default 16)",
+            [&](const std::string &v) {
+                cfg.clients = parseInt(v);
+                st.setClients = true;
+            });
+    p.value("--think", "SEC",
+            "client think time (requires --closed-loop; default 0)",
+            [&](const std::string &v) {
+                cfg.thinkSeconds = parseDouble(v);
+                st.setThink = true;
+            });
 }
 
 inline void
@@ -179,57 +231,73 @@ inline void
 addScenarioFlags(FlagParser &p, coe::ServingConfig &cfg,
                  ScenarioFlagState &st)
 {
-    p.value("--workload", [&](const std::string &v) {
-        st.workloadName = v;
-        st.setWorkload = true;
-    });
-    p.value("--tenants", [&](const std::string &v) {
-        cfg.workload.tenants = parseInt(v);
-        st.setTenants = true;
-    });
-    p.value("--slo-ms", [&p, &cfg](const std::string &v) {
-        double ms = parseDouble(v);
-        if (ms <= 0.0)
-            p.fail("--slo-ms must be positive");
-        cfg.workload.sloSeconds = ms / 1000.0;
-    });
-    p.value("--session-prob", [&](const std::string &v) {
-        cfg.workload.sessionFollowProb = parseDouble(v);
-        st.setSession = true;
-    });
-    p.value("--session-think", [&](const std::string &v) {
-        cfg.workload.sessionThinkSeconds = parseDouble(v);
-        st.setSession = true;
-    });
-    p.value("--session-turns", [&](const std::string &v) {
-        cfg.workload.sessionMaxTurns = parseInt(v);
-        st.setSession = true;
-    });
-    p.value("--burst-factor", [&](const std::string &v) {
-        cfg.workload.shape.burstFactor = parseDouble(v);
-        st.setBurst = true;
-    });
-    p.value("--burst-every", [&](const std::string &v) {
-        cfg.workload.shape.burstEverySeconds = parseDouble(v);
-        st.setBurst = true;
-    });
-    p.value("--burst-seconds", [&](const std::string &v) {
-        cfg.workload.shape.burstSeconds = parseDouble(v);
-        st.setBurst = true;
-    });
-    p.value("--trace-out", [&](const std::string &v) {
-        cfg.workload.traceOut = v;
-    });
-    p.value("--trace-in", [&](const std::string &v) {
-        cfg.workload.traceIn = v;
-    });
+    p.group("Workload scenarios");
+    p.value("--workload", "W",
+            "poisson | closed-loop | mix (default poisson)",
+            [&](const std::string &v) {
+                st.workloadName = v;
+                st.setWorkload = true;
+            });
+    p.value("--tenants", "N", "tenants in the mix (with --workload mix: 4)",
+            [&](const std::string &v) {
+                cfg.workload.tenants = parseInt(v);
+                st.setTenants = true;
+            });
+    // Stricter than sloSeconds, where 0 means "no deadline".
+    p.value("--slo-ms", "MS",
+            "per-request deadline; shed arrivals that would miss it",
+            [&p, &cfg](const std::string &v) {
+                double ms = parseDouble(v);
+                if (ms <= 0.0)
+                    p.fail("--slo-ms must be positive");
+                cfg.workload.sloSeconds = ms / 1000.0;
+            });
+    p.value("--session-prob", "P",
+            "P(follow-up turn) after each turn (default 0)",
+            [&](const std::string &v) {
+                cfg.workload.sessionFollowProb = parseDouble(v);
+                st.setSession = true;
+            });
+    p.value("--session-think", "SEC",
+            "mean think time between turns (default 0.5)",
+            [&](const std::string &v) {
+                cfg.workload.sessionThinkSeconds = parseDouble(v);
+                st.setSession = true;
+            });
+    p.value("--session-turns", "N", "max turns per session (default 8)",
+            [&](const std::string &v) {
+                cfg.workload.sessionMaxTurns = parseInt(v);
+                st.setSession = true;
+            });
+    p.value("--burst-factor", "F",
+            "rate multiplier inside burst windows (default 1 = off)",
+            [&](const std::string &v) {
+                cfg.workload.shape.burstFactor = parseDouble(v);
+                st.setBurst = true;
+            });
+    p.value("--burst-every", "SEC", "burst window period",
+            [&](const std::string &v) {
+                cfg.workload.shape.burstEverySeconds = parseDouble(v);
+                st.setBurst = true;
+            });
+    p.value("--burst-seconds", "SEC", "burst window length",
+            [&](const std::string &v) {
+                cfg.workload.shape.burstSeconds = parseDouble(v);
+                st.setBurst = true;
+            });
+    p.value("--trace-out", "FILE",
+            "record the request stream as JSONL (not under sweep)",
+            [&](const std::string &v) { cfg.workload.traceOut = v; });
+    p.value("--trace-in", "FILE",
+            "replay a recorded stream (sweep: at every point)",
+            [&](const std::string &v) { cfg.workload.traceIn = v; });
 }
 
 /**
- * Resolve and cross-check the scenario flags. Library-level
- * validation (validateWorkloadConfig) still runs afterwards; this
- * layer catches the purely-CLI contradictions with messages naming
- * the subcommand.
+ * Resolve and cross-check the scenario flags. The field ranges are
+ * validateWorkloadConfig's (via validateServingConfig); this layer
+ * catches the purely-CLI contradictions with messages naming the
+ * subcommand.
  */
 inline void
 validateScenarioFlags(const FlagParser &p, coe::ServingConfig &cfg,
@@ -251,12 +319,8 @@ validateScenarioFlags(const FlagParser &p, coe::ServingConfig &cfg,
                    "' (expected poisson, closed-loop, or mix)");
         }
     }
-    if (st.setTenants) {
-        if (st.setWorkload && st.workloadName != "mix")
-            p.fail("--tenants requires --workload mix");
-        if (cfg.workload.tenants < 1)
-            p.fail("--tenants must be at least 1");
-    }
+    if (st.setTenants && st.setWorkload && st.workloadName != "mix")
+        p.fail("--tenants requires --workload mix");
     if ((st.setTenants || st.setSession) && ast.setClosedLoop)
         p.fail("tenant mixes and sessions are open-loop workloads; "
                "drop --closed-loop");
@@ -270,29 +334,40 @@ validateScenarioFlags(const FlagParser &p, coe::ServingConfig &cfg,
 }
 
 /**
+ * The scheduler stays a string so serve and sweep can accept their
+ * "both" comparison mode; callers resolve it after parsing.
+ */
+inline void
+addSchedulerFlag(FlagParser &p, std::string &scheduler_name)
+{
+    p.group("Scheduler");
+    p.value("--scheduler", "S",
+            "fifo | affinity | both (default both); cluster runs "
+            "one, default affinity",
+            [&](const std::string &v) { scheduler_name = v; });
+}
+
+/**
  * Core serving scalars shared by serve and cluster (sweep keeps list
- * versions of these as grid axes). The scheduler stays a string so
- * serve can accept its "both" comparison mode; callers resolve it
- * after parsing.
+ * versions of these as grid axes), plus the scheduler.
  */
 inline void
 addCoreServingFlags(FlagParser &p, coe::ServingConfig &cfg,
                     std::string &scheduler_name,
                     bool *set_experts = nullptr)
 {
-    p.value("--experts", [&cfg, set_experts](const std::string &v) {
-        cfg.numExperts = parseInt(v);
-        if (set_experts)
-            *set_experts = true;
-    });
-    p.value("--batch", [&](const std::string &v) {
-        cfg.batch = parseInt(v);
-    });
-    p.value("--seed", [&](const std::string &v) {
-        cfg.seed = parseUint64(v);
-    });
-    p.value("--scheduler",
-            [&](const std::string &v) { scheduler_name = v; });
+    p.group("Workload");
+    p.value("--experts", "N", "experts in the zoo (default 150)",
+            [&cfg, set_experts](const std::string &v) {
+                cfg.numExperts = parseInt(v);
+                if (set_experts)
+                    *set_experts = true;
+            });
+    p.value("--batch", "N", "max prompts per batch (default 8)",
+            [&](const std::string &v) { cfg.batch = parseInt(v); });
+    p.value("--seed", "N", "RNG seed (default 1)",
+            [&](const std::string &v) { cfg.seed = parseUint64(v); });
+    addSchedulerFlag(p, scheduler_name);
 }
 
 // --------------------------------- spec-decode / expert-zoo group
@@ -320,32 +395,48 @@ inline void
 addSpecZooFlags(FlagParser &p, coe::ServingConfig &cfg,
                 SpecZooFlagState &st)
 {
-    p.flag("--spec-decode", [&]() { cfg.specDecode.enabled = true; });
-    p.value("--spec-gamma", [&](const std::string &v) {
-        cfg.specDecode.gamma = parseInt(v);
-        st.setGamma = true;
-    });
-    p.value("--spec-accept", [&](const std::string &v) {
-        cfg.specDecode.acceptRate = parseDouble(v);
-        st.setAccept = true;
-    });
-    p.value("--spec-draft-ratio", [&](const std::string &v) {
-        cfg.specDecode.draftRatio = parseDouble(v);
-        st.setDraftRatio = true;
-    });
-    p.value("--zoo-adapters", [&](const std::string &v) {
-        cfg.zoo.enabled = true;
-        cfg.numExperts = parseInt(v);
-        st.setZooAdapters = true;
-    });
-    p.value("--zoo-rank", [&](const std::string &v) {
-        cfg.zoo.rank = parseInt(v);
-        st.setZooRank = true;
-    });
-    p.value("--zoo-churn", [&](const std::string &v) {
-        cfg.zoo.churnEverySeconds = parseDouble(v);
-        st.setZooChurn = true;
-    });
+    p.group("Speculative decoding");
+    p.flag("--spec-decode",
+           "draft/verify decoding with a resident draft model",
+           [&]() { cfg.specDecode.enabled = true; });
+    p.value("--spec-gamma", "N",
+            "draft tokens per verification step (default 4)",
+            [&](const std::string &v) {
+                cfg.specDecode.gamma = parseInt(v);
+                st.setGamma = true;
+            });
+    p.value("--spec-accept", "P",
+            "per-token acceptance probability (default 0.8)",
+            [&](const std::string &v) {
+                cfg.specDecode.acceptRate = parseDouble(v);
+                st.setAccept = true;
+            });
+    p.value("--spec-draft-ratio", "F",
+            "draft cost / target cost, in (0, 1) (default 0.05)",
+            [&](const std::string &v) {
+                cfg.specDecode.draftRatio = parseDouble(v);
+                st.setDraftRatio = true;
+            });
+    p.group("PEFT expert zoo");
+    p.value("--zoo-adapters", "N",
+            "N LoRA adapters on pinned base weights (not --experts)",
+            [&](const std::string &v) {
+                cfg.zoo.enabled = true;
+                cfg.numExperts = parseInt(v);
+                st.setZooAdapters = true;
+            });
+    p.value("--zoo-rank", "R",
+            "LoRA rank; adapter bytes scale with it (default 16)",
+            [&](const std::string &v) {
+                cfg.zoo.rank = parseInt(v);
+                st.setZooRank = true;
+            });
+    p.value("--zoo-churn", "SEC",
+            "rotate adapter popularity every SEC (default 0 = off)",
+            [&](const std::string &v) {
+                cfg.zoo.churnEverySeconds = parseDouble(v);
+                st.setZooChurn = true;
+            });
 }
 
 /**
@@ -362,94 +453,29 @@ validateSpecZooFlags(const FlagParser &p, const coe::ServingConfig &cfg,
         (st.setGamma || st.setAccept || st.setDraftRatio))
         p.fail("--spec-gamma/--spec-accept/--spec-draft-ratio require "
                "--spec-decode");
-    if (cfg.specDecode.enabled) {
-        if (cfg.specDecode.gamma < 0)
-            p.fail("--spec-gamma must be non-negative");
-        if (!(cfg.specDecode.acceptRate >= 0.0 &&
-              cfg.specDecode.acceptRate <= 1.0))
-            p.fail("--spec-accept must be in [0, 1]");
-        if (!(cfg.specDecode.draftRatio > 0.0 &&
-              cfg.specDecode.draftRatio < 1.0))
-            p.fail("--spec-draft-ratio must be in (0, 1)");
-    }
     if (!st.setZooAdapters && (st.setZooRank || st.setZooChurn))
         p.fail("--zoo-rank/--zoo-churn require --zoo-adapters");
-    if (st.setZooAdapters) {
-        if (set_experts)
-            p.fail("--zoo-adapters replaces the expert set; it cannot "
-                   "be combined with --experts");
-        if (cfg.numExperts <= 0)
-            p.fail("--zoo-adapters must be positive");
-        if (cfg.zoo.rank <= 0)
-            p.fail("--zoo-rank must be at least 1");
-        if (cfg.zoo.churnEverySeconds < 0.0)
-            p.fail("--zoo-churn must be non-negative");
-    }
+    if (st.setZooAdapters && set_experts)
+        p.fail("--zoo-adapters replaces the expert set; it cannot be "
+               "combined with --experts");
 }
 
 // --------------------------------------------- execution groups
 
-/** Parallel-execution flags (cluster subcommand). */
-struct ExecFlagState
-{
-    int threads = 1;
-    bool setThreads = false;
-};
-
 /**
- * --threads / -j pick the worker count for the run. 1 is the
- * bit-exact single-queue path; N > 1 shards the event queue per node
- * (ClusterConfig::threads).
+ * -j / --threads pick the cluster's worker count
+ * (ClusterConfig::threads). 1 is the bit-exact single-queue path;
+ * N > 1 shards the event queue per node. The ClusterSimulator
+ * constructor rejects the combinations a parallel run cannot do and
+ * clamps N to the node count.
  */
 inline void
-addExecFlags(FlagParser &p, ExecFlagState &st)
+addExecFlags(FlagParser &p, int &threads)
 {
-    auto parse = [&p, &st](const std::string &v) {
-        st.threads = parseInt(v);
-        if (st.threads < 1)
-            p.fail("--threads must be at least 1");
-        st.setThreads = true;
-    };
-    p.value("--threads", parse);
-    p.value("-j", parse);
-}
-
-/**
- * The cluster --threads flag matrix. Parallel runs compose fine with
- * --controller*, --schedule, and --trace-in (control actuations fire
- * at window barriers); what they cannot do is anything that closes a
- * feedback loop from the node shards back into arrival generation or
- * dispatch mid-window. Those are rejected here with CLI vocabulary;
- * ClusterSimulator re-validates at the config level for non-CLI
- * callers.
- */
-inline void
-validateClusterExecFlags(const FlagParser &p, const ExecFlagState &st,
-                         const coe::ServingConfig &cfg,
-                         coe::DispatchPolicy dispatch,
-                         const ArrivalFlagState &ast,
-                         const ScenarioFlagState &sst)
-{
-    if (st.threads <= 1)
-        return;
-    if (cfg.arrival == coe::ArrivalProcess::ClosedLoop)
-        p.fail("the cluster subcommand cannot combine --threads > 1 "
-               "with closed-loop arrivals (--closed-loop/--workload "
-               "closed-loop): batch completions re-issue clients "
-               "instantly, leaving parallel windows zero lookahead");
-    if (ast.setClients || ast.setThink)
-        p.fail("the cluster subcommand cannot combine --threads > 1 "
-               "with --clients/--think (closed-loop parameters)");
-    if (sst.setSession && cfg.workload.traceIn.empty())
-        p.fail("the cluster subcommand cannot combine --threads > 1 "
-               "with generated --session-* workloads (follow-up turns "
-               "are coupled to node-side completions); record a trace "
-               "and replay it with --trace-in, or use --threads 1");
-    if (dispatch == coe::DispatchPolicy::LeastOutstanding)
-        p.fail("the cluster subcommand cannot combine --threads > 1 "
-               "with --dispatch least-outstanding (per-node queue "
-               "state is stale mid-window); use round-robin or "
-               "expert-affinity");
+    p.group("Execution");
+    p.value("-j, --threads", "N",
+            "worker threads, at most one a node (default 1)",
+            [&](const std::string &v) { threads = parseInt(v); });
 }
 
 // ------------------------------------------ control-plane groups
@@ -468,46 +494,63 @@ inline void
 addControllerFlags(FlagParser &p, coe::ControllerConfig &cfg,
                    ControllerFlagState &st)
 {
-    p.value("--controller", [&](const std::string &v) {
-        cfg.policy = coe::controllerPolicyFromName(v);
-        st.setPolicy = true;
-    });
-    p.value("--controller-tick", [&](const std::string &v) {
-        cfg.tickSeconds = parseDouble(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-min", [&](const std::string &v) {
-        cfg.minNodes = parseInt(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-max", [&](const std::string &v) {
-        cfg.maxNodes = parseInt(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-up-depth", [&](const std::string &v) {
-        cfg.scaleUpQueueDepth = parseDouble(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-down-depth", [&](const std::string &v) {
-        cfg.scaleDownQueueDepth = parseDouble(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-target-util", [&](const std::string &v) {
-        cfg.targetUtilization = parseDouble(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-cooldown", [&](const std::string &v) {
-        cfg.cooldownTicks = parseInt(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-hot", [&](const std::string &v) {
-        cfg.hotExpertTrack = parseInt(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-log", [&](const std::string &v) {
-        cfg.logPath = v;
-        st.setTuning = true;
-    });
+    p.group("Control plane");
+    p.value("--controller", "P",
+            "static | reactive | target-util autoscaler (default static)",
+            [&](const std::string &v) {
+                cfg.policy = coe::controllerPolicyFromName(v);
+                st.setPolicy = true;
+            });
+    p.value("--controller-tick", "SEC", "control-loop period (default 0.5)",
+            [&](const std::string &v) {
+                cfg.tickSeconds = parseDouble(v);
+                st.setTuning = true;
+            });
+    p.value("--controller-min", "N", "live-node floor (default 1)",
+            [&](const std::string &v) {
+                cfg.minNodes = parseInt(v);
+                st.setTuning = true;
+            });
+    p.value("--controller-max", "N", "live-node ceiling (default --nodes)",
+            [&](const std::string &v) {
+                cfg.maxNodes = parseInt(v);
+                st.setTuning = true;
+            });
+    p.value("--controller-up-depth", "D",
+            "reactive: scale up above this depth/node (default 4)",
+            [&](const std::string &v) {
+                cfg.scaleUpQueueDepth = parseDouble(v);
+                st.setTuning = true;
+            });
+    p.value("--controller-down-depth", "D",
+            "reactive: scale down below this depth (default 0.5)",
+            [&](const std::string &v) {
+                cfg.scaleDownQueueDepth = parseDouble(v);
+                st.setTuning = true;
+            });
+    p.value("--controller-target-util", "U",
+            "target-util: load near U x capacity (default 0.7)",
+            [&](const std::string &v) {
+                cfg.targetUtilization = parseDouble(v);
+                st.setTuning = true;
+            });
+    p.value("--controller-cooldown", "N",
+            "ticks a scale-down waits after any action (default 4)",
+            [&](const std::string &v) {
+                cfg.cooldownTicks = parseInt(v);
+                st.setTuning = true;
+            });
+    p.value("--controller-hot", "K",
+            "re-replicate the K hottest experts (default 0)",
+            [&](const std::string &v) {
+                cfg.hotExpertTrack = parseInt(v);
+                st.setTuning = true;
+            });
+    p.value("--controller-log", "FILE", "JSONL decision log, one line a tick",
+            [&](const std::string &v) {
+                cfg.logPath = v;
+                st.setTuning = true;
+            });
 }
 
 inline void
@@ -570,12 +613,6 @@ parseScheduleList(const FlagParser &p, const std::string &csv)
 
 // ------------------------------------------ interconnect group
 
-struct FabricFlagState
-{
-    bool setLinkGbps = false;
-    bool setLinkLatency = false;
-    bool setLinkBuffer = false;
-};
 
 /**
  * Interconnect flags (cluster subcommand). --topology switches the
@@ -585,47 +622,44 @@ struct FabricFlagState
  * byte-identical to a pre-fabric build.
  */
 inline void
-addFabricFlags(FlagParser &p, coe::FabricConfig &cfg,
-               FabricFlagState &st)
+addFabricFlags(FlagParser &p, coe::FabricConfig &cfg, bool &set_link)
 {
-    p.value("--topology", [&](const std::string &v) {
-        cfg.topology = sim::topologyFromName(v);
-        cfg.enabled = true;
-    });
-    p.value("--link-gbps", [&p, &cfg, &st](const std::string &v) {
-        cfg.linkGbps = parseDouble(v);
-        if (cfg.linkGbps <= 0.0)
-            p.fail("--link-gbps must be positive");
-        st.setLinkGbps = true;
-    });
-    p.value("--link-latency-us", [&p, &cfg, &st](const std::string &v) {
-        cfg.linkLatencyUs = parseDouble(v);
-        if (cfg.linkLatencyUs < 0.0)
-            p.fail("--link-latency-us must be non-negative");
-        st.setLinkLatency = true;
-    });
-    p.value("--link-buffer-flits", [&p, &cfg, &st](const std::string &v) {
-        cfg.linkBufferFlits = parseInt(v);
-        if (cfg.linkBufferFlits < 1)
-            p.fail("--link-buffer-flits must be at least 1");
-        st.setLinkBuffer = true;
-    });
+    p.group("Interconnect");
+    p.value("--topology", "T",
+            "star | mesh | torus | fat-tree fabric (default: none)",
+            [&](const std::string &v) {
+                cfg.topology = sim::topologyFromName(v);
+                cfg.enabled = true;
+            });
+    p.value("--link-gbps", "G", "per-link bandwidth in Gb/s (default 200)",
+            [&](const std::string &v) {
+                cfg.linkGbps = parseDouble(v);
+                set_link = true;
+            });
+    p.value("--link-latency-us", "U",
+            "per-hop latency and credit-return delay (default 2)",
+            [&](const std::string &v) {
+                cfg.linkLatencyUs = parseDouble(v);
+                set_link = true;
+            });
+    p.value("--link-buffer-flits", "N",
+            "per-link input buffer = credit count (default 64)",
+            [&](const std::string &v) {
+                cfg.linkBufferFlits = parseInt(v);
+                set_link = true;
+            });
 }
 
 inline void
 validateFabricFlags(const FlagParser &p, const coe::FabricConfig &cfg,
-                    const FabricFlagState &st,
-                    coe::DispatchPolicy dispatch)
+                    bool set_link, coe::DispatchPolicy dispatch)
 {
-    if (!cfg.enabled &&
-        (st.setLinkGbps || st.setLinkLatency || st.setLinkBuffer))
+    if (!cfg.enabled && set_link)
         p.fail("--link-* flags tune the interconnect; they require "
                "--topology");
     if (dispatch == coe::DispatchPolicy::TopologyAware && !cfg.enabled)
         p.fail("--dispatch topo-aware routes around fabric congestion; "
                "it requires --topology");
-    // Field checks (finite, in range) before anything is printed.
-    coe::validateFabricConfig(cfg);
 }
 
 // ------------------------------------------------ chaos groups
@@ -650,51 +684,66 @@ inline void
 addFaultFlags(FlagParser &p, coe::FaultPolicyConfig &cfg,
               FaultFlagState &st)
 {
-    p.value("--faults", [&](const std::string &v) {
-        st.faultsPath = v;
-        st.setFaults = true;
-    });
-    p.value("--retry-max", [&](const std::string &v) {
-        cfg.retryMax = parseInt(v);
-        st.setRetry = true;
-    });
-    p.value("--retry-backoff-ms", [&p, &cfg, &st](const std::string &v) {
-        double ms = parseDouble(v);
-        if (ms <= 0.0)
-            p.fail("--retry-backoff-ms must be positive");
-        cfg.retryBackoffSeconds = ms / 1000.0;
-        st.setRetry = true;
-    });
-    p.value("--retry-budget", [&](const std::string &v) {
-        cfg.retryBudget = parseInt64(v);
-        st.setRetry = true;
-    });
-    p.flag("--hedge", [&]() { cfg.hedge = true; });
-    p.value("--hedge-threshold", [&](const std::string &v) {
-        cfg.hedgeThreshold = parseDouble(v);
-        st.setHedgeThreshold = true;
-    });
-    p.value("--brownout-depth", [&](const std::string &v) {
-        cfg.brownoutDepth = parseDouble(v);
-    });
-    p.value("--brownout-prio", [&](const std::string &v) {
-        cfg.brownoutPriorityMax = parseInt(v);
-        st.setBrownoutPrio = true;
-    });
-    p.value("--policy-tick-ms", [&p, &cfg, &st](const std::string &v) {
-        double ms = parseDouble(v);
-        if (ms <= 0.0)
-            p.fail("--policy-tick-ms must be positive");
-        cfg.policyTickSeconds = ms / 1000.0;
-        st.setPolicyTick = true;
-    });
+    p.group("Faults & degraded mode (cluster points only under sweep)");
+    p.value("--faults", "FILE",
+            "replay a JSONL fault schedule (schema: docs/CLI.md)",
+            [&](const std::string &v) {
+                st.faultsPath = v;
+                st.setFaults = true;
+            });
+    p.value("--retry-max", "N",
+            "retries per displaced request (default 0)",
+            [&](const std::string &v) {
+                cfg.retryMax = parseInt(v);
+                st.setRetry = true;
+            });
+    // Stricter than retryBackoffSeconds, where 0 retries at once.
+    p.value("--retry-backoff-ms", "MS",
+            "retry backoff base, doubling per attempt (default 50)",
+            [&p, &cfg, &st](const std::string &v) {
+                double ms = parseDouble(v);
+                if (ms <= 0.0)
+                    p.fail("--retry-backoff-ms must be positive");
+                cfg.retryBackoffSeconds = ms / 1000.0;
+                st.setRetry = true;
+            });
+    p.value("--retry-budget", "N",
+            "cluster-wide retry cap, -1 = unbounded (default -1)",
+            [&](const std::string &v) {
+                cfg.retryBudget = parseInt64(v);
+                st.setRetry = true;
+            });
+    p.flag("--hedge", "duplicate a dispatch when the deadline is threatened",
+           [&]() { cfg.hedge = true; });
+    p.value("--hedge-threshold", "F",
+            "hedge when estimated delay > F x deadline (default 1)",
+            [&](const std::string &v) {
+                cfg.hedgeThreshold = parseDouble(v);
+                st.setHedgeThreshold = true;
+            });
+    p.value("--brownout-depth", "D",
+            "brown-out above this queue depth (default 0 = off)",
+            [&](const std::string &v) {
+                cfg.brownoutDepth = parseDouble(v);
+            });
+    p.value("--brownout-prio", "P",
+            "max priority tier shed in brown-out (default 0)",
+            [&](const std::string &v) {
+                cfg.brownoutPriorityMax = parseInt(v);
+                st.setBrownoutPrio = true;
+            });
+    p.value("--policy-tick-ms", "MS",
+            "hedge/brown-out evaluation period (default 50)",
+            [&](const std::string &v) {
+                cfg.policyTickSeconds = parseDouble(v) / 1000.0;
+                st.setPolicyTick = true;
+            });
 }
 
 /**
- * Cross-check the chaos flags. Library-level validation
- * (validateFaultPolicy / validateFaultSchedule) still runs inside
- * ClusterSimulator; this layer catches the purely-CLI contradictions
- * with flag vocabulary.
+ * Cross-check the chaos flags. The field ranges are
+ * validateFaultPolicy's (via validateClusterConfig); this layer
+ * catches the purely-CLI contradictions with flag vocabulary.
  */
 inline void
 validateFaultFlags(const FlagParser &p,
@@ -705,24 +754,14 @@ validateFaultFlags(const FlagParser &p,
     if (st.setRetry && !st.setFaults)
         p.fail("--retry-* flags configure recovery from injected "
                "faults; they require --faults FILE");
-    if (cfg.retryMax < 0)
-        p.fail("--retry-max must be non-negative");
-    if (cfg.retryBudget < -1)
-        p.fail("--retry-budget must be -1 (unbounded) or non-negative");
     if (st.setHedgeThreshold && !cfg.hedge)
         p.fail("--hedge-threshold requires --hedge");
-    if (cfg.hedge && cfg.hedgeThreshold <= 0.0)
-        p.fail("--hedge-threshold must be positive");
     if (cfg.hedge && serving.workload.sloSeconds <= 0.0 &&
         serving.workload.traceIn.empty())
         p.fail("--hedge fires on SLO pressure; it needs --slo-ms or a "
                "replayed trace carrying deadlines (--trace-in)");
     if (st.setBrownoutPrio && cfg.brownoutDepth <= 0.0)
         p.fail("--brownout-prio requires --brownout-depth");
-    if (cfg.brownoutDepth < 0.0)
-        p.fail("--brownout-depth must be non-negative");
-    if (cfg.brownoutPriorityMax < 0)
-        p.fail("--brownout-prio must be non-negative");
     if (st.setPolicyTick && !cfg.hedge && cfg.brownoutDepth <= 0.0)
         p.fail("--policy-tick-ms paces hedging and brown-out; it "
                "requires --hedge or --brownout-depth");
@@ -743,19 +782,25 @@ struct PlanFlagState
 inline void
 addPlanFlags(FlagParser &p, PlanFlagState &st)
 {
-    p.flag("--plan-capacity", [&]() { st.plan = true; });
-    p.value("--plan-max-nodes", [&](const std::string &v) {
-        st.maxNodes = parseInt(v);
-        st.setMaxNodes = true;
-    });
-    p.value("--plan-p95-ms", [&](const std::string &v) {
-        st.p95Ms = parseDouble(v);
-        st.setP95 = true;
-    });
-    p.value("--plan-max-shed-pct", [&](const std::string &v) {
-        st.maxShedPct = parseDouble(v);
-        st.setShed = true;
-    });
+    p.group("Capacity planning");
+    p.flag("--plan-capacity",
+           "report the smallest node count meeting the targets",
+           [&]() { st.plan = true; });
+    p.value("--plan-max-nodes", "N", "search ceiling (default --nodes)",
+            [&](const std::string &v) {
+                st.maxNodes = parseInt(v);
+                st.setMaxNodes = true;
+            });
+    p.value("--plan-p95-ms", "MS", "p95 latency target (required)",
+            [&](const std::string &v) {
+                st.p95Ms = parseDouble(v);
+                st.setP95 = true;
+            });
+    p.value("--plan-max-shed-pct", "P", "max shed percentage (default 0)",
+            [&](const std::string &v) {
+                st.maxShedPct = parseDouble(v);
+                st.setShed = true;
+            });
 }
 
 inline void
@@ -765,11 +810,13 @@ validatePlanFlags(const FlagParser &p, const PlanFlagState &st)
         p.fail("--plan-* flags require --plan-capacity");
     if (!st.plan)
         return;
-    if (!st.setP95 || st.p95Ms <= 0.0)
-        p.fail("--plan-capacity needs a positive --plan-p95-ms target");
+    // Written so NaN fails too: no node count could ever meet it.
+    if (!(st.setP95 && std::isfinite(st.p95Ms) && st.p95Ms > 0.0))
+        p.fail("--plan-capacity needs a finite, positive --plan-p95-ms "
+               "target");
     if (st.setMaxNodes && st.maxNodes < 1)
         p.fail("--plan-max-nodes must be at least 1");
-    if (st.maxShedPct < 0.0 || st.maxShedPct > 100.0)
+    if (!(st.maxShedPct >= 0.0 && st.maxShedPct <= 100.0))
         p.fail("--plan-max-shed-pct must be in [0, 100]");
 }
 

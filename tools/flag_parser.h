@@ -4,11 +4,13 @@
  * header so the parser is unit-testable (tests/test_flag_parser.cc).
  *
  * Each subcommand registers its flag specs (shared groups plus its
- * own), then parse() walks argv: "--flag value" and "--flag=value"
- * both work, "--help"/"-h" prints the subcommand help, a flag given
- * twice is rejected, an unrecognized flag fails with an error naming
- * the subcommand, and a value the flag's parseInt/parseDouble/...
- * cannot parse whole (or that overflows) fails naming the flag and the
+ * own), each with a metavar, one help line and a group heading, so
+ * --help is rendered from the same table parse() walks. In argv,
+ * "--flag value" and "--flag=value" both work, "--help"/"-h" prints
+ * the help, a flag given twice (under either name of an alias pair)
+ * is rejected, an unrecognized flag fails with an error naming the
+ * subcommand, and a value the flag's parseInt/parseDouble/... cannot
+ * parse whole (or that overflows) fails naming the flag and the
  * value. Errors throw FlagUsageError instead of exiting, so the tool's
  * main() owns the exit path and tests can assert on messages.
  */
@@ -16,6 +18,7 @@
 #ifndef SN40L_TOOLS_FLAG_PARSER_H
 #define SN40L_TOOLS_FLAG_PARSER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -143,26 +146,38 @@ splitEqualsArgs(int argc, char **argv, int first)
 class FlagParser
 {
   public:
-    FlagParser(const char *subcommand, void (*help)(std::ostream &))
-        : subcommand_(subcommand), help_(help)
+    /**
+     * @p subcommand names the subcommand in errors and on the usage
+     * line ("" for the bare `sn40l_run` path); @p about is the
+     * paragraph --help prints under the usage line.
+     */
+    FlagParser(const char *subcommand, const char *about)
+        : subcommand_(subcommand), about_(about)
     {
     }
 
-    /** Register a value-less flag ("--prefetch"). */
+    /** List the flags registered from here on under @p heading. */
+    void group(const char *heading) { group_ = heading; }
+
+    /**
+     * Register a value-less flag. @p names is one name or an alias
+     * pair spelled as --help shows it ("-j, --threads").
+     */
     void
-    flag(const char *name, std::function<void()> apply)
+    flag(const char *names, const char *help, std::function<void()> apply)
     {
-        addSpec(name, false,
+        addSpec(names, nullptr, help,
                 [apply = std::move(apply)](const std::string &) {
                     apply();
                 });
     }
 
-    /** Register a flag that consumes the next argument. */
+    /** Register a flag that consumes the next argument (@p metavar). */
     void
-    value(const char *name, std::function<void(const std::string &)> apply)
+    value(const char *names, const char *metavar, const char *help,
+          std::function<void(const std::string &)> apply)
     {
-        addSpec(name, true, std::move(apply));
+        addSpec(names, metavar, help, std::move(apply));
     }
 
     /** Shared failure path for parse and cross-flag validation. */
@@ -187,23 +202,17 @@ class FlagParser
         for (std::size_t i = 0; i < args.size(); ++i) {
             const std::string &arg = args[i];
             if (arg == "--help" || arg == "-h") {
-                help_(help_out);
+                printHelp(help_out);
                 return true;
             }
-            Spec *spec = nullptr;
-            for (Spec &s : specs_) {
-                if (arg == s.name) {
-                    spec = &s;
-                    break;
-                }
-            }
+            Spec *spec = find(arg);
             if (!spec)
-                fail("unknown " + std::string(subcommand_) + " flag '" +
-                     arg + "'");
+                fail("unknown " + std::string(subcommand_) +
+                     (*subcommand_ ? " " : "") + "flag '" + arg + "'");
             if (spec->seen)
-                fail("flag " + arg + " given more than once");
+                fail("flag " + spec->names + " given more than once");
             spec->seen = true;
-            if (spec->takesValue) {
+            if (spec->metavar) {
                 if (i + 1 >= args.size())
                     fail("flag " + arg + " expects a value");
                 const std::string &v = args[++i];
@@ -223,14 +232,42 @@ class FlagParser
         return false;
     }
 
-    /** Parse raw argv starting at index 2 (after the subcommand). */
+    /** Parse raw argv after the program name and the subcommand. */
     bool
     parse(int argc, char **argv, std::ostream &help_out)
     {
-        std::vector<std::string> raw;
-        for (int i = 2; i < argc; ++i)
-            raw.emplace_back(argv[i]);
-        return parse(raw, help_out);
+        return parse(splitEqualsArgs(argc, argv, *subcommand_ ? 2 : 1),
+                     help_out);
+    }
+
+    /**
+     * Print the usage line, the about paragraph, and one line per
+     * flag under its group heading, groups in registration order.
+     */
+    void
+    printHelp(std::ostream &os) const
+    {
+        os << "usage: sn40l_run " << subcommand_
+           << (*subcommand_ ? " " : "") << "[flags]\n\n"
+           << about_ << "\n";
+        std::vector<std::string> groups;
+        for (const Spec &s : specs_)
+            if (std::find(groups.begin(), groups.end(), s.group) ==
+                groups.end())
+                groups.push_back(s.group);
+        for (const std::string &g : groups) {
+            os << "\n" << g << ":\n";
+            for (const Spec &s : specs_) {
+                if (s.group != g)
+                    continue;
+                std::string left = s.names;
+                if (s.metavar)
+                    left += std::string(" ") + s.metavar;
+                helpLine(os, left, s.help);
+            }
+        }
+        os << "\n";
+        helpLine(os, "-h, --help", "print this help and exit");
     }
 
     const char *subcommand() const { return subcommand_; }
@@ -238,26 +275,80 @@ class FlagParser
   private:
     struct Spec
     {
-        std::string name;
-        bool takesValue;
+        std::string names;             ///< as --help shows: "-j, --threads"
+        std::vector<std::string> keys; ///< each name: "-j", "--threads"
+        const char *metavar;           ///< nullptr: a value-less flag
+        const char *help;
+        std::string group;
         std::function<void(const std::string &)> apply;
         bool seen = false;
     };
 
+    /** Split a "-j, --threads" spelling into its names. */
+    static std::vector<std::string>
+    splitNames(const std::string &names)
+    {
+        std::vector<std::string> keys;
+        std::size_t pos = 0, comma;
+        while ((comma = names.find(", ", pos)) != std::string::npos) {
+            keys.push_back(names.substr(pos, comma - pos));
+            pos = comma + 2;
+        }
+        keys.push_back(names.substr(pos));
+        return keys;
+    }
+
+    Spec *
+    find(const std::string &arg)
+    {
+        for (Spec &s : specs_)
+            if (std::find(s.keys.begin(), s.keys.end(), arg) != s.keys.end())
+                return &s;
+        return nullptr;
+    }
+
     void
-    addSpec(const char *name, bool takes_value,
+    addSpec(const char *names, const char *metavar, const char *help,
             std::function<void(const std::string &)> apply)
     {
-        for (const Spec &s : specs_)
-            if (s.name == name)
+        std::vector<std::string> keys = splitNames(names);
+        for (const std::string &k : keys)
+            if (find(k) || k == "--help" || k == "-h")
                 throw std::logic_error(
-                    std::string("FlagParser: flag '") + name +
-                    "' registered twice on subcommand " + subcommand_);
-        specs_.push_back({name, takes_value, std::move(apply), false});
+                    "FlagParser: flag '" + k + "' registered twice on " +
+                    (*subcommand_ ? subcommand_ : "sn40l_run"));
+        specs_.push_back({names, std::move(keys), metavar, help, group_,
+                          std::move(apply), false});
+    }
+
+    /** "  --flag METAVAR   help", the help word-wrapped to 80 columns. */
+    static void
+    helpLine(std::ostream &os, const std::string &left, const char *help)
+    {
+        constexpr std::size_t kIndent = 26, kWidth = 80;
+        os << "  " << left;
+        std::size_t col = 2 + left.size();
+        std::istringstream words(help);
+        for (std::string w; words >> w;) {
+            if (col < kIndent) {
+                os << std::string(kIndent - col, ' ');
+                col = kIndent;
+            } else if (col > kIndent && col + 1 + w.size() > kWidth) {
+                os << "\n" << std::string(kIndent, ' ');
+                col = kIndent;
+            } else {
+                os << ' ';
+                ++col;
+            }
+            os << w;
+            col += w.size();
+        }
+        os << "\n";
     }
 
     const char *subcommand_;
-    void (*help_)(std::ostream &);
+    const char *about_;
+    std::string group_ = "Flags";
     std::vector<Spec> specs_;
 };
 

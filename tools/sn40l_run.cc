@@ -16,12 +16,15 @@
  * overrides), an autoscaling control plane (--controller), and a
  * capacity planner (--plan-capacity).
  *
- * Every subcommand documents its flags via `--help`. Flags shared
- * between subcommands (workload shape, memory system, arrivals,
- * scenarios, core serving scalars, control plane) are declared once
- * in tools/cli_config.h and registered into each subcommand's
- * FlagParser, so no subcommand copies another's flag handling and
- * unknown-flag errors always name the subcommand they came from.
+ * Every entry point parses through a FlagParser whose registrations
+ * carry each flag's metavar, help line and group, so `--help` is
+ * rendered from the table that parses argv. Flags shared between
+ * subcommands (workload shape, memory system, arrivals, scenarios,
+ * core serving scalars, control plane) are declared once in
+ * tools/cli_config.h, so no subcommand copies another's flag handling
+ * and unknown-flag errors always name the subcommand they came from.
+ * Range checks live in the config validators, which run on the
+ * assembled config before anything is printed.
  */
 
 #include <chrono>
@@ -81,337 +84,6 @@ modelByName(const std::string &name)
     return it->second();
 }
 
-// ------------------------------------------------------- help text
-
-void
-serveHelp(std::ostream &os)
-{
-    os << "usage: sn40l_run serve [flags]\n"
-       << "\n"
-       << "Event-driven CoE request-stream serving: requests arrive, are\n"
-       << "continuously batched against the live LRU expert cache, and\n"
-       << "every expert switch streams DDR->HBM through the platform's\n"
-       << "DMA engines, contending with decode traffic.\n"
-       << "\n"
-       << "Workload:\n"
-       << "  --platform P          sn40l | dgx-a100 | dgx-h100 "
-       << "(default sn40l)\n"
-       << "  --experts N           experts in the zoo (default 150)\n"
-       << "  --batch N             max prompts per batch (default 8)\n"
-       << "  --tokens N            output tokens per prompt (default 20)\n"
-       << "  --requests N          requests to stream (default 512)\n"
-       << "  --routing D           uniform | zipf | round-robin\n"
-       << "  --zipf-s S            Zipf skew (requires --routing zipf)\n"
-       << "  --seed N              RNG seed (default 1)\n"
-       << "\n"
-       << "Arrivals:\n"
-       << "  --arrival-rate R      open-loop Poisson rate, req/s "
-       << "(default 8)\n"
-       << "  --closed-loop         fixed client pool instead of Poisson\n"
-       << "  --clients N           pool size (requires --closed-loop)\n"
-       << "  --think SEC           client think time (requires "
-       << "--closed-loop)\n"
-       << "\n"
-       << "Scheduler:\n"
-       << "  --scheduler S         fifo | affinity | both (default both)\n"
-       << "\n"
-       << "Workload scenarios (see README 'Workload scenarios'):\n"
-       << "  --workload W          poisson | closed-loop | mix "
-       << "(default:\n"
-       << "                        poisson, or closed-loop with\n"
-       << "                        --closed-loop)\n"
-       << "  --tenants N           tenants in the mix (implies\n"
-       << "                        --workload mix; default 4)\n"
-       << "  --slo-ms MS           per-request deadline; overloaded\n"
-       << "                        arrivals are shed at admission\n"
-       << "  --session-prob P      P(follow-up turn) after each "
-       << "completed\n"
-       << "                        turn (conversational sessions)\n"
-       << "  --session-think SEC   mean think time between turns\n"
-       << "  --session-turns N     max turns per session (default 8)\n"
-       << "  --burst-factor F      arrival-rate multiplier inside "
-       << "burst\n"
-       << "                        windows (flash crowds)\n"
-       << "  --burst-every SEC     burst window period\n"
-       << "  --burst-seconds SEC   burst window length\n"
-       << "  --trace-out FILE      record the request stream as JSONL\n"
-       << "  --trace-in FILE       replay a recorded stream "
-       << "bit-exactly\n"
-       << "\n"
-       << "Memory system:\n"
-       << "  --prefetch            speculative prefetch: queued requests'\n"
-       << "                        experts stream at low DMA priority\n"
-       << "  --prefetch-depth N    max outstanding prefetches (requires\n"
-       << "                        --prefetch; default 4)\n"
-       << "  --prefetch-window N   queued requests the prefetcher\n"
-       << "                        inspects per decision (0 = whole\n"
-       << "                        queue, the default; bound it for\n"
-       << "                        overloaded runs)\n"
-       << "  --dma-engines N       DMA engines streaming experts "
-       << "(default 2)\n"
-       << "  --expert-region-gb G  HBM expert-region size in GB "
-       << "(default:\n"
-       << "                        platform HBM minus router/KV reserve)\n"
-       << "\n"
-       << "Speculative decoding (see docs/CLI.md):\n"
-       << "  --spec-decode         draft/verify serving: an always-\n"
-       << "                        resident draft model proposes gamma\n"
-       << "                        tokens per step; each request samples\n"
-       << "                        its own acceptance stream\n"
-       << "  --spec-gamma N        draft tokens per verification step\n"
-       << "                        (requires --spec-decode; default 4)\n"
-       << "  --spec-accept P       per-token acceptance probability in\n"
-       << "                        [0, 1] (default 0.8)\n"
-       << "  --spec-draft-ratio F  draft model size/cost as a fraction\n"
-       << "                        of the target in (0, 1) (default "
-       << "0.05)\n"
-       << "\n"
-       << "PEFT expert zoo (see docs/CLI.md):\n"
-       << "  --zoo-adapters N      serve N LoRA adapters sharing pinned\n"
-       << "                        base weights instead of full-weight\n"
-       << "                        experts (replaces --experts)\n"
-       << "  --zoo-rank R          LoRA rank; adapter bytes scale with\n"
-       << "                        it (requires --zoo-adapters; "
-       << "default 16)\n"
-       << "  --zoo-churn SEC       rotate adapter popularity every SEC\n"
-       << "                        seconds (trending adapters; "
-       << "default off)\n";
-}
-
-void
-sweepHelp(std::ostream &os)
-{
-    os << "usage: sn40l_run sweep [flags]\n"
-       << "\n"
-       << "Cartesian sweep of event-driven serving points (nodes x\n"
-       << "placements x experts x arrival rates x batch sizes x\n"
-       << "schedulers x seeds), sharded across a thread pool. Every\n"
-       << "point is an independent deterministic simulation with its\n"
-       << "own event queue, so `-j N` produces bit-identical per-point\n"
-       << "results to `-j 1`.\n"
-       << "\n"
-       << "Axes (comma-separated lists):\n"
-       << "  --experts LIST        e.g. 50,100,150 (default 150)\n"
-       << "  --arrival-rate LIST   req/s per node, e.g. 8,16,24 "
-       << "(default 8)\n"
-       << "  --batch LIST          max prompts per batch (default 8)\n"
-       << "  --scheduler S         fifo | affinity | both (default both)\n"
-       << "  --seeds LIST          RNG seeds, e.g. 1,2,3 (default 1)\n"
-       << "  --nodes LIST          cluster sizes, e.g. 1,4,8 (default:\n"
-       << "                        single-node serving, no cluster)\n"
-       << "  --placement LIST      replication | replicate-hot | "
-       << "partition\n"
-       << "                        (requires --nodes)\n"
-       << "  --dispatch D          round-robin | least-outstanding |\n"
-       << "                        expert-affinity (requires --nodes)\n"
-       << "\n"
-       << "Per-point workload (same meaning as `serve`):\n"
-       << "  --platform P          sn40l | dgx-a100 | dgx-h100\n"
-       << "  --requests N          requests per point (default 512)\n"
-       << "  --tokens N            output tokens per prompt\n"
-       << "  --routing D           uniform | zipf | round-robin\n"
-       << "  --zipf-s S            Zipf skew (requires --routing zipf)\n"
-       << "  --prefetch            speculative prefetch\n"
-       << "  --prefetch-depth N    max outstanding prefetches\n"
-       << "  --prefetch-window N   prefetcher inspection window\n"
-       << "                        (0 = whole queue)\n"
-       << "  --dma-engines N       DMA engines per point\n"
-       << "  --expert-region-gb G  HBM expert-region size in GB\n"
-       << "\n"
-       << "Speculative decoding / PEFT zoo (same meaning as `serve`;\n"
-       << "applied to every point):\n"
-       << "  --spec-decode, --spec-gamma, --spec-accept,\n"
-       << "  --spec-draft-ratio, --zoo-adapters (conflicts with the\n"
-       << "  --experts axis), --zoo-rank, --zoo-churn\n"
-       << "\n"
-       << "Workload scenarios (same meaning as `serve`):\n"
-       << "  --workload, --tenants, --slo-ms, --session-prob,\n"
-       << "  --session-think, --session-turns, --burst-factor,\n"
-       << "  --burst-every, --burst-seconds\n"
-       << "  --trace-in FILE       replay ONE recorded stream across\n"
-       << "                        every point, so configs compete on\n"
-       << "                        identical traffic (--trace-out is\n"
-       << "                        not allowed here)\n"
-       << "\n"
-       << "Faults & degraded mode (cluster points only, same meaning\n"
-       << "as `cluster`): --faults, --retry-max, --retry-backoff-ms,\n"
-       << "  --retry-budget, --hedge, --hedge-threshold,\n"
-       << "  --brownout-depth, --brownout-prio, --policy-tick-ms\n"
-       << "  The schedule is parsed once and replayed identically at\n"
-       << "  every point (requires --nodes)\n"
-       << "\n"
-       << "Execution:\n"
-       << "  -j N / --jobs N       worker threads (default: hardware\n"
-       << "                        concurrency)\n"
-       << "  --json FILE           write per-point metrics as JSON\n";
-}
-
-void
-clusterHelp(std::ostream &os)
-{
-    os << "usage: sn40l_run cluster [flags]\n"
-       << "\n"
-       << "Multi-node CoE serving cluster: N per-node serving stacks\n"
-       << "(each its own LRU expert cache and DMA memory system) on one\n"
-       << "event queue, fronted by a cluster router with pluggable\n"
-       << "expert placement and request dispatch. Supports scripted\n"
-       << "mid-run actions (drain/rejoin/rate overrides), a diurnal\n"
-       << "arrival ramp, an autoscaling control plane, and capacity\n"
-       << "planning.\n"
-       << "\n"
-       << "Cluster:\n"
-       << "  --nodes N             nodes in the cluster (default 4)\n"
-       << "  --placement P         replication | replicate-hot | "
-       << "partition\n"
-       << "                        (default replicate-hot)\n"
-       << "  --hot-experts N       experts replicated on every node\n"
-       << "                        (requires --placement replicate-hot;\n"
-       << "                        default experts/10)\n"
-       << "  --dispatch D          round-robin | least-outstanding |\n"
-       << "                        expert-affinity | topo-aware\n"
-       << "                        (default least-outstanding;\n"
-       << "                        topo-aware requires --topology)\n"
-       << "\n"
-       << "Interconnect (event-driven link/credit fabric, see\n"
-       << "docs/ARCHITECTURE.md):\n"
-       << "  --topology T          star | mesh | torus | fat-tree:\n"
-       << "                        route dispatch, migration, and drain\n"
-       << "                        traffic through a flit-level fabric\n"
-       << "                        instead of instantaneous handoff\n"
-       << "  --link-gbps G         per-link bandwidth in gigabits/s\n"
-       << "                        (requires --topology; default 200)\n"
-       << "  --link-latency-us U   per-hop link latency (default 2)\n"
-       << "  --link-buffer-flits N per-link input buffer depth, i.e.\n"
-       << "                        the credit count (default 64)\n"
-       << "\n"
-       << "Scenarios:\n"
-       << "  --drain-at SEC        drain a node mid-run: its queue\n"
-       << "                        re-dispatches, nothing is lost\n"
-       << "  --drain-node N        which node drains (requires\n"
-       << "                        --drain-at; default 0)\n"
-       << "  --rejoin-at SEC       drained node rejoins cold (requires\n"
-       << "                        --drain-at)\n"
-       << "  --schedule LIST       scripted actions KIND:AT[:ARG] with\n"
-       << "                        KIND drain|rejoin|rate, e.g.\n"
-       << "                        drain:3:1,rejoin:8:1,rate:12:0.5\n"
-       << "                        (--drain-* alias entries fired first)\n"
-       << "  --diurnal-amplitude A sinusoidal ramp on the Poisson rate,\n"
-       << "                        in [0,1) (open loop only)\n"
-       << "  --diurnal-period SEC  ramp period (requires\n"
-       << "                        --diurnal-amplitude; default 86400)\n"
-       << "  --node-dma-engines L  per-node DMA engine counts, e.g.\n"
-       << "                        2,4,2,4 (length = --nodes;\n"
-       << "                        heterogeneous cluster)\n"
-       << "  --node-region-gb L    per-node expert-region GB list\n"
-       << "\n"
-       << "Control plane (autoscaling, see README):\n"
-       << "  --controller P        static | reactive | target-util\n"
-       << "                        (default static: no control loop)\n"
-       << "  --controller-tick SEC control-loop period (default 0.5)\n"
-       << "  --controller-min N    live-node floor (default 1)\n"
-       << "  --controller-max N    live-node ceiling (default --nodes)\n"
-       << "  --controller-up-depth D    reactive: scale up above this\n"
-       << "                        mean queue depth per live node\n"
-       << "                        (default 4)\n"
-       << "  --controller-down-depth D  reactive: scale down below\n"
-       << "                        this depth (default 0.5)\n"
-       << "  --controller-target-util U target-util: hold arrival rate\n"
-       << "                        near U x capacity (default 0.7)\n"
-       << "  --controller-cooldown N    ticks a scale-down waits after\n"
-       << "                        any scale action (default 4)\n"
-       << "  --controller-hot K    re-replicate the top-K experts by\n"
-       << "                        windowed hits onto live nodes\n"
-       << "  --controller-log FILE JSONL decision log, one object per\n"
-       << "                        tick\n"
-       << "\n"
-       << "Capacity planning:\n"
-       << "  --plan-capacity       report the smallest node count\n"
-       << "                        meeting the targets (needs a pinned\n"
-       << "                        demand: --arrival-rate or --trace-in)\n"
-       << "  --plan-max-nodes N    search ceiling (default --nodes)\n"
-       << "  --plan-p95-ms MS      p95 latency target (required)\n"
-       << "  --plan-max-shed-pct P max shed percentage (default 0)\n"
-       << "\n"
-       << "Faults & degraded mode (chaos layer, see README):\n"
-       << "  --faults FILE         replay a JSONL fault schedule: node\n"
-       << "                        crashes (queued work re-dispatched or\n"
-       << "                        lost), DMA stalls, stragglers, flaky\n"
-       << "                        dispatch windows, degraded fabric\n"
-       << "                        links (link-degrade needs --topology).\n"
-       << "                        Deterministic for any -j N\n"
-       << "  --retry-max N         re-dispatch a displaced request up to\n"
-       << "                        N times (requires --faults; default 0:\n"
-       << "                        displaced work is lost)\n"
-       << "  --retry-backoff-ms MS exponential backoff base, doubling\n"
-       << "                        per attempt (default 50)\n"
-       << "  --retry-budget N      cluster-wide retry cap, -1 unbounded\n"
-       << "                        (default -1)\n"
-       << "  --hedge               duplicate a dispatch to a second node\n"
-       << "                        when the queueing estimate threatens\n"
-       << "                        the deadline; loser is cancelled\n"
-       << "                        (needs --slo-ms or --trace-in)\n"
-       << "  --hedge-threshold F   hedge when estimated delay exceeds\n"
-       << "                        F x deadline (requires --hedge;\n"
-       << "                        default 1.0)\n"
-       << "  --brownout-depth D    shed priority<=P arrivals while mean\n"
-       << "                        live queue depth exceeds D (exits at\n"
-       << "                        D/2; default off)\n"
-       << "  --brownout-prio P     max priority tier shed in brown-out\n"
-       << "                        (requires --brownout-depth; default 0)\n"
-       << "  --policy-tick-ms MS   hedge/brown-out evaluation period\n"
-       << "                        (default 50)\n"
-       << "\n"
-       << "Execution:\n"
-       << "  -j N / --threads N    worker threads for THIS run\n"
-       << "                        (default 1). 1 is the bit-exact\n"
-       << "                        single-queue path; N > 1 shards the\n"
-       << "                        event queue per node (deterministic\n"
-       << "                        for any N, clamped to --nodes).\n"
-       << "                        Incompatible with --closed-loop,\n"
-       << "                        generated --session-* workloads, and\n"
-       << "                        --dispatch least-outstanding\n"
-       << "\n"
-       << "Output:\n"
-       << "  --json FILE           write the cluster result as JSON\n"
-       << "\n"
-       << "Workload (same meaning as `serve`):\n"
-       << "  --platform, --experts, --batch, --tokens, --requests,\n"
-       << "  --routing, --zipf-s, --seed, --scheduler (fifo | affinity),\n"
-       << "  --prefetch, --prefetch-depth, --prefetch-window,\n"
-       << "  --dma-engines, --expert-region-gb\n"
-       << "\n"
-       << "Speculative decoding / PEFT zoo (same meaning as `serve`):\n"
-       << "  --spec-decode, --spec-gamma, --spec-accept,\n"
-       << "  --spec-draft-ratio, --zoo-adapters, --zoo-rank, "
-       << "--zoo-churn\n"
-       << "\n"
-       << "Workload scenarios (same meaning as `serve`):\n"
-       << "  --workload, --tenants, --slo-ms, --session-prob,\n"
-       << "  --session-think, --session-turns, --burst-factor,\n"
-       << "  --burst-every, --burst-seconds, --trace-out, --trace-in\n"
-       << "\n"
-       << "Arrivals (cluster-wide):\n"
-       << "  --arrival-rate R      TOTAL open-loop rate across the\n"
-       << "                        cluster, req/s (default 8 x nodes)\n"
-       << "  --closed-loop / --clients / --think   as in `serve`\n";
-}
-
-[[noreturn]] void
-usage()
-{
-    std::cerr << "usage: sn40l_run --model NAME --phase "
-              << "prefill|decode|train [--seq N] [--batch N]\n"
-              << "       [--tp N] [--sockets N] [--config "
-              << "fused-ho|fused-so|unfused] [--trace FILE]\n"
-              << "   or: sn40l_run serve [flags]    "
-              << "(see `sn40l_run serve --help`)\n"
-              << "   or: sn40l_run sweep [flags]    "
-              << "(see `sn40l_run sweep --help`)\n"
-              << "   or: sn40l_run cluster [flags]  "
-              << "(see `sn40l_run cluster --help`)\n";
-    std::exit(1);
-}
-
 // ---------------------------------------------------------- serve
 
 int
@@ -422,7 +94,12 @@ runServe(int argc, char **argv)
     cfg.batch = 8;
     std::string scheduler_name = "both";
 
-    FlagParser parser("serve", serveHelp);
+    FlagParser parser(
+        "serve",
+        "Event-driven CoE request-stream serving: requests arrive, are\n"
+        "continuously batched against the live LRU expert cache, and\n"
+        "every expert switch streams DDR->HBM through the platform's\n"
+        "DMA engines, contending with decode traffic.");
     WorkloadFlagState wst;
     ArrivalFlagState ast;
     ScenarioFlagState sst;
@@ -455,6 +132,8 @@ runServe(int argc, char **argv)
     } else {
         policies = {coe::schedulerPolicyFromName(scheduler_name)};
     }
+    coe::validateServingConfig(cfg);
+    loadTraceOnce(cfg.workload);
 
     std::cout << "CoE request stream on " << coe::platformName(cfg.platform)
               << ": " << cfg.numExperts << " experts, "
@@ -560,46 +239,68 @@ runSweepCmd(int argc, char **argv)
     if (jobs <= 0)
         jobs = 1;
 
-    FlagParser parser("sweep", sweepHelp);
+    FlagParser parser(
+        "sweep",
+        "Cartesian sweep of event-driven serving points (nodes x\n"
+        "placements x experts x arrival rates x batch sizes x\n"
+        "schedulers x seeds), sharded across a thread pool. Every\n"
+        "point is an independent deterministic simulation with its\n"
+        "own event queue, so `-j N` produces bit-identical per-point\n"
+        "results to `-j 1`. The other flags mean what they mean under\n"
+        "`serve` and apply to every point.");
+    bool set_placement = false, set_dispatch = false;
+    parser.group("Sweep axes (comma-separated lists)");
+    parser.value("--experts", "LIST", "experts in the zoo (default 150)",
+                 [&](const std::string &v) {
+                     grid.expertCounts = parseList<int>(parser, v, &parseInt);
+                 });
+    parser.value("--arrival-rate", "LIST", "req/s per node (default 8)",
+                 [&](const std::string &v) {
+                     grid.arrivalRates =
+                         parseList<double>(parser, v, &parseDouble);
+                 });
+    parser.value("--batch", "LIST", "max prompts per batch (default 8)",
+                 [&](const std::string &v) {
+                     grid.batchSizes = parseList<int>(parser, v, &parseInt);
+                 });
+    parser.value("--seeds", "LIST", "RNG seeds (default 1)",
+                 [&](const std::string &v) {
+                     grid.seeds =
+                         parseList<std::uint64_t>(parser, v, &parseUint64);
+                 });
+    parser.value("--nodes", "LIST",
+                 "cluster sizes (default: single-node serving)",
+                 [&](const std::string &v) {
+                     grid.nodeCounts = parseList<int>(parser, v, &parseInt);
+                 });
+    parser.value("--placement", "LIST",
+                 "replication | replicate-hot | partition (needs --nodes)",
+                 [&](const std::string &v) {
+                     grid.placements = parseList<coe::PlacementPolicy>(
+                         parser, v, &coe::placementPolicyFromName);
+                     set_placement = true;
+                 });
+    parser.value("--dispatch", "D",
+                 "dispatch policy of the cluster points (needs --nodes)",
+                 [&](const std::string &v) {
+                     grid.dispatch = coe::dispatchPolicyFromName(v);
+                     set_dispatch = true;
+                 });
+    addSchedulerFlag(parser, scheduler_name);
     WorkloadFlagState wst;
     ScenarioFlagState sst;
     FaultFlagState fst;
     SpecZooFlagState szst;
     addWorkloadFlags(parser, grid.base, wst);
     addScenarioFlags(parser, grid.base, sst);
-    addFaultFlags(parser, grid.faultPolicy, fst);
     addSpecZooFlags(parser, grid.base, szst);
-    bool set_placement = false, set_dispatch = false;
-    parser.value("--experts", [&](const std::string &v) {
-        grid.expertCounts = parseList<int>(parser, v, &parseInt);
-    });
-    parser.value("--arrival-rate", [&](const std::string &v) {
-        grid.arrivalRates = parseList<double>(parser, v, &parseDouble);
-    });
-    parser.value("--batch", [&](const std::string &v) {
-        grid.batchSizes = parseList<int>(parser, v, &parseInt);
-    });
-    parser.value("--seeds", [&](const std::string &v) {
-        grid.seeds = parseList<std::uint64_t>(parser, v, &parseUint64);
-    });
-    parser.value("--nodes", [&](const std::string &v) {
-        grid.nodeCounts = parseList<int>(parser, v, &parseInt);
-    });
-    parser.value("--placement", [&](const std::string &v) {
-        grid.placements = parseList<coe::PlacementPolicy>(
-            parser, v, &coe::placementPolicyFromName);
-        set_placement = true;
-    });
-    parser.value("--dispatch", [&](const std::string &v) {
-        grid.dispatch = coe::dispatchPolicyFromName(v);
-        set_dispatch = true;
-    });
-    parser.value("--scheduler",
-                 [&](const std::string &v) { scheduler_name = v; });
-    parser.value("-j", [&](const std::string &v) { jobs = parseInt(v); });
-    parser.value("--jobs",
+    addFaultFlags(parser, grid.faultPolicy, fst);
+    parser.group("Execution");
+    parser.value("-j, --jobs", "N",
+                 "worker threads (default: hardware concurrency)",
                  [&](const std::string &v) { jobs = parseInt(v); });
-    parser.value("--json", [&](const std::string &v) { json_path = v; });
+    parser.value("--json", "FILE", "write per-point metrics as JSON",
+                 [&](const std::string &v) { json_path = v; });
 
     if (parser.parse(argc, argv, std::cout))
         return 0;
@@ -634,16 +335,10 @@ runSweepCmd(int argc, char **argv)
                     "--arrival-rate axis does not apply");
     if ((set_placement || set_dispatch) && grid.nodeCounts.empty())
         parser.fail("--placement/--dispatch require --nodes");
+    // No config field behind --jobs: this is its only check.
     if (jobs <= 0)
         parser.fail("--jobs must be at least 1");
-    if (!grid.base.workload.traceIn.empty()) {
-        // Parse the trace once here; every grid point (and worker
-        // thread) shares the immutable entries instead of re-reading
-        // the file per point.
-        grid.base.workload.traceEntries =
-            std::make_shared<const std::vector<coe::TraceEntry>>(
-                coe::loadTrace(grid.base.workload.traceIn));
-    }
+    loadTraceOnce(grid.base.workload);
 
     if (scheduler_name == "both") {
         grid.policies = {coe::SchedulerPolicy::Fifo,
@@ -653,6 +348,8 @@ runSweepCmd(int argc, char **argv)
     }
 
     std::vector<coe::SweepPoint> points = grid.points();
+    for (const coe::SweepPoint &point : points)
+        coe::validateSweepPoint(point);
     std::cout << "CoE sweep on " << coe::platformName(grid.base.platform)
               << ": " << points.size() << " points x "
               << grid.base.streamRequests << " requests, " << jobs
@@ -769,13 +466,6 @@ runPlanCapacity(const FlagParser &parser, coe::ClusterConfig cfg,
                     "--trace-out is ambiguous");
 
     int max_nodes = plan.setMaxNodes ? plan.maxNodes : cfg.nodes;
-    if (!cfg.node.workload.traceIn.empty()) {
-        // Parse once; every candidate node count replays the same
-        // immutable entries.
-        cfg.node.workload.traceEntries =
-            std::make_shared<const std::vector<coe::TraceEntry>>(
-                coe::loadTrace(cfg.node.workload.traceIn));
-    }
 
     std::cout << "Capacity plan: smallest cluster meeting p95 <= "
               << util::formatDouble(plan.p95Ms, 1) << " ms, shed <= "
@@ -849,28 +539,16 @@ runClusterCmd(int argc, char **argv)
     cfg.node.scheduler = coe::SchedulerPolicy::ExpertAffinity;
     std::string scheduler_name = "affinity";
 
-    FlagParser parser("cluster", clusterHelp);
-    WorkloadFlagState wst;
-    ArrivalFlagState ast;
-    ScenarioFlagState sst;
-    ControllerFlagState cst;
-    PlanFlagState plan;
-    ExecFlagState exec;
-    FaultFlagState fst;
-    FabricFlagState fab;
-    SpecZooFlagState szst;
-    bool set_experts = false;
-    addWorkloadFlags(parser, cfg.node, wst);
-    addArrivalFlags(parser, cfg.node, ast);
-    addScenarioFlags(parser, cfg.node, sst);
-    addCoreServingFlags(parser, cfg.node, scheduler_name, &set_experts);
-    addSpecZooFlags(parser, cfg.node, szst);
-    addControllerFlags(parser, cfg.controller, cst);
-    addPlanFlags(parser, plan);
-    addExecFlags(parser, exec);
-    addFaultFlags(parser, cfg.faultPolicy, fst);
-    addFabricFlags(parser, cfg.fabric, fab);
-
+    FlagParser parser(
+        "cluster",
+        "Multi-node CoE serving cluster: N per-node serving stacks\n"
+        "(each its own LRU expert cache and DMA memory system) fronted\n"
+        "by a cluster router with pluggable expert placement and\n"
+        "request dispatch. Supports scripted mid-run actions\n"
+        "(drain/rejoin/rate overrides), a diurnal arrival ramp, an\n"
+        "autoscaling control plane, capacity planning, an event-driven\n"
+        "interconnect, and fault injection. The workload flags mean\n"
+        "what they mean under `serve`.");
     bool set_rate = false, set_hot = false;
     bool set_drain_at = false, set_drain_node = false;
     bool set_rejoin = false, set_diurnal_amp = false;
@@ -882,49 +560,93 @@ runClusterCmd(int argc, char **argv)
     std::string schedule_csv;
     std::string json_path;
 
-    parser.value("--nodes", [&](const std::string &v) {
-        cfg.nodes = parseInt(v);
-    });
-    parser.value("--placement", [&](const std::string &v) {
-        cfg.placement = coe::placementPolicyFromName(v);
-    });
-    parser.value("--dispatch", [&](const std::string &v) {
-        cfg.dispatch = coe::dispatchPolicyFromName(v);
-    });
-    parser.value("--hot-experts", [&](const std::string &v) {
-        cfg.hotExperts = parseInt(v);
-        set_hot = true;
-    });
-    parser.value("--drain-at", [&](const std::string &v) {
-        drain_at = parseDouble(v);
-        set_drain_at = true;
-    });
-    parser.value("--drain-node", [&](const std::string &v) {
-        drain_node = parseInt(v);
-        set_drain_node = true;
-    });
-    parser.value("--rejoin-at", [&](const std::string &v) {
-        rejoin_at = parseDouble(v);
-        set_rejoin = true;
-    });
-    parser.value("--schedule", [&](const std::string &v) {
-        schedule_csv = v;
-    });
-    parser.value("--diurnal-amplitude", [&](const std::string &v) {
-        cfg.diurnalAmplitude = parseDouble(v);
-        set_diurnal_amp = true;
-    });
-    parser.value("--diurnal-period", [&](const std::string &v) {
-        cfg.diurnalPeriodSeconds = parseDouble(v);
-        set_diurnal_period = true;
-    });
-    parser.value("--node-dma-engines", [&](const std::string &v) {
-        node_dma = parseList<int>(parser, v, &parseInt);
-    });
-    parser.value("--node-region-gb", [&](const std::string &v) {
-        node_region_gb = parseList<double>(parser, v, &parseDouble);
-    });
-    parser.value("--json", [&](const std::string &v) { json_path = v; });
+    parser.group("Cluster");
+    parser.value("--nodes", "N", "nodes in the cluster (default 4)",
+                 [&](const std::string &v) { cfg.nodes = parseInt(v); });
+    parser.value("--placement", "P",
+                 "replication | replicate-hot | partition (default "
+                 "replicate-hot)",
+                 [&](const std::string &v) {
+                     cfg.placement = coe::placementPolicyFromName(v);
+                 });
+    parser.value("--hot-experts", "N",
+                 "hot head size for replicate-hot (default experts/10)",
+                 [&](const std::string &v) {
+                     cfg.hotExperts = parseInt(v);
+                     set_hot = true;
+                 });
+    parser.value("--dispatch", "D",
+                 "round-robin | least-outstanding | expert-affinity | "
+                 "topo-aware (default least-outstanding)",
+                 [&](const std::string &v) {
+                     cfg.dispatch = coe::dispatchPolicyFromName(v);
+                 });
+    WorkloadFlagState wst;
+    ArrivalFlagState ast;
+    ScenarioFlagState sst;
+    ControllerFlagState cst;
+    PlanFlagState plan;
+    FaultFlagState fst;
+    SpecZooFlagState szst;
+    bool set_experts = false, set_link = false;
+    addFabricFlags(parser, cfg.fabric, set_link);
+    parser.group("Scenarios");
+    // Stricter than ScheduledAction::atSeconds: a drain at 0 is no
+    // mid-run drain.
+    parser.value("--drain-at", "SEC",
+                 "drain a node mid-run; its queue re-dispatches",
+                 [&](const std::string &v) {
+                     drain_at = parseDouble(v);
+                     set_drain_at = true;
+                 });
+    parser.value("--drain-node", "N", "which node drains (default 0)",
+                 [&](const std::string &v) {
+                     drain_node = parseInt(v);
+                     set_drain_node = true;
+                 });
+    parser.value("--rejoin-at", "SEC", "the drained node rejoins cold",
+                 [&](const std::string &v) {
+                     rejoin_at = parseDouble(v);
+                     set_rejoin = true;
+                 });
+    parser.value("--schedule", "LIST",
+                 "KIND:AT[:ARG] actions, KIND drain|rejoin|rate, e.g. "
+                 "drain:3:1,rate:12:0.5",
+                 [&](const std::string &v) { schedule_csv = v; });
+    parser.value("--diurnal-amplitude", "A",
+                 "sinusoidal ramp on the Poisson rate, in [0, 1)",
+                 [&](const std::string &v) {
+                     cfg.diurnalAmplitude = parseDouble(v);
+                     set_diurnal_amp = true;
+                 });
+    parser.value("--diurnal-period", "SEC", "ramp period (default 86400)",
+                 [&](const std::string &v) {
+                     cfg.diurnalPeriodSeconds = parseDouble(v);
+                     set_diurnal_period = true;
+                 });
+    parser.value("--node-dma-engines", "LIST",
+                 "per-node DMA engine counts (length --nodes)",
+                 [&](const std::string &v) {
+                     node_dma = parseList<int>(parser, v, &parseInt);
+                 });
+    parser.value("--node-region-gb", "LIST",
+                 "per-node expert-region GB (length --nodes)",
+                 [&](const std::string &v) {
+                     node_region_gb =
+                         parseList<double>(parser, v, &parseDouble);
+                 });
+    addControllerFlags(parser, cfg.controller, cst);
+    addPlanFlags(parser, plan);
+    addFaultFlags(parser, cfg.faultPolicy, fst);
+    addExecFlags(parser, cfg.threads);
+    parser.group("Output");
+    parser.value("--json", "FILE", "write the cluster result as JSON",
+                 [&](const std::string &v) { json_path = v; });
+    addWorkloadFlags(parser, cfg.node, wst);
+    addArrivalFlags(parser, cfg.node, ast);
+    addScenarioFlags(parser, cfg.node, sst);
+    addCoreServingFlags(parser, cfg.node, scheduler_name, &set_experts);
+    addSpecZooFlags(parser, cfg.node, szst);
 
     if (parser.parse(argc, argv, std::cout))
         return 0;
@@ -935,16 +657,7 @@ runClusterCmd(int argc, char **argv)
     validateControllerFlags(parser, cfg.controller, cst);
     validatePlanFlags(parser, plan);
     validateFaultFlags(parser, cfg.faultPolicy, fst, cfg.node);
-    validateFabricFlags(parser, cfg.fabric, fab, cfg.dispatch);
-    validateClusterExecFlags(parser, exec, cfg.node, cfg.dispatch, ast,
-                             sst);
-    if (exec.threads > cfg.nodes && cfg.nodes > 0) {
-        std::cerr << "warning: --threads " << exec.threads
-                  << " exceeds --nodes " << cfg.nodes
-                  << "; clamping to one worker per node\n";
-        exec.threads = cfg.nodes;
-    }
-    cfg.threads = exec.threads;
+    validateFabricFlags(parser, cfg.fabric, set_link, cfg.dispatch);
     // The diurnal ramp shapes the arrival generator, which a replay
     // bypasses entirely — reject it like the other generator flags
     // instead of silently replaying the flat recorded stream.
@@ -957,8 +670,6 @@ runClusterCmd(int argc, char **argv)
     // if not, the open-loop default scales with the cluster size.
     set_rate = ast.setArrivalRate;
 
-    if (cfg.nodes <= 0)
-        parser.fail("--nodes must be at least 1");
     if (scheduler_name == "both")
         parser.fail("cluster runs a single scheduler; pick fifo or "
                     "affinity");
@@ -1000,24 +711,25 @@ runClusterCmd(int argc, char **argv)
         o.node = n;
         if (!node_dma.empty())
             o.dmaEngines = node_dma[static_cast<std::size_t>(n)];
-        if (!node_region_gb.empty()) {
-            double gb = node_region_gb[static_cast<std::size_t>(n)];
-            if (gb <= 0.0)
-                parser.fail("--node-region-gb entries must be positive");
-            o.expertRegionBytes = static_cast<std::int64_t>(gb * 1e9);
-        }
-        if (o.dmaEngines > 0 || o.expertRegionBytes > 0)
+        if (!node_region_gb.empty())
+            o.expertRegionBytes =
+                regionBytes(parser, "--node-region-gb entries",
+                            node_region_gb[static_cast<std::size_t>(n)]);
+        // Every entry reaches validateClusterConfig (0 inherits).
+        if (!node_dma.empty() || !node_region_gb.empty())
             cfg.overrides.push_back(o);
     }
     if (!set_rate && cfg.node.arrival == coe::ArrivalProcess::Poisson)
         cfg.node.arrivalRatePerSec = 8.0 * cfg.nodes;
     if (fst.setFaults) {
-        // Parse (and strictly validate) once; the simulator re-checks
-        // the schedule against the final node count.
+        // Parse (and strictly validate) once; validateClusterConfig
+        // checks it against the node count.
         cfg.faults =
             std::make_shared<const std::vector<coe::FaultEvent>>(
                 coe::loadFaultSchedule(fst.faultsPath));
     }
+    coe::validateClusterConfig(cfg);
+    loadTraceOnce(cfg.node.workload);
 
     if (plan.plan) {
         if (!json_path.empty())
@@ -1199,23 +911,34 @@ run(int argc, char **argv)
     std::string trace_path;
     int seq = 2048, batch = 1, tp = 8, sockets = 8;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (arg == "--model") model_name = next();
-        else if (arg == "--phase") phase_name = next();
-        else if (arg == "--seq") seq = parseInt(next());
-        else if (arg == "--batch") batch = parseInt(next());
-        else if (arg == "--tp") tp = parseInt(next());
-        else if (arg == "--sockets") sockets = parseInt(next());
-        else if (arg == "--config") config_name = next();
-        else if (arg == "--trace") trace_path = next();
-        else usage();
-    }
+    FlagParser parser(
+        "",
+        "Compile and execute one workload on an SN40L node and print a\n"
+        "report. Subcommands, each with its own --help:\n"
+        "  sn40l_run serve [flags]    single-node event-driven serving\n"
+        "  sn40l_run sweep [flags]    cartesian sweep across threads\n"
+        "  sn40l_run cluster [flags]  multi-node cluster serving");
+    parser.group("Workload");
+    parser.value("--model", "NAME", "model from the zoo (default llama2-7b)",
+                 [&](const std::string &v) { model_name = v; });
+    parser.value("--phase", "P", "prefill | decode | train (default decode)",
+                 [&](const std::string &v) { phase_name = v; });
+    parser.value("--seq", "N", "sequence length (default 2048)",
+                 [&](const std::string &v) { seq = parseInt(v); });
+    parser.value("--batch", "N", "batch size (default 1)",
+                 [&](const std::string &v) { batch = parseInt(v); });
+    parser.value("--tp", "N", "tensor parallelism (default 8)",
+                 [&](const std::string &v) { tp = parseInt(v); });
+    parser.value("--sockets", "N", "sockets in the node (default 8)",
+                 [&](const std::string &v) { sockets = parseInt(v); });
+    parser.value("--config", "C", "fused-ho | fused-so | unfused "
+                 "(default fused-ho)",
+                 [&](const std::string &v) { config_name = v; });
+    parser.group("Output");
+    parser.value("--trace", "FILE", "write a Chrome trace-event timeline",
+                 [&](const std::string &v) { trace_path = v; });
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
 
     models::WorkloadSpec spec;
     spec.model = modelByName(model_name);
@@ -1225,7 +948,8 @@ run(int argc, char **argv)
     if (phase_name == "prefill") spec.phase = models::Phase::Prefill;
     else if (phase_name == "decode") spec.phase = models::Phase::Decode;
     else if (phase_name == "train") spec.phase = models::Phase::Train;
-    else usage();
+    else parser.fail("unknown --phase '" + phase_name +
+                     "' (expected prefill, decode, or train)");
 
     runtime::RunConfig config;
     if (config_name == "fused-ho") config = runtime::RunConfig::FusedHO;
@@ -1233,7 +957,8 @@ run(int argc, char **argv)
         config = runtime::RunConfig::FusedSO;
     else if (config_name == "unfused")
         config = runtime::RunConfig::Unfused;
-    else usage();
+    else parser.fail("unknown --config '" + config_name +
+                     "' (expected fused-ho, fused-so, or unfused)");
 
     graph::DataflowGraph g = models::buildTransformer(spec);
     arch::NodeConfig node_cfg = arch::NodeConfig::sn40lNode(sockets);
@@ -1301,7 +1026,8 @@ main(int argc, char **argv)
     } catch (const tools::FlagUsageError &e) {
         std::cerr << "error: " << e.what() << "\n"
                   << "run `sn40l_run " << e.subcommand()
-                  << " --help` for the flag reference\n";
+                  << (e.subcommand().empty() ? "" : " ")
+                  << "--help` for the flag reference\n";
     } catch (const std::invalid_argument &) {
         std::cerr << "error: malformed numeric argument\n";
     } catch (const std::exception &e) {
