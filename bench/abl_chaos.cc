@@ -23,10 +23,8 @@
  * least 99% of arrivals are completed-or-shed (shed is an accounted,
  * deliberate degradation; lost is the silent failure), retries
  * recover strictly more work than no-policy, and the p99 tail stays
- * within a bounded multiple of the fault-free baseline. The full
- * corner must also be bit-identical between -j 1 and -j 2 — chaos
- * does not get to break determinism. Exits non-zero if any axis
- * flips.
+ * within a bounded multiple of the fault-free baseline. Exits
+ * non-zero if any axis flips.
  *
  *   abl_chaos [--smoke] [--requests N] [--json FILE]
  *
@@ -154,8 +152,6 @@ main(int argc, char **argv)
     base.nodes = nodes;
     base.placement = coe::PlacementPolicy::ReplicateHotPartitionCold;
     base.hotExperts = 15;
-    // Round-robin so the -j 2 determinism leg runs the exact same
-    // dispatch the -j 1 leg does (least-outstanding is serial-only).
     base.dispatch = coe::DispatchPolicy::RoundRobin;
     base.node = gen;
     base.node.workload.traceEntries = trace; // replay owns arrivals
@@ -182,13 +178,6 @@ main(int argc, char **argv)
                        coe::ClusterSimulator(retry_cfg).run()});
     corners.push_back({"retry+hedge+brownout",
                        coe::ClusterSimulator(full_cfg).run()});
-
-    // Determinism leg: the full policy stack again on the sharded
-    // parallel path. Chaos rides the sync agenda, so -j 2 must be
-    // bit-identical to -j 1.
-    coe::ClusterConfig par_cfg = full_cfg;
-    par_cfg.threads = 2;
-    coe::ClusterResult par = coe::ClusterSimulator(par_cfg).run();
 
     if (clean.oom)
         { std::cerr << "abl_chaos: baseline went OOM\n"; return 1; }
@@ -224,7 +213,6 @@ main(int argc, char **argv)
     addRow("fault-free", clean);
     for (const Corner &c : corners)
         addRow(c.name, c.r);
-    addRow("  full, -j 2", par);
     table.print(std::cout);
 
     const coe::StreamMetrics &nopol = corners[0].r.stream;
@@ -247,17 +235,7 @@ main(int argc, char **argv)
     bool retry_recovers = retry.lost < nopol.lost;
     bool tail_ok = full.p99LatencySeconds <=
         p99_cap * clean.stream.p99LatencySeconds;
-    bool deterministic = par.stream.completed == full.completed &&
-        par.stream.shed == full.shed &&
-        par.stream.lost == full.lost &&
-        par.stream.retried == full.retried &&
-        par.stream.hedged == full.hedged &&
-        par.stream.hedgeWon == full.hedgeWon &&
-        par.crashes == corners[2].r.crashes &&
-        par.faultsInjected == corners[2].r.faultsInjected &&
-        par.stream.p99LatencySeconds == full.p99LatencySeconds;
-    bool wins = faults_bite && served_ok && retry_recovers &&
-        tail_ok && deterministic;
+    bool wins = faults_bite && served_ok && retry_recovers && tail_ok;
 
     std::cout << "\nFull policy stack served-or-shed "
               << util::formatDouble(served_frac * 100.0, 2)
@@ -266,13 +244,12 @@ main(int argc, char **argv)
               << util::formatDouble(p99_ratio, 2)
               << "x the fault-free p99.\n"
               << (wins ? "chaos corner holds: nothing silently lost "
-                         "beyond 1%, tail bounded, -j 2 bit-identical.\n"
+                         "beyond 1%, tail bounded.\n"
                        : "WARNING: the chaos corner flipped (bite=" +
                              std::to_string(faults_bite) + " served=" +
                              std::to_string(served_ok) + " retry=" +
                              std::to_string(retry_recovers) +
                              " tail=" + std::to_string(tail_ok) +
-                             " det=" + std::to_string(deterministic) +
                              ").\n");
 
     std::ofstream out(json_path);
@@ -309,11 +286,9 @@ main(int argc, char **argv)
         corner("no_policy", corners[0].r);
         corner("retry_only", corners[1].r);
         corner("full_policy", corners[2].r);
-        corner("full_policy_j2", par);
         w.field("served_or_shed_frac", served_frac)
             .field("p99_ratio", p99_ratio)
             .field("p99_cap", p99_cap)
-            .field("deterministic", deterministic)
             .field("corner_holds", wins)
             .endObject();
         out << "\n";

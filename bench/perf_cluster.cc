@@ -9,18 +9,11 @@
  *      queue, the historical configuration behind the checked-in
  *      `events_per_sec` floor (unchanged, so the floor stays
  *      comparable across PRs);
- *   2. serial affinity — expert-affinity dispatch at threads=1, the
- *      baseline the speedup is measured against (only with
- *      --threads N > 1);
- *   3. parallel       — the same affinity workload with sharded
- *      per-node event queues on N workers. The harness hard-fails if
- *      the parallel metrics diverge from pass 2: determinism is part
- *      of what this gate protects.
- *   4. mesh fabric    — pass 1's workload over a 2-D mesh fabric with
+ *   2. mesh fabric    — pass 1's workload over a 2-D mesh fabric with
  *      topology-aware dispatch (every request crosses the wire as a
  *      1 MB message). Reports fabric_events_per_request and its wall
  *      time as a multiple of pass 1 (fabric_wall_ratio).
- *   5. spec/zoo chaos — a 2000-adapter LoRA zoo with speculative
+ *   3. spec/zoo chaos — a 2000-adapter LoRA zoo with speculative
  *      decoding, expert-affinity dispatch and a scripted fault
  *      schedule (DMA stall, straggler, crash, flaky node) with
  *      retries. Reports chaos_events_per_request; requests lost to
@@ -32,19 +25,17 @@
  *
  * Emits BENCH_cluster.json, stamped with the git commit and UTC
  * timestamp. With --floor FILE, exits non-zero if serial events/sec
- * (or, when --threads N was given, parallel events/sec) falls below
- * 80% of the checked-in floor, or if the fabric pass executes more
- * events per request than the floor's exact ceilings (fabric and
- * spec/zoo chaos passes; deterministic, so checked only at the
+ * falls below 80% of the checked-in floor, or if the fabric or
+ * spec/zoo chaos pass executes more events per request than the
+ * floor's exact ceilings (deterministic, so checked only at the
  * floor's own nodes/requests) — the CI regression gate (see
  * bench/perf_cluster_floor.json).
  *
- *   perf_cluster [--smoke] [--requests N] [--nodes N] [--threads N]
- *                [--json FILE] [--floor FILE]
+ *   perf_cluster [--smoke] [--requests N] [--nodes N] [--json FILE]
+ *                [--floor FILE]
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -110,7 +101,7 @@ runPass(const coe::ClusterConfig &cfg, int requests, const char *label)
 }
 
 /**
- * Pass 5's workload: baseConfig's arrivals over a 2000-adapter LoRA
+ * Pass 3's workload: baseConfig's arrivals over a 2000-adapter LoRA
  * zoo whose region holds a small share of it (many tiny DMA loads),
  * spec decode, and four faults at fixed shares of the arrival span
  * with up to three retries per request.
@@ -163,7 +154,6 @@ main(int argc, char **argv)
     int requests = 400'000;
     bool requests_set = false;
     int nodes = 4;
-    int threads = 1;
     std::string json_path = "BENCH_cluster.json";
     std::string floor_path;
 
@@ -182,22 +172,16 @@ main(int argc, char **argv)
             requests_set = true;
         }
         else if (arg == "--nodes") nodes = std::stoi(next());
-        else if (arg == "--threads") threads = std::stoi(next());
         else if (arg == "--json") json_path = next();
         else if (arg == "--floor") floor_path = next();
         else {
             std::cerr << "usage: perf_cluster [--smoke] [--requests N] "
-                      << "[--nodes N] [--threads N] [--json FILE] "
-                      << "[--floor FILE]\n";
+                      << "[--nodes N] [--json FILE] [--floor FILE]\n";
             return 1;
         }
     }
     if (smoke && !requests_set)
         requests = 20'000;
-    if (threads < 1) {
-        std::cerr << "perf_cluster: --threads must be at least 1\n";
-        return 1;
-    }
 
     // Pass 1: the historical serial configuration (least-outstanding
     // dispatch, shared hub queue) behind the events_per_sec floor.
@@ -216,61 +200,7 @@ main(int argc, char **argv)
               << " requests/s, imbalance "
               << serial.result.loadImbalance << "\n";
 
-    // Passes 2+3: expert-affinity serial baseline vs the sharded
-    // parallel run (least-outstanding needs cross-shard queue state
-    // mid-window, so the parallel path rejects it).
-    double affinity_wall = 0.0;
-    double parallel_wall = 0.0;
-    double parallel_eps = 0.0;
-    double speedup = 0.0;
-    if (threads > 1) {
-        coe::ClusterConfig aff_cfg = baseConfig(nodes, requests);
-        aff_cfg.dispatch = coe::DispatchPolicy::ExpertAffinity;
-        PassResult affinity = runPass(aff_cfg, requests, "affinity");
-        affinity_wall = affinity.wall;
-
-        coe::ClusterConfig par_cfg = aff_cfg;
-        par_cfg.threads = threads;
-        PassResult parallel = runPass(par_cfg, requests, "parallel");
-        parallel_wall = parallel.wall;
-        parallel_eps = eventsPerSec(parallel);
-        speedup = parallel_wall > 0.0 ? affinity_wall / parallel_wall
-                                      : 0.0;
-
-        // The parallel run must reproduce the serial metrics (the
-        // cluster means can differ in the last ulp from summation
-        // order). Cluster-wide quantiles are exact -- and therefore
-        // bit-identical across modes -- only while the merged sample
-        // count fits sim::Distribution's exact window (64Ki); beyond
-        // that both modes degrade to reservoir estimates over
-        // different sample subsets, so big runs compare the exact
-        // aggregates only.
-        const coe::StreamMetrics &a = affinity.result.stream;
-        const coe::StreamMetrics &p = parallel.result.stream;
-        bool same = a.completed == p.completed &&
-            a.makespanSeconds == p.makespanSeconds &&
-            std::fabs(a.meanLatencySeconds - p.meanLatencySeconds) <=
-                1e-9 * std::fabs(a.meanLatencySeconds);
-        if (requests <= (64 << 10))
-            same = same && a.p50LatencySeconds == p.p50LatencySeconds &&
-                a.p95LatencySeconds == p.p95LatencySeconds &&
-                a.p99LatencySeconds == p.p99LatencySeconds;
-        if (!same) {
-            std::cerr << "perf_cluster: parallel run diverged from the "
-                         "serial affinity baseline (determinism "
-                         "violation)\n";
-            return 1;
-        }
-
-        std::cout << "cluster parallel: " << threads << " threads, "
-                  << parallel.result.stream.eventsExecuted
-                  << " events in " << parallel_wall << " s\n"
-                  << "  " << static_cast<std::uint64_t>(parallel_eps)
-                  << " events/s, speedup " << speedup << "x over serial "
-                  << "affinity (" << affinity_wall << " s)\n";
-    }
-
-    // Pass 4: the same workload over a mesh fabric. Event counts are
+    // Pass 2: the same workload over a mesh fabric. Event counts are
     // machine-independent, so this pass is gated exactly.
     coe::ClusterConfig mesh_cfg = baseConfig(nodes, requests);
     mesh_cfg.dispatch = coe::DispatchPolicy::TopologyAware;
@@ -286,8 +216,8 @@ main(int argc, char **argv)
               << "  " << fabric_epr << " events/request, "
               << fabric_ratio << "x the fabric-off serial wall\n";
 
-    // Pass 5: spec decode + adapter zoo + faults with retries; gated
-    // exactly like pass 4.
+    // Pass 3: spec decode + adapter zoo + faults with retries; gated
+    // exactly like pass 2.
     coe::ClusterConfig chaos_cfg = chaosConfig(nodes, requests);
     coe::ClusterSimulator chaos_sim(chaos_cfg);
     auto chaos_start = std::chrono::steady_clock::now();
@@ -334,17 +264,8 @@ main(int argc, char **argv)
             .field("fabric_wall_ratio", fabric_ratio)
             .field("chaos_wall_seconds", chaos_wall)
             .field("chaos_events_per_request", chaos_epr)
-            .field("peak_rss_bytes", rss);
-        if (threads > 1) {
-            w.field("parallel_threads", threads)
-                .field("serial_affinity_wall_seconds", affinity_wall)
-                .field("parallel_wall_seconds", parallel_wall)
-                .field("parallel_events_per_sec", parallel_eps)
-                .field(("speedup_" + std::to_string(threads) + "t")
-                           .c_str(),
-                       speedup);
-        }
-        w.endObject();
+            .field("peak_rss_bytes", rss)
+            .endObject();
         out << "\n";
     }
     std::cout << "wrote " << json_path << "\n";
@@ -391,20 +312,6 @@ main(int argc, char **argv)
             std::cout << "fabric and spec/zoo chaos checks skipped: the "
                          "ceilings are pinned at the floor's "
                          "fabric_nodes/fabric_requests\n";
-        }
-        if (threads > 1) {
-            double pfloor = jsonNumber("perf_cluster", floor_path,
-                                       "parallel_events_per_sec");
-            double pgate = 0.8 * pfloor;
-            if (parallel_eps < pgate) {
-                std::cerr << "perf_cluster: PARALLEL REGRESSION: "
-                          << parallel_eps << " events/s < gate " << pgate
-                          << " (floor " << pfloor << " from "
-                          << floor_path << ")\n";
-                return 1;
-            }
-            std::cout << "parallel floor check passed: " << parallel_eps
-                      << " events/s >= gate " << pgate << "\n";
         }
     }
     return 0;

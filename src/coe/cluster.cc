@@ -2,13 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
-#include <functional>
-#include <iterator>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "coe/serving_engine.h"
@@ -173,104 +167,6 @@ class HashRing
     std::vector<std::pair<std::uint64_t, int>> points_;
 };
 
-/**
- * Persistent worker pool for the parallel run: runWindow(limit) wakes
- * every worker, each runs its statically-assigned shards (node n
- * belongs to worker n % threads) up to @p limit; waitWindow() blocks
- * until all workers have parked again. The pool mutex is the
- * synchronization edge in both directions: the hub's writes to shard
- * inboxes before startWindow() happen-before the workers' reads, and
- * the workers' shard mutations happen-before the hub's reads after
- * waitWindow() (snapshot, drain, merge). Between the two calls the
- * hub touches only its own state (hub queue, RNG, staging mailboxes).
- */
-class ShardWorkerPool
-{
-  public:
-    ShardWorkerPool(int threads,
-                    std::function<void(int, sim::Tick)> run_shards)
-        : runShards_(std::move(run_shards))
-    {
-        workers_.reserve(static_cast<std::size_t>(threads));
-        for (int t = 0; t < threads; ++t)
-            workers_.emplace_back([this, t]() { workerLoop(t); });
-    }
-
-    ~ShardWorkerPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            stop_ = true;
-        }
-        cvStart_.notify_all();
-        for (std::thread &w : workers_)
-            w.join();
-    }
-
-    /**
-     * Kick one window on all shards and return immediately, so the
-     * coordinator can pre-generate the next window's arrivals while
-     * the workers execute this one. The mutex hand-off makes every
-     * coordinator write before startWindow() visible to the workers,
-     * and every worker write visible after waitWindow() returns.
-     */
-    void
-    startWindow(sim::Tick limit)
-    {
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            limit_ = limit;
-            ++generation_;
-            remaining_ = static_cast<int>(workers_.size());
-        }
-        cvStart_.notify_all();
-    }
-
-    /** Block until every worker parks again. */
-    void
-    waitWindow()
-    {
-        std::unique_lock<std::mutex> lock(m_);
-        cvDone_.wait(lock, [this]() { return remaining_ == 0; });
-    }
-
-  private:
-    void
-    workerLoop(int tid)
-    {
-        std::uint64_t seen = 0;
-        for (;;) {
-            sim::Tick limit;
-            {
-                std::unique_lock<std::mutex> lock(m_);
-                cvStart_.wait(lock, [this, seen]() {
-                    return stop_ || generation_ != seen;
-                });
-                if (stop_)
-                    return;
-                seen = generation_;
-                limit = limit_;
-            }
-            runShards_(tid, limit);
-            {
-                std::lock_guard<std::mutex> lock(m_);
-                if (--remaining_ == 0)
-                    cvDone_.notify_one();
-            }
-        }
-    }
-
-    std::function<void(int, sim::Tick)> runShards_;
-    std::mutex m_;
-    std::condition_variable cvStart_;
-    std::condition_variable cvDone_;
-    std::uint64_t generation_ = 0;
-    int remaining_ = 0;
-    sim::Tick limit_ = 0;
-    bool stop_ = false;
-    std::vector<std::thread> workers_;
-};
-
 } // namespace
 
 /**
@@ -297,58 +193,7 @@ struct ClusterSimulator::RunState
         candidates.reserve(static_cast<std::size_t>(nodes));
     }
 
-    /**
-     * One node's slice of a parallel run: its own event queue (the
-     * node's ServingEngine schedules against it instead of the shared
-     * hub queue) plus the hub->shard mailbox. The hub routes requests
-     * into `staging` — its private half of the mailbox, written while
-     * the workers are mid-window so arrival generation pipelines with
-     * shard execution — and splices them into `inbox` at the next
-     * barrier. The owning worker turns unscheduled `inbox` entries
-     * into delivery events on the shard queue at each window start.
-     * Entries are consumed by index (`inboxNext`) so the delivery
-     * callbacks stay pointer-free and 8 bytes — `inbox` may
-     * reallocate while deliveries are pending.
-     */
-    struct Shard
-    {
-        struct Pending
-        {
-            TrafficRequest request;
-            sim::Tick tick;
-            /**
-             * Fabric deliveries arrive as fully-built EngineRequests
-             * (the arrival timestamp was stamped hub-side at dispatch,
-             * before the network transit): `built` carries the
-             * request and the shard injects it with injectAt().
-             */
-            bool prebuilt = false;
-            EngineRequest built;
-        };
-
-        sim::EventQueue eq;
-        ServingEngine *engine = nullptr;
-        std::vector<Pending> staging; ///< hub-owned, spliced at barrier
-        std::vector<Pending> inbox;   ///< worker-read during a window
-        std::size_t inboxScheduled = 0; ///< delivery events created
-        std::size_t inboxNext = 0;      ///< delivery events fired
-    };
-
-    /** One control-plane callback on the parallel sync agenda. */
-    struct AgendaEntry
-    {
-        sim::Tick when;
-        std::uint64_t seq; ///< FIFO tie-break, mirrors EventQueue
-        std::function<void()> cb;
-    };
-
-    static bool
-    agendaLater(const AgendaEntry &a, const AgendaEntry &b)
-    {
-        return a.when > b.when || (a.when == b.when && a.seq > b.seq);
-    }
-
-    sim::EventQueue eq; ///< hub: arrivals (+ everything at threads==1)
+    sim::EventQueue eq; ///< shared by the hub, fabric and every engine
     ExpertPlacement placement;
     std::vector<ServingConfig> nodeCfg;
     std::vector<PhaseCosts> nodeCosts;
@@ -356,13 +201,6 @@ struct ClusterSimulator::RunState
     std::vector<double> placedBytesNow; ///< per node, actuator-updated
     std::unique_ptr<WorkloadModel> workload;
     TraceRecorder recorder;
-    /**
-     * Per-node queue shards, empty at threads==1. Deque so Shard
-     * addresses stay stable (delivery callbacks capture &shard), and
-     * declared before `engines` so the engines (which hold references
-     * into the shard queues) are destroyed first.
-     */
-    std::deque<Shard> shards;
     std::vector<std::unique_ptr<ServingEngine>> engines;
 
     // ---- dispatch state
@@ -398,22 +236,22 @@ struct ClusterSimulator::RunState
     // ---- and no policy knob is enabled)
     /**
      * Hub-side view of each node's degradation, written only by the
-     * chaos actuators (control barriers). The hedge estimate reads
-     * these instead of engine state so the estimate is identical
-     * across -j 1 / -j N.
+     * chaos actuators. The hedge estimate reads these instead of
+     * engine state: the policy models a router that knows what it was
+     * told about a node, not the node's live internals.
      */
     std::vector<double> serviceFactor;
     std::vector<double> dmaFactor;
     std::vector<double> flakyProb;
     /**
-     * Per-node completed + shed as of the last policy barrier — the
-     * ONLY place the hub refreshes its backlog view, so hedge
-     * decisions at dispatch time use barrier-stale data in both
-     * execution modes.
+     * Per-node completed + shed as of the last policy tick — the ONLY
+     * place the hub refreshes its backlog view. The policy models a
+     * router with a periodic view of its nodes, so hedge decisions at
+     * dispatch time use tick-stale data.
      */
     std::vector<std::int64_t> knownDone;
     /** One open hedged request: primary on one node, duplicate on
-     *  another; resolved at policy barriers from completion logs. */
+     *  another; resolved at policy ticks from completion logs. */
     struct HedgePair
     {
         int primaryNode = 0;
@@ -443,11 +281,6 @@ struct ClusterSimulator::RunState
     std::int64_t baseHedgeWon = 0;
 
     // ---- interconnect (null when cfg.fabric.enabled == false)
-    /**
-     * All network state is hub-owned: every link/credit event runs on
-     * the hub queue in both execution modes, so routing decisions and
-     * delivery ticks are identical across -j 1 / -j N.
-     */
     std::unique_ptr<ClusterFabric> fabric;
     std::vector<sim::Tick> baseLinkBusy; ///< snapshot-window baseline
     std::int64_t migrationsInFlight = 0; ///< payload sent, flip pending
@@ -480,15 +313,6 @@ struct ClusterSimulator::RunState
         freeWire.push_back(slot);
         return std::move(onWire[slot]);
     }
-
-    // ---- parallel-run state (inert at threads==1)
-    int threads = 1; ///< effective worker count for this run
-    /** Min-heap (agendaLater) of pending control callbacks. */
-    std::vector<AgendaEntry> agenda;
-    std::uint64_t agendaSeq = 0;
-    std::size_t hubBuffered = 0; ///< arrivals routed this window
-    /** Last member: workers must park before anything else dies. */
-    std::unique_ptr<ShardWorkerPool> pool;
 };
 
 void
@@ -506,34 +330,6 @@ validateClusterConfig(const ClusterConfig &cfg)
     if (cfg.hotExperts > cfg.node.numExperts)
         sim::fatal("ClusterConfig: hotExperts (--hot-experts) exceeds the "
                    "expert count");
-    if (cfg.threads < 1)
-        sim::fatal("ClusterConfig: threads (--threads) must be at least 1, "
-                   "got " + std::to_string(cfg.threads));
-    if (cfg.threads > 1) {
-        // Parallel windows only work when nothing closes a
-        // zero-lookahead feedback loop from the shards back into the
-        // hub (arrivals/dispatch) mid-window.
-        if (cfg.node.arrival == ArrivalProcess::ClosedLoop)
-            sim::fatal("ClusterConfig: threads (--threads) > 1 cannot "
-                       "drive closed-loop arrivals (--closed-loop): batch "
-                       "completions on a shard re-issue clients "
-                       "instantly, which leaves the windows zero "
-                       "lookahead; use threads=1");
-        bool sessions = cfg.node.workload.sessionFollowProb > 0.0;
-        for (const TenantSpec &t : cfg.node.workload.tenantSpecs)
-            sessions = sessions || t.sessionFollowProb > 0.0;
-        if (sessions && !cfg.node.workload.replay())
-            sim::fatal("ClusterConfig: threads (--threads) > 1 cannot "
-                       "generate conversational sessions (--session-prob): "
-                       "follow-up turns are triggered by shard-side "
-                       "completions; replay a recorded trace (--trace-in) "
-                       "or use threads=1");
-        if (cfg.dispatch == DispatchPolicy::LeastOutstanding)
-            sim::fatal("ClusterConfig: threads (--threads) > 1 cannot use "
-                       "least-outstanding dispatch (--dispatch): it reads "
-                       "per-node queue state that is stale mid-window; "
-                       "use round-robin or expert-affinity");
-    }
     // Written so NaN fails too: every comparison with NaN is false.
     if (!(cfg.diurnalAmplitude >= 0.0 && cfg.diurnalAmplitude < 1.0))
         sim::fatal("ClusterConfig: diurnalAmplitude (--diurnal-amplitude) "
@@ -564,13 +360,8 @@ validateClusterConfig(const ClusterConfig &cfg)
     }
 
     for (const ScheduledAction &a : cfg.actions) {
-        // Written so NaN fails too; the upper bound keeps the firing
-        // tick representable.
-        if (!(a.atSeconds >= 0.0 &&
-              a.atSeconds < sim::toSeconds(sim::kMaxTick)))
-            sim::fatal("ScheduledAction: atSeconds (--schedule) must be "
-                       "finite, non-negative and within the Tick range "
-                       "(< 9.2e6 s), got " + std::to_string(a.atSeconds));
+        sim::requireTickSeconds(a.atSeconds,
+                                "ScheduledAction: atSeconds (--schedule)");
         switch (a.kind) {
           case ActionKind::Drain:
             if (cfg.nodes < 2)
@@ -652,15 +443,6 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
 {
     cfg_.node.mode = ServingMode::EventDriven;
     validateClusterConfig(cfg_);
-    if (cfg_.threads > cfg_.nodes) {
-        sim::logWarn("cluster",
-                     "clamping threads from " +
-                         std::to_string(cfg_.threads) + " to the node "
-                         "count " + std::to_string(cfg_.nodes) +
-                         " (one shard per node)");
-        cfg_.threads = cfg_.nodes;
-    }
-
     costs_ = computePhaseCosts(cfg_.node);
     if (cfg_.node.expertRegionBytes > 0)
         costs_.expertRegionBytes = cfg_.node.expertRegionBytes;
@@ -731,34 +513,16 @@ ClusterSimulator::begin()
     diurnal.diurnalPeriodSeconds = cfg_.diurnalPeriodSeconds;
     rs->workload = makeWorkloadModel(base, diurnal);
 
-    const bool parallel = cfg_.threads > 1;
-    rs->threads = cfg_.threads;
-    if (parallel)
-        for (int n = 0; n < N; ++n)
-            rs->shards.emplace_back();
-
     rs->engines.reserve(static_cast<std::size_t>(N));
     for (int n = 0; n < N; ++n) {
         auto ns = static_cast<std::size_t>(n);
-        sim::EventQueue &nodeEq =
-            parallel ? rs->shards[ns].eq : rs->eq;
         rs->engines.push_back(std::make_unique<ServingEngine>(
-            nodeEq, rs->nodeCfg[ns], rs->nodeCosts[ns], zoo));
-        if (parallel) {
-            // No shared latency/stall mirrors: engines record into
-            // their per-node distributions only (worker threads may
-            // not touch shared state); finish() merges them in node
-            // order.
-            rs->shards[ns].engine = rs->engines.back().get();
-        } else {
-            rs->engines.back()->setMirrors(&latency_, &stalls_);
-        }
+            rs->eq, rs->nodeCfg[ns], rs->nodeCosts[ns], zoo));
+        rs->engines.back()->setMirrors(&latency_, &stalls_);
     }
 
-    // The interconnect lives on the hub queue (never on a shard):
-    // dispatch, drain re-placement, and migration payloads serialize
-    // over its links, and their delivery ticks bound the parallel
-    // windows exactly like arrival ticks do.
+    // Dispatch, drain re-placement, and migration payloads serialize
+    // over the interconnect's links on the shared queue.
     if (cfg_.fabric.enabled) {
         rs->fabric =
             std::make_unique<ClusterFabric>(rs->eq, cfg_.fabric, N);
@@ -769,25 +533,19 @@ ClusterSimulator::begin()
 
     // Closed-loop clients are cluster-wide: whichever node finishes a
     // batch frees that many clients to think and re-issue. Session
-    // follow-ups and shed notifications route back the same way. In a
-    // parallel run the hooks stay unset: they would call into the
-    // hub-owned workload from worker threads mid-window, and the
-    // config validation already rejected every workload that needs
-    // them (closed loop, generated sessions).
-    if (!parallel) {
-        for (int n = 0; n < N; ++n) {
-            ServingEngine &e = *rs->engines[static_cast<std::size_t>(n)];
-            WorkloadModel *workload = rs->workload.get();
-            e.setOnBatchComplete([workload](int finished) {
-                workload->onBatchComplete(finished);
-            });
-            e.setOnRequestComplete([workload](const EngineRequest &r) {
-                workload->onRequestComplete(toTrafficRequest(r));
-            });
-            e.setOnRequestShed([workload](const EngineRequest &r) {
-                workload->onRequestShed(toTrafficRequest(r));
-            });
-        }
+    // follow-ups and shed notifications route back the same way.
+    for (int n = 0; n < N; ++n) {
+        ServingEngine &e = *rs->engines[static_cast<std::size_t>(n)];
+        WorkloadModel *workload = rs->workload.get();
+        e.setOnBatchComplete([workload](int finished) {
+            workload->onBatchComplete(finished);
+        });
+        e.setOnRequestComplete([workload](const EngineRequest &r) {
+            workload->onRequestComplete(toTrafficRequest(r));
+        });
+        e.setOnRequestShed([workload](const EngineRequest &r) {
+            workload->onRequestShed(toTrafficRequest(r));
+        });
     }
 
     // ---- chaos layer (inert without a schedule or policy knob) ----
@@ -805,7 +563,7 @@ ClusterSimulator::begin()
             sim::mix64(base.seed ^ 0xfa017c5ull));
     if (cfg_.faultPolicy.hedge)
         // Hedge resolution drains per-engine completion logs at policy
-        // barriers; off by default so the no-chaos path records nothing.
+        // ticks; off by default so the no-chaos path records nothing.
         for (std::unique_ptr<ServingEngine> &e : rs->engines)
             e->setLogCompletions(true);
 
@@ -814,22 +572,21 @@ ClusterSimulator::begin()
     rs_ = std::move(rs);
 
     // ---- scripted actions
-    // Control callbacks go through scheduleControlAt: straight onto
-    // the shared queue at threads==1, onto the sync agenda otherwise.
+    sim::EventQueue &eq = rs_->eq;
     for (const ScheduledAction &a : cfg_.actions) {
         sim::Tick at = sim::fromSeconds(a.atSeconds);
         switch (a.kind) {
           case ActionKind::Drain:
-            scheduleControlAt(
+            eq.schedule(
                 at, [this, a]() { drainNode(a.node); }, "cluster.drain");
             break;
           case ActionKind::Rejoin:
-            scheduleControlAt(
+            eq.schedule(
                 at, [this, a]() { rejoinNode(a.node); },
                 "cluster.rejoin");
             break;
           case ActionKind::RateOverride:
-            scheduleControlAt(
+            eq.schedule(
                 at, [this, a]() { setRateFactor(a.rateFactor); },
                 "cluster.rate_override");
             break;
@@ -837,9 +594,8 @@ ClusterSimulator::begin()
     }
 
     // ---- faults --------------------------------------------------
-    // The schedule is armed through the same control-plane path the
-    // scripted actions just used, so every fault fires at a barrier
-    // with all shards squared up to its tick.
+    // Every fault is an event on the same queue as the scripted
+    // actions.
     faults_.reset();
     if (cfg_.faults && !cfg_.faults->empty()) {
         faults_ = std::make_unique<FaultInjector>(*this, cfg_.faults);
@@ -849,11 +605,9 @@ ClusterSimulator::begin()
 
     // ---- arrivals -----------------------------------------------
     // The workload model emits routed requests from inside arrival
-    // events; the cluster dispatches each to a hosting node —
-    // directly at threads==1, via the node's mailbox otherwise (the
-    // shard delivers at the same tick, so the engine stamps the same
-    // arrival time inject() would have). Dispatch itself lives in
-    // dispatchRequest(), where the degraded-mode policies hook in.
+    // events; the cluster dispatches each to a hosting node. Dispatch
+    // itself lives in dispatchRequest(), where the degraded-mode
+    // policies hook in.
     rs_->workload->bind(rs_->eq, [this](const TrafficRequest &r) {
         if (rs_->firstArrival < 0)
             rs_->firstArrival = rs_->eq.now();
@@ -869,10 +623,8 @@ ClusterSimulator::begin()
  * degraded-mode policies on the way: brown-out shedding at the door,
  * flaky-dispatch failures into the retry path, and hedged dispatch of
  * a duplicate when the chosen node's backlog estimate blows the SLO.
- * Runs in the hub phase (threads > 1) or inside the arrival event
- * (threads == 1); it touches only hub-owned state plus the mailbox /
- * direct-inject seam the plain dispatch already used, and with every
- * policy disabled it reduces exactly to that plain dispatch.
+ * Runs inside the arrival event; with every policy disabled it
+ * reduces exactly to the plain dispatch.
  */
 void
 ClusterSimulator::dispatchRequest(const TrafficRequest &request)
@@ -887,8 +639,7 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
         request.priority <= policy.brownoutPriorityMax) {
         ++rs.brownoutShed;
         stats_.inc("brownout_shed");
-        if (rs.threads == 1)
-            rs.workload->onRequestShed(request);
+        rs.workload->onRequestShed(request);
         return;
     }
 
@@ -920,23 +671,13 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
             return;
         }
         ++rs.dispatchedTo[static_cast<std::size_t>(node)];
-        if (rs.threads > 1) {
-            RunState::Shard &sh =
-                rs.shards[static_cast<std::size_t>(node)];
-            RunState::Shard::Pending p;
-            p.request = r;
-            p.tick = rs.eq.now();
-            sh.staging.push_back(std::move(p));
-            ++rs.hubBuffered;
-        } else {
-            rs.engines[static_cast<std::size_t>(node)]->inject(r);
-        }
+        rs.engines[static_cast<std::size_t>(node)]->inject(r);
     };
     deliver(n, request);
 
     // Hedged dispatch: when the chosen node's queueing-delay estimate
     // exceeds the priority-scaled SLO, race a duplicate on the best
-    // other live node; the loser is cancelled at a policy barrier.
+    // other live node; the loser is cancelled at a policy tick.
     if (policy.hedge && request.deadlineSeconds > 0.0 &&
         estimateDelaySeconds(n) >
             policy.hedgeThreshold *
@@ -994,12 +735,9 @@ ClusterSimulator::forwardRequest(int node, EngineRequest request)
 }
 
 /**
- * A request's last flit landed at @p node. Runs inside a network
- * event on the hub queue: at threads == 1 the engine takes it
- * directly; at threads > 1 it is staged into the node's mailbox (the
- * current tick is at or past the committed window end, so the shard
- * has not run past it). A node that went down while the message was
- * in flight displaces the request into the retry-or-lost path —
+ * A request's last flit landed at @p node, inside a network event: the
+ * engine takes it directly. A node that went down while the message
+ * was in flight displaces the request into the retry-or-lost path —
  * conservation holds, nothing vanishes on the wire.
  */
 void
@@ -1012,45 +750,7 @@ ClusterSimulator::deliverViaFabric(int node, EngineRequest request)
         handleDisplaced(std::move(request));
         return;
     }
-    if (rs.threads > 1) {
-        RunState::Shard &sh = rs.shards[ns];
-        RunState::Shard::Pending p;
-        p.tick = rs.eq.now();
-        p.prebuilt = true;
-        p.built = std::move(request);
-        sh.staging.push_back(std::move(p));
-        ++rs.hubBuffered;
-    } else {
-        rs.engines[ns]->injectAt(std::move(request));
-    }
-}
-
-void
-ClusterSimulator::scheduleControlAt(sim::Tick when,
-                                    std::function<void()> cb,
-                                    const char *name)
-{
-    RunState &rs = *rs_;
-    if (rs.threads == 1) {
-        rs.eq.schedule(when, std::move(cb), name);
-        return;
-    }
-    rs.agenda.push_back(
-        RunState::AgendaEntry{when, rs.agendaSeq++, std::move(cb)});
-    std::push_heap(rs.agenda.begin(), rs.agenda.end(),
-                   RunState::agendaLater);
-}
-
-void
-ClusterSimulator::scheduleControlIn(sim::Tick delta,
-                                    std::function<void()> cb,
-                                    const char *name)
-{
-    if (!rs_)
-        sim::panic("cluster: scheduleControlIn outside an active run");
-    if (delta < 0)
-        sim::panic("cluster: negative control delay");
-    scheduleControlAt(rs_->eq.now() + delta, std::move(cb), name);
+    rs.engines[ns]->injectAt(std::move(request));
 }
 
 int
@@ -1102,10 +802,8 @@ ClusterSimulator::pickNode(int expert)
         return n;
       }
       case DispatchPolicy::TopologyAware: {
-        // Least-congested hub -> node path; the congestion signal is
-        // hub-owned network state, so the choice is identical across
-        // -j 1 / -j N (unlike least-outstanding, which reads shard
-        // state). First tie-break: fewest requests sent so far, so an
+        // Least-congested hub -> node path, read off the network
+        // state. First tie-break: fewest requests sent so far, so an
         // idle fabric degenerates to an even spread.
         int best = rs.candidates.front();
         double bestCong = rs.fabric->hubCongestion(best);
@@ -1325,7 +1023,7 @@ ClusterSimulator::handleDisplaced(EngineRequest request)
         // doubling exact.
         double backoff = std::ldexp(policy.retryBackoffSeconds,
                                     request.attempt - 1);
-        scheduleControlIn(
+        rs.eq.scheduleIn(
             sim::fromSeconds(backoff),
             [this, request]() { redispatch(request); },
             "cluster.retry");
@@ -1376,19 +1074,16 @@ ClusterSimulator::redispatch(EngineRequest request)
         return;
     }
     ++rs.dispatchedTo[ns];
-    // Retries fire at control barriers (threads > 1 workers are
-    // parked), so direct injection is safe in both modes — the
-    // drainNode() re-dispatch precedent.
     rs.engines[ns]->injectAt(std::move(request));
 }
 
 /**
  * Hub-side queueing-delay estimate for hedging: backlog (dispatched
- * minus the last policy-barrier view of completed + shed) priced at
+ * minus the last policy-tick view of completed + shed) priced at
  * router + a full batch of default prompts, stretched by the node's
- * known degradation. Deliberately refreshed only at barriers so the
- * estimate — and therefore every hedge decision — is identical across
- * -j 1 / -j N.
+ * known degradation. The policy models a router that refreshes its
+ * view of the nodes only at policy ticks, not one that reads live
+ * engine queues.
  */
 double
 ClusterSimulator::estimateDelaySeconds(int node) const
@@ -1411,20 +1106,20 @@ ClusterSimulator::estimateDelaySeconds(int node) const
         rs.serviceFactor[ns] * rs.dmaFactor[ns];
 }
 
-/** Re-arm the recurring policy barrier (hedge / brown-out only). */
+/** Re-arm the recurring policy tick (hedge / brown-out only). */
 void
 ClusterSimulator::armPolicyTick()
 {
     const FaultPolicyConfig &policy = cfg_.faultPolicy;
     if (!policy.hedge && policy.brownoutDepth <= 0.0)
         return;
-    scheduleControlIn(sim::fromSeconds(policy.policyTickSeconds),
-                      [this]() { policyTick(); },
-                      "cluster.policy_tick");
+    rs_->eq.scheduleIn(sim::fromSeconds(policy.policyTickSeconds),
+                       [this]() { policyTick(); },
+                       "cluster.policy_tick");
 }
 
 /**
- * The recurring policy barrier: refresh the hub's backlog view,
+ * The recurring policy tick: refresh the hub's backlog view,
  * resolve hedge winners from the engines' completion logs, and
  * re-evaluate brown-out with hysteresis. Stops re-arming once the
  * run is idle so the event queue can dry.
@@ -1471,8 +1166,8 @@ ClusterSimulator::policyTick()
 }
 
 /**
- * Drain the engines' completion logs (node order — deterministic in
- * both modes) into the open hedge ledger, then settle every pair
+ * Drain the engines' completion logs (in node order) into the open
+ * hedge ledger, then settle every pair
  * whose duplicate finished first: cancel the still-queued primary and
  * credit the completion hub-side. Exactly one completion is ever
  * counted per hedged request: the engines count primaries only, the
@@ -1570,8 +1265,8 @@ ClusterSimulator::migrateExpert(int expert, int from, int to)
                         rsc.engines[tc]->memorySystem().estimateLoad(
                             bytes)) *
                     rsc.dmaFactor[tc]);
-                scheduleControlAt(
-                    rsc.eq.now() + ddr,
+                rsc.eq.scheduleIn(
+                    ddr,
                     [this, expert, from, to, bytes]() {
                         RunState &rsf = *rs_;
                         auto ef = static_cast<std::size_t>(expert);
@@ -1872,200 +1567,8 @@ ClusterSimulator::run()
             std::make_unique<ClusterController>(*this, cfg_.controller);
         controller_->start();
     }
-    if (rs_->threads > 1)
-        runParallel();
-    else
-        rs_->eq.run();
+    rs_->eq.run();
     return finish();
-}
-
-/**
- * Conservative time-window execution. Per iteration:
- *
- *  1. The next sync-agenda time syncT bounds the lookahead: nothing
- *     on a shard may interact with the cluster before it (dispatch is
- *     decided at the hub, engines never message each other, and all
- *     control actuations are agenda entries).
- *  2. Hub phase (this thread): run arrival events strictly before
- *     syncT, routing each request into its node's staging mailbox.
- *     Capped per window so mailbox memory stays bounded on
- *     uncontrolled runs. Staged entries are spliced into the
- *     worker-visible inboxes while the workers are parked.
- *  3. Worker phase: each worker schedules its shards' new mailbox
- *     entries as delivery events, then runs the shard up to (but not
- *     including) windowEnd = min(syncT, next hub arrival). Every
- *     delivery tick is below windowEnd, so arrivals interleave with
- *     the shard's own batch events in exact tick order. Meanwhile the
- *     hub pre-routes the NEXT window's arrivals into the staging
- *     halves — the serial routing cost pipelines behind shard
- *     execution instead of adding to the critical path.
- *  4. Barrier; when the window actually reached syncT, advance every
- *     clock to syncT and fire the due agenda entries in FIFO order
- *     (snapshots, drains, controller ticks — they may re-arm).
- *
- * Determinism: every routing, RNG, and control decision happens on
- * this thread at a barrier or in the hub phase; workers only execute
- * per-shard event streams whose content is independent of the worker
- * count. Results are therefore identical for any threads >= 2, and
- * run-to-run. (threads == 1 bypasses all of this for the bit-exact
- * shared-queue path.)
- */
-void
-ClusterSimulator::runParallel()
-{
-    RunState &rs = *rs_;
-    const int N = cfg_.nodes;
-    const int T = rs.threads;
-
-    /**
-     * Arrivals routed per window before the hub yields to the
-     * workers. Bounds mailbox memory (~64 B/entry); at the default
-     * rates a window still spans thousands of batches per shard, so
-     * barrier overhead stays well under a percent.
-     */
-    constexpr std::size_t kWindowArrivalCap = 8192;
-
-    rs.pool = std::make_unique<ShardWorkerPool>(
-        T, [&rs, N, T](int tid, sim::Tick limit) {
-            for (int n = tid; n < N; n += T) {
-                RunState::Shard &sh =
-                    rs.shards[static_cast<std::size_t>(n)];
-                while (sh.inboxScheduled < sh.inbox.size()) {
-                    const RunState::Shard::Pending &p =
-                        sh.inbox[sh.inboxScheduled++];
-                    sh.eq.schedule(
-                        p.tick,
-                        [&sh]() {
-                            RunState::Shard::Pending &q =
-                                sh.inbox[sh.inboxNext++];
-                            if (q.prebuilt)
-                                sh.engine->injectAt(std::move(q.built));
-                            else
-                                sh.engine->inject(q.request);
-                        },
-                        "cluster.deliver");
-                }
-                sh.eq.run(limit);
-            }
-        });
-
-    // The arrival path can create control work mid-window: a flaky
-    // displacement under the retry policy schedules its re-dispatch
-    // at arrival + backoff (handleDisplaced), and that retry must
-    // fire at a barrier exactly where the serial path would run it.
-    // The top-up loop therefore re-reads the agenda after every hub
-    // step (the new entry may shrink the window), and the overlap
-    // stops short of arrivals whose retry could land inside the
-    // already-committed window.
-    const bool hubMayRetry = cfg_.faultPolicy.retriesEnabled();
-    const sim::Tick firstBackoff =
-        sim::fromSeconds(cfg_.faultPolicy.retryBackoffSeconds);
-    auto agendaFront = [&rs]() {
-        return rs.agenda.empty() ? sim::kMaxTick
-                                 : rs.agenda.front().when;
-    };
-
-    for (;;) {
-        sim::Tick syncT = agendaFront();
-
-        // Top up this window's arrivals (strictly below the next
-        // control barrier, bounded by the mailbox cap). After the
-        // first window most arrivals were already staged during the
-        // previous window's overlap, so this usually no-ops.
-        rs.hubBuffered = 0;
-        while (rs.eq.peekNextTick() < syncT &&
-               rs.hubBuffered < kWindowArrivalCap) {
-            rs.eq.step();
-            syncT = agendaFront();
-        }
-
-        sim::Tick windowEnd = std::min(syncT, rs.eq.peekNextTick());
-
-        // Workers are parked here, so the hub owns both mailbox
-        // halves: recycle fully-consumed inboxes, then splice the
-        // staged arrivals in. A mailbox with a pending delivery — an
-        // arrival at exactly a windowEnd — keeps accumulating until
-        // it drains.
-        for (RunState::Shard &sh : rs.shards) {
-            if (sh.inboxNext == sh.inbox.size() &&
-                sh.inboxScheduled == sh.inbox.size()) {
-                sh.inbox.clear();
-                sh.inboxScheduled = 0;
-                sh.inboxNext = 0;
-            }
-            sh.inbox.insert(
-                sh.inbox.end(),
-                std::make_move_iterator(sh.staging.begin()),
-                std::make_move_iterator(sh.staging.end()));
-            sh.staging.clear();
-        }
-
-        if (windowEnd > 0) {
-            // While a flaky window is open and retries are on, an
-            // arrival stepped during the overlap could schedule its
-            // retry at arrival + backoff, inside the window the
-            // workers are already committed to. Stop the overlap at
-            // the first such arrival; the next top-up (with the
-            // workers parked and the window still shrinkable) handles
-            // it.
-            bool flakyOpen = false;
-            if (hubMayRetry)
-                for (double p : rs.flakyProb)
-                    flakyOpen = flakyOpen || p > 0.0;
-            rs.pool->startWindow(windowEnd - 1); // run() is inclusive
-            // Pipeline: pre-route the next window's arrivals into the
-            // hub-private staging halves while the workers execute
-            // this one. Everything the arrival path touches — the
-            // workload generator, its RNG, dispatch-policy state, the
-            // hub queue, the fabric, the expert placement it reads —
-            // is either hub-owned or frozen until the next control
-            // barrier, so the overlap cannot race the shards; it just
-            // hides the serial routing cost behind shard execution.
-            // The agenda front is re-read every step: a hub event can
-            // create a control entry (displaced-retry backoff, a
-            // migration commit behind a fabric transfer), and hub
-            // events past that entry's tick must wait for its barrier
-            // to keep hub-side ordering identical to the serial path.
-            rs.hubBuffered = 0;
-            while (rs.eq.peekNextTick() < agendaFront() &&
-                   rs.hubBuffered < kWindowArrivalCap) {
-                if (flakyOpen &&
-                    rs.eq.peekNextTick() + firstBackoff < windowEnd)
-                    break;
-                rs.eq.step();
-            }
-            rs.pool->waitWindow();
-        }
-
-        if (windowEnd != syncT)
-            continue; // capped or arrival-bounded window; same syncT
-        if (syncT == sim::kMaxTick)
-            break; // hub drained, shards drained, no control pending
-
-        // True barrier at syncT: square up every clock so the agenda
-        // callbacks observe the timestamps a shared queue would have
-        // (snapshot windows, drain re-dispatch injectAt, node-seconds
-        // accrual all read now()).
-        for (RunState::Shard &sh : rs.shards)
-            sh.eq.advanceTo(syncT);
-        rs.eq.advanceTo(syncT);
-        while (!rs.agenda.empty() && rs.agenda.front().when == syncT) {
-            std::pop_heap(rs.agenda.begin(), rs.agenda.end(),
-                          RunState::agendaLater);
-            RunState::AgendaEntry entry = std::move(rs.agenda.back());
-            rs.agenda.pop_back();
-            entry.cb();
-        }
-    }
-
-    // Land the hub clock on the run's true end time (the serial path's
-    // final event tick) so finish()'s node-seconds accrual matches.
-    sim::Tick endTick = rs.eq.now();
-    for (RunState::Shard &sh : rs.shards)
-        endTick = std::max(endTick, sh.eq.now());
-    rs.eq.advanceTo(endTick);
-
-    rs.pool.reset(); // park and join the workers
 }
 
 ClusterResult
@@ -2081,20 +1584,8 @@ ClusterSimulator::finish()
     rs.recorder.write();
     accrueNodeSeconds();
 
-    // A parallel run recorded latencies per engine only (no shared
-    // mirrors); merge them cluster-wide in node order. Exact-mode
-    // quantiles come out bit-identical to the serial interleaved
-    // recording (same sample multiset, lazily sorted); running means
-    // can differ in the last ulp from the different summation order.
-    if (rs.threads > 1) {
-        for (const std::unique_ptr<ServingEngine> &e : rs.engines) {
-            latency_.merge(e->latency());
-            stalls_.merge(e->stalls());
-        }
-    }
-
     // Settle the hedge ledger's tail: completions that landed after
-    // the last policy barrier, then any pair whose primary was lost
+    // the last policy tick, then any pair whose primary was lost
     // and whose duplicate silently died (shed at admission) — that
     // loss is final and counted, nothing leaves the run unaccounted.
     resolveHedges();
@@ -2176,10 +1667,6 @@ ClusterSimulator::finish()
             : 0.0;
     }
     m.eventsExecuted = rs.eq.executedCount();
-    // Shard events (including the mailbox delivery events, which have
-    // no serial counterpart) count toward the run's event total.
-    for (const RunState::Shard &sh : rs.shards)
-        m.eventsExecuted += sh.eq.executedCount();
     m.shed = shedTotal;
     m.shedRate = completed + shedTotal > 0
         ? static_cast<double>(shedTotal) /

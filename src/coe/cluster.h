@@ -2,10 +2,8 @@
  * @file
  * Multi-node CoE serving cluster: N per-node serving stacks (each a
  * ServingEngine with its own CoeRuntime and mem::MemorySystem),
- * fronted by a cluster router. With threads == 1 every stack shares
- * one sim::EventQueue; with threads > 1 each node runs on its own
- * queue shard under conservative time-window synchronization (see
- * runParallel() in cluster.cc for the execution model).
+ * fronted by a cluster router. Every stack, the router and the
+ * interconnect share one sim::EventQueue.
  *
  * The paper serves 150 experts from one 8-socket SN40L node; scaling
  * to "millions of users" means sharding the expert pool across many
@@ -35,16 +33,15 @@
  * with a policy. run() still does the whole dance in one call.
  *
  * The cluster is the only event-driven driver: ServingSimulator's
- * EventDriven mode runs a 1-node, full-replication, threads == 1
- * cluster, so finish() is the one place that turns engines into
- * StreamMetrics, the Fig 1 per-batch split and the run's counters.
+ * EventDriven mode runs a 1-node, full-replication cluster, so
+ * finish() is the one place that turns engines into StreamMetrics,
+ * the Fig 1 per-batch split and the run's counters.
  */
 
 #ifndef SN40L_COE_CLUSTER_H
 #define SN40L_COE_CLUSTER_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -126,15 +123,8 @@ struct ClusterConfig
     PlacementPolicy placement = PlacementPolicy::FullReplication;
 
     /**
-     * Worker threads for the run. 1 (the default) is the classic
-     * single-queue path, bit-identical to every existing golden.
-     * N > 1 shards the event queue per node and runs shards on a
-     * worker pool with conservative time-window sync; results are
-     * deterministic for a fixed config (independent of N), but the
-     * mode rejects zero-lookahead feedback loops: closed-loop
-     * arrivals, conversational sessions (unless replayed from a
-     * trace), and least-outstanding dispatch. Values above the node
-     * count are clamped with a warning (spare shards would idle).
+     * Ignored; runs are always serial. Kept until the benchmark's
+     * parallel pass is dropped.
      */
     int threads = 1;
 
@@ -363,20 +353,11 @@ class ClusterSimulator
     /** Drain the event queue and assemble the ClusterResult. */
     ClusterResult finish();
 
-    /** The active run's queue (begin() first). Tests step this. */
-    sim::EventQueue &eventQueue();
-
     /**
-     * Schedule a control-plane callback @p delta ticks from now. With
-     * threads == 1 this is exactly eventQueue().scheduleIn(); with
-     * threads > 1 the callback goes onto the run's sync agenda, whose
-     * entries define the parallel window barriers and fire with every
-     * shard advanced to the same tick — the only context where a
-     * callback may safely observe or actuate cluster state. The
-     * controller's tick re-arm goes through here.
+     * The active run's queue (begin() first). The controller and the
+     * fault injector schedule on it; tests step it.
      */
-    void scheduleControlIn(sim::Tick delta, std::function<void()> cb,
-                           const char *name = "");
+    sim::EventQueue &eventQueue();
 
     /** Windowed observation; advances the snapshot window. */
     MetricsSnapshot snapshot();
@@ -397,8 +378,7 @@ class ClusterSimulator
     void setRateFactor(double factor);
 
     // ---- chaos actuators (driven by coe::FaultInjector) -----------
-    // Each must run at a control barrier (threads > 1) or inside an
-    // event (threads == 1), exactly like the actuators above.
+    // Each must run inside an event, exactly like the actuators above.
 
     /**
      * Crash @p node mid-batch: unlike drainNode() the in-flight batch
@@ -445,13 +425,9 @@ class ClusterSimulator
 
   private:
     struct RunState;
-    friend class FaultInjector; // arms faults via scheduleControlAt
 
     int pickNode(int expert);
     void accrueNodeSeconds();
-    void scheduleControlAt(sim::Tick when, std::function<void()> cb,
-                           const char *name);
-    void runParallel();
 
     // ---- degraded-mode policy internals (cluster.cc) -------------
     void dispatchRequest(const TrafficRequest &request);

@@ -43,14 +43,11 @@ validateControllerConfig(const ControllerConfig &cfg, int nodes)
 {
     if (cfg.policy == ControllerPolicy::Static)
         return; // the remaining knobs are inert
+    sim::requireTickSeconds(
+        cfg.tickSeconds, "ControllerConfig: tickSeconds (--controller-tick)",
+        /*positive=*/true);
     // NaN fails every comparison below, so each check is written as
-    // "not (valid)"; the tick's upper bound keeps it a Tick.
-    if (!(cfg.tickSeconds > 0.0 &&
-          cfg.tickSeconds < sim::toSeconds(sim::kMaxTick)))
-        sim::fatal("ControllerConfig: tickSeconds (--controller-tick) "
-                   "must be positive and within the Tick range "
-                   "(< 9.2e6 s), got " +
-                   std::to_string(cfg.tickSeconds));
+    // "not (valid)".
     if (cfg.minNodes < 1 || cfg.minNodes > nodes)
         sim::fatal("ControllerConfig: minNodes (--controller-min) "
                    "outside [1, nodes]");
@@ -121,11 +118,7 @@ ClusterController::start()
 void
 ClusterController::scheduleTick()
 {
-    // scheduleControlIn lands on the shared queue at threads==1
-    // (bit-identical to the historical direct scheduleIn) and on the
-    // parallel run's sync agenda otherwise, so a tick always fires at
-    // a window barrier where snapshot/actuate are safe.
-    cluster_.scheduleControlIn(
+    cluster_.eventQueue().scheduleIn(
         sim::fromSeconds(cfg_.tickSeconds), [this]() { tick(); },
         "cluster.controller_tick");
 }

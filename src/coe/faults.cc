@@ -92,10 +92,9 @@ validateFaultPolicy(const FaultPolicyConfig &policy)
     if (policy.retryMax < 0)
         sim::fatal("FaultPolicyConfig: retryMax (--retry-max) must be "
                    "non-negative");
-    if (!(std::isfinite(policy.retryBackoffSeconds) &&
-          policy.retryBackoffSeconds >= 0.0))
-        sim::fatal("FaultPolicyConfig: retryBackoffSeconds "
-                   "(--retry-backoff-ms) must be finite and non-negative");
+    sim::requireTickSeconds(
+        policy.retryBackoffSeconds,
+        "FaultPolicyConfig: retryBackoffSeconds (--retry-backoff-ms)");
     if (policy.retryBudget < -1)
         sim::fatal("FaultPolicyConfig: retryBudget (--retry-budget) must "
                    "be -1 (unbounded) or non-negative");
@@ -111,14 +110,11 @@ validateFaultPolicy(const FaultPolicyConfig &policy)
     if (policy.brownoutPriorityMax < 0)
         sim::fatal("FaultPolicyConfig: brownoutPriorityMax "
                    "(--brownout-prio) must be non-negative");
-    // The upper bound keeps the tick a Tick; NaN fails it too.
-    if ((policy.hedge || policy.brownoutDepth > 0.0) &&
-        !(policy.policyTickSeconds > 0.0 &&
-          policy.policyTickSeconds < sim::toSeconds(sim::kMaxTick)))
-        sim::fatal("FaultPolicyConfig: policyTickSeconds "
-                   "(--policy-tick-ms) must be positive and within the "
-                   "Tick range (< 9.2e6 s) for hedge/brown-out, got " +
-                   std::to_string(policy.policyTickSeconds));
+    if (policy.hedge || policy.brownoutDepth > 0.0)
+        sim::requireTickSeconds(
+            policy.policyTickSeconds,
+            "FaultPolicyConfig: policyTickSeconds (--policy-tick-ms)",
+            /*positive=*/true);
 }
 
 // -------------------------------------------------------- JSONL IO
@@ -331,14 +327,13 @@ FaultInjector::arm()
 {
     if (!schedule_)
         return;
+    sim::EventQueue &eq = cluster_.eventQueue();
     for (const FaultEvent &e : *schedule_) {
-        cluster_.scheduleControlAt(
-            sim::fromSeconds(e.atSeconds),
-            [this, e] { fire(e); }, "faults.fire");
+        eq.schedule(sim::fromSeconds(e.atSeconds),
+                    [this, e] { fire(e); }, "faults.fire");
         if (e.durationSeconds > 0.0)
-            cluster_.scheduleControlAt(
-                sim::fromSeconds(e.atSeconds + e.durationSeconds),
-                [this, e] { heal(e); }, "faults.heal");
+            eq.schedule(sim::fromSeconds(e.atSeconds + e.durationSeconds),
+                        [this, e] { heal(e); }, "faults.heal");
     }
 }
 

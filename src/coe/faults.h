@@ -7,13 +7,10 @@
  * Faults are scripted, not sampled at fire time: a FaultEvent list
  * (hand-built, or loaded from a JSONL fault schedule symmetric with
  * the PR 5 request traces) is armed in ClusterSimulator::begin() and
- * every event fires as a first-class control-plane callback through
- * scheduleControlAt() — the same sync-agenda path ScheduledAction and
- * the controller use. With threads == 1 that is an ordinary event on
- * the shared queue; with threads > 1 it is an agenda barrier with
- * every shard advanced to the fault's tick. Injection is therefore
- * deterministic and bit-identical across -j 1 / -j N, and an empty
- * schedule arms nothing at all (the no-fault path pays zero cost).
+ * every event fires as an ordinary event on the cluster's queue, like
+ * ScheduledAction and the controller tick. Injection is therefore
+ * deterministic, and an empty schedule arms nothing at all (the
+ * no-fault path pays zero cost).
  *
  * Fault kinds:
  *  - crash:     the node dies mid-batch; queued AND in-flight
@@ -78,10 +75,10 @@ struct FaultEvent
 /**
  * Degraded-mode serving policies, all disabled by default so a
  * default-constructed config is bit-identical to the pre-chaos
- * cluster. The cluster consults these hub-side: retry decisions fire
- * at control barriers, hedge/brownout decisions at dispatch using
- * only hub-visible state refreshed at barriers, so policy behaviour
- * is identical across -j 1 / -j N.
+ * cluster. The cluster consults these hub-side: retries fire after
+ * their backoff, and hedge/brownout decisions at dispatch use only
+ * hub-visible state refreshed at policy ticks — the policy models a
+ * router with a periodic view of its nodes, not live engine queues.
  */
 struct FaultPolicyConfig
 {
@@ -108,7 +105,7 @@ struct FaultPolicyConfig
 
     /**
      * Priority-tier brown-out: when the mean admission-queue depth
-     * per live node (sampled at policy barriers) exceeds this, the
+     * per live node (sampled at policy ticks) exceeds this, the
      * cluster sheds arriving requests with priority <=
      * brownoutPriorityMax until the depth recovers. 0 disables.
      */
@@ -116,7 +113,7 @@ struct FaultPolicyConfig
     int brownoutPriorityMax = 0;
 
     /**
-     * Cadence of the policy barrier that refreshes hedge estimates,
+     * Cadence of the policy tick that refreshes hedge estimates,
      * resolves hedge winners, and re-evaluates brown-out. Armed only
      * when hedging or brown-out is enabled.
      */
@@ -159,9 +156,9 @@ std::vector<FaultEvent> loadFaultSchedule(const std::string &path);
 /**
  * Arms a validated fault schedule on a cluster run: begin() calls
  * arm() once, which schedules every event (and its heal, when
- * durationSeconds > 0) through the cluster's control-plane agenda.
- * The injector owns no simulation state beyond counters — faults
- * actuate the same public/friend surface the controller uses.
+ * durationSeconds > 0) on the cluster's event queue. The injector
+ * owns no simulation state beyond counters — faults actuate the same
+ * public surface the controller uses.
  */
 class FaultInjector
 {

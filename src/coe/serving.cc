@@ -82,13 +82,15 @@ validateServingConfig(const ServingConfig &cfg)
             sim::fatal("ServingConfig: arrivalRatePerSec (--arrival-rate) "
                        "must be finite and positive, got " +
                        std::to_string(cfg.arrivalRatePerSec));
+        if (cfg.arrival == ArrivalProcess::Poisson)
+            sim::requireTickSeconds(1.0 / cfg.arrivalRatePerSec,
+                                    "ServingConfig: mean arrival gap "
+                                    "1/arrivalRatePerSec (--arrival-rate)");
         if (cfg.arrival == ArrivalProcess::ClosedLoop && cfg.clients <= 0)
             sim::fatal("ServingConfig: clients (--clients) must be "
                        "positive");
-        if (!(std::isfinite(cfg.thinkSeconds) && cfg.thinkSeconds >= 0.0))
-            sim::fatal("ServingConfig: thinkSeconds (--think) must be "
-                       "finite and non-negative, got " +
-                       std::to_string(cfg.thinkSeconds));
+        sim::requireTickSeconds(cfg.thinkSeconds,
+                                "ServingConfig: thinkSeconds (--think)");
         if (cfg.dmaEngines <= 0)
             sim::fatal("ServingConfig: dmaEngines (--dma-engines) must be "
                        "at least 1, got " + std::to_string(cfg.dmaEngines));

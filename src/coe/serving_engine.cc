@@ -299,9 +299,8 @@ ServingEngine::makeEngineRequest(const TrafficRequest &request,
         // at draftRatio of the target's per-token cost, and streaming
         // the target weights once per verification plus the draft's
         // (draftRatio-sized) weights per draft token. Seeded from
-        // (config seed, request id) only, so retries, hedge
-        // duplicates, and parallel cluster shards resample the exact
-        // same shape.
+        // (config seed, request id) only, so retries and hedge
+        // duplicates resample the exact same shape.
         runtime::SpecDecodeConfig sd;
         sd.gamma = cfg_.specDecode.gamma;
         sd.acceptRate = cfg_.specDecode.acceptRate;

@@ -1,16 +1,11 @@
 /**
  * @file
  * One node's event-driven serving stack. coe::ClusterSimulator runs
- * one engine per node on a single shared sim::EventQueue — or, in its
- * parallel mode (ClusterConfig::threads > 1), one engine per per-node
- * queue shard executed by a worker pool under conservative
- * time-window sync. Single-node EventDriven serving
- * (ServingSimulator) is a 1-node cluster, so every event-driven run
- * drives its engines through the cluster. The engine is
- * queue-agnostic: it only ever schedules against the sim::EventQueue
- * it was constructed with, touches no state outside its node, and is
- * therefore safe to run concurrently with other engines on other
- * queues.
+ * one engine per node on a single shared sim::EventQueue.
+ * Single-node EventDriven serving (ServingSimulator) is a 1-node
+ * cluster, so every event-driven run drives its engines through the
+ * cluster. The engine only ever schedules against the sim::EventQueue
+ * it was constructed with and touches no state outside its node.
  *
  * The engine owns the node's expert zoo, CoeRuntime (HBM expert
  * region + LRU), and mem::MemorySystem (DDR/HBM tiers + DMA pool),
@@ -259,8 +254,8 @@ class ServingEngine
 
     /**
      * When enabled (hedged dispatch only), every finished request is
-     * appended to completionLog() for the cluster to drain at control
-     * barriers. Off by default: the no-chaos path records nothing.
+     * appended to completionLog() for the cluster to drain at policy
+     * ticks. Off by default: the no-chaos path records nothing.
      */
     void setLogCompletions(bool on) { logCompletions_ = on; }
     std::vector<CompletionRecord> &completionLog()

@@ -52,8 +52,7 @@ namespace {
  * pseudo-random offset, so adapters that were hot go cold and the
  * engines pay fresh adapter loads on the live DMA path. A pure
  * function of (zoo config, emission time, routed id): deterministic
- * across reruns and cluster shards, and the identity when the zoo or
- * churn is off.
+ * across reruns, and the identity when the zoo or churn is off.
  */
 int
 applyZooChurn(const ZooServingConfig &zoo, int num_experts,
@@ -717,11 +716,9 @@ validateWorkloadConfig(const ServingConfig &cfg)
     if (w.sessionMaxTurns < 1)
         sim::fatal("WorkloadConfig: sessionMaxTurns (--session-turns) "
                    "must be at least 1");
-    if (!(std::isfinite(w.sessionThinkSeconds) &&
-          w.sessionThinkSeconds >= 0.0))
-        sim::fatal("WorkloadConfig: sessionThinkSeconds (--session-think) "
-                   "must be finite and non-negative, got " +
-                   std::to_string(w.sessionThinkSeconds));
+    sim::requireTickSeconds(
+        w.sessionThinkSeconds,
+        "WorkloadConfig: sessionThinkSeconds (--session-think)");
     validateShape(w.shape, "WorkloadConfig");
     if (w.multiTenant() && cfg.arrival == ArrivalProcess::ClosedLoop)
         sim::fatal("WorkloadConfig: tenant mixes and sessions are "
@@ -751,9 +748,9 @@ validateWorkloadConfig(const ServingConfig &cfg)
         if (t.sessionMaxTurns < 1)
             sim::fatal("TenantSpec " + t.name +
                        ": sessions need at least one turn");
-        if (!(std::isfinite(t.thinkMeanSeconds) &&
-              t.thinkMeanSeconds >= 0.0))
-            sim::fatal("TenantSpec " + t.name + ": negative think time");
+        sim::requireTickSeconds(t.thinkMeanSeconds,
+                                "TenantSpec " + t.name +
+                                    ": thinkMeanSeconds");
         validateShape(t.shape, "TenantSpec " + t.name);
     }
 }

@@ -199,34 +199,6 @@ EventQueue::run(Tick limit)
     return executed;
 }
 
-Tick
-EventQueue::peekNextTick()
-{
-    while (!heap_.empty()) {
-        const HeapEntry &top = heap_.front();
-        if (pool_[top.slot].cancelled) {
-            freeSlot(static_cast<std::uint32_t>(top.slot));
-            heapPop();
-            --pendingCount_;
-            continue;
-        }
-        return top.when;
-    }
-    return kMaxTick;
-}
-
-void
-EventQueue::advanceTo(Tick when)
-{
-    Tick next = peekNextTick();
-    if (next < when)
-        panic("EventQueue: advanceTo(" + std::to_string(when) +
-              ") would skip a pending event at tick " +
-              std::to_string(next));
-    if (when > curTick_)
-        curTick_ = when;
-}
-
 bool
 EventQueue::empty() const
 {

@@ -95,30 +95,6 @@ class EventQueue
     /** Execute exactly one event if one is pending. @return executed? */
     bool step();
 
-    // ------------------------------------------------ window API
-    //
-    // Conservative time-window synchronization (parallel cluster
-    // simulation) drives many queues side by side: a coordinator peeks
-    // each shard's next event time to bound the window, runs each
-    // shard with run(window_end), and squares the clocks up at the
-    // barrier with advanceTo() so barrier-time interactions (drain
-    // re-dispatch, controller snapshots) observe the same timestamps a
-    // single shared queue would have produced.
-
-    /**
-     * Time of the earliest pending event, or kMaxTick when the queue
-     * is empty. Reaps cancelled heap heads on the way, so the answer
-     * is always a live event's time.
-     */
-    Tick peekNextTick();
-
-    /**
-     * Jump the clock forward to @p when without executing anything.
-     * Panics if an event earlier than @p when is still pending (that
-     * would rewrite history); a @p when in the past is a no-op.
-     */
-    void advanceTo(Tick when);
-
     bool empty() const;
     std::size_t pendingCount() const { return pendingCount_; }
     std::uint64_t executedCount() const { return executedCount_; }

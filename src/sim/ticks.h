@@ -11,7 +11,11 @@
 #define SN40L_SIM_TICKS_H
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
+
+#include "sim/log.h"
 
 namespace sn40l::sim {
 
@@ -50,6 +54,27 @@ transferTicks(double bytes, double bytes_per_sec)
     double seconds = bytes / bytes_per_sec;
     Tick t = static_cast<Tick>(seconds * kTicksPerSec);
     return t > 0 ? t : 1;
+}
+
+/**
+ * Reject a configured duration of @p seconds that cannot become a Tick:
+ * non-finite, negative (or zero when @p positive), or at or beyond
+ * toSeconds(kMaxTick), about 9.2e6 s. @p what names the field, as in
+ * "ServingConfig: thinkSeconds (--think)"; the FatalError message
+ * prints the rejected value with %g.
+ */
+inline void
+requireTickSeconds(double seconds, const std::string &what,
+                   bool positive = false)
+{
+    // Written so NaN fails too: every comparison with NaN is false.
+    if ((positive ? seconds > 0.0 : seconds >= 0.0) &&
+        seconds < toSeconds(kMaxTick))
+        return;
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", seconds);
+    fatal(what + " must be " + (positive ? "positive" : "non-negative") +
+          " and within the Tick range (< 9.2e6 s), got " + got);
 }
 
 } // namespace sn40l::sim

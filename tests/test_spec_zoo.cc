@@ -9,8 +9,8 @@
  * per-transfer setup cost the zoo's tiny transfers expose, engine
  * throughput ordering (spec beats autoregressive at high acceptance,
  * loses at zero), zoo hit-rate scaling with the region, conservation,
- * determinism, and serial vs parallel cluster bit-equality with both
- * features enabled.
+ * determinism, and a multi-node cluster run with both features
+ * enabled.
  */
 
 #include <gtest/gtest.h>
@@ -339,9 +339,9 @@ TEST(ZooServing, ChurnKeepsConservationAndChangesTraffic)
                      again.stream.p95LatencySeconds);
 }
 
-// --------------------------------------------------- cluster parity
+// ---------------------------------------------------------- cluster
 
-TEST(ClusterSpecZoo, SerialAndParallelAgreeWithBothFeaturesOn)
+TEST(ClusterSpecZoo, ClusterConservesWithBothFeaturesOn)
 {
     ClusterConfig cfg;
     cfg.nodes = 3;
@@ -362,32 +362,9 @@ TEST(ClusterSpecZoo, SerialAndParallelAgreeWithBothFeaturesOn)
     cfg.node.arrivalRatePerSec = 48.0;
     cfg.node.seed = 7;
 
-    ClusterResult serial = ClusterSimulator(cfg).run();
-    EXPECT_FALSE(serial.oom);
-    EXPECT_EQ(serial.stream.completed + serial.stream.shed +
-                  serial.stream.lost,
+    ClusterResult r = ClusterSimulator(cfg).run();
+    EXPECT_FALSE(r.oom);
+    EXPECT_EQ(r.stream.completed + r.stream.shed + r.stream.lost,
               cfg.node.streamRequests);
-    EXPECT_GT(serial.stream.specSteps, 0);
-
-    ClusterConfig par = cfg;
-    par.threads = 2;
-    ClusterResult parallel = ClusterSimulator(par).run();
-
-    EXPECT_EQ(serial.stream.completed, parallel.stream.completed);
-    EXPECT_EQ(serial.stream.batches, parallel.stream.batches);
-    EXPECT_EQ(serial.stream.specSteps, parallel.stream.specSteps);
-    EXPECT_DOUBLE_EQ(serial.stream.p50LatencySeconds,
-                     parallel.stream.p50LatencySeconds);
-    EXPECT_DOUBLE_EQ(serial.stream.p95LatencySeconds,
-                     parallel.stream.p95LatencySeconds);
-    EXPECT_DOUBLE_EQ(serial.stream.makespanSeconds,
-                     parallel.stream.makespanSeconds);
-    EXPECT_DOUBLE_EQ(serial.missRate, parallel.missRate);
-    ASSERT_EQ(serial.nodes.size(), parallel.nodes.size());
-    for (std::size_t n = 0; n < serial.nodes.size(); ++n) {
-        EXPECT_EQ(serial.nodes[n].completed, parallel.nodes[n].completed)
-            << "node " << n;
-        EXPECT_EQ(serial.nodes[n].misses, parallel.nodes[n].misses)
-            << "node " << n;
-    }
+    EXPECT_GT(r.stream.specSteps, 0);
 }

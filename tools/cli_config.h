@@ -460,24 +460,6 @@ validateSpecZooFlags(const FlagParser &p, const coe::ServingConfig &cfg,
                "combined with --experts");
 }
 
-// --------------------------------------------- execution groups
-
-/**
- * -j / --threads pick the cluster's worker count
- * (ClusterConfig::threads). 1 is the bit-exact single-queue path;
- * N > 1 shards the event queue per node. The ClusterSimulator
- * constructor rejects the combinations a parallel run cannot do and
- * clamps N to the node count.
- */
-inline void
-addExecFlags(FlagParser &p, int &threads)
-{
-    p.group("Execution");
-    p.value("-j, --threads", "N",
-            "worker threads, at most one a node (default 1)",
-            [&](const std::string &v) { threads = parseInt(v); });
-}
-
 // ------------------------------------------ control-plane groups
 
 struct ControllerFlagState

@@ -161,7 +161,7 @@ class FlagParser
 
     /**
      * Register a value-less flag. @p names is one name or an alias
-     * pair spelled as --help shows it ("-j, --threads").
+     * pair spelled as --help shows it ("-j, --jobs").
      */
     void
     flag(const char *names, const char *help, std::function<void()> apply)
@@ -275,8 +275,8 @@ class FlagParser
   private:
     struct Spec
     {
-        std::string names;             ///< as --help shows: "-j, --threads"
-        std::vector<std::string> keys; ///< each name: "-j", "--threads"
+        std::string names;             ///< as --help shows: "-j, --jobs"
+        std::vector<std::string> keys; ///< each name: "-j", "--jobs"
         const char *metavar;           ///< nullptr: a value-less flag
         const char *help;
         std::string group;
@@ -284,7 +284,7 @@ class FlagParser
         bool seen = false;
     };
 
-    /** Split a "-j, --threads" spelling into its names. */
+    /** Split a "-j, --jobs" spelling into its names. */
     static std::vector<std::string>
     splitNames(const std::string &names)
     {

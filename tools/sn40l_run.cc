@@ -638,7 +638,6 @@ runClusterCmd(int argc, char **argv)
     addControllerFlags(parser, cfg.controller, cst);
     addPlanFlags(parser, plan);
     addFaultFlags(parser, cfg.faultPolicy, fst);
-    addExecFlags(parser, cfg.threads);
     parser.group("Output");
     parser.value("--json", "FILE", "write the cluster result as JSON",
                  [&](const std::string &v) { json_path = v; });
