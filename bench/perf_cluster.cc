@@ -223,9 +223,8 @@ main(int argc, char **argv)
     auto chaos_start = std::chrono::steady_clock::now();
     coe::ClusterResult chaos = chaos_sim.run();
     double chaos_wall = wallSeconds(chaos_start);
-    auto chaos_lost =
-        static_cast<std::int64_t>(chaos_sim.stats().get("lost"));
-    if (chaos.oom || chaos.stream.completed + chaos_lost != requests) {
+    if (chaos.oom ||
+        chaos.stream.completed + chaos.stream.lost != requests) {
         std::cerr << "perf_cluster: spec/zoo chaos run did not account "
                      "for every request\n";
         return 1;
@@ -233,9 +232,8 @@ main(int argc, char **argv)
     double chaos_epr =
         static_cast<double>(chaos.stream.eventsExecuted) / requests;
     std::cout << "cluster spec/zoo chaos: " << chaos.faultsInjected
-              << " faults, "
-              << static_cast<std::int64_t>(chaos_sim.stats().get("retried"))
-              << " retried, " << chaos_lost << " lost, "
+              << " faults, " << chaos.stream.retried << " retried, "
+              << chaos.stream.lost << " lost, "
               << chaos.stream.eventsExecuted << " events in " << chaos_wall
               << " s\n"
               << "  " << chaos_epr << " events/request\n";

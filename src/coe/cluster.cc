@@ -167,17 +167,47 @@ class HashRing
     std::vector<std::pair<std::uint64_t, int>> points_;
 };
 
+/**
+ * One cumulative read of a run's counters (RunState::readTotals()).
+ * snapshot() reports the difference of two reads; finish() reports
+ * the last one.
+ */
+struct RunTotals
+{
+    sim::Tick at = 0;
+    std::int64_t arrivals = 0;
+    /** Engine completions plus hedge wins, which only the hub credits. */
+    std::int64_t completions = 0;
+    /** Engine SLO sheds plus brown-out sheds at the hub. */
+    std::int64_t shed = 0;
+    std::int64_t misses = 0;
+    std::int64_t lost = 0;
+    std::int64_t retried = 0;
+    std::int64_t hedged = 0;
+    std::int64_t hedgeWon = 0;
+
+    struct Node
+    {
+        std::int64_t dispatched = 0;
+        std::int64_t completed = 0;
+        std::int64_t misses = 0;
+        std::int64_t shed = 0;
+    };
+    std::vector<Node> nodes;
+    std::vector<std::int64_t> expertHits;
+    std::vector<sim::Tick> linkBusy; ///< empty without the fabric
+};
+
 } // namespace
 
 /**
  * Everything a run stands up between begin() and finish(): the event
- * queue, engines, dispatch state, and the observation counters the
- * snapshot window diffs against. One fresh RunState per begin(), so
- * the simulator stays re-runnable.
+ * queue, engines, dispatch state and the run's counters. One fresh
+ * RunState per begin(), so the simulator stays re-runnable.
  */
 struct ClusterSimulator::RunState
 {
-    RunState(int nodes, const std::string &trace_out)
+    RunState(int nodes, const std::string &trace_out, sim::StatSet &stats)
         : recorder(trace_out),
           live(static_cast<std::size_t>(nodes), 1),
           wasDrained(static_cast<std::size_t>(nodes), 0),
@@ -185,13 +215,17 @@ struct ClusterSimulator::RunState
           dispatchedTo(static_cast<std::size_t>(nodes), 0),
           redispatchedFrom(static_cast<std::size_t>(nodes), 0),
           ring(nodes), liveCount(nodes),
-          baseDispatched(static_cast<std::size_t>(nodes), 0),
-          baseCompleted(static_cast<std::size_t>(nodes), 0),
-          baseMisses(static_cast<std::size_t>(nodes), 0),
-          baseShedNode(static_cast<std::size_t>(nodes), 0)
+          hedged(stats.counter("hedged")),
+          brownoutShed(stats.counter("brownout_shed")),
+          flakyFailures(stats.counter("flaky_failures")),
+          networkDisplaced(stats.counter("network_displaced")),
+          dispatchFallbacks(stats.counter("dispatch_fallbacks"))
     {
         candidates.reserve(static_cast<std::size_t>(nodes));
     }
+
+    /** The run's counters as of now, all cumulative since begin(). */
+    RunTotals readTotals() const;
 
     sim::EventQueue eq; ///< shared by the hub, fabric and every engine
     ExpertPlacement placement;
@@ -210,7 +244,6 @@ struct ClusterSimulator::RunState
     std::vector<std::int64_t> dispatchedTo;
     std::vector<std::int64_t> redispatchedFrom;
     std::vector<std::int64_t> expertHits; ///< cumulative, per expert
-    std::int64_t redispatchedTotal = 0;
     HashRing ring;
     std::size_t rrCursor = 0;
     std::vector<int> candidates;
@@ -221,16 +254,8 @@ struct ClusterSimulator::RunState
     sim::Tick liveMark = 0;
     double nodeSecondsLive = 0.0;
 
-    // ---- snapshot window baseline (cumulative values last seen)
-    sim::Tick snapTick = 0;
-    std::int64_t baseArrivals = 0;
-    std::int64_t baseCompletions = 0;
-    std::int64_t baseShed = 0;
-    std::vector<std::int64_t> baseDispatched;
-    std::vector<std::int64_t> baseCompleted;
-    std::vector<std::int64_t> baseMisses;
-    std::vector<std::int64_t> baseShedNode;
-    std::vector<std::int64_t> baseExpertHits;
+    /** The read the current snapshot window started from. */
+    RunTotals lastRead;
 
     // ---- chaos-layer state (coe/faults.h; inert when no schedule
     // ---- and no policy knob is enabled)
@@ -263,26 +288,23 @@ struct ClusterSimulator::RunState
     };
     std::map<int, HedgePair> hedges; ///< by request id
     std::unique_ptr<sim::Rng> faultRng; ///< flaky draws only
-    std::int64_t retryBudgetUsed = 0;
     bool brownoutActive = false;
     std::int64_t crashes = 0;
     std::int64_t lost = 0;
-    std::int64_t retried = 0;
-    std::int64_t hedged = 0;
+    std::int64_t retried = 0; ///< also the retry budget spent
+    /** Hedge wins: completions the hub credits, never an engine. */
     std::int64_t hedgeWon = 0;
-    /** Completions credited hub-side (hedge wins); the engines never
-     *  count a duplicate, so cluster completed = sum(engines) + this. */
-    std::int64_t hedgeCredits = 0;
-    std::int64_t brownoutShed = 0;
-    // chaos snapshot-window baselines
-    std::int64_t baseLost = 0;
-    std::int64_t baseRetried = 0;
-    std::int64_t baseHedged = 0;
-    std::int64_t baseHedgeWon = 0;
+
+    // ---- hub counters bumped per request: handles into the
+    // ---- simulator's stats(), which is their only home
+    double &hedged;
+    double &brownoutShed;
+    double &flakyFailures;
+    double &networkDisplaced;
+    double &dispatchFallbacks;
 
     // ---- interconnect (null when cfg.fabric.enabled == false)
     std::unique_ptr<ClusterFabric> fabric;
-    std::vector<sim::Tick> baseLinkBusy; ///< snapshot-window baseline
     std::int64_t migrationsInFlight = 0; ///< payload sent, flip pending
     /**
      * Requests on the wire, parked by slot: a delivery callback
@@ -314,6 +336,40 @@ struct ClusterSimulator::RunState
         return std::move(onWire[slot]);
     }
 };
+
+RunTotals
+ClusterSimulator::RunState::readTotals() const
+{
+    RunTotals t;
+    t.at = eq.now();
+    t.arrivals = workload->emitted();
+    t.nodes.resize(engines.size());
+    for (std::size_t n = 0; n < engines.size(); ++n) {
+        const ServingEngine &e = *engines[n];
+        RunTotals::Node &node = t.nodes[n];
+        node.dispatched = dispatchedTo[n];
+        node.completed = e.completedCount();
+        node.misses = e.missCount();
+        node.shed = e.shedCount();
+        t.completions += node.completed;
+        t.shed += node.shed;
+        t.misses += node.misses;
+    }
+    t.completions += hedgeWon;
+    t.shed += static_cast<std::int64_t>(brownoutShed);
+    t.lost = lost;
+    t.retried = retried;
+    t.hedged = static_cast<std::int64_t>(hedged);
+    t.hedgeWon = hedgeWon;
+    t.expertHits = expertHits;
+    if (fabric) {
+        const sim::Network &net = fabric->network();
+        t.linkBusy.resize(static_cast<std::size_t>(net.linkCount()));
+        for (int l = 0; l < net.linkCount(); ++l)
+            t.linkBusy[static_cast<std::size_t>(l)] = net.linkBusyTicks(l);
+    }
+    return t;
+}
 
 void
 validateClusterConfig(const ClusterConfig &cfg)
@@ -458,7 +514,11 @@ ClusterSimulator::begin()
 
     controller_.reset();
     rs_.reset();
-    auto rs = std::make_unique<RunState>(N, base.workload.traceOut);
+    latency_.clear();
+    stalls_.clear();
+    stats_ = sim::StatSet("cluster");
+    auto rs =
+        std::make_unique<RunState>(N, base.workload.traceOut, stats_);
 
     rs->placement = makePlacement(cfg_.placement, base.numExperts, N,
                                   cfg_.hotExperts);
@@ -488,8 +548,6 @@ ClusterSimulator::begin()
         static_cast<std::size_t>(N),
         base.zoo.enabled ? base.expertBase.weightBytes() : 0.0);
     rs->expertHits.assign(static_cast<std::size_t>(base.numExperts), 0);
-    rs->baseExpertHits.assign(static_cast<std::size_t>(base.numExperts),
-                              0);
     for (int n = 0; n < N; ++n) {
         for (int e :
              rs->placement.expertsOfNode[static_cast<std::size_t>(n)])
@@ -499,10 +557,6 @@ ClusterSimulator::begin()
             rs->nodeCosts[static_cast<std::size_t>(n)].capacityBytes)
             return false;
     }
-
-    latency_.clear();
-    stalls_.clear();
-    stats_ = sim::StatSet("cluster");
 
     // Arrivals and routing live in a pluggable WorkloadModel; the
     // cluster's diurnal ramp is layered onto the model as a RateShape
@@ -523,13 +577,9 @@ ClusterSimulator::begin()
 
     // Dispatch, drain re-placement, and migration payloads serialize
     // over the interconnect's links on the shared queue.
-    if (cfg_.fabric.enabled) {
+    if (cfg_.fabric.enabled)
         rs->fabric =
             std::make_unique<ClusterFabric>(rs->eq, cfg_.fabric, N);
-        rs->baseLinkBusy.assign(
-            static_cast<std::size_t>(rs->fabric->network().linkCount()),
-            0);
-    }
 
     // Closed-loop clients are cluster-wide: whichever node finishes a
     // batch frees that many clients to think and re-issue. Session
@@ -566,6 +616,9 @@ ClusterSimulator::begin()
         // ticks; off by default so the no-chaos path records nothing.
         for (std::unique_ptr<ServingEngine> &e : rs->engines)
             e->setLogCompletions(true);
+
+    // The first snapshot window starts here, from an all-zero read.
+    rs->lastRead = rs->readTotals();
 
     // rs_ must be live before the scheduled lambdas (and the workload
     // sink below) can reference the actuators.
@@ -637,8 +690,7 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
     // is told, exactly like an SLO admission shed).
     if (rs.brownoutActive &&
         request.priority <= policy.brownoutPriorityMax) {
-        ++rs.brownoutShed;
-        stats_.inc("brownout_shed");
+        rs.brownoutShed += 1.0;
         rs.workload->onRequestShed(request);
         return;
     }
@@ -652,7 +704,7 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
     if (rs.flakyProb[static_cast<std::size_t>(n)] > 0.0 &&
         rs.faultRng->uniformDouble() <
             rs.flakyProb[static_cast<std::size_t>(n)]) {
-        stats_.inc("flaky_failures");
+        rs.flakyFailures += 1.0;
         handleDisplaced(
             rs.engines[static_cast<std::size_t>(n)]->makeEngineRequest(
                 request, rs.eq.now()));
@@ -660,6 +712,7 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
     }
 
     auto deliver = [this, &rs](int node, const TrafficRequest &r) {
+        ++rs.dispatchedTo[static_cast<std::size_t>(node)];
         if (rs.fabric) {
             // The EngineRequest is built at the dispatch tick (its
             // arrival stamp), so measured latency includes the
@@ -670,7 +723,6 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
                           ->makeEngineRequest(r, rs.eq.now()));
             return;
         }
-        ++rs.dispatchedTo[static_cast<std::size_t>(node)];
         rs.engines[static_cast<std::size_t>(node)]->inject(r);
     };
     deliver(n, request);
@@ -708,8 +760,7 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
             deliver(alt, dup);
             rs.hedges.emplace(request.id,
                               RunState::HedgePair{n, alt});
-            ++rs.hedged;
-            stats_.inc("hedged");
+            rs.hedged += 1.0;
         }
     }
 }
@@ -725,7 +776,6 @@ void
 ClusterSimulator::forwardRequest(int node, EngineRequest request)
 {
     RunState &rs = *rs_;
-    ++rs.dispatchedTo[static_cast<std::size_t>(node)];
     std::uint32_t slot = rs.parkOnWire(std::move(request));
     rs.fabric->sendRequest(node, cfg_.fabric.requestPayloadBytes,
                            [this, node, slot]() {
@@ -746,7 +796,7 @@ ClusterSimulator::deliverViaFabric(int node, EngineRequest request)
     RunState &rs = *rs_;
     auto ns = static_cast<std::size_t>(node);
     if (!rs.live[ns]) {
-        stats_.inc("network_displaced");
+        rs.networkDisplaced += 1.0;
         handleDisplaced(std::move(request));
         return;
     }
@@ -767,7 +817,7 @@ ClusterSimulator::pickNode(int expert)
         // Every host of this expert is draining: fall back to any
         // live node, which demand-streams the expert from its own
         // DDR copy of the zoo. Counted so studies can see it.
-        stats_.inc("dispatch_fallbacks");
+        rs.dispatchFallbacks += 1.0;
         for (int n = 0; n < cfg_.nodes; ++n)
             if (rs.live[static_cast<std::size_t>(n)])
                 rs.candidates.push_back(n);
@@ -860,13 +910,12 @@ ClusterSimulator::drainNode(int node)
     // the disruption.
     std::vector<EngineRequest> moved = rs.engines[d]->extractQueued();
     rs.redispatchedFrom[d] += static_cast<std::int64_t>(moved.size());
-    rs.redispatchedTotal += static_cast<std::int64_t>(moved.size());
     for (EngineRequest &r : moved) {
         int n = pickNode(r.expert);
+        ++rs.dispatchedTo[static_cast<std::size_t>(n)];
         if (rs.fabric) {
             // Re-placement pays a node -> node transfer of the
             // request's wire size before the target takes it.
-            ++rs.dispatchedTo[static_cast<std::size_t>(n)];
             std::uint32_t slot = rs.parkOnWire(std::move(r));
             rs.fabric->sendTransfer(
                 node, n, rs.fabric->requestBytes(), [this, n, slot]() {
@@ -874,7 +923,6 @@ ClusterSimulator::drainNode(int node)
                 });
             continue;
         }
-        ++rs.dispatchedTo[static_cast<std::size_t>(n)];
         rs.engines[static_cast<std::size_t>(n)]->injectAt(std::move(r));
     }
     return true;
@@ -919,7 +967,6 @@ ClusterSimulator::crashNode(int node)
     rs.wasDrained[d] = 1;
     --rs.liveCount;
     ++rs.crashes;
-    stats_.inc("crash_events");
     // Unlike a clean drain, the in-flight batch dies with the node:
     // crashExtract() hands back queued AND executing requests (the
     // abandoned batch resolves as a ghost that completes nothing) and
@@ -1012,12 +1059,11 @@ ClusterSimulator::handleDisplaced(EngineRequest request)
         return;
     }
     const FaultPolicyConfig &policy = cfg_.faultPolicy;
-    bool budgetOk = policy.retryBudget < 0 ||
-        rs.retryBudgetUsed < policy.retryBudget;
+    bool budgetOk =
+        policy.retryBudget < 0 || rs.retried < policy.retryBudget;
     if (policy.retriesEnabled() && request.attempt < policy.retryMax &&
         budgetOk) {
         ++request.attempt;
-        ++rs.retryBudgetUsed;
         ++rs.retried;
         // Exponential backoff: base * 2^(attempt-1). ldexp keeps the
         // doubling exact.
@@ -1034,10 +1080,7 @@ ClusterSimulator::handleDisplaced(EngineRequest request)
         RunState::HedgePair &h = it->second;
         if (h.dupDone) {
             // The duplicate already served it: a hedge win, not a loss.
-            ++rs.hedgeWon;
-            ++rs.hedgeCredits;
-            latency_.record(h.dupLatency);
-            stats_.inc("hedge_wins");
+            creditHedgeWin(h.dupLatency);
             rs.hedges.erase(it);
             return;
         }
@@ -1063,17 +1106,17 @@ ClusterSimulator::redispatch(EngineRequest request)
     // into the displaced path and burns another attempt.
     if (rs.flakyProb[ns] > 0.0 &&
         rs.faultRng->uniformDouble() < rs.flakyProb[ns]) {
-        stats_.inc("flaky_failures");
+        rs.flakyFailures += 1.0;
         handleDisplaced(std::move(request));
         return;
     }
+    ++rs.dispatchedTo[ns];
     if (rs.fabric) {
         // The retry crosses the fabric again from the hub, with its
         // original arrival timestamp intact.
         forwardRequest(n, std::move(request));
         return;
     }
-    ++rs.dispatchedTo[ns];
     rs.engines[ns]->injectAt(std::move(request));
 }
 
@@ -1211,15 +1254,20 @@ ClusterSimulator::resolveHedges()
              rs.engines[static_cast<std::size_t>(h.primaryNode)]
                  ->cancelQueued(it->first));
         if (win) {
-            ++rs.hedgeWon;
-            ++rs.hedgeCredits;
-            latency_.record(h.dupLatency);
-            stats_.inc("hedge_wins");
+            creditHedgeWin(h.dupLatency);
             it = rs.hedges.erase(it);
         } else {
             ++it;
         }
     }
+}
+
+/** A hedge win: the hub credits the duplicate's completion. */
+void
+ClusterSimulator::creditHedgeWin(double dup_latency)
+{
+    ++rs_->hedgeWon;
+    latency_.record(dup_latency);
 }
 
 bool
@@ -1236,8 +1284,7 @@ ClusterSimulator::migrateExpert(int expert, int from, int to)
     RunState &rs = *rs_;
     auto e = static_cast<std::size_t>(expert);
     std::vector<int> &hosts = rs.placement.hostsOfExpert[e];
-    auto hostIt = std::find(hosts.begin(), hosts.end(), from);
-    if (hostIt == hosts.end())
+    if (std::find(hosts.begin(), hosts.end(), from) == hosts.end())
         return false; // not hosted where we'd take it from
     if (std::find(hosts.begin(), hosts.end(), to) != hosts.end())
         return false; // already hosted at the target
@@ -1247,72 +1294,65 @@ ClusterSimulator::migrateExpert(int expert, int from, int to)
         rs.nodeCosts[t].capacityBytes)
         return false; // target DDR cannot take the expert
 
-    if (rs.fabric) {
-        // The payload crosses the fabric, then pays the target's
-        // DDR-write time (the DmaEngine idle estimate, stretched by
-        // any open dma-stall fault) before the placement flips. The
-        // target's bytes are reserved up front so concurrent
-        // migrations cannot oversubscribe it; an infeasible flip
-        // (placement changed mid-flight) refunds the reservation.
-        rs.placedBytesNow[t] += bytes;
-        ++rs.migrationsInFlight;
-        rs.fabric->sendTransfer(
-            from, to, bytes, [this, expert, from, to, bytes]() {
-                RunState &rsc = *rs_;
-                auto tc = static_cast<std::size_t>(to);
-                sim::Tick ddr = static_cast<sim::Tick>(
-                    static_cast<double>(
-                        rsc.engines[tc]->memorySystem().estimateLoad(
-                            bytes)) *
-                    rsc.dmaFactor[tc]);
-                rsc.eq.scheduleIn(
-                    ddr,
-                    [this, expert, from, to, bytes]() {
-                        RunState &rsf = *rs_;
-                        auto ef = static_cast<std::size_t>(expert);
-                        auto ff = static_cast<std::size_t>(from);
-                        auto tf = static_cast<std::size_t>(to);
-                        --rsf.migrationsInFlight;
-                        std::vector<int> &hosts =
-                            rsf.placement.hostsOfExpert[ef];
-                        auto hIt = std::find(hosts.begin(),
-                                             hosts.end(), from);
-                        bool already =
-                            std::find(hosts.begin(), hosts.end(),
-                                      to) != hosts.end();
-                        if (hIt == hosts.end() || already) {
-                            // The placement moved under the transfer
-                            // (a replication change raced it): drop
-                            // the copy and refund the reservation.
-                            rsf.placedBytesNow[tf] -= bytes;
-                            stats_.inc("migration_aborts");
-                            return;
-                        }
-                        *hIt = to;
-                        std::vector<int> &fx =
-                            rsf.placement.expertsOfNode[ff];
-                        fx.erase(std::find(fx.begin(), fx.end(),
-                                           expert));
-                        rsf.placement.expertsOfNode[tf].push_back(
-                            expert);
-                        rsf.placedBytesNow[ff] -= bytes;
-                        stats_.inc("expert_migrations");
-                    },
-                    "cluster.migrate_commit");
-            });
+    // The target's bytes are reserved up front so concurrent fabric
+    // migrations cannot oversubscribe it.
+    rs.placedBytesNow[t] += bytes;
+    if (!rs.fabric) {
+        commitMigration(expert, from, to, bytes);
         return true;
     }
+    // The payload crosses the fabric, then pays the target's DDR-write
+    // time (the DmaEngine idle estimate, stretched by any open
+    // dma-stall fault) before the placement flips.
+    ++rs.migrationsInFlight;
+    rs.fabric->sendTransfer(
+        from, to, bytes, [this, expert, from, to, bytes]() {
+            RunState &rsc = *rs_;
+            auto tc = static_cast<std::size_t>(to);
+            sim::Tick ddr = static_cast<sim::Tick>(
+                static_cast<double>(
+                    rsc.engines[tc]->memorySystem().estimateLoad(bytes)) *
+                rsc.dmaFactor[tc]);
+            rsc.eq.scheduleIn(
+                ddr,
+                [this, expert, from, to, bytes]() {
+                    --rs_->migrationsInFlight;
+                    commitMigration(expert, from, to, bytes);
+                },
+                "cluster.migrate_commit");
+        });
+    return true;
+}
 
-    *hostIt = to;
+/**
+ * Flip @p expert from @p from to @p to, whose @p bytes are already
+ * reserved on the target. A placement that moved while the payload
+ * was on the fabric (a replication change raced it) drops the copy
+ * and refunds the reservation.
+ */
+void
+ClusterSimulator::commitMigration(int expert, int from, int to,
+                                  double bytes)
+{
+    RunState &rs = *rs_;
     auto f = static_cast<std::size_t>(from);
+    auto t = static_cast<std::size_t>(to);
+    std::vector<int> &hosts =
+        rs.placement.hostsOfExpert[static_cast<std::size_t>(expert)];
+    auto hostIt = std::find(hosts.begin(), hosts.end(), from);
+    if (hostIt == hosts.end() ||
+        std::find(hosts.begin(), hosts.end(), to) != hosts.end()) {
+        rs.placedBytesNow[t] -= bytes;
+        stats_.inc("migration_aborts");
+        return;
+    }
+    *hostIt = to;
     std::vector<int> &fromExperts = rs.placement.expertsOfNode[f];
     fromExperts.erase(
         std::find(fromExperts.begin(), fromExperts.end(), expert));
     rs.placement.expertsOfNode[t].push_back(expert);
     rs.placedBytesNow[f] -= bytes;
-    rs.placedBytesNow[t] += bytes;
     stats_.inc("expert_migrations");
-    return true;
 }
 
 bool
@@ -1463,94 +1503,74 @@ ClusterSimulator::snapshot()
     RunState &rs = *rs_;
     accrueNodeSeconds();
 
+    // The window is the difference of two reads of the run's
+    // counters: this one and the one the last snapshot took.
+    RunTotals now = rs.readTotals();
+    const RunTotals &last = rs.lastRead;
     MetricsSnapshot s;
-    s.atSeconds = sim::toSeconds(rs.eq.now());
-    s.windowSeconds = sim::toSeconds(rs.eq.now() - rs.snapTick);
+    s.atSeconds = sim::toSeconds(now.at);
+    s.windowSeconds = sim::toSeconds(now.at - last.at);
     s.nodeSecondsLive = rs.nodeSecondsLive;
-
-    std::int64_t arrivals = rs.workload->emitted();
-    std::int64_t completions = 0, shed = 0;
-    std::int64_t liveDepth = 0;
-    s.nodes.resize(static_cast<std::size_t>(cfg_.nodes));
-    for (int n = 0; n < cfg_.nodes; ++n) {
-        auto ns = static_cast<std::size_t>(n);
-        ServingEngine &e = *rs.engines[ns];
-        NodeSnapshot &node = s.nodes[ns];
-        node.node = n;
-        node.live = rs.live[ns] != 0;
-        node.wasDrained = rs.wasDrained[ns] != 0;
-        node.queueDepth = e.queueDepth();
-        node.outstanding = e.outstanding();
-        node.dispatched = rs.dispatchedTo[ns] - rs.baseDispatched[ns];
-        node.completed = e.completedCount() - rs.baseCompleted[ns];
-        node.misses = e.missCount() - rs.baseMisses[ns];
-        node.shed = e.shedCount() - rs.baseShedNode[ns];
-        completions += e.completedCount();
-        shed += e.shedCount();
-        if (node.live) {
-            ++s.liveNodes;
-            liveDepth += node.queueDepth;
-        }
-        rs.baseDispatched[ns] = rs.dispatchedTo[ns];
-        rs.baseCompleted[ns] = e.completedCount();
-        rs.baseMisses[ns] = e.missCount();
-        rs.baseShedNode[ns] = e.shedCount();
-    }
-    // Hub-side chaos accounting folds into the cluster totals: hedge
-    // wins are completions credited at the hub (never counted by an
-    // engine), brown-out sheds never reached an engine.
-    completions += rs.hedgeCredits;
-    shed += rs.brownoutShed;
-    s.arrivals = arrivals - rs.baseArrivals;
-    s.completions = completions - rs.baseCompletions;
-    s.shed = shed - rs.baseShed;
-    s.lost = rs.lost - rs.baseLost;
-    s.retried = rs.retried - rs.baseRetried;
-    s.hedged = rs.hedged - rs.baseHedged;
-    s.hedgeWon = rs.hedgeWon - rs.baseHedgeWon;
-    rs.baseLost = rs.lost;
-    rs.baseRetried = rs.retried;
-    rs.baseHedged = rs.hedged;
-    rs.baseHedgeWon = rs.hedgeWon;
+    s.arrivals = now.arrivals - last.arrivals;
+    s.completions = now.completions - last.completions;
+    s.shed = now.shed - last.shed;
+    s.lost = now.lost - last.lost;
+    s.retried = now.retried - last.retried;
+    s.hedged = now.hedged - last.hedged;
+    s.hedgeWon = now.hedgeWon - last.hedgeWon;
     if (s.windowSeconds > 0.0) {
         s.arrivalRatePerSec =
             static_cast<double>(s.arrivals) / s.windowSeconds;
         s.completionRatePerSec =
             static_cast<double>(s.completions) / s.windowSeconds;
     }
+
+    std::int64_t liveDepth = 0;
+    s.nodes.resize(now.nodes.size());
+    for (std::size_t n = 0; n < now.nodes.size(); ++n) {
+        const ServingEngine &e = *rs.engines[n];
+        NodeSnapshot &node = s.nodes[n];
+        node.node = static_cast<int>(n);
+        node.live = rs.live[n] != 0;
+        node.wasDrained = rs.wasDrained[n] != 0;
+        node.queueDepth = e.queueDepth();
+        node.outstanding = e.outstanding();
+        node.dispatched = now.nodes[n].dispatched - last.nodes[n].dispatched;
+        node.completed = now.nodes[n].completed - last.nodes[n].completed;
+        node.misses = now.nodes[n].misses - last.nodes[n].misses;
+        node.shed = now.nodes[n].shed - last.nodes[n].shed;
+        if (node.live) {
+            ++s.liveNodes;
+            liveDepth += node.queueDepth;
+        }
+    }
     if (s.liveNodes > 0)
         s.meanQueueDepthPerLiveNode = static_cast<double>(liveDepth) /
             static_cast<double>(s.liveNodes);
 
-    s.expertHits.resize(rs.expertHits.size());
-    for (std::size_t e = 0; e < rs.expertHits.size(); ++e) {
-        s.expertHits[e] = rs.expertHits[e] - rs.baseExpertHits[e];
-        rs.baseExpertHits[e] = rs.expertHits[e];
-    }
+    s.expertHits.resize(now.expertHits.size());
+    for (std::size_t e = 0; e < now.expertHits.size(); ++e)
+        s.expertHits[e] = now.expertHits[e] - last.expertHits[e];
 
     if (rs.fabric) {
         const sim::Network &net = rs.fabric->network();
-        sim::Tick window = rs.eq.now() - rs.snapTick;
-        s.links.resize(static_cast<std::size_t>(net.linkCount()));
-        for (int l = 0; l < net.linkCount(); ++l) {
-            auto ls = static_cast<std::size_t>(l);
-            s.links[ls].from = net.nodeLabel(net.linkFrom(l));
-            s.links[ls].to = net.nodeLabel(net.linkTo(l));
-            sim::Tick busy = net.linkBusyTicks(l) - rs.baseLinkBusy[ls];
+        sim::Tick window = now.at - last.at;
+        s.links.resize(now.linkBusy.size());
+        for (std::size_t l = 0; l < now.linkBusy.size(); ++l) {
+            int link = static_cast<int>(l);
+            s.links[l].from = net.nodeLabel(net.linkFrom(link));
+            s.links[l].to = net.nodeLabel(net.linkTo(link));
+            sim::Tick busy = now.linkBusy[l] - last.linkBusy[l];
             // Busy time books at transmit start, so a flit spanning
             // the window edge can push the ratio past 1; clamp.
-            s.links[ls].utilization = window > 0
+            s.links[l].utilization = window > 0
                 ? std::min(1.0, static_cast<double>(busy) /
                                     static_cast<double>(window))
                 : 0.0;
-            rs.baseLinkBusy[ls] = net.linkBusyTicks(l);
         }
     }
 
-    rs.baseArrivals = arrivals;
-    rs.baseCompletions = completions;
-    rs.baseShed = shed;
-    rs.snapTick = rs.eq.now();
+    rs.lastRead = std::move(now);
     return s;
 }
 
@@ -1594,8 +1614,7 @@ ClusterSimulator::finish()
             ++rs.lost;
     rs.hedges.clear();
 
-    std::int64_t completed = 0, batches = 0, misses = 0, shedTotal = 0;
-    std::int64_t specSteps = 0;
+    std::int64_t batches = 0, specSteps = 0;
     double occupancyTotal = 0.0, depthIntegral = 0.0;
     double routerTotal = 0.0, switchTotal = 0.0, execTotal = 0.0;
     double dmaLoads = 0.0, dmaLoadBytes = 0.0;
@@ -1607,10 +1626,7 @@ ClusterSimulator::finish()
         sim::simAssert(e.memorySystem().queuedLoads() == 0 &&
                            e.memorySystem().loadsInFlight() == 0,
                        "cluster: DMA queue drained with transfers pending");
-        completed += e.completedCount();
         batches += e.batchCount();
-        misses += e.missCount();
-        shedTotal += e.shedCount();
         specSteps += e.specStepsTotal();
         occupancyTotal += e.occupancyTotal();
         depthIntegral += e.depthIntegral();
@@ -1621,16 +1637,15 @@ ClusterSimulator::finish()
         dmaLoadBytes += e.memorySystem().stats().get("load_bytes");
         lastCompletion = std::max(lastCompletion, e.lastCompletion());
     }
-    // Hub-side ledger: hedge wins are completions the engines never
-    // counted; brown-out sheds never reached an engine; lost requests
-    // are the only sanctioned leak and they are counted, not silent.
-    completed += rs.hedgeCredits;
-    shedTotal += rs.brownoutShed;
-    sim::simAssert(rs.workload->emitted() ==
-                       rs.workload->plannedRequests(),
+    // The run's totals are the same read snapshot() diffs: hedge wins
+    // are completions the engines never counted, brown-out sheds never
+    // reached an engine, and lost requests are the only sanctioned
+    // leak, counted, not silent.
+    const RunTotals t = rs.readTotals();
+    const std::int64_t completed = t.completions;
+    sim::simAssert(t.arrivals == rs.workload->plannedRequests(),
                    "cluster: workload did not emit its full budget");
-    sim::simAssert(completed + shedTotal + rs.lost ==
-                       rs.workload->emitted(),
+    sim::simAssert(completed + t.shed + t.lost == t.arrivals,
                    "cluster: arrivals != completions + shed + lost "
                    "at drain");
 
@@ -1667,18 +1682,18 @@ ClusterSimulator::finish()
             : 0.0;
     }
     m.eventsExecuted = rs.eq.executedCount();
-    m.shed = shedTotal;
-    m.shedRate = completed + shedTotal > 0
-        ? static_cast<double>(shedTotal) /
-            static_cast<double>(completed + shedTotal)
+    m.shed = t.shed;
+    m.shedRate = completed + t.shed > 0
+        ? static_cast<double>(t.shed) /
+            static_cast<double>(completed + t.shed)
         : 0.0;
-    m.lost = rs.lost;
-    m.retried = rs.retried;
-    m.hedged = rs.hedged;
-    m.hedgeWon = rs.hedgeWon;
+    m.lost = t.lost;
+    m.retried = t.retried;
+    m.hedged = t.hedged;
+    m.hedgeWon = t.hedgeWon;
 
     result.missRate = completed > 0
-        ? static_cast<double>(misses) / static_cast<double>(completed)
+        ? static_cast<double>(t.misses) / static_cast<double>(completed)
         : 0.0;
     double batchCount =
         static_cast<double>(std::max<std::int64_t>(batches, 1));
@@ -1694,12 +1709,12 @@ ClusterSimulator::finish()
         ClusterNodeMetrics &nm = result.nodes[ns];
         nm.node = n;
         nm.drained = rs.wasDrained[ns] != 0;
-        nm.dispatched = rs.dispatchedTo[ns];
+        nm.dispatched = t.nodes[ns].dispatched;
         nm.redispatched = rs.redispatchedFrom[ns];
-        nm.completed = e.completedCount();
+        nm.completed = t.nodes[ns].completed;
         nm.batches = e.batchCount();
-        nm.misses = e.missCount();
-        nm.shed = e.shedCount();
+        nm.misses = t.nodes[ns].misses;
+        nm.shed = t.nodes[ns].shed;
         nm.missRate = nm.completed > 0
             ? static_cast<double>(nm.misses) /
                 static_cast<double>(nm.completed)
@@ -1730,11 +1745,12 @@ ClusterSimulator::finish()
         m.prefetchesCancelled += static_cast<std::int64_t>(
             e.stats().get("prefetches_cancelled"));
         // The engines' own counters (prefetch_*, shed_tenant_*, ...),
-        // summed; the cluster-level keys below are set over them.
+        // summed next to the hub's.
         for (const std::string &name : e.stats().names())
             stats_.inc(name, e.stats().get(name));
 
         maxCompleted = std::max(maxCompleted, nm.completed);
+        result.redispatched += nm.redispatched;
         result.placedBytesTotal += nm.placedBytes;
         result.peakResidentBytesTotal += nm.peakResidentBytes;
     }
@@ -1744,7 +1760,6 @@ ClusterSimulator::finish()
         ? static_cast<double>(maxCompleted) / meanCompleted
         : 1.0;
     result.expertReplicas = rs.placement.replicas;
-    result.redispatched = rs.redispatchedTotal;
     result.nodeSecondsLive = rs.nodeSecondsLive;
     result.nodeHours = rs.nodeSecondsLive / 3600.0;
     if (controller_) {
@@ -1768,60 +1783,25 @@ ClusterSimulator::finish()
         result.networkCreditStalls = net.creditStalls();
         sim::Tick span =
             lastCompletion - std::max<sim::Tick>(rs.firstArrival, 0);
-        if (span > 0 && net.linkCount() > 0) {
+        if (span > 0 && !t.linkBusy.empty()) {
             double maxU = 0.0, sumU = 0.0;
-            for (int l = 0; l < net.linkCount(); ++l) {
-                double u = static_cast<double>(net.linkBusyTicks(l)) /
+            for (sim::Tick busy : t.linkBusy) {
+                double u = static_cast<double>(busy) /
                     static_cast<double>(span);
                 maxU = std::max(maxU, u);
                 sumU += u;
             }
             result.networkMaxLinkUtilization = maxU;
             result.networkMeanLinkUtilization =
-                sumU / static_cast<double>(net.linkCount());
+                sumU / static_cast<double>(t.linkBusy.size());
         }
-        stats_.set("network_messages",
-                   static_cast<double>(result.networkMessages));
-        stats_.set("network_flits",
-                   static_cast<double>(result.networkFlits));
-        stats_.set("network_credit_stalls",
-                   static_cast<double>(result.networkCreditStalls));
-        stats_.set("network_max_link_utilization",
-                   result.networkMaxLinkUtilization);
     }
 
-    stats_.set("completed", static_cast<double>(completed));
-    stats_.set("batches", static_cast<double>(batches));
-    stats_.set("misses", static_cast<double>(misses));
-    stats_.set("hits", static_cast<double>(completed - misses));
+    // Run totals no typed field carries (benches and perfbench read
+    // them).
+    stats_.set("misses", static_cast<double>(t.misses));
     stats_.set("dma_loads_issued", dmaLoads);
     stats_.set("dma_load_bytes", dmaLoadBytes);
-    stats_.set("queue_depth_max", m.maxQueueDepth);
-    if (base.specDecode.enabled)
-        stats_.set("spec_steps", static_cast<double>(specSteps));
-    stats_.set("shed", static_cast<double>(shedTotal));
-    stats_.set("redispatched",
-               static_cast<double>(rs.redispatchedTotal));
-    stats_.set("events_executed",
-               static_cast<double>(m.eventsExecuted));
-    stats_.set("load_imbalance", result.loadImbalance);
-    stats_.set("expert_replicas",
-               static_cast<double>(rs.placement.replicas));
-    stats_.set("node_seconds_live", rs.nodeSecondsLive);
-    stats_.set("controller_ticks",
-               static_cast<double>(result.controllerTicks));
-    stats_.set("controller_actions",
-               static_cast<double>(result.controllerActions));
-    stats_.set("lost", static_cast<double>(rs.lost));
-    stats_.set("retried", static_cast<double>(rs.retried));
-    stats_.set("retry_budget_used",
-               static_cast<double>(rs.retryBudgetUsed));
-    stats_.set("hedge_won", static_cast<double>(rs.hedgeWon));
-    stats_.set("brownout_shed_total",
-               static_cast<double>(rs.brownoutShed));
-    stats_.set("faults_injected",
-               static_cast<double>(result.faultsInjected));
-    stats_.set("crashes", static_cast<double>(rs.crashes));
 
     controller_.reset();
     faults_.reset();

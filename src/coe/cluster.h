@@ -420,7 +420,11 @@ class ClusterSimulator
     /** Cluster-wide per-batch exposed expert-load stalls. */
     const sim::Distribution &stallSamples() const { return stalls_; }
 
-    /** Cluster-wide counters from the last run. */
+    /**
+     * The last run's counters that no typed result field carries: the
+     * hub's events, the engines' own counters summed, and misses and
+     * DMA loads.
+     */
     const sim::StatSet &stats() const { return stats_; }
 
   private:
@@ -439,6 +443,8 @@ class ClusterSimulator
     void policyTick();
     void armPolicyTick();
     void resolveHedges();
+    void creditHedgeWin(double dup_latency);
+    void commitMigration(int expert, int from, int to, double bytes);
 
     ClusterConfig cfg_;
     PhaseCosts costs_;

@@ -403,7 +403,6 @@ ServingEngine::injectAt(EngineRequest request)
             return;
         }
         ++shedCount_;
-        shedRequestsStat_ += 1.0;
         // Per-tenant shed counters, through cached stable references
         // (StatSet::counter): an overloaded SLO run sheds most
         // arrivals, so the string-keyed lookup must not sit on the
@@ -655,7 +654,6 @@ ServingEngine::crashExtract()
         curBatch_.clear();
         stats_.inc("crashed_batches");
     }
-    stats_.inc("crashes");
     return out;
 }
 

@@ -431,7 +431,6 @@ class ServingEngine
         stats_.counter("prefetch_partial_hits");
     double &starvationOverridesStat_ =
         stats_.counter("affinity_starvation_overrides");
-    double &shedRequestsStat_ = stats_.counter("shed_requests");
     double &hedgeRefusedStat_ = stats_.counter("hedge_duplicates_refused");
     double &hedgeCompletionsStat_ =
         stats_.counter("hedge_duplicate_completions");

@@ -80,7 +80,10 @@ class EventQueue
      */
     Handle schedule(Tick when, Callback cb, const char *name = "");
 
-    /** Schedule @p cb to run @p delta ticks from now. */
+    /**
+     * Schedule @p cb to run @p delta ticks from now. A time past
+     * kMaxTick (~9.2e6 s) is a FatalError naming @p name.
+     */
     Handle scheduleIn(Tick delta, Callback cb, const char *name = "");
 
     /**

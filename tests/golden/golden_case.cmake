@@ -1,27 +1,34 @@
-# Runs one golden CLI case and diffs what it prints and writes, byte
-# for byte, against the checked-in files.
+# Runs one golden case and diffs what it prints and writes, byte for
+# byte, against the checked-in files.
 #
-#   cmake -DBIN=<sn40l_run> -DCASE=<name> -DGOLDEN_DIR=<tests/golden>
+#   cmake -DBIN=<sn40l_run> -DBENCH_DIR=<dir of the bench binaries>
+#         -DCASE=<name> -DGOLDEN_DIR=<tests/golden>
 #         -DWORK_DIR=<scratch dir> [-DUPDATE=ON] -P golden_case.cmake
 #
-# <name>.cmd holds one `sn40l_run ...` line. It runs inside WORK_DIR,
-# which starts as a copy of <GOLDEN_DIR>/inputs. Its stdout must match
-# <name>.stdout; every file it writes through --json, --controller-log
+# <name>.cmd holds one command line: `sn40l_run ...`, or the name of
+# a bench binary (a paper figure or table) and its arguments. It runs
+# inside WORK_DIR, which starts as a copy of <GOLDEN_DIR>/inputs. Its
+# stdout must match <name>.stdout; every file it writes through --json, --controller-log
 # or --trace-out must match <name>.<file>. Only host time is masked:
 # the sweep summary's "... events in X s (Y events/s" and JSON
 # "wall_s" values. UPDATE=ON rewrites the expected files instead.
 
-foreach(var BIN CASE GOLDEN_DIR WORK_DIR)
+foreach(var BIN BENCH_DIR CASE GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_case.cmake: -D${var}=... is required")
   endif()
 endforeach()
 
 file(STRINGS "${GOLDEN_DIR}/${CASE}.cmd" cmd_line LIMIT_COUNT 1)
-if(NOT cmd_line MATCHES "^sn40l_run (.*)$")
-  message(FATAL_ERROR "${CASE}.cmd: expected one 'sn40l_run ...' line")
+if(NOT cmd_line MATCHES "^([a-z0-9_]+)( (.*))?$")
+  message(FATAL_ERROR "${CASE}.cmd: expected one '<program> ...' line")
 endif()
-set(cmd_args "${CMAKE_MATCH_1}")
+if(CMAKE_MATCH_1 STREQUAL "sn40l_run")
+  set(exe "${BIN}")
+else()
+  set(exe "${BENCH_DIR}/${CMAKE_MATCH_1}")
+endif()
+set(cmd_args "${CMAKE_MATCH_3}")
 separate_arguments(args UNIX_COMMAND "${cmd_args}")
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -31,7 +38,7 @@ if(inputs)
   file(COPY ${inputs} DESTINATION "${WORK_DIR}")
 endif()
 
-execute_process(COMMAND "${BIN}" ${args}
+execute_process(COMMAND "${exe}" ${args}
                 WORKING_DIRECTORY "${WORK_DIR}"
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Regenerate the golden CLI files from the current sn40l_run build.
+# Regenerate the golden files from the current sn40l_run and bench
+# builds.
 #
 #   tests/golden/update.sh [build-dir]     (default: build)
 #
@@ -9,10 +10,12 @@ set -eu
 build=${1:-build}
 golden=$(cd "$(dirname "$0")" && pwd)
 bin=$(cd "$build" && pwd)/tools/sn40l_run
+bench=$(cd "$build" && pwd)/bench
 test -x "$bin" || { echo "no sn40l_run under $build/tools" >&2; exit 1; }
 for cmd in "$golden"/*.cmd; do
   name=$(basename "$cmd" .cmd)
-  cmake -DBIN="$bin" -DCASE="$name" -DGOLDEN_DIR="$golden" \
+  cmake -DBIN="$bin" -DBENCH_DIR="$bench" -DCASE="$name" \
+        -DGOLDEN_DIR="$golden" \
         -DWORK_DIR="$build/golden/$name" -DUPDATE=ON \
         -P "$golden/golden_case.cmake"
   echo "updated $name"

@@ -269,6 +269,40 @@ TEST(ClusterApi, ReplicationAndMigrationActuators)
               cfg.node.streamRequests);
 }
 
+TEST(ClusterApi, FabricMigrationCommitsAfterTransferOrAborts)
+{
+    ClusterConfig cfg = clusterConfig(4);
+    cfg.placement = PlacementPolicy::BalancedPartition;
+    cfg.fabric.enabled = true;
+    cfg.fabric.topology = sim::Topology::Star;
+    ClusterSimulator sim(cfg);
+    ASSERT_TRUE(sim.begin());
+    const ExpertPlacement &p = sim.placement();
+
+    // The placement flips only once the payload has crossed the
+    // fabric and been written to the target's DDR.
+    int from = p.hostsOfExpert[1][0];
+    int to = (from + 1) % 4;
+    EXPECT_TRUE(sim.migrateExpert(1, from, to));
+    EXPECT_EQ(p.hostsOfExpert[1][0], from);
+
+    // A replication change that lands the target first makes the
+    // in-flight copy moot: it is dropped, not committed twice.
+    int from2 = p.hostsOfExpert[2][0];
+    int to2 = (from2 + 1) % 4;
+    EXPECT_TRUE(sim.migrateExpert(2, from2, to2));
+    EXPECT_TRUE(sim.setReplication(2, 4));
+
+    sim.eventQueue().run();
+    EXPECT_EQ(p.hostsOfExpert[1], std::vector<int>{to});
+    EXPECT_EQ(p.hostsOfExpert[2].size(), 4u);
+    ClusterResult r = sim.finish();
+    EXPECT_EQ(sim.stats().get("expert_migrations"), 1.0);
+    EXPECT_EQ(sim.stats().get("migration_aborts"), 1.0);
+    EXPECT_EQ(r.stream.completed + r.stream.shed,
+              cfg.node.streamRequests);
+}
+
 TEST(ClusterApi, SnapshotWindowsAdvance)
 {
     ClusterConfig cfg = clusterConfig(4);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -65,6 +66,25 @@ TEST(EventQueue, SchedulingInThePastPanics)
     eq.run();
     EXPECT_THROW(eq.schedule(5, []() {}), sim::SimPanic);
     EXPECT_THROW(eq.scheduleIn(-1, []() {}), sim::SimPanic);
+}
+
+TEST(EventQueue, ScheduleInPastTheTickRangeIsFatal)
+{
+    EventQueue eq;
+    Tick half = sim::kMaxTick / 2 + 1;
+    eq.schedule(half, []() {});
+    eq.run();
+    // The largest delta that still fits is accepted.
+    EXPECT_NO_THROW(eq.scheduleIn(sim::kMaxTick - half, []() {}));
+    try {
+        eq.scheduleIn(half, []() {}, "test.late");
+        FAIL() << "expected a FatalError";
+    } catch (const sim::FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("'test.late'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("9.2e6 s"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(eq.pendingCount(), 1u);
 }
 
 TEST(EventQueue, EmptyCallbackPanics)

@@ -111,16 +111,20 @@ constexpr int kN = 20'000;
 /** Allowed allocations per added request (N -> 2N). */
 constexpr double kMaxAllocsPerRequest = 0.02;
 
-/** Counts the heap allocations of one run() of @p sim. */
+/**
+ * Counts the heap allocations of one run() of @p sim; @p stream, when
+ * given, receives the run's StreamMetrics.
+ */
 template <typename Sim>
 std::int64_t
-allocsDuringRun(Sim &sim)
+allocsDuringRun(Sim &sim, StreamMetrics *stream = nullptr)
 {
     g_allocs.store(0);
     g_counting.store(true);
     auto result = sim.run();
     g_counting.store(false);
-    (void)result;
+    if (stream)
+        *stream = result.stream;
     return g_allocs.load();
 }
 
@@ -223,10 +227,11 @@ TEST(RequestPathAllocs, ZooSpecFaultsRetryClusterIsAllocationFree)
 {
     ClusterSimulator small(zooChaosCluster(kN));
     ClusterSimulator large(zooChaosCluster(2 * kN));
-    std::int64_t a = allocsDuringRun(small);
+    StreamMetrics stream;
+    std::int64_t a = allocsDuringRun(small, &stream);
     std::int64_t b = allocsDuringRun(large);
     // The config must actually exercise the chaos path it names.
-    EXPECT_GT(small.stats().get("retried"), 0.0);
+    EXPECT_GT(stream.retried, 0);
     EXPECT_LT(growthPerRequest(a, b), kMaxAllocsPerRequest)
         << "allocations during run(): " << a << " at N, " << b
         << " at 2N";

@@ -200,10 +200,6 @@ TEST(StreamScheduler, StreamMetricsAreConsistent)
     EXPECT_NEAR(r.stream.throughputTokensPerSec,
                 r.stream.throughputRequestsPerSec * cfg.outputTokens,
                 1e-9);
-    EXPECT_DOUBLE_EQ(sim.stats().get("completed"),
-                     static_cast<double>(cfg.streamRequests));
-    EXPECT_DOUBLE_EQ(sim.stats().get("hits") + sim.stats().get("misses"),
-                     static_cast<double>(cfg.streamRequests));
 }
 
 /**
