@@ -1487,6 +1487,14 @@ ClusterSimulator::eventQueue()
     return rs_->eq;
 }
 
+ServingEngine &
+ClusterSimulator::engine(int node)
+{
+    if (!rs_ || node < 0 || node >= cfg_.nodes)
+        sim::panic("cluster: engine outside an active run");
+    return *rs_->engines[static_cast<std::size_t>(node)];
+}
+
 const ExpertPlacement &
 ClusterSimulator::placement() const
 {

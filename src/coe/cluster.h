@@ -55,6 +55,7 @@
 namespace sn40l::coe {
 
 struct EngineRequest; // serving_engine.h
+class ServingEngine;  // serving_engine.h
 
 /** How the cluster router picks a hosting node for a prompt. */
 enum class DispatchPolicy {
@@ -358,6 +359,11 @@ class ClusterSimulator
      * fault injector schedule on it; tests step it.
      */
     sim::EventQueue &eventQueue();
+    /**
+     * Node @p node's engine in the active run (begin() first). Tests
+     * read its completion log (ServingEngine::setLogCompletions).
+     */
+    ServingEngine &engine(int node);
 
     /** Windowed observation; advances the snapshot window. */
     MetricsSnapshot snapshot();
