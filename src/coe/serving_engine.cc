@@ -115,6 +115,12 @@ ServingEngine::ServingEngine(sim::EventQueue &eq, const ServingConfig &cfg,
     });
     runtime_.setEvictionHook(
         [this](int e) { slot(e).prefetchReady = false; });
+    // A DMA about to book HBM must queue behind the traffic of every
+    // prompt that has already started.
+    memsys_.setIssueHook([this]() {
+        if (executing_)
+            bookStartedPrompts();
+    });
 }
 
 void
@@ -326,7 +332,13 @@ ServingEngine::setServiceFactor(double factor)
     if (factor < 1.0)
         sim::fatal("serving: service-time factor must be >= 1 (got " +
                    std::to_string(factor) + ")");
+    // Started prompts keep the factor they started under; the rest
+    // are re-planned with the new one.
+    if (executing_)
+        bookStartedPrompts();
     serviceFactor_ = factor;
+    if (executing_)
+        armBatchDone();
 }
 
 /**
@@ -642,16 +654,21 @@ ServingEngine::crashExtract()
 {
     std::vector<EngineRequest> out = extractQueued();
     if (busy_) {
-        // Abandon the in-flight batch. Its scheduled events (router,
-        // awaited DMA, prompt completion) still fire, but with
-        // curBatch_ empty they fall straight through runNextPrompt
-        // into finishBatch, which releases the pinned experts and
-        // clears busy_ — a ghost batch that completes nothing.
+        // Abandon the in-flight batch as a ghost batch that completes
+        // nothing. Its scheduled events (router, awaited DMA) still
+        // fire; if it is executing, the prompt in flight runs to its
+        // end and the prompts not yet started never book traffic, so
+        // coe.batch_done moves to that prompt's end. There
+        // finishBatch releases the pinned experts and clears busy_.
+        if (executing_)
+            bookStartedPrompts();
         out.reserve(out.size() + curBatch_.size());
         injectedCount_ -= static_cast<std::int64_t>(curBatch_.size());
         for (EngineRequest &r : curBatch_)
             out.push_back(std::move(r));
         curBatch_.clear();
+        if (executing_)
+            armBatchDone();
         stats_.inc("crashed_batches");
     }
     return out;
@@ -681,6 +698,8 @@ ServingEngine::takeQueued(QueuePos at)
 void
 ServingEngine::finishBatch()
 {
+    executing_ = false;
+    execTotal_ += sim::toSeconds(eq_.now() - execStart_);
     for (int e : curBatchExperts_)
         runtime_.unpin(e);
     curBatchExperts_.clear();
@@ -718,34 +737,88 @@ ServingEngine::finishBatch()
 }
 
 /**
- * Execute the batch's prompts back to back. Each prompt holds the
- * pipeline for its modeled compute time AND until its HBM weight
- * streaming drains — on a contended working tier (prefetch DMA
- * writing behind it) the traffic side finishes later and the slowdown
- * is real, not a closed-form adjustment.
+ * A batch's prompts run back to back: prompt k starts at t_k, holds
+ * the pipeline for its modeled compute time AND until its HBM weight
+ * streaming drains, and prompt k+1 starts at
  *
- * Both finish ticks are known when the prompt starts (MemorySystem::
- * traffic books the channels FIFO and returns its last byte's tick),
- * so the prompt is one event at the later of the two, as a DMA copy
- * is one event for both of its tiers.
+ *   t_{k+1} = max(t_k + exec_k * serviceFactor, end of k's traffic)
+ *
+ * On a contended working tier (prefetch DMA writing behind it) the
+ * traffic side finishes later and the slowdown is real, not a
+ * closed-form adjustment. Nothing observable happens between two
+ * prompts, so the batch is one coe.batch_done event at t_N. Each
+ * prompt's traffic is booked lazily, in prompt order and at its own
+ * start tick, by whichever comes first: the batch_done event, a DMA
+ * about to book this node's HBM, a service-factor change or a crash.
+ * Each of them books exactly the prompts started by now (t_k <= now,
+ * so one starting at this very tick counts as started), which are
+ * the bookings a per-prompt event chain would have made by now.
  */
-void
-ServingEngine::runNextPrompt()
+sim::Tick
+ServingEngine::promptEnd(const EngineRequest &prompt, sim::Tick start,
+                         sim::Tick traffic_end) const
 {
-    if (execIndex_ >= curBatch_.size()) {
-        execTotal_ += sim::toSeconds(eq_.now() - execStart_);
-        finishBatch();
-        return;
-    }
-    const EngineRequest &prompt = curBatch_[execIndex_];
-    ++execIndex_;
     // serviceFactor_ is exactly 1.0 on a healthy node, and x * 1.0 is
     // IEEE-exact, so non-straggler runs schedule identical ticks.
-    sim::Tick exec_done = eq_.now() +
-        sim::fromSeconds(prompt.execSeconds * serviceFactor_);
-    sim::Tick traffic_done = memsys_.traffic(prompt.trafficBytes);
-    eq_.schedule(std::max(exec_done, traffic_done),
-                 [this]() { runNextPrompt(); }, "coe.prompt_done");
+    sim::Tick exec_end = sim::checkedAdd(
+        start, sim::fromSeconds(prompt.execSeconds * serviceFactor_),
+        "coe.batch_done");
+    return std::max(exec_end, traffic_end);
+}
+
+void
+ServingEngine::bookStartedPrompts()
+{
+    while (nextPrompt_ < curBatch_.size() && promptStart_ <= eq_.now()) {
+        const EngineRequest &p = curBatch_[nextPrompt_++];
+        promptStart_ = promptEnd(
+            p, promptStart_, memsys_.traffic(p.trafficBytes, promptStart_));
+    }
+}
+
+/**
+ * The batch's end if nothing else books HBM from now on. Every booked
+ * prompt's traffic ends before the next prompt starts, so querying
+ * the unbooked prompts against the current channels is exact.
+ */
+sim::Tick
+ServingEngine::plannedBatchEnd() const
+{
+    sim::Tick t = promptStart_;
+    for (std::size_t k = nextPrompt_; k < curBatch_.size(); ++k) {
+        const EngineRequest &p = curBatch_[k];
+        t = promptEnd(p, t, memsys_.trafficEnd(p.trafficBytes, t));
+    }
+    return t;
+}
+
+void
+ServingEngine::armBatchDone()
+{
+    sim::Tick end = plannedBatchEnd();
+    if (batchDone_.pending()) {
+        if (end == batchDoneAt_)
+            return;
+        batchDone_.cancel();
+    }
+    batchDoneAt_ = end;
+    batchDone_ = eq_.schedule(end, [this]() { onBatchDone(); },
+                              "coe.batch_done");
+}
+
+void
+ServingEngine::onBatchDone()
+{
+    bookStartedPrompts();
+    // A DMA that booked HBM after the plan can only have delayed the
+    // batch: the event fired early, so re-plan and re-arm.
+    if (nextPrompt_ < curBatch_.size() || promptStart_ > eq_.now()) {
+        armBatchDone();
+        return;
+    }
+    sim::simAssert(promptStart_ == eq_.now(),
+                   "serving: coe.batch_done off the booked prompt chain");
+    finishBatch();
 }
 
 // Launch once the router has decided AND every non-resident expert's
@@ -764,8 +837,16 @@ ServingEngine::maybeLaunch()
         stallsMirror_->record(stall);
     switchTotal_ += stall;
     execStart_ = eq_.now();
-    execIndex_ = 0;
-    runNextPrompt();
+    // A ghost batch (crashed before launch) has nothing to execute.
+    if (curBatch_.empty()) {
+        finishBatch();
+        return;
+    }
+    executing_ = true;
+    nextPrompt_ = 0;
+    promptStart_ = eq_.now();
+    bookStartedPrompts();
+    armBatchDone();
 }
 
 void

@@ -210,12 +210,13 @@ class ServingEngine
     /**
      * Crash the node mid-batch: return every queued request AND the
      * in-flight batch's requests (none of them complete here), in id
-     * order. Unlike a clean drain, the executing batch is abandoned —
-     * its already-scheduled router/DMA/compute events resolve as a
-     * ghost batch that completes nothing and releases its pinned
-     * experts, so the engine is consistent without cancelling events.
-     * The caller (the cluster's retry policy) decides the displaced
-     * requests' fate.
+     * order. Unlike a clean drain, the executing batch is abandoned
+     * as a ghost batch that completes nothing: its router and DMA
+     * events still fire, and if it is executing, the prompt in flight
+     * runs to its end while the prompts not yet started never book
+     * HBM traffic. coe.batch_done moves to that prompt's end, where
+     * the ghost releases its pinned experts. The caller (the
+     * cluster's retry policy) decides the displaced requests' fate.
      */
     std::vector<EngineRequest> crashExtract();
 
@@ -408,7 +409,15 @@ class ServingEngine
     int expertOldest(ExpertSlot &s);
     void formBatch();
     void maybeLaunch();
-    void runNextPrompt();
+    /** End of @p prompt started at @p start (see bookStartedPrompts). */
+    sim::Tick promptEnd(const EngineRequest &prompt, sim::Tick start,
+                        sim::Tick traffic_end) const;
+    /** Book the HBM traffic of every prompt started by now. */
+    void bookStartedPrompts();
+    sim::Tick plannedBatchEnd() const;
+    /** Schedule (or move) coe.batch_done to plannedBatchEnd(). */
+    void armBatchDone();
+    void onBatchDone();
     void finishBatch();
 
     sim::EventQueue &eq_;
@@ -491,8 +500,16 @@ class ServingEngine
     bool routerDone_ = false;
     sim::Tick batchStart_ = 0;
     sim::Tick execStart_ = 0;
-    std::size_t execIndex_ = 0;
     std::vector<EngineRequest> curBatch_;
+
+    // ---- the executing batch (see bookStartedPrompts) -----------
+    bool executing_ = false;
+    /** First prompt whose HBM traffic is not booked yet. */
+    std::size_t nextPrompt_ = 0;
+    /** Its start tick: the end of the prompt before it. */
+    sim::Tick promptStart_ = 0;
+    sim::EventQueue::Handle batchDone_;
+    sim::Tick batchDoneAt_ = 0;
     /** The batch's distinct experts in id order, pinned for it. */
     std::vector<int> curBatchExperts_;
 

@@ -1,7 +1,5 @@
 #include "mem/bandwidth_channel.h"
 
-#include <algorithm>
-
 #include "sim/log.h"
 
 namespace sn40l::mem {
@@ -37,21 +35,19 @@ BandwidthChannel::estimate(double bytes) const
 }
 
 sim::Tick
-BandwidthChannel::book(double bytes)
+BandwidthChannel::book(double bytes, sim::Tick at)
 {
     if (bytes < 0.0)
         sim::panic("BandwidthChannel " + name_ + ": negative transfer");
 
-    sim::Tick start = std::max(eq_.now(), busyUntil_);
-    sim::Tick duration = estimate(bytes);
-    sim::Tick end = start + duration;
-    busyUntil_ = end;
+    Window w = window(bytes, at);
+    busyUntil_ = w.end;
 
     bytesStat_ += bytes;
     transfersStat_ += 1.0;
-    busyTicksStat_ += static_cast<double>(duration);
-    queueTicksStat_ += static_cast<double>(start - eq_.now());
-    return end + latency_;
+    busyTicksStat_ += static_cast<double>(w.end - w.start);
+    queueTicksStat_ += static_cast<double>(w.start - at);
+    return w.end + latency_;
 }
 
 void

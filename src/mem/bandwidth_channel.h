@@ -13,6 +13,7 @@
 #ifndef SN40L_MEM_BANDWIDTH_CHANNEL_H
 #define SN40L_MEM_BANDWIDTH_CHANNEL_H
 
+#include <algorithm>
 #include <string>
 
 #include "sim/event_queue.h"
@@ -59,7 +60,23 @@ class BandwidthChannel
      * interleaved tier, a DMA join) book every leg and schedule one
      * completion event at the max instead of one event per channel.
      */
-    sim::Tick book(double bytes);
+    sim::Tick book(double bytes) { return book(bytes, eq_.now()); }
+
+    /**
+     * book() as if issued at tick @p at: the transfer starts at the
+     * later of @p at and the channel's busy window. A caller may book
+     * lazily, after now, for an issue tick it has already passed, as
+     * long as nothing it meant to queue behind was booked in between.
+     */
+    sim::Tick book(double bytes, sim::Tick at);
+
+    /**
+     * The tick book(@p bytes, @p at) would return, without booking.
+     */
+    sim::Tick endIfBooked(double bytes, sim::Tick at) const
+    {
+        return window(bytes, at).end + latency_;
+    }
 
     /** Pure time estimate for @p bytes on an idle channel (no latency). */
     sim::Tick estimate(double bytes) const;
@@ -78,6 +95,18 @@ class BandwidthChannel
     const sim::StatSet &stats() const { return stats_; }
 
   private:
+    /** Busy span a transfer issued at @p at would occupy (FIFO). */
+    struct Window
+    {
+        sim::Tick start;
+        sim::Tick end;
+    };
+    Window window(double bytes, sim::Tick at) const
+    {
+        sim::Tick start = std::max(at, busyUntil_);
+        return {start, start + estimate(bytes)};
+    }
+
     sim::EventQueue &eq_;
     std::string name_;
     std::string doneLabel_; ///< precomputed event name (no per-event alloc)

@@ -44,29 +44,26 @@ InterleavedMemory::channelOf(std::int64_t addr) const
 }
 
 sim::Tick
-InterleavedMemory::bookScratch()
+InterleavedMemory::bookScratch(sim::Tick at)
 {
-    sim::Tick done = eq_.now();
+    sim::Tick done = at;
     for (std::size_t i = 0; i < scratch_.size(); ++i) {
         if (scratch_[i] <= 0.0)
             continue;
-        done = std::max(done, channels_[i]->book(scratch_[i]));
+        done = std::max(done, channels_[i]->book(scratch_[i], at));
     }
     return done;
 }
 
-sim::Tick
-InterleavedMemory::bookAccess(std::int64_t addr, double bytes)
+void
+InterleavedMemory::splitContiguous(std::int64_t addr, double bytes) const
 {
     if (bytes < 0.0)
         sim::panic("InterleavedMemory " + name_ + ": negative access");
-    accessesStat_ += 1.0;
-    bytesStat_ += bytes;
-
     std::int64_t total = static_cast<std::int64_t>(bytes);
     if (total <= 0) {
         std::fill(scratch_.begin(), scratch_.end(), 0.0);
-        return bookScratch();
+        return;
     }
     if (addr < 0)
         sim::panic("InterleavedMemory " + name_ + ": negative address");
@@ -103,7 +100,29 @@ InterleavedMemory::bookAccess(std::int64_t addr, double bytes)
         static_cast<double>(addr - first_line * line);
     scratch_[static_cast<std::size_t>(last_chan)] -=
         static_cast<double>(line - 1 - (last_addr - last_line * line));
-    return bookScratch();
+}
+
+sim::Tick
+InterleavedMemory::bookAccess(std::int64_t addr, double bytes, sim::Tick at)
+{
+    splitContiguous(addr, bytes);
+    accessesStat_ += 1.0;
+    bytesStat_ += bytes;
+    return bookScratch(at);
+}
+
+sim::Tick
+InterleavedMemory::endIfBooked(std::int64_t addr, double bytes,
+                               sim::Tick at) const
+{
+    splitContiguous(addr, bytes);
+    sim::Tick done = at;
+    for (std::size_t i = 0; i < scratch_.size(); ++i) {
+        if (scratch_[i] <= 0.0)
+            continue;
+        done = std::max(done, channels_[i]->endIfBooked(scratch_[i], at));
+    }
+    return done;
 }
 
 void
@@ -146,7 +165,7 @@ InterleavedMemory::accessStrided(std::int64_t base, std::int64_t stride,
         std::int64_t addr = base + i * stride;
         scratch_[channelOf(addr)] += static_cast<double>(elem_bytes);
     }
-    sim::Tick done = bookScratch();
+    sim::Tick done = bookScratch(eq_.now());
     if (on_done)
         eq_.schedule(done, std::move(on_done), doneLabel_.c_str());
 }

@@ -59,7 +59,23 @@ class InterleavedMemory
      * N-channel access needs no join machinery — callers schedule one
      * event at the returned tick, or fold it into a larger join.
      */
-    sim::Tick bookAccess(std::int64_t addr, double bytes);
+    sim::Tick bookAccess(std::int64_t addr, double bytes)
+    {
+        return bookAccess(addr, bytes, eq_.now());
+    }
+
+    /**
+     * bookAccess() as if issued at tick @p at: every channel share is
+     * booked with BandwidthChannel::book(share, at).
+     */
+    sim::Tick bookAccess(std::int64_t addr, double bytes, sim::Tick at);
+
+    /**
+     * The tick bookAccess(@p addr, @p bytes, @p at) would return,
+     * without booking anything.
+     */
+    sim::Tick endIfBooked(std::int64_t addr, double bytes,
+                          sim::Tick at) const;
 
     /**
      * Issue a strided access: @p count elements of @p elem_bytes, with
@@ -73,15 +89,19 @@ class InterleavedMemory
     sim::StatSet &stats() { return stats_; }
 
   private:
+    /** Split a contiguous access into per-channel shares in scratch_. */
+    void splitContiguous(std::int64_t addr, double bytes) const;
     /** Book the per-channel byte shares in scratch_. @return done tick. */
-    sim::Tick bookScratch();
+    sim::Tick bookScratch(sim::Tick at);
 
     sim::EventQueue &eq_;
     std::string name_;
     std::string doneLabel_;
     std::int64_t interleaveBytes_;
     std::vector<std::unique_ptr<BandwidthChannel>> channels_;
-    std::vector<double> scratch_; ///< per-channel split, reused per access
+    /** Per-channel split, reused per access and per query. */
+    mutable std::vector<double> scratch_;
+
     sim::StatSet stats_;
     double &accessesStat_;
     double &bytesStat_;

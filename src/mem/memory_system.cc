@@ -134,12 +134,12 @@ MemorySystem::promote(TransferId id)
 }
 
 sim::Tick
-MemorySystem::traffic(double bytes)
+MemorySystem::traffic(double bytes, sim::Tick at)
 {
     trafficBytesStat_ += bytes;
     // Contiguous stream over the whole working set: spreads evenly
     // across every HBM channel, queueing behind in-flight DMA writes.
-    return hbm_->bookAccess(0, bytes);
+    return hbm_->bookAccess(0, bytes, at);
 }
 
 sim::Tick
@@ -176,6 +176,8 @@ MemorySystem::issue(int engine_idx, Job job)
     enginesBusyMaxStat_ =
         std::max(enginesBusyMaxStat_, static_cast<double>(busy + 1));
 
+    if (issueHook_)
+        issueHook_();
     std::uint32_t slot = inFlight_.park(std::move(job.onDone));
     engines_[engine_idx]->copy(*ddr_, job.srcAddr, *hbm_, job.dstAddr,
                                job.bytes,

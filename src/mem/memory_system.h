@@ -95,12 +95,28 @@ class MemorySystem
 
     /**
      * Book execution-side traffic on the working tier (decode weight
-     * streaming, KV reads): it occupies the same HBM channels the DMA
-     * engines write through. @return the tick its last byte lands
-     * (never before now). Booking is closed-form, so no event is
-     * scheduled: the caller folds the tick into its own completion.
+     * streaming, KV reads) as if issued at tick @p at: it occupies the
+     * same HBM channels the DMA engines write through. @return the
+     * tick its last byte lands (never before @p at). Booking is
+     * closed-form, so no event is scheduled: the caller folds the tick
+     * into its own completion. @p at may lie in the past when the
+     * caller books lazily; the issue hook below lets it book before
+     * any DMA that would have queued behind the traffic.
      */
-    sim::Tick traffic(double bytes);
+    sim::Tick traffic(double bytes, sim::Tick at);
+
+    /** The tick traffic(@p bytes, @p at) would return, booking nothing. */
+    sim::Tick trafficEnd(double bytes, sim::Tick at) const
+    {
+        return hbm_->endIfBooked(0, bytes, at);
+    }
+
+    /**
+     * Invoked just before a DMA load books the tiers' channels, so an
+     * owner that books traffic lazily can first book what it has
+     * already issued.
+     */
+    void setIssueHook(Callback hook) { issueHook_ = std::move(hook); }
 
     InterleavedMemory &ddr() { return *ddr_; }
     InterleavedMemory &hbm() { return *hbm_; }
@@ -177,6 +193,7 @@ class MemorySystem
     JobQueue prefetchQueue_;
     /** Completion callbacks of loads streaming on an engine. */
     sim::CallbackSlots inFlight_;
+    Callback issueHook_;
 
     sim::StatSet stats_;
     // Counters resolved once (StatSet::counter): loads and traffic run

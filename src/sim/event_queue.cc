@@ -151,11 +151,7 @@ EventQueue::scheduleIn(Tick delta, Callback cb, const char *name)
               std::string(name) + "'");
     // A validated duration can still carry a late event past the
     // Tick range: a user error, not a wrapped tick.
-    if (delta > kMaxTick - curTick_)
-        fatal("EventQueue: event '" + std::string(name) +
-              "' would run past the simulated horizon (~9.2e6 s, the "
-              "end of the Tick range)");
-    return schedule(curTick_ + delta, std::move(cb), name);
+    return schedule(checkedAdd(curTick_, delta, name), std::move(cb), name);
 }
 
 bool

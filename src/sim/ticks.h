@@ -31,28 +31,70 @@ constexpr Tick kTicksPerSec = 1000LL * kTicksPerMs;
 /** Sentinel for "never" / unbounded run limits. */
 constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
 
-constexpr Tick fromPs(double ps) { return static_cast<Tick>(ps); }
-constexpr Tick fromNs(double ns) { return static_cast<Tick>(ns * kTicksPerNs); }
-constexpr Tick fromUs(double us) { return static_cast<Tick>(us * kTicksPerUs); }
-constexpr Tick fromMs(double ms) { return static_cast<Tick>(ms * kTicksPerMs); }
-constexpr Tick fromSeconds(double s) { return static_cast<Tick>(s * kTicksPerSec); }
-
 constexpr double toNs(Tick t) { return static_cast<double>(t) / kTicksPerNs; }
 constexpr double toUs(Tick t) { return static_cast<double>(t) / kTicksPerUs; }
 constexpr double toMs(Tick t) { return static_cast<double>(t) / kTicksPerMs; }
 constexpr double toSeconds(Tick t) { return static_cast<double>(t) / kTicksPerSec; }
 
+/** The FatalErrors of checkedTicks and checkedAdd (cold, out of line). */
+[[noreturn]] void tickRangeError(double ticks, const char *what);
+[[noreturn]] void pastHorizonError(const char *label);
+
+/**
+ * @p ticks, a computed tick count, as a Tick. A value that is not
+ * finite or lies outside the Tick range (beyond about +-9.2e6 s) is a
+ * FatalError naming @p what and the simulated horizon, in place of
+ * the wrapped value a bare static_cast would return.
+ */
+inline Tick
+checkedTicks(double ticks, const char *what)
+{
+    // [-2^63, 2^63) is exactly the int64 range; NaN fails both tests.
+    if (ticks >= -0x1p63 && ticks < 0x1p63)
+        return static_cast<Tick>(ticks);
+    tickRangeError(ticks, what);
+}
+
+/**
+ * @p t + @p dt for dt >= 0. A sum past kMaxTick is a FatalError
+ * naming the event @p label and the simulated horizon.
+ */
+inline Tick
+checkedAdd(Tick t, Tick dt, const char *label)
+{
+    if (dt > kMaxTick - t)
+        pastHorizonError(label);
+    return t + dt;
+}
+
+constexpr Tick fromPs(double ps) { return static_cast<Tick>(ps); }
+constexpr Tick fromNs(double ns) { return static_cast<Tick>(ns * kTicksPerNs); }
+constexpr Tick fromMs(double ms) { return static_cast<Tick>(ms * kTicksPerMs); }
+
+inline Tick
+fromUs(double us)
+{
+    return checkedTicks(us * kTicksPerUs, "sim::fromUs");
+}
+
+inline Tick
+fromSeconds(double s)
+{
+    return checkedTicks(s * kTicksPerSec, "sim::fromSeconds");
+}
+
 /**
  * Time taken to move @p bytes at @p bytes_per_sec, as a tick count.
- * Rounds up so a nonzero transfer never takes zero time.
+ * Rounds up so a nonzero transfer never takes zero time; a span past
+ * the Tick range is a FatalError (checkedTicks).
  */
-constexpr Tick
+inline Tick
 transferTicks(double bytes, double bytes_per_sec)
 {
     if (bytes <= 0.0 || bytes_per_sec <= 0.0)
         return 0;
     double seconds = bytes / bytes_per_sec;
-    Tick t = static_cast<Tick>(seconds * kTicksPerSec);
+    Tick t = checkedTicks(seconds * kTicksPerSec, "sim::transferTicks");
     return t > 0 ? t : 1;
 }
 

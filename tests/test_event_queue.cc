@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,6 +87,69 @@ TEST(EventQueue, ScheduleInPastTheTickRangeIsFatal)
         EXPECT_NE(msg.find("9.2e6 s"), std::string::npos) << msg;
     }
     EXPECT_EQ(eq.pendingCount(), 1u);
+}
+
+namespace {
+
+/** Expect @p fn to throw a FatalError whose message has every needle. */
+template <typename Fn>
+void
+expectFatalNaming(Fn fn, const std::vector<std::string> &needles)
+{
+    try {
+        fn();
+        FAIL() << "expected a FatalError naming " << needles.front();
+    } catch (const sim::FatalError &e) {
+        std::string msg = e.what();
+        for (const std::string &n : needles)
+            EXPECT_NE(msg.find(n), std::string::npos) << msg;
+    }
+}
+
+} // namespace
+
+TEST(Ticks, FromSecondsRejectsNonFiniteAndOutOfRange)
+{
+    EXPECT_EQ(sim::fromSeconds(1.5), 3 * sim::kTicksPerSec / 2);
+    EXPECT_EQ(sim::fromSeconds(-2.0), -2 * sim::kTicksPerSec);
+    EXPECT_EQ(sim::fromSeconds(9.2e6), 9'200'000 * sim::kTicksPerSec);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double s : {std::nan(""), inf, -inf, 9.3e6, -9.3e6, 1e300})
+        expectFatalNaming([s]() { sim::fromSeconds(s); },
+                          {"sim::fromSeconds", "9.2e6 s"});
+}
+
+TEST(Ticks, FromUsRejectsNonFiniteAndOutOfRange)
+{
+    EXPECT_EQ(sim::fromUs(2.5), 5 * sim::kTicksPerUs / 2);
+    EXPECT_EQ(sim::fromUs(9.2e12), 9'200'000 * sim::kTicksPerSec);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double us : {std::nan(""), inf, -inf, 9.3e12, 1e300})
+        expectFatalNaming([us]() { sim::fromUs(us); },
+                          {"sim::fromUs", "9.2e6 s"});
+}
+
+TEST(Ticks, TransferTicksRejectsSpansPastTheTickRange)
+{
+    EXPECT_EQ(sim::transferTicks(0.0, 1e9), 0);
+    EXPECT_EQ(sim::transferTicks(1e9, 1e9), sim::kTicksPerSec);
+    EXPECT_EQ(sim::transferTicks(1e-30, 1e9), 1); // rounds up
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bytes : {std::nan(""), inf, 1e300})
+        expectFatalNaming([bytes]() { sim::transferTicks(bytes, 1e9); },
+                          {"sim::transferTicks", "9.2e6 s"});
+    // 1 TB at 1 byte/s is ~1e12 s, far past the horizon.
+    expectFatalNaming([]() { sim::transferTicks(1e12, 1.0); },
+                      {"sim::transferTicks", "9.2e6 s"});
+}
+
+TEST(Ticks, CheckedAddNamesTheEventAndTheHorizon)
+{
+    EXPECT_EQ(sim::checkedAdd(sim::kMaxTick - 5, 5, "test.edge"),
+              sim::kMaxTick);
+    expectFatalNaming(
+        []() { sim::checkedAdd(sim::kMaxTick - 5, 6, "coe.batch_done"); },
+        {"'coe.batch_done'", "9.2e6 s"});
 }
 
 TEST(EventQueue, EmptyCallbackPanics)

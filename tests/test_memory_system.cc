@@ -195,7 +195,7 @@ TEST(MemorySystem, TrafficContendsWithExpertStreaming)
     mem::MemorySystem m(eq, "m", narrowConfig());
 
     m.load(0, 0, 1e9, mem::TransferPriority::Demand, nullptr);
-    Tick traffic_done = m.traffic(1e9);
+    Tick traffic_done = m.traffic(1e9, eq.now());
     eq.run();
 
     Tick hbm_share = sim::transferTicks(1e9, 1000e9);

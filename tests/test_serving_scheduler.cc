@@ -385,8 +385,12 @@ TEST(StreamScheduler, RejectsBadStreamConfigs)
  * and HBM traffic joined in closed form) or a DMA load's completion.
  * Each request runs exactly one prompt.
  */
-TEST(StreamScheduler, OneEventPerArrivalBatchPromptAndLoad)
+TEST(StreamScheduler, OneEventPerArrivalRouterBatchAndLoad)
 {
+    // A node fires one event per arrival, router decision, batch
+    // execution and DMA load. With prefetch on, a DMA issued while a
+    // batch executes can delay its HBM traffic, so coe.batch_done may
+    // fire early and re-arm once: at most one extra event per load.
     for (bool prefetch : {false, true}) {
         ServingConfig cfg = streamConfig();
         cfg.scheduler = SchedulerPolicy::ExpertAffinity;
@@ -395,14 +399,17 @@ TEST(StreamScheduler, OneEventPerArrivalBatchPromptAndLoad)
         ServingResult r = sim.run();
         const StreamMetrics &m = r.stream;
         ASSERT_EQ(m.completed, cfg.streamRequests);
-        if (prefetch) {
-            EXPECT_GT(m.prefetchesIssued, 0);
-        }
         auto loads =
             static_cast<std::int64_t>(sim.stats().get("dma_loads_issued"));
-        EXPECT_EQ(static_cast<std::int64_t>(m.eventsExecuted),
-                  cfg.streamRequests + m.batches + m.completed + loads)
-            << "prefetch " << prefetch;
+        auto events = static_cast<std::int64_t>(m.eventsExecuted);
+        std::int64_t base = cfg.streamRequests + 2 * m.batches + loads;
+        if (prefetch) {
+            EXPECT_GT(m.prefetchesIssued, 0);
+            EXPECT_GE(events, base);
+            EXPECT_LE(events, base + loads);
+        } else {
+            EXPECT_EQ(events, base);
+        }
     }
 }
 
