@@ -26,12 +26,7 @@ BandwidthChannel::setEfficiency(double efficiency)
     if (efficiency <= 0.0 || efficiency > 1.0)
         sim::fatal("BandwidthChannel " + name_ + ": efficiency out of (0,1]");
     efficiency_ = efficiency;
-}
-
-sim::Tick
-BandwidthChannel::estimate(double bytes) const
-{
-    return sim::transferTicks(bytes, effectiveBandwidth());
+    memoBytes_ = -1.0;
 }
 
 sim::Tick

@@ -60,13 +60,19 @@ InterleavedMemory::splitContiguous(std::int64_t addr, double bytes) const
 {
     if (bytes < 0.0)
         sim::panic("InterleavedMemory " + name_ + ": negative access");
+    // Consecutive prompts stream the same range, and a plan queries it
+    // before it is booked: keep the last split.
+    if (addr == splitAddr_ && bytes == splitBytes_)
+        return;
     std::int64_t total = static_cast<std::int64_t>(bytes);
+    if (total > 0 && addr < 0)
+        sim::panic("InterleavedMemory " + name_ + ": negative address");
+    splitAddr_ = addr;
+    splitBytes_ = bytes;
     if (total <= 0) {
         std::fill(scratch_.begin(), scratch_.end(), 0.0);
         return;
     }
-    if (addr < 0)
-        sim::panic("InterleavedMemory " + name_ + ": negative address");
 
     // Closed-form split of the contiguous range: its n_lines interleave
     // lines deal round-robin from the first line's channel, so every
@@ -161,6 +167,7 @@ InterleavedMemory::accessStrided(std::int64_t base, std::int64_t stride,
     bytesStat_ += static_cast<double>(count * elem_bytes);
 
     std::fill(scratch_.begin(), scratch_.end(), 0.0);
+    splitBytes_ = -1.0;
     for (std::int64_t i = 0; i < count; ++i) {
         std::int64_t addr = base + i * stride;
         scratch_[channelOf(addr)] += static_cast<double>(elem_bytes);

@@ -101,6 +101,9 @@ class InterleavedMemory
     std::vector<std::unique_ptr<BandwidthChannel>> channels_;
     /** Per-channel split, reused per access and per query. */
     mutable std::vector<double> scratch_;
+    /** The contiguous range scratch_ holds; bytes < 0 is none. */
+    mutable std::int64_t splitAddr_ = 0;
+    mutable double splitBytes_ = -1.0;
 
     sim::StatSet stats_;
     double &accessesStat_;

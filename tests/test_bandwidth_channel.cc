@@ -35,6 +35,37 @@ TEST(BandwidthChannel, EfficiencyDeratesBandwidth)
     EXPECT_EQ(done_at, sim::fromMs(2.0));
 }
 
+TEST(BandwidthChannel, EndIfBookedPredictsALazyBooking)
+{
+    EventQueue eq;
+    mem::BandwidthChannel hbm(eq, "hbm", 1e12); // 1 TB/s: 1 GB = 1 ms
+    eq.schedule(sim::fromMs(5.0), []() {});
+    eq.run();
+    // Booked at tick 1 ms, after the fact: it starts there, not at now.
+    EXPECT_EQ(hbm.endIfBooked(1e9, sim::fromMs(1.0)), sim::fromMs(2.0));
+    EXPECT_EQ(hbm.book(1e9, sim::fromMs(1.0)), sim::fromMs(2.0));
+    EXPECT_EQ(hbm.busyUntil(), sim::fromMs(2.0));
+    // The next one queues behind it; the query books nothing.
+    EXPECT_EQ(hbm.endIfBooked(1e9, sim::fromMs(1.5)), sim::fromMs(3.0));
+    EXPECT_EQ(hbm.busyUntil(), sim::fromMs(2.0));
+    EXPECT_EQ(hbm.book(1e9, sim::fromMs(1.5)), sim::fromMs(3.0));
+    EXPECT_DOUBLE_EQ(hbm.stats().get("queue_ticks"),
+                     static_cast<double>(sim::fromMs(0.5)));
+}
+
+TEST(BandwidthChannel, EstimateFollowsEfficiencyAndNeverCachesAFailure)
+{
+    EventQueue eq;
+    mem::BandwidthChannel hbm(eq, "hbm", 1e12);
+    EXPECT_EQ(hbm.estimate(1e9), sim::fromMs(1.0));
+    hbm.setEfficiency(0.5);
+    EXPECT_EQ(hbm.estimate(1e9), sim::fromMs(2.0));
+    // 1e30 bytes at 0.5 TB/s is past the Tick range, every time.
+    EXPECT_THROW(hbm.estimate(1e30), sim::FatalError);
+    EXPECT_THROW(hbm.estimate(1e30), sim::FatalError);
+    EXPECT_EQ(hbm.estimate(1e9), sim::fromMs(2.0));
+}
+
 TEST(BandwidthChannel, TransfersSerialize)
 {
     EventQueue eq;

@@ -177,6 +177,36 @@ referenceSplit(std::int64_t chans, std::int64_t line, std::int64_t addr,
 
 } // namespace
 
+TEST(InterleavedMemory, EndIfBookedMatchesBookAccessAroundStridedAccesses)
+{
+    // 3 channels at a 4 KiB interleave: a contiguous range's channel
+    // shares differ, and a strided access between two bookings of the
+    // same range must not leave its split behind.
+    auto tier = [](EventQueue &eq) {
+        return mem::InterleavedMemory(eq, "t", 3, 1e9, 4096);
+    };
+    const double bytes = 10 * 4096 + 100;
+    EventQueue eq;
+    mem::InterleavedMemory m = tier(eq);
+    Tick predicted = m.endIfBooked(0, bytes, 0);
+    EXPECT_EQ(m.bookAccess(0, bytes, 0), predicted);
+    m.accessStrided(0, 3 * 4096, 4, 512, nullptr);
+    predicted = m.endIfBooked(0, bytes, 0);
+    EXPECT_EQ(m.bookAccess(0, bytes, 0), predicted);
+
+    EventQueue eq_range, eq_strided;
+    mem::InterleavedMemory range = tier(eq_range);
+    mem::InterleavedMemory strided = tier(eq_strided);
+    range.bookAccess(0, bytes);
+    strided.accessStrided(0, 3 * 4096, 4, 512, nullptr);
+    for (int c = 0; c < 3; ++c)
+        EXPECT_DOUBLE_EQ(m.channel(c).stats().get("bytes"),
+                         2 * range.channel(c).stats().get("bytes") +
+                             strided.channel(c).stats().get("bytes"))
+            << "channel " << c;
+    eq.run();
+}
+
 TEST(InterleavedMemory, ClosedFormSplitMatchesPerChannelReference)
 {
     sim::Rng rng(20241016);
