@@ -26,7 +26,12 @@ BandwidthChannel::setEfficiency(double efficiency)
     if (efficiency <= 0.0 || efficiency > 1.0)
         sim::fatal("BandwidthChannel " + name_ + ": efficiency out of (0,1]");
     efficiency_ = efficiency;
-    memoBytes_ = -1.0;
+}
+
+sim::Tick
+BandwidthChannel::estimate(double bytes) const
+{
+    return sim::transferTicks(bytes, effectiveBandwidth());
 }
 
 sim::Tick

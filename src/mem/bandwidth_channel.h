@@ -79,17 +79,7 @@ class BandwidthChannel
     }
 
     /** Pure time estimate for @p bytes on an idle channel (no latency). */
-    sim::Tick estimate(double bytes) const
-    {
-        // One-entry memo: a node books and plans the same share of a
-        // prompt's weight stream prompt after prompt, and the division
-        // dominates booking.
-        if (bytes != memoBytes_) {
-            memoTicks_ = sim::transferTicks(bytes, effectiveBandwidth());
-            memoBytes_ = bytes;
-        }
-        return memoTicks_;
-    }
+    sim::Tick estimate(double bytes) const;
 
     /** Tick at which the channel next becomes idle. */
     sim::Tick busyUntil() const { return busyUntil_; }
@@ -124,9 +114,6 @@ class BandwidthChannel
     double efficiency_;
     sim::Tick latency_;
     sim::Tick busyUntil_ = 0;
-    /** estimate()'s last argument and result; bytes < 0 is empty. */
-    mutable double memoBytes_ = -1.0;
-    mutable sim::Tick memoTicks_ = 0;
     sim::StatSet stats_;
     // Hot counters resolved once; StatSet map lookups stay off the
     // per-transfer path.

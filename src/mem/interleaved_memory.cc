@@ -43,16 +43,25 @@ InterleavedMemory::channelOf(std::int64_t addr) const
                             static_cast<std::int64_t>(channels_.size()));
 }
 
+template <typename Leg>
 sim::Tick
-InterleavedMemory::bookScratch(sim::Tick at)
+InterleavedMemory::joinShares(sim::Tick at, Leg leg) const
 {
     sim::Tick done = at;
     for (std::size_t i = 0; i < scratch_.size(); ++i) {
         if (scratch_[i] <= 0.0)
             continue;
-        done = std::max(done, channels_[i]->book(scratch_[i], at));
+        done = std::max(done, leg(*channels_[i], scratch_[i]));
     }
     return done;
+}
+
+sim::Tick
+InterleavedMemory::bookScratch(sim::Tick at)
+{
+    return joinShares(at, [at](BandwidthChannel &ch, double share) {
+        return ch.book(share, at);
+    });
 }
 
 void
@@ -60,19 +69,13 @@ InterleavedMemory::splitContiguous(std::int64_t addr, double bytes) const
 {
     if (bytes < 0.0)
         sim::panic("InterleavedMemory " + name_ + ": negative access");
-    // Consecutive prompts stream the same range, and a plan queries it
-    // before it is booked: keep the last split.
-    if (addr == splitAddr_ && bytes == splitBytes_)
-        return;
     std::int64_t total = static_cast<std::int64_t>(bytes);
-    if (total > 0 && addr < 0)
-        sim::panic("InterleavedMemory " + name_ + ": negative address");
-    splitAddr_ = addr;
-    splitBytes_ = bytes;
     if (total <= 0) {
         std::fill(scratch_.begin(), scratch_.end(), 0.0);
         return;
     }
+    if (addr < 0)
+        sim::panic("InterleavedMemory " + name_ + ": negative address");
 
     // Closed-form split of the contiguous range: its n_lines interleave
     // lines deal round-robin from the first line's channel, so every
@@ -122,13 +125,9 @@ InterleavedMemory::endIfBooked(std::int64_t addr, double bytes,
                                sim::Tick at) const
 {
     splitContiguous(addr, bytes);
-    sim::Tick done = at;
-    for (std::size_t i = 0; i < scratch_.size(); ++i) {
-        if (scratch_[i] <= 0.0)
-            continue;
-        done = std::max(done, channels_[i]->endIfBooked(scratch_[i], at));
-    }
-    return done;
+    return joinShares(at, [at](const BandwidthChannel &ch, double share) {
+        return ch.endIfBooked(share, at);
+    });
 }
 
 void
@@ -167,7 +166,6 @@ InterleavedMemory::accessStrided(std::int64_t base, std::int64_t stride,
     bytesStat_ += static_cast<double>(count * elem_bytes);
 
     std::fill(scratch_.begin(), scratch_.end(), 0.0);
-    splitBytes_ = -1.0;
     for (std::int64_t i = 0; i < count; ++i) {
         std::int64_t addr = base + i * stride;
         scratch_[channelOf(addr)] += static_cast<double>(elem_bytes);

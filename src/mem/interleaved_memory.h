@@ -91,6 +91,11 @@ class InterleavedMemory
   private:
     /** Split a contiguous access into per-channel shares in scratch_. */
     void splitContiguous(std::int64_t addr, double bytes) const;
+    /**
+     * The latest of @p at and @p leg(channel, share) over the channels
+     * with a nonzero share in scratch_: the join of an access's legs.
+     */
+    template <typename Leg> sim::Tick joinShares(sim::Tick at, Leg leg) const;
     /** Book the per-channel byte shares in scratch_. @return done tick. */
     sim::Tick bookScratch(sim::Tick at);
 
@@ -101,9 +106,6 @@ class InterleavedMemory
     std::vector<std::unique_ptr<BandwidthChannel>> channels_;
     /** Per-channel split, reused per access and per query. */
     mutable std::vector<double> scratch_;
-    /** The contiguous range scratch_ holds; bytes < 0 is none. */
-    mutable std::int64_t splitAddr_ = 0;
-    mutable double splitBytes_ = -1.0;
 
     sim::StatSet stats_;
     double &accessesStat_;

@@ -53,19 +53,6 @@ TEST(BandwidthChannel, EndIfBookedPredictsALazyBooking)
                      static_cast<double>(sim::fromMs(0.5)));
 }
 
-TEST(BandwidthChannel, EstimateFollowsEfficiencyAndNeverCachesAFailure)
-{
-    EventQueue eq;
-    mem::BandwidthChannel hbm(eq, "hbm", 1e12);
-    EXPECT_EQ(hbm.estimate(1e9), sim::fromMs(1.0));
-    hbm.setEfficiency(0.5);
-    EXPECT_EQ(hbm.estimate(1e9), sim::fromMs(2.0));
-    // 1e30 bytes at 0.5 TB/s is past the Tick range, every time.
-    EXPECT_THROW(hbm.estimate(1e30), sim::FatalError);
-    EXPECT_THROW(hbm.estimate(1e30), sim::FatalError);
-    EXPECT_EQ(hbm.estimate(1e9), sim::fromMs(2.0));
-}
-
 TEST(BandwidthChannel, TransfersSerialize)
 {
     EventQueue eq;

@@ -180,8 +180,8 @@ referenceSplit(std::int64_t chans, std::int64_t line, std::int64_t addr,
 TEST(InterleavedMemory, EndIfBookedMatchesBookAccessAroundStridedAccesses)
 {
     // 3 channels at a 4 KiB interleave: a contiguous range's channel
-    // shares differ, and a strided access between two bookings of the
-    // same range must not leave its split behind.
+    // shares differ. The prediction matches the booking, also after a
+    // strided access has reused the per-channel split buffer.
     auto tier = [](EventQueue &eq) {
         return mem::InterleavedMemory(eq, "t", 3, 1e9, 4096);
     };
