@@ -116,10 +116,10 @@ ServingEngine::ServingEngine(sim::EventQueue &eq, const ServingConfig &cfg,
     runtime_.setEvictionHook(
         [this](int e) { slot(e).prefetchReady = false; });
     // A DMA about to book HBM must queue behind the traffic of every
-    // prompt that has already started.
+    // prompt that started before this tick (see promptEnd for ties).
     memsys_.setIssueHook([this]() {
         if (executing_)
-            bookStartedPrompts();
+            bookPromptsBefore(eq_.now());
     });
 }
 
@@ -332,10 +332,11 @@ ServingEngine::setServiceFactor(double factor)
     if (factor < 1.0)
         sim::fatal("serving: service-time factor must be >= 1 (got " +
                    std::to_string(factor) + ")");
-    // Started prompts keep the factor they started under; the rest
-    // are re-planned with the new one.
+    // Started prompts keep the factor they started under; the rest,
+    // including one starting at this tick, are re-planned with the
+    // new one.
     if (executing_)
-        bookStartedPrompts();
+        bookPromptsBefore(eq_.now());
     serviceFactor_ = factor;
     if (executing_)
         armBatchDone();
@@ -657,11 +658,12 @@ ServingEngine::crashExtract()
         // Abandon the in-flight batch as a ghost batch that completes
         // nothing. Its scheduled events (router, awaited DMA) still
         // fire; if it is executing, the prompt in flight runs to its
-        // end and the prompts not yet started never book traffic, so
-        // coe.batch_done moves to that prompt's end. There
-        // finishBatch releases the pinned experts and clears busy_.
+        // end and the prompts not yet started (one starting at this
+        // tick included) never book traffic, so coe.batch_done moves
+        // to that prompt's end. There finishBatch releases the pinned
+        // experts and clears busy_.
         if (executing_)
-            bookStartedPrompts();
+            bookPromptsBefore(eq_.now());
         out.reserve(out.size() + curBatch_.size());
         injectedCount_ -= static_cast<std::int64_t>(curBatch_.size());
         for (EngineRequest &r : curBatch_)
@@ -750,9 +752,12 @@ ServingEngine::finishBatch()
  * prompt's traffic is booked lazily, in prompt order and at its own
  * start tick, by whichever comes first: the batch_done event, a DMA
  * about to book this node's HBM, a service-factor change or a crash.
- * Each of them books exactly the prompts started by now (t_k <= now,
- * so one starting at this very tick counts as started), which are
- * the bookings a per-prompt event chain would have made by now.
+ * Launch and batch_done book every prompt with t_k <= now. The three
+ * interrupts book only t_k < now: a prompt starting at the
+ * interrupt's own tick has not started yet. A per-prompt event chain
+ * would have started it in an event scheduled at t_{k-1}, and fault
+ * events, scheduled when the run begins, always ran before it (see
+ * docs/ARCHITECTURE.md for the one tie this does not reproduce).
  */
 sim::Tick
 ServingEngine::promptEnd(const EngineRequest &prompt, sim::Tick start,
@@ -767,9 +772,9 @@ ServingEngine::promptEnd(const EngineRequest &prompt, sim::Tick start,
 }
 
 void
-ServingEngine::bookStartedPrompts()
+ServingEngine::bookPromptsBefore(sim::Tick end)
 {
-    while (nextPrompt_ < curBatch_.size() && promptStart_ <= eq_.now()) {
+    while (nextPrompt_ < curBatch_.size() && promptStart_ < end) {
         const EngineRequest &p = curBatch_[nextPrompt_++];
         promptStart_ = promptEnd(
             p, promptStart_, memsys_.traffic(p.trafficBytes, promptStart_));
@@ -809,7 +814,7 @@ ServingEngine::armBatchDone()
 void
 ServingEngine::onBatchDone()
 {
-    bookStartedPrompts();
+    bookPromptsBefore(eq_.now() + 1);
     // A DMA that booked HBM after the plan can only have delayed the
     // batch: the event fired early, so re-plan and re-arm.
     if (nextPrompt_ < curBatch_.size() || promptStart_ > eq_.now()) {
@@ -845,7 +850,7 @@ ServingEngine::maybeLaunch()
     executing_ = true;
     nextPrompt_ = 0;
     promptStart_ = eq_.now();
-    bookStartedPrompts();
+    bookPromptsBefore(eq_.now() + 1);
     armBatchDone();
 }
 

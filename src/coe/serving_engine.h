@@ -213,8 +213,8 @@ class ServingEngine
      * order. Unlike a clean drain, the executing batch is abandoned
      * as a ghost batch that completes nothing: its router and DMA
      * events still fire, and if it is executing, the prompt in flight
-     * runs to its end while the prompts not yet started never book
-     * HBM traffic. coe.batch_done moves to that prompt's end, where
+     * runs to its end while the prompts not yet started (one starting
+     * at this tick included) never book HBM traffic. coe.batch_done moves to that prompt's end, where
      * the ghost releases its pinned experts. The caller (the
      * cluster's retry policy) decides the displaced requests' fate.
      */
@@ -409,11 +409,11 @@ class ServingEngine
     int expertOldest(ExpertSlot &s);
     void formBatch();
     void maybeLaunch();
-    /** End of @p prompt started at @p start (see bookStartedPrompts). */
+    /** End of @p prompt started at @p start (see bookPromptsBefore). */
     sim::Tick promptEnd(const EngineRequest &prompt, sim::Tick start,
                         sim::Tick traffic_end) const;
-    /** Book the HBM traffic of every prompt started by now. */
-    void bookStartedPrompts();
+    /** Book, in order, the HBM traffic of every prompt with t_k < @p end. */
+    void bookPromptsBefore(sim::Tick end);
     sim::Tick plannedBatchEnd() const;
     /** Schedule (or move) coe.batch_done to plannedBatchEnd(). */
     void armBatchDone();
@@ -502,7 +502,7 @@ class ServingEngine
     sim::Tick execStart_ = 0;
     std::vector<EngineRequest> curBatch_;
 
-    // ---- the executing batch (see bookStartedPrompts) -----------
+    // ---- the executing batch (see bookPromptsBefore) ------------
     bool executing_ = false;
     /** First prompt whose HBM traffic is not booked yet. */
     std::size_t nextPrompt_ = 0;

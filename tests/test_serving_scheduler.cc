@@ -381,16 +381,14 @@ TEST(StreamScheduler, RejectsBadStreamConfigs)
 
 /**
  * Event identity of a single-node serve run: every event is a request
- * arrival, a batch's router decision, a prompt's completion (compute
- * and HBM traffic joined in closed form) or a DMA load's completion.
- * Each request runs exactly one prompt.
+ * arrival, a batch's router decision, a batch's execution (all its
+ * prompts, as one coe.batch_done) or a DMA load's completion. With
+ * prefetch on, a DMA issued while a batch executes can delay its HBM
+ * traffic, so coe.batch_done may fire early and re-arm once: at most
+ * one extra event per load.
  */
 TEST(StreamScheduler, OneEventPerArrivalRouterBatchAndLoad)
 {
-    // A node fires one event per arrival, router decision, batch
-    // execution and DMA load. With prefetch on, a DMA issued while a
-    // batch executes can delay its HBM traffic, so coe.batch_done may
-    // fire early and re-arm once: at most one extra event per load.
     for (bool prefetch : {false, true}) {
         ServingConfig cfg = streamConfig();
         cfg.scheduler = SchedulerPolicy::ExpertAffinity;
@@ -610,4 +608,77 @@ TEST(AdmissionQueue, DeepQueueDrainsInLinearTime)
     double large = drainSeconds(50'000);
     EXPECT_LT(large, 30.0 * small + 0.05)
         << "5k drain " << small << " s, 50k drain " << large << " s";
+}
+
+// ------------------------------------------------- batch plan ties
+
+namespace {
+
+/**
+ * Run expert 1's batch of one, then expert 0's batch of @p prompts
+ * (at most 2), on a fresh engine after @p setup. Returns the tick at
+ * which the last request completed, expert 0's batch end.
+ */
+template <typename Setup>
+sim::Tick
+secondBatchEnd(int prompts, Setup setup)
+{
+    EngineHarness h(SchedulerPolicy::Fifo, 2);
+    sim::Tick end = 0;
+    h.engine->setOnRequestComplete(
+        [&h, &end](const EngineRequest &) { end = h.eq.now(); });
+    setup(h);
+    h.atStart([&h, prompts]() {
+        h.engine->inject(100, 1); // forms a batch of one at once
+        for (int id = 0; id < prompts; ++id)
+            h.engine->inject(id, 0);
+    });
+    h.eq.run();
+    return end;
+}
+
+} // namespace
+
+/**
+ * A fault that fires at the tick a prompt would start comes first: a
+ * per-prompt event chain started that prompt in an event scheduled
+ * after the fault's. So a straggler's factor applies to the prompt,
+ * and a crash starts no further prompt.
+ */
+TEST(BatchPlan, FaultAtAPromptBoundaryPrecedesThatPrompt)
+{
+    auto none = [](EngineHarness &) {};
+    // Identical prompts on idle channels: prompt 0 runs [launch, t1),
+    // prompt 1 runs [t1, t1 + d).
+    const sim::Tick t1 = secondBatchEnd(1, none);
+    const sim::Tick d = secondBatchEnd(2, none) - t1;
+    const sim::Tick launch = t1 - d;
+    // A straggler at tick @p at, scheduled up front as faults are.
+    const double slow = 100.0;
+    auto straggler = [slow](sim::Tick at) {
+        return [at, slow](EngineHarness &h) {
+            h.eq.schedule(
+                at, [&h, slow]() { h.engine->setServiceFactor(slow); },
+                "test.straggler");
+        };
+    };
+    // At the launch tick it slows prompt 0 ...
+    const sim::Tick slow_d = secondBatchEnd(1, straggler(launch)) - launch;
+    ASSERT_GT(slow_d, d);
+    // ... and at t1 prompt 1.
+    EXPECT_EQ(secondBatchEnd(2, straggler(t1)), t1 + slow_d);
+
+    // A crash at t1 leaves a ghost batch that ends there: one tick
+    // later the engine is idle.
+    bool checked = false;
+    secondBatchEnd(2, [t1, &checked](EngineHarness &h) {
+        h.eq.schedule(t1, [&h]() {
+            EXPECT_EQ(h.engine->crashExtract().size(), 2u);
+        }, "test.crash");
+        h.eq.schedule(t1 + 1, [&h, &checked]() {
+            EXPECT_FALSE(h.engine->busy());
+            checked = true;
+        }, "test.probe");
+    });
+    EXPECT_TRUE(checked);
 }
