@@ -19,15 +19,19 @@
  *    Poisson arrivals, live DMA memory system), reporting simulator
  *    events/sec, requests/sec, and peak RSS.
  *
- *  - prefetch: the same run with speculative prefetch on, counting
- *    events only. It is the one path where a batch's coe.batch_done
- *    can fire early and re-arm (a prefetch DMA issued mid-batch).
+ *  - prefetch: the same stream over a 2000-adapter LoRA zoo with
+ *    speculative prefetch on (depth 8) and HBM derated to 0.6 of its
+ *    platform bandwidth, counting events only. It is the one path
+ *    where a batch's coe.batch_done can fire early and re-arm: small
+ *    adapters leave free region blocks, so prefetches issue mid-batch
+ *    all run long, and HBM-bound prompts are delayed by them.
  *
  * Emits BENCH_serving.json. With --floor FILE, exits non-zero if
- * serving events/sec falls below 80% of the checked-in floor, or if
+ * serving events/sec falls below 80% of the checked-in floor, if
  * either run executes more events per request than the floor's exact
- * ceiling for it (deterministic, so checked only at the floor's own
- * request count) — the CI regression gate (the wall-clock floor is
+ * ceiling for it, or if the prefetch pass re-arms no batch
+ * (deterministic, so checked only at the floor's own request
+ * count) — the CI regression gate (the wall-clock floor is
  * set far enough below a healthy run to absorb shared-runner noise;
  * see bench/perf_serving_floor.json).
  *
@@ -172,17 +176,30 @@ main(int argc, char **argv)
     std::int64_t rss = peakRssBytes();
 
     coe::ServingConfig prefetch_cfg = cfg;
+    prefetch_cfg.numExperts = 2000;
+    prefetch_cfg.zoo.enabled = true;
+    prefetch_cfg.zoo.rank = 16;
     prefetch_cfg.predictivePrefetch = true;
-    coe::ServingResult prefetch_result =
-        coe::ServingSimulator(prefetch_cfg).run();
-    if (prefetch_result.oom ||
-        prefetch_result.stream.completed != requests) {
+    prefetch_cfg.prefetchDepth = 8;
+    mem::MemorySystemConfig derated = coe::platformMemoryConfig(cfg);
+    derated.hbm.perChannelBandwidth *= 0.6;
+    prefetch_cfg.memoryOverride = derated;
+    coe::ServingSimulator prefetch_sim(prefetch_cfg);
+    coe::ServingResult prefetch_result = prefetch_sim.run();
+    const coe::StreamMetrics &pm = prefetch_result.stream;
+    if (prefetch_result.oom || pm.completed != requests) {
         std::cerr << "perf_serving: prefetch run did not complete\n";
         return 1;
     }
     double prefetch_events_per_request =
-        static_cast<double>(prefetch_result.stream.eventsExecuted) /
-        requests;
+        static_cast<double>(pm.eventsExecuted) / requests;
+    // Every event beyond one per arrival, router decision, batch
+    // execution and DMA load is a coe.batch_done that fired early.
+    auto prefetch_loads = static_cast<std::int64_t>(
+        prefetch_sim.stats().get("dma_loads_issued"));
+    std::int64_t prefetch_rearms =
+        static_cast<std::int64_t>(pm.eventsExecuted) -
+        (requests + 2 * pm.batches + prefetch_loads);
 
     std::cout << "serving: " << requests << " requests, "
               << result.stream.eventsExecuted << " events in " << wall
@@ -192,9 +209,10 @@ main(int argc, char **argv)
               << " events/s, "
               << static_cast<std::uint64_t>(requests_per_sec)
               << " requests/s, peak RSS " << rss / (1 << 20) << " MiB\n"
-              << "prefetch: " << prefetch_result.stream.eventsExecuted
-              << " events, " << prefetch_events_per_request
-              << " events/request\n";
+              << "prefetch: " << pm.eventsExecuted << " events, "
+              << prefetch_events_per_request << " events/request, "
+              << pm.prefetchesIssued << " prefetches, " << prefetch_rearms
+              << " batch re-arms\n";
 
     std::ofstream out(json_path);
     out << "{\n"
@@ -210,6 +228,7 @@ main(int argc, char **argv)
         << "  \"events_per_request\": " << events_per_request << ",\n"
         << "  \"prefetch_events_per_request\": "
         << prefetch_events_per_request << ",\n"
+        << "  \"prefetch_batch_rearms\": " << prefetch_rearms << ",\n"
         << "  \"events_per_sec\": " << events_per_sec << ",\n"
         << "  \"requests_per_sec\": " << requests_per_sec << ",\n"
         << "  \"core_events_per_sec\": " << core_eps << ",\n"
@@ -247,6 +266,14 @@ main(int argc, char **argv)
                 std::cout << key << " check passed: " << measured
                           << " <= ceiling " << ceiling << "\n";
             }
+            if (prefetch_rearms <= 0) {
+                std::cerr << "perf_serving: the prefetch pass re-armed "
+                             "no batch; it no longer exercises the "
+                             "early coe.batch_done path\n";
+                return 1;
+            }
+            std::cout << "prefetch pass re-armed " << prefetch_rearms
+                      << " batches\n";
         } else {
             std::cout << "events/request checks skipped: the ceilings "
                          "are pinned at the floor's requests\n";
