@@ -1,9 +1,9 @@
 /**
  * @file
- * Helpers shared by the perf harnesses (perf_serving, perf_cluster):
- * wall-clock timing, peak-RSS readout, and the minimal JSON number
- * extraction the CI floor gates use. One copy, so portability fixes
- * (e.g. ru_maxrss units) and parser hardening apply to every gate.
+ * Helpers shared by perf_gate and the self-checking ablations:
+ * wall-clock timing, peak-RSS readout, commit/timestamp stamps, and
+ * the minimal JSON number extraction the CI floor gate uses. One copy,
+ * so portability fixes (e.g. ru_maxrss units) apply to every bench.
  */
 
 #ifndef SN40L_BENCH_PERF_COMMON_H

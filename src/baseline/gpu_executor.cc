@@ -1,66 +1,10 @@
 #include "baseline/gpu_executor.h"
 
 #include <algorithm>
-#include <cstring>
-#include <mutex>
 
 #include "arch/agcu.h"
-#include "sim/log.h"
-#include "util/lru_cache.h"
 
 namespace sn40l::baseline {
-
-namespace {
-
-/** FNV-1a over raw bytes; good enough to memoize deterministic runs. */
-class Fnv1a
-{
-  public:
-    void
-    mix(const void *data, std::size_t len)
-    {
-        const unsigned char *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < len; ++i) {
-            hash_ ^= p[i];
-            hash_ *= 0x100000001b3ULL;
-        }
-    }
-
-    template <typename T>
-    void
-    mixValue(T value)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        mix(&value, sizeof(value));
-    }
-
-    void
-    mixString(const std::string &s)
-    {
-        mixValue(s.size());
-        mix(s.data(), s.size());
-    }
-
-    std::uint64_t value() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-struct Memo
-{
-    std::mutex mu;
-    util::LruCache<std::uint64_t, GpuRunResult> lru{256};
-};
-
-Memo &
-memo()
-{
-    static Memo m;
-    return m;
-}
-
-} // namespace
 
 double
 GpuExecutor::kernelSeconds(const compiler::Kernel &kernel) const
@@ -90,49 +34,8 @@ GpuExecutor::kernelSeconds(const compiler::Kernel &kernel) const
     return std::max(compute, mem) + collective;
 }
 
-std::uint64_t
-GpuExecutor::fingerprint(const graph::DataflowGraph &graph) const
-{
-    Fnv1a h;
-    // Executor identity: every config field that feeds the cost.
-    h.mixString(cfg_.gpu.name);
-    h.mixValue(cfg_.gpu.peakBf16Flops);
-    h.mixValue(cfg_.gpu.hbmBandwidth);
-    h.mixValue(cfg_.gpu.hbmEfficiency);
-    h.mixValue(cfg_.gpu.peakUtilization);
-    h.mixValue(cfg_.gpu.saturationFlops);
-    h.mixValue(cfg_.gpu.minUtilization);
-    h.mixValue(cfg_.gpu.launchOverheadSeconds);
-    h.mixValue(cfg_.gpu.collectiveLatencySeconds);
-    h.mixValue(cfg_.gpu.nvlinkBandwidth);
-    h.mixValue(cfg_.gpus);
-    h.mixValue(flashAttention_);
-
-    // Graph structure: op kinds, sparsity, wiring, and tensor shapes
-    // (bytes fold dtype + dims) pin the partitioning and the cost.
-    h.mixString(graph.name());
-    h.mixValue(graph.numOps());
-    h.mixValue(graph.numTensors());
-    for (const graph::Operator &op : graph.ops()) {
-        h.mixValue(static_cast<int>(op.kind));
-        h.mixValue(op.sparsity);
-        h.mixValue(op.inputs.size());
-        for (graph::TensorId t : op.inputs)
-            h.mixValue(t);
-        h.mixValue(op.outputs.size());
-        for (graph::TensorId t : op.outputs)
-            h.mixValue(t);
-    }
-    for (const graph::Tensor &t : graph.tensors()) {
-        h.mixValue(static_cast<int>(t.kind));
-        h.mixValue(static_cast<int>(t.dtype));
-        h.mixValue(graph.tensorBytes(t.id));
-    }
-    return h.value();
-}
-
 GpuRunResult
-GpuExecutor::runUncached(const graph::DataflowGraph &graph) const
+GpuExecutor::run(const graph::DataflowGraph &graph) const
 {
     compiler::FusionOptions options;
     options.mode = compiler::ExecMode::GpuConventional;
@@ -160,42 +63,6 @@ GpuExecutor::runUncached(const graph::DataflowGraph &graph) const
         cfg_.gpu.launchOverheadSeconds;
     result.seconds = result.execSeconds + result.launchSeconds;
     return result;
-}
-
-GpuRunResult
-GpuExecutor::run(const graph::DataflowGraph &graph) const
-{
-    std::uint64_t key = fingerprint(graph);
-    {
-        std::lock_guard<std::mutex> lock(memo().mu);
-        if (const GpuRunResult *hit = memo().lru.find(key))
-            return *hit;
-    }
-    GpuRunResult result = runUncached(graph);
-    std::lock_guard<std::mutex> lock(memo().mu);
-    memo().lru.insert(key, result);
-    return result;
-}
-
-std::uint64_t
-GpuExecutor::memoHits()
-{
-    std::lock_guard<std::mutex> lock(memo().mu);
-    return memo().lru.hits();
-}
-
-std::uint64_t
-GpuExecutor::memoMisses()
-{
-    std::lock_guard<std::mutex> lock(memo().mu);
-    return memo().lru.misses();
-}
-
-void
-GpuExecutor::clearMemo()
-{
-    std::lock_guard<std::mutex> lock(memo().mu);
-    memo().lru.clear();
 }
 
 } // namespace sn40l::baseline

@@ -3,13 +3,6 @@
  * GPU baseline executor: runs a dataflow graph under conventional
  * (restricted) fusion with kernel-per-group launches — the execution
  * model the paper compares against (Sections III-A and VI-C).
- *
- * run() memoizes its result in a process-wide LRU keyed by a
- * structural fingerprint of (config, graph): serving sweeps price the
- * same batch shapes over and over, and partitioning + costing the
- * graph is the expensive part. The memo is thread-safe and exact —
- * the computation is deterministic, so a hit is bit-identical to a
- * recompute.
  */
 
 #ifndef SN40L_BASELINE_GPU_EXECUTOR_H
@@ -44,25 +37,14 @@ class GpuExecutor
      * Execute @p graph tensor-parallel across the node's GPUs.
      * Kernels serialize; each pays launch overhead; per-kernel time
      * is the max of compute (utilization-derated) and HBM traffic at
-     * the GPU's sustained efficiency. Memoized on the graph's
-     * structural fingerprint (see file comment).
+     * the GPU's sustained efficiency.
      */
     GpuRunResult run(const graph::DataflowGraph &graph) const;
 
     /** Seconds for one kernel's per-GPU work. */
     double kernelSeconds(const compiler::Kernel &kernel) const;
 
-    /** Memo statistics / reset, exposed for tests and benches. */
-    static std::uint64_t memoHits();
-    static std::uint64_t memoMisses();
-    static void clearMemo();
-
   private:
-    GpuRunResult runUncached(const graph::DataflowGraph &graph) const;
-
-    /** Structural fingerprint of everything run() depends on. */
-    std::uint64_t fingerprint(const graph::DataflowGraph &graph) const;
-
     DgxConfig cfg_;
     bool flashAttention_;
 };

@@ -1,13 +1,11 @@
 #include "coe/faults.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "coe/cluster.h"
 #include "sim/log.h"
 #include "sim/ticks.h"
+#include "util/json.h"
 
 namespace sn40l::coe {
 
@@ -121,92 +119,9 @@ validateFaultPolicy(const FaultPolicyConfig &policy)
 
 namespace {
 
-/**
- * Strict field-by-field JSONL parser, the exact discipline of the
- * request-trace loader (workload.cc): the format is fixed-order and
- * machine-written, so any deviation is corruption and dies with a
- * FatalError naming the file, line, and expectation.
- */
-struct FaultLineParser
-{
-    const std::string &path;
-    std::size_t lineNo;
-    const std::string &line;
-    std::size_t pos = 0;
-
-    [[noreturn]] void
-    die(const std::string &why) const
-    {
-        sim::fatal("faults " + path + " line " +
-                   std::to_string(lineNo) + ": " + why +
-                   " (corrupt or truncated fault schedule?)");
-    }
-
-    void
-    lit(const char *text)
-    {
-        std::size_t n = std::string(text).size();
-        if (line.compare(pos, n, text) != 0)
-            die("expected '" + std::string(text) + "' at column " +
-                std::to_string(pos + 1));
-        pos += n;
-    }
-
-    long long
-    integer(const char *key)
-    {
-        lit("\"");
-        lit(key);
-        lit("\":");
-        const char *begin = line.c_str() + pos;
-        char *end = nullptr;
-        long long v = std::strtoll(begin, &end, 10);
-        if (end == begin)
-            die(std::string("malformed integer for key '") + key +
-                "'");
-        pos += static_cast<std::size_t>(end - begin);
-        return v;
-    }
-
-    double
-    number(const char *key)
-    {
-        lit("\"");
-        lit(key);
-        lit("\":");
-        const char *begin = line.c_str() + pos;
-        char *end = nullptr;
-        double v = std::strtod(begin, &end);
-        if (end == begin)
-            die(std::string("malformed number for key '") + key +
-                "'");
-        pos += static_cast<std::size_t>(end - begin);
-        return v;
-    }
-
-    std::string
-    word(const char *key)
-    {
-        lit("\"");
-        lit(key);
-        lit("\":\"");
-        std::size_t close = line.find('"', pos);
-        if (close == std::string::npos)
-            die(std::string("unterminated string for key '") + key +
-                "'");
-        std::string v = line.substr(pos, close - pos);
-        pos = close + 1;
-        return v;
-    }
-
-    void
-    finish()
-    {
-        lit("}");
-        if (pos != line.size())
-            die("trailing characters after '}'");
-    }
-};
+const util::JsonlFormat kFaultsFormat{"faults", "fault-schedule",
+                                      "corrupt or truncated fault schedule?",
+                                      "sn40l_faults", "events"};
 
 } // namespace
 
@@ -215,57 +130,28 @@ writeFaultSchedule(const std::string &path,
                    const std::vector<FaultEvent> &schedule)
 {
     validateFaultSchedule(schedule, 0);
-    std::ofstream out(path);
-    if (!out)
-        sim::fatal("faults: cannot write " + path);
-    out << "{\"sn40l_faults\":1,\"events\":" << schedule.size()
-        << "}\n";
-    for (const FaultEvent &e : schedule) {
-        std::ostringstream nums;
-        nums.precision(17);
-        nums << "\"at\":" << e.atSeconds << ",\"kind\":\""
-             << faultKindName(e.kind) << "\",\"node\":" << e.node
-             << ",\"factor\":" << e.factor
-             << ",\"duration\":" << e.durationSeconds;
-        out << "{" << nums.str() << "}\n";
-    }
-    if (!out)
-        sim::fatal("faults: write to " + path + " failed");
+    util::writeJsonl(kFaultsFormat, path, schedule.size(),
+                     [&](util::JsonWriter &w, std::size_t i) {
+                         const FaultEvent &e = schedule[i];
+                         w.field("at", e.atSeconds)
+                             .field("kind", faultKindName(e.kind))
+                             .field("node", e.node)
+                             .field("factor", e.factor)
+                             .field("duration", e.durationSeconds);
+                     });
 }
 
 std::vector<FaultEvent>
 loadFaultSchedule(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("faults: cannot open " + path);
-
-    std::string line;
-    if (!std::getline(in, line))
-        sim::fatal("faults " + path + ": empty file (expected a "
-                   "{\"sn40l_faults\":1,...} header)");
-    FaultLineParser header{path, 1, line};
-    header.lit("{");
-    long long version = header.integer("sn40l_faults");
-    if (version != 1)
-        header.die("unsupported fault-schedule version " +
-                   std::to_string(version));
-    header.lit(",");
-    long long events = header.integer("events");
-    header.finish();
-    if (events < 0)
-        header.die("negative event count");
-
     std::vector<FaultEvent> schedule;
-    schedule.reserve(static_cast<std::size_t>(events));
     double prev = 0.0;
-    for (long long i = 0; i < events; ++i) {
-        if (!std::getline(in, line))
-            sim::fatal("faults " + path + ": truncated after " +
-                       std::to_string(i) + " of " +
-                       std::to_string(events) + " events");
-        FaultLineParser p{path, static_cast<std::size_t>(i + 2),
-                          line};
+    auto header = [&](util::JsonLineParser &h, long long events) {
+        if (events < 0)
+            h.die("negative event count");
+        schedule.reserve(static_cast<std::size_t>(events));
+    };
+    auto record = [&](util::JsonLineParser &p, long long) {
         FaultEvent e;
         p.lit("{");
         e.atSeconds = p.number("at");
@@ -301,15 +187,8 @@ loadFaultSchedule(const std::string &path)
             p.die("failure probability outside [0, 1]");
         prev = e.atSeconds;
         schedule.push_back(e);
-    }
-    // Anything after the promised events is corruption; scan every
-    // remaining line (tolerating pure trailing newlines) so garbage
-    // cannot hide behind a blank line.
-    while (std::getline(in, line)) {
-        if (!line.empty())
-            sim::fatal("faults " + path + ": trailing garbage after " +
-                       std::to_string(events) + " events");
-    }
+    };
+    util::readJsonl(kFaultsFormat, path, header, record);
     return schedule;
 }
 

@@ -2,10 +2,10 @@
  * @file
  * Unified JSON emission for serving/cluster metrics. Every consumer
  * that used to hand-roll `out << "{\"key\": ..."` — `sn40l_run sweep
- * --json`, the new `sn40l_run cluster --json`, bench/perf_cluster,
- * and the cluster controller's JSONL decision log — now funnels
- * through these emitters on top of util::JsonWriter, so field names
- * and number formatting cannot drift between reporters again.
+ * --json`, the new `sn40l_run cluster --json`, and the cluster
+ * controller's JSONL decision log — now funnels through these
+ * emitters on top of util::JsonWriter, so field names and number
+ * formatting cannot drift between reporters again.
  *
  * The field emitters (`*Fields`) write key/value pairs into an object
  * the caller has already opened, so envelopes compose: a sweep point

@@ -244,8 +244,8 @@ computePhaseCosts(const ServingConfig &cfg)
         : baseline::DgxConfig::dgxH100();
     baseline::GpuExecutor executor(dgx);
 
-    // GpuExecutor::run memoizes on the graph fingerprint; the outer
-    // memo additionally skips rebuilding the graph on repeat shapes.
+    // The process-wide cost memo prices each shape once per platform,
+    // graph build included.
     auto seconds = [&](const WorkloadSpec &spec) {
         return CostModelCache::instance().seconds(
             workloadCostKey(platformName(cfg.platform), spec), [&]() {

@@ -308,7 +308,7 @@ struct StreamMetrics
     double specTokensPerStep = 0.0;
 
     /** Simulator events the run executed (perf accounting, not a
-     *  modeled quantity — see bench/perf_serving). */
+     *  modeled quantity — see bench/perf_gate). */
     std::uint64_t eventsExecuted = 0;
 };
 

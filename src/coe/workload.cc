@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -13,6 +10,7 @@
 #include "sim/log.h"
 #include "sim/rng.h"
 #include "sim/ticks.h"
+#include "util/json.h"
 
 namespace sn40l::coe {
 
@@ -521,131 +519,42 @@ buildTenantMix(const ServingConfig &cfg)
 
 namespace {
 
-/**
- * Strict field-by-field JSONL parser: the format is fixed-order and
- * machine-written, so any deviation is corruption and dies with a
- * FatalError naming the file, line, and expectation.
- */
-struct LineParser
-{
-    const std::string &path;
-    std::size_t lineNo;
-    const std::string &line;
-    std::size_t pos = 0;
-
-    [[noreturn]] void
-    die(const std::string &why) const
-    {
-        sim::fatal("trace " + path + " line " + std::to_string(lineNo) +
-                   ": " + why + " (corrupt or truncated trace?)");
-    }
-
-    void
-    lit(const char *text)
-    {
-        std::size_t n = std::string(text).size();
-        if (line.compare(pos, n, text) != 0)
-            die("expected '" + std::string(text) + "' at column " +
-                std::to_string(pos + 1));
-        pos += n;
-    }
-
-    long long
-    integer(const char *key)
-    {
-        lit("\"");
-        lit(key);
-        lit("\":");
-        const char *begin = line.c_str() + pos;
-        char *end = nullptr;
-        long long v = std::strtoll(begin, &end, 10);
-        if (end == begin)
-            die(std::string("malformed integer for key '") + key + "'");
-        pos += static_cast<std::size_t>(end - begin);
-        return v;
-    }
-
-    double
-    number(const char *key)
-    {
-        lit("\"");
-        lit(key);
-        lit("\":");
-        const char *begin = line.c_str() + pos;
-        char *end = nullptr;
-        double v = std::strtod(begin, &end);
-        if (end == begin)
-            die(std::string("malformed number for key '") + key + "'");
-        pos += static_cast<std::size_t>(end - begin);
-        return v;
-    }
-
-    void
-    finish()
-    {
-        lit("}");
-        if (pos != line.size())
-            die("trailing characters after '}'");
-    }
-};
+const util::JsonlFormat kTraceFormat{"trace", "trace",
+                                     "corrupt or truncated trace?",
+                                     "sn40l_trace", "requests"};
 
 } // namespace
 
 void
 writeTrace(const std::string &path, const std::vector<TraceEntry> &entries)
 {
-    std::ofstream out(path);
-    if (!out)
-        sim::fatal("trace: cannot write " + path);
-    out << "{\"sn40l_trace\":1,\"requests\":" << entries.size() << "}\n";
-    for (const TraceEntry &e : entries) {
-        const TrafficRequest &r = e.request;
-        std::ostringstream deadline;
-        deadline.precision(17);
-        deadline << r.deadlineSeconds;
-        out << "{\"id\":" << r.id << ",\"tick\":" << e.tick
-            << ",\"tenant\":" << r.tenant << ",\"expert\":" << r.expert
-            << ",\"session\":" << r.session << ",\"turn\":" << r.turn
-            << ",\"prompt\":" << r.promptLen
-            << ",\"tokens\":" << r.outputTokens
-            << ",\"prio\":" << r.priority
-            << ",\"deadline\":" << deadline.str() << "}\n";
-    }
-    if (!out)
-        sim::fatal("trace: write to " + path + " failed");
+    util::writeJsonl(kTraceFormat, path, entries.size(),
+                     [&](util::JsonWriter &w, std::size_t i) {
+                         const TrafficRequest &r = entries[i].request;
+                         w.field("id", r.id)
+                             .field("tick", entries[i].tick)
+                             .field("tenant", r.tenant)
+                             .field("expert", r.expert)
+                             .field("session", r.session)
+                             .field("turn", r.turn)
+                             .field("prompt", r.promptLen)
+                             .field("tokens", r.outputTokens)
+                             .field("prio", r.priority)
+                             .field("deadline", r.deadlineSeconds);
+                     });
 }
 
 std::vector<TraceEntry>
 loadTrace(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("trace: cannot open " + path);
-
-    std::string line;
-    if (!std::getline(in, line))
-        sim::fatal("trace " + path + ": empty file (expected a "
-                   "{\"sn40l_trace\":1,...} header)");
-    LineParser header{path, 1, line};
-    header.lit("{");
-    long long version = header.integer("sn40l_trace");
-    if (version != 1)
-        header.die("unsupported trace version " + std::to_string(version));
-    header.lit(",");
-    long long requests = header.integer("requests");
-    header.finish();
-    if (requests <= 0)
-        header.die("trace declares no requests");
-
     std::vector<TraceEntry> entries;
-    entries.reserve(static_cast<std::size_t>(requests));
     sim::Tick prevTick = -1;
-    for (long long i = 0; i < requests; ++i) {
-        if (!std::getline(in, line))
-            sim::fatal("trace " + path + ": truncated after " +
-                       std::to_string(i) + " of " +
-                       std::to_string(requests) + " requests");
-        LineParser p{path, static_cast<std::size_t>(i + 2), line};
+    auto header = [&](util::JsonLineParser &h, long long requests) {
+        if (requests <= 0)
+            h.die("trace declares no requests");
+        entries.reserve(static_cast<std::size_t>(requests));
+    };
+    auto record = [&](util::JsonLineParser &p, long long i) {
         TraceEntry e;
         p.lit("{");
         e.request.id = static_cast<int>(p.integer("id"));
@@ -683,15 +592,8 @@ loadTrace(const std::string &path)
             p.die("negative field value");
         prevTick = e.tick;
         entries.push_back(e);
-    }
-    // Anything after the promised requests is corruption; scan every
-    // remaining line (tolerating pure trailing newlines) so garbage
-    // cannot hide behind a blank line.
-    while (std::getline(in, line)) {
-        if (!line.empty())
-            sim::fatal("trace " + path + ": trailing garbage after " +
-                       std::to_string(requests) + " requests");
-    }
+    };
+    util::readJsonl(kTraceFormat, path, header, record);
     return entries;
 }
 

@@ -18,7 +18,7 @@ runConfigName(RunConfig config)
 RunOutcome
 runWorkload(const graph::DataflowGraph &graph,
             const arch::NodeConfig &node_cfg, int sockets,
-            RunConfig config)
+            RunConfig config, TraceWriter *trace)
 {
     compiler::CompileOptions options;
     options.fusion.tensorParallel = sockets;
@@ -36,6 +36,7 @@ runWorkload(const graph::DataflowGraph &graph,
     sim::EventQueue eq;
     RduNode node(eq, node_cfg);
     Executor executor(node);
+    executor.setTrace(trace);
     outcome.result = executor.run(outcome.program, orch);
     return outcome;
 }

@@ -36,11 +36,12 @@ struct RunOutcome
 
 /**
  * Compile @p graph for @p sockets-way tensor parallelism and execute
- * it on a fresh node in the given configuration.
+ * it on a fresh node in the given configuration, recording the
+ * timeline into @p trace when one is given.
  */
 RunOutcome runWorkload(const graph::DataflowGraph &graph,
                        const arch::NodeConfig &node_cfg, int sockets,
-                       RunConfig config);
+                       RunConfig config, TraceWriter *trace = nullptr);
 
 /** Per-token decode seconds for a spec, on @p sockets sockets. */
 double decodeSecondsPerToken(const graph::DataflowGraph &decode_graph,

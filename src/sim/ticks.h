@@ -67,14 +67,28 @@ checkedAdd(Tick t, Tick dt, const char *label)
     return t + dt;
 }
 
-constexpr Tick fromPs(double ps) { return static_cast<Tick>(ps); }
-constexpr Tick fromNs(double ns) { return static_cast<Tick>(ns * kTicksPerNs); }
-constexpr Tick fromMs(double ms) { return static_cast<Tick>(ms * kTicksPerMs); }
+inline Tick
+fromPs(double ps)
+{
+    return checkedTicks(ps, "sim::fromPs");
+}
+
+inline Tick
+fromNs(double ns)
+{
+    return checkedTicks(ns * kTicksPerNs, "sim::fromNs");
+}
 
 inline Tick
 fromUs(double us)
 {
     return checkedTicks(us * kTicksPerUs, "sim::fromUs");
+}
+
+inline Tick
+fromMs(double ms)
+{
+    return checkedTicks(ms * kTicksPerMs, "sim::fromMs");
 }
 
 inline Tick

@@ -119,14 +119,28 @@ TEST(Ticks, FromSecondsRejectsNonFiniteAndOutOfRange)
                           {"sim::fromSeconds", "9.2e6 s"});
 }
 
-TEST(Ticks, FromUsRejectsNonFiniteAndOutOfRange)
+TEST(Ticks, SubSecondConversionsRejectNonFiniteAndOutOfRange)
 {
-    EXPECT_EQ(sim::fromUs(2.5), 5 * sim::kTicksPerUs / 2);
-    EXPECT_EQ(sim::fromUs(9.2e12), 9'200'000 * sim::kTicksPerSec);
+    struct Row
+    {
+        sim::Tick (*from)(double);
+        const char *name;
+        sim::Tick unit; ///< ticks per unit
+    };
+    const Row rows[] = {{sim::fromPs, "sim::fromPs", sim::kTicksPerPs},
+                        {sim::fromNs, "sim::fromNs", sim::kTicksPerNs},
+                        {sim::fromUs, "sim::fromUs", sim::kTicksPerUs},
+                        {sim::fromMs, "sim::fromMs", sim::kTicksPerMs}};
     const double inf = std::numeric_limits<double>::infinity();
-    for (double us : {std::nan(""), inf, -inf, 9.3e12, 1e300})
-        expectFatalNaming([us]() { sim::fromUs(us); },
-                          {"sim::fromUs", "9.2e6 s"});
+    for (const Row &r : rows) {
+        SCOPED_TRACE(r.name);
+        const double per_sec = static_cast<double>(sim::kTicksPerSec / r.unit);
+        EXPECT_EQ(r.from(2.5 * per_sec), 5 * sim::kTicksPerSec / 2);
+        EXPECT_EQ(r.from(9.2e6 * per_sec), 9'200'000 * sim::kTicksPerSec);
+        for (double v : {std::nan(""), inf, -inf, 9.3e6 * per_sec, 1e300})
+            expectFatalNaming([&r, v]() { r.from(v); },
+                              {r.name, "9.2e6 s"});
+    }
 }
 
 TEST(Ticks, TransferTicksRejectsSpansPastTheTickRange)

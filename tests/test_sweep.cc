@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the parallel sweep runner, the generic LRU cache, and the
- * cost-model memoization layer (serving + GPU executor).
+ * cost-model memoization layer.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "baseline/gpu_executor.h"
 #include "coe/cost_cache.h"
 #include "coe/sweep.h"
 #include "models/transformer_builder.h"
@@ -119,36 +118,6 @@ TEST(CostModelCache, ServingSimulatorPricesEachShapeOnce)
     EXPECT_DOUBLE_EQ(first.phaseCosts().routerSeconds,
                      second.phaseCosts().routerSeconds);
     CostModelCache::instance().clear();
-}
-
-// -------------------------------------------------- GpuExecutor memo
-
-TEST(GpuExecutorMemo, SameGraphPricedOnce)
-{
-    baseline::GpuExecutor::clearMemo();
-    baseline::GpuExecutor executor(baseline::DgxConfig::dgxA100());
-
-    models::WorkloadSpec spec;
-    spec.model = models::LlmConfig::llama2_7b();
-    spec.phase = models::Phase::Decode;
-    spec.batch = 2;
-    spec.seqLen = 512;
-    spec.tensorParallel = 8;
-    graph::DataflowGraph g = models::buildTransformer(spec);
-
-    baseline::GpuRunResult a = executor.run(g);
-    std::uint64_t misses = baseline::GpuExecutor::memoMisses();
-    baseline::GpuRunResult b = executor.run(g);
-    EXPECT_EQ(baseline::GpuExecutor::memoMisses(), misses);
-    EXPECT_GT(baseline::GpuExecutor::memoHits(), 0u);
-    EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
-    EXPECT_EQ(a.kernels, b.kernels);
-
-    // A different config prices separately even for the same graph.
-    baseline::GpuExecutor h100(baseline::DgxConfig::dgxH100());
-    baseline::GpuRunResult c = h100.run(g);
-    EXPECT_NE(a.seconds, c.seconds);
-    baseline::GpuExecutor::clearMemo();
 }
 
 // ------------------------------------------------------------- Sweep

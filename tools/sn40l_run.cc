@@ -962,24 +962,11 @@ run(int argc, char **argv)
     graph::DataflowGraph g = models::buildTransformer(spec);
     arch::NodeConfig node_cfg = arch::NodeConfig::sn40lNode(sockets);
 
-    // Compile + run (with optional tracing, mirroring runWorkload).
-    compiler::CompileOptions options;
-    options.fusion.tensorParallel = tp;
-    options.fusion.mode = config == runtime::RunConfig::Unfused
-        ? compiler::ExecMode::RduUnfused
-        : compiler::ExecMode::RduFused;
-    compiler::Program prog = compiler::compile(g, node_cfg.chip, options);
-
-    sim::EventQueue eq;
-    runtime::RduNode node(eq, node_cfg);
-    runtime::Executor executor(node);
     runtime::TraceWriter trace;
-    if (!trace_path.empty())
-        executor.setTrace(&trace);
-    runtime::ExecutionResult result = executor.run(
-        prog, config == runtime::RunConfig::FusedHO
-                  ? arch::Orchestration::Hardware
-                  : arch::Orchestration::Software);
+    runtime::RunOutcome outcome = runtime::runWorkload(
+        g, node_cfg, tp, config, trace_path.empty() ? nullptr : &trace);
+    const compiler::Program &prog = outcome.program;
+    const runtime::ExecutionResult &result = outcome.result;
 
     util::Table report({"Quantity", "Value"});
     report.addRow({"Workload", spec.str()});
