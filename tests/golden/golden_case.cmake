@@ -2,18 +2,19 @@
 # byte, against the checked-in files.
 #
 #   cmake -DBIN=<sn40l_run> -DBENCH_DIR=<dir of the bench binaries>
+#         -DEXAMPLES_DIR=<dir of the example binaries>
 #         -DCASE=<name> -DGOLDEN_DIR=<tests/golden>
 #         -DWORK_DIR=<scratch dir> [-DUPDATE=ON] -P golden_case.cmake
 #
 # <name>.cmd holds one command line: `sn40l_run ...`, or the name of
-# a bench binary (a paper figure or table) and its arguments. It runs
+# a bench or example binary and its arguments. It runs
 # inside WORK_DIR, which starts as a copy of <GOLDEN_DIR>/inputs. Its
 # stdout must match <name>.stdout; every file it writes through --json, --controller-log
 # or --trace-out must match <name>.<file>. Only host time is masked:
 # the sweep summary's "... events in X s (Y events/s" and JSON
 # "wall_s" values. UPDATE=ON rewrites the expected files instead.
 
-foreach(var BIN BENCH_DIR CASE GOLDEN_DIR WORK_DIR)
+foreach(var BIN BENCH_DIR EXAMPLES_DIR CASE GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_case.cmake: -D${var}=... is required")
   endif()
@@ -25,6 +26,8 @@ if(NOT cmd_line MATCHES "^([a-z0-9_]+)( (.*))?$")
 endif()
 if(CMAKE_MATCH_1 STREQUAL "sn40l_run")
   set(exe "${BIN}")
+elseif(EXISTS "${EXAMPLES_DIR}/${CMAKE_MATCH_1}")
+  set(exe "${EXAMPLES_DIR}/${CMAKE_MATCH_1}")
 else()
   set(exe "${BENCH_DIR}/${CMAKE_MATCH_1}")
 endif()

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Regenerate the golden files from the current sn40l_run and bench
-# builds.
+# Regenerate the golden files from the current sn40l_run, bench and
+# example builds.
 #
 #   tests/golden/update.sh [build-dir]     (default: build)
 #
@@ -11,10 +11,12 @@ build=${1:-build}
 golden=$(cd "$(dirname "$0")" && pwd)
 bin=$(cd "$build" && pwd)/tools/sn40l_run
 bench=$(cd "$build" && pwd)/bench
+examples=$(cd "$build" && pwd)/examples
 test -x "$bin" || { echo "no sn40l_run under $build/tools" >&2; exit 1; }
 for cmd in "$golden"/*.cmd; do
   name=$(basename "$cmd" .cmd)
-  cmake -DBIN="$bin" -DBENCH_DIR="$bench" -DCASE="$name" \
+  cmake -DBIN="$bin" -DBENCH_DIR="$bench" \
+        -DEXAMPLES_DIR="$examples" -DCASE="$name" \
         -DGOLDEN_DIR="$golden" \
         -DWORK_DIR="$build/golden/$name" -DUPDATE=ON \
         -P "$golden/golden_case.cmake"
