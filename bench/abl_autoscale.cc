@@ -103,7 +103,6 @@ main(int argc, char **argv)
     const double period = duration / 3.0;
 
     coe::ServingConfig gen;
-    gen.mode = coe::ServingMode::EventDriven;
     gen.numExperts = 150;
     gen.batch = 8;
     gen.streamRequests = requests;

@@ -112,7 +112,6 @@ main(int argc, char **argv)
     const double duration = static_cast<double>(requests) / total_rate;
 
     coe::ServingConfig gen;
-    gen.mode = coe::ServingMode::EventDriven;
     gen.numExperts = 150;
     gen.batch = 8;
     gen.streamRequests = requests;

@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "coe/serving.h"
+#include "coe/cluster.h"
 #include "util/table.h"
 
 using namespace sn40l;
@@ -35,7 +35,6 @@ main(int argc, char **argv)
         for (SchedulerPolicy policy :
              {SchedulerPolicy::Fifo, SchedulerPolicy::ExpertAffinity}) {
             ServingConfig cfg;
-            cfg.mode = ServingMode::EventDriven;
             cfg.platform = Platform::Sn40l;
             cfg.numExperts = 150;
             cfg.batch = 8;

@@ -14,9 +14,9 @@
 
 #include <iostream>
 
+#include "coe/cluster.h"
 #include "coe/coe_runtime.h"
 #include "coe/router.h"
-#include "coe/serving.h"
 #include "util/table.h"
 
 using namespace sn40l;
@@ -87,7 +87,6 @@ main()
              {RoutingDistribution::Zipf, RoutingDistribution::Uniform}) {
             ServingConfig scfg;
             scfg.platform = Platform::Sn40l;
-            scfg.mode = ServingMode::EventDriven;
             scfg.numExperts = 150;
             scfg.batch = 1;
             scfg.routing = dist;

@@ -69,7 +69,6 @@ main(int argc, char **argv)
             cfg.placement = placement;
             cfg.dispatch = coe::DispatchPolicy::LeastOutstanding;
             cfg.hotExperts = 15;
-            cfg.node.mode = coe::ServingMode::EventDriven;
             cfg.node.numExperts = 150;
             cfg.node.batch = 8;
             cfg.node.streamRequests = requests;

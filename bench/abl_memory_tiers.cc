@@ -6,15 +6,15 @@
  * over PCIe, and (c) DGX baselines — isolating how much of the win
  * comes from the accelerator-local DDR tier (Section III-B).
  *
- * Part one is the closed-form per-batch accounting; part two serves a
- * live request stream in EventDriven mode, where every expert switch
+ * Part one is the closed-form per-batch accounting (analyticBatches);
+ * part two serves a live request stream, where every expert switch
  * is a real DMA transfer on the platform's MemorySystem and the
  * backing-tier bandwidth decides how much of it the router hides.
  */
 
 #include <iostream>
 
-#include "coe/serving.h"
+#include "coe/cluster.h"
 #include "models/llm_config.h"
 #include "runtime/machine.h"
 #include "util/table.h"
@@ -49,12 +49,10 @@ main()
 
     ServingConfig cfg;
     cfg.numExperts = 150;
-    cfg.requests = 200;
 
     cfg.platform = Platform::Sn40l;
-    ServingSimulator rdu_sim(cfg);
-    ServingResult rdu = rdu_sim.run();
-    PhaseCosts costs = rdu_sim.phaseCosts();
+    ServingResult rdu = analyticBatches(cfg, 200);
+    PhaseCosts costs = computePhaseCosts(cfg);
 
     // SN40L-without-DDR: identical execution, but misses load over the
     // host PCIe link instead of node DDR.
@@ -67,9 +65,9 @@ main()
         rdu.missRate * pcie_switch; // per batch, BS=1
 
     cfg.platform = Platform::DgxA100;
-    ServingResult a100 = ServingSimulator(cfg).run();
+    ServingResult a100 = analyticBatches(cfg, 200);
     cfg.platform = Platform::DgxH100;
-    ServingResult h100 = ServingSimulator(cfg).run();
+    ServingResult h100 = analyticBatches(cfg, 200);
 
     util::Table table({"Configuration", "Switch path", "Per-request",
                        "vs three-tier"});
@@ -101,7 +99,7 @@ main()
               << "switching cheap.\n";
 
     // --------------------------------------------------------------
-    // Live request stream: the same tiers under EventDriven serving,
+    // Live request stream: the same tiers under event-driven serving,
     // where switches are DMA transfers that the router and decode
     // traffic can (or cannot) hide.
     std::cout << "\nEvent-driven stream (Zipf routing, batch 1, 6 req/s, "
@@ -109,7 +107,6 @@ main()
               << "platform's memory system.\n\n";
 
     ServingConfig scfg;
-    scfg.mode = ServingMode::EventDriven;
     scfg.numExperts = 150;
     scfg.batch = 1;
     scfg.routing = RoutingDistribution::Zipf;

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "arch/chip_config.h"
-#include "coe/serving.h"
+#include "coe/cluster.h"
 #include "models/llm_config.h"
 #include "perf_common.h"
 #include "sim/log.h"
@@ -145,7 +145,6 @@ main(int argc, char **argv)
     for (int slots : slot_sweep) {
         ServingConfig cfg;
         cfg.platform = Platform::Sn40l;
-        cfg.mode = ServingMode::EventDriven;
         cfg.numExperts = adapters;
         cfg.zoo.enabled = true;
         cfg.zoo.rank = rank;

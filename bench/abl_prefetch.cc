@@ -3,12 +3,12 @@
  * Ablation A8: predictive expert prefetching. Two models of the same
  * idea:
  *
- *  - Analytic (LegacyAnalytic mode): the closed-form overlap bound —
+ *  - Analytic (coe::analyticBatches): the closed-form overlap bound —
  *    once the router picks the batch's experts, their DDR->HBM copies
  *    hide behind the router and earlier prompts' executions, and only
  *    the remainder is charged.
  *
- *  - Event-driven (EventDriven mode): real speculative prefetch. The
+ *  - Event-driven (ServingSimulator): real speculative prefetch. The
  *    router's decision for queued-but-unscheduled requests enqueues
  *    low-priority DDR->HBM DMA that contends with decode traffic on
  *    the live memory system, is promoted to demand priority when the
@@ -20,7 +20,7 @@
 
 #include <iostream>
 
-#include "coe/serving.h"
+#include "coe/cluster.h"
 #include "util/table.h"
 
 using namespace sn40l;
@@ -36,9 +36,8 @@ serveAnalytic(int experts, int batch, bool prefetch)
     cfg.numExperts = experts;
     cfg.batch = batch;
     cfg.outputTokens = 20;
-    cfg.requests = 200;
     cfg.predictivePrefetch = prefetch;
-    return ServingSimulator(cfg).run();
+    return analyticBatches(cfg, 200);
 }
 
 ServingConfig
@@ -46,7 +45,6 @@ streamConfig(bool prefetch)
 {
     ServingConfig cfg;
     cfg.platform = Platform::Sn40l;
-    cfg.mode = ServingMode::EventDriven;
     cfg.numExperts = 150;
     cfg.batch = 1; // per-request batches: the switch is fully exposed
     cfg.outputTokens = 20;

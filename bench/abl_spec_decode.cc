@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "coe/serving.h"
+#include "coe/cluster.h"
 #include "perf_common.h"
 #include "runtime/spec_decode.h"
 #include "util/json.h"
@@ -58,7 +58,6 @@ baseConfig(int requests)
 {
     ServingConfig cfg;
     cfg.platform = Platform::Sn40l;
-    cfg.mode = ServingMode::EventDriven;
     // A small, fully-resident expert set: no DMA misses, so the sweep
     // isolates the decode-loop shape rather than cache behaviour.
     cfg.numExperts = 8;

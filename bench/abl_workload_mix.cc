@@ -26,7 +26,7 @@
 #include <iostream>
 #include <string>
 
-#include "coe/serving.h"
+#include "coe/cluster.h"
 #include "coe/workload.h"
 #include "util/table.h"
 
@@ -39,7 +39,6 @@ ServingConfig
 baseConfig(int requests)
 {
     ServingConfig cfg;
-    cfg.mode = ServingMode::EventDriven;
     cfg.platform = Platform::Sn40l;
     cfg.numExperts = 150;
     cfg.batch = 8;

@@ -30,9 +30,8 @@ breakdownForBatch(int batch)
         cfg.numExperts = 150;
         cfg.batch = batch;
         cfg.outputTokens = 20;
-        cfg.requests = 200;
 
-        ServingResult r = ServingSimulator(cfg).run();
+        ServingResult r = analyticBatches(cfg, 200);
         const LatencyBreakdown &b = r.perBatch;
         table.addRow({platformName(p),
                       util::formatSeconds(b.routerSeconds),

@@ -24,8 +24,7 @@ point(Platform p, int experts, int batch)
     cfg.numExperts = experts;
     cfg.batch = batch;
     cfg.outputTokens = 20;
-    cfg.requests = 200;
-    ServingResult r = ServingSimulator(cfg).run();
+    ServingResult r = analyticBatches(cfg, 200);
     if (r.oom)
         return "OOM";
     return util::formatDouble(r.perBatch.total() * 1e3, 1);

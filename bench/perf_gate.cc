@@ -115,7 +115,6 @@ baseConfig(int nodes, int requests)
 {
     coe::ClusterConfig cfg;
     cfg.nodes = nodes;
-    cfg.node.mode = coe::ServingMode::EventDriven;
     cfg.node.numExperts = 150;
     cfg.node.batch = 8;
     cfg.node.streamRequests = requests;

@@ -24,8 +24,7 @@ serve(Platform p, int batch, int tokens, int experts = 150)
     cfg.numExperts = experts;
     cfg.batch = batch;
     cfg.outputTokens = tokens;
-    cfg.requests = 200;
-    return ServingSimulator(cfg).run();
+    return analyticBatches(cfg, 200);
 }
 
 } // namespace
@@ -94,11 +93,11 @@ main()
     {
         ServingConfig cfg;
         cfg.platform = Platform::Sn40l;
-        double rdu = ServingSimulator(cfg).phaseCosts().switchSeconds;
+        double rdu = computePhaseCosts(cfg).switchSeconds;
         cfg.platform = Platform::DgxA100;
-        double a = ServingSimulator(cfg).phaseCosts().switchSeconds;
+        double a = computePhaseCosts(cfg).switchSeconds;
         cfg.platform = Platform::DgxH100;
-        double h = ServingSimulator(cfg).phaseCosts().switchSeconds;
+        double h = computePhaseCosts(cfg).switchSeconds;
         table.addRow({"Model Switching Time",
                       util::formatDouble(a / rdu, 0) + "x", "31x",
                       util::formatDouble(h / rdu, 0) + "x", "15x"});

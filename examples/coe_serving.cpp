@@ -2,8 +2,8 @@
  * @file
  * Serve a trillion-parameter Composition of Experts: 150 Llama2-7B
  * experts with a router, on a simulated SN40L node and on DGX
- * baselines, printing the per-request latency breakdown (the paper's
- * Fig 1 / Fig 9 flow).
+ * baselines, printing the per-batch latency breakdown of the paper's
+ * closed-form model (coe::analyticBatches, the Fig 1 / Fig 9 flow).
  *
  * Ends with the event-driven streaming mode (the `sn40l_run serve`
  * subcommand): an open-loop Poisson request stream through the
@@ -16,7 +16,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "coe/serving.h"
+#include "coe/cluster.h"
 #include "util/table.h"
 
 using namespace sn40l;
@@ -29,7 +29,6 @@ main(int argc, char **argv)
     cfg.numExperts = argc > 1 ? std::atoi(argv[1]) : 150;
     cfg.batch = argc > 2 ? std::atoi(argv[2]) : 8;
     cfg.outputTokens = argc > 3 ? std::atoi(argv[3]) : 20;
-    cfg.requests = 200;
 
     std::cout << "Samba-CoE serving: " << cfg.numExperts
               << " Llama2-7B experts ("
@@ -46,8 +45,7 @@ main(int argc, char **argv)
     for (Platform p : {Platform::Sn40l, Platform::DgxH100,
                        Platform::DgxA100}) {
         cfg.platform = p;
-        ServingSimulator sim(cfg);
-        ServingResult r = sim.run();
+        ServingResult r = analyticBatches(cfg, 200);
         if (r.oom) {
             table.addRow({platformName(p), "-", "-", "-",
                           "OUT OF MEMORY", "-", "-"});
@@ -68,7 +66,7 @@ main(int argc, char **argv)
 
     if (rdu_total > 0.0) {
         cfg.platform = Platform::DgxA100;
-        ServingResult a100 = ServingSimulator(cfg).run();
+        ServingResult a100 = analyticBatches(cfg, 200);
         if (!a100.oom) {
             std::cout << "\nSN40L node speedup over DGX A100: "
                       << util::formatDouble(
@@ -92,7 +90,6 @@ main(int argc, char **argv)
          {SchedulerPolicy::Fifo, SchedulerPolicy::ExpertAffinity}) {
         ServingConfig scfg = cfg;
         scfg.platform = Platform::Sn40l;
-        scfg.mode = ServingMode::EventDriven;
         scfg.routing = RoutingDistribution::Zipf;
         scfg.arrivalRatePerSec = 16.0;
         scfg.streamRequests = 300;

@@ -497,11 +497,8 @@ validateClusterConfig(const ClusterConfig &cfg)
 
 ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
 {
-    cfg_.node.mode = ServingMode::EventDriven;
     validateClusterConfig(cfg_);
     costs_ = computePhaseCosts(cfg_.node);
-    if (cfg_.node.expertRegionBytes > 0)
-        costs_.expertRegionBytes = cfg_.node.expertRegionBytes;
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
@@ -1814,6 +1811,43 @@ ClusterSimulator::finish()
     controller_.reset();
     faults_.reset();
     rs_.reset();
+    return result;
+}
+
+ServingSimulator::ServingSimulator(ServingConfig cfg)
+    : cluster_([&cfg] {
+          ClusterConfig single; // one node, full replication
+          single.node = std::move(cfg);
+          return single;
+      }())
+{
+}
+
+ServingResult
+ServingSimulator::run()
+{
+    const ServingConfig &cfg = cluster_.config().node;
+    const PhaseCosts &costs = cluster_.phaseCosts();
+    // Every expert (or adapter) of buildServingZoo() is one size.
+    double expert_bytes = cfg.zoo.enabled
+        ? loraAdapterBytes(cfg.expertBase, cfg.zoo.rank)
+        : cfg.expertBase.weightBytes();
+    ServingResult result;
+    result.residentCapacityExperts = static_cast<int>(
+        static_cast<double>(
+            ServingEngine::effectiveExpertRegionBytes(cfg, costs)) /
+        expert_bytes);
+
+    ClusterResult r = cluster_.run();
+    result.oom = r.oom;
+    if (r.oom)
+        return result;
+    result.stream = r.stream;
+    result.perBatch = r.perBatch;
+    result.missRate = r.missRate;
+    result.expertSecondsPerPrompt =
+        costs.prefillSeconds +
+        cfg.outputTokens * costs.decodeSecondsPerToken;
     return result;
 }
 

@@ -32,8 +32,8 @@
  * times, and coe::ClusterController (controller.h) closes the loop
  * with a policy. run() still does the whole dance in one call.
  *
- * The cluster is the only event-driven driver: ServingSimulator's
- * EventDriven mode runs a 1-node, full-replication cluster, so
+ * The cluster is the only event-driven driver: ServingSimulator is
+ * a 1-node, full-replication cluster, so
  * finish() is the one place that turns engines into StreamMetrics,
  * the Fig 1 per-batch split and the run's counters.
  */
@@ -114,8 +114,8 @@ struct ClusterConfig
 {
     /**
      * The per-node serving stack (platform, experts, batch, scheduler,
-     * prefetch, arrivals). mode is forced to EventDriven; streamRequests,
-     * routing, and the arrival process are cluster-wide.
+     * prefetch, arrivals). streamRequests, routing, and the arrival
+     * process are cluster-wide.
      */
     ServingConfig node;
 
@@ -178,8 +178,7 @@ struct ClusterConfig
  * Reject invalid or contradictory ClusterConfig fields (the node
  * stack via validateServingConfig, then the cluster, schedule,
  * controller, fabric and fault fields) with a FatalError naming the
- * field and its flag. node.mode is taken as given; ClusterSimulator
- * forces EventDriven first. The CLI calls this before it prints.
+ * field and its flag. The CLI calls this before it prints.
  */
 void validateClusterConfig(const ClusterConfig &cfg);
 
@@ -460,6 +459,42 @@ class ClusterSimulator
     std::unique_ptr<RunState> rs_; ///< non-null between begin/finish
     std::unique_ptr<ClusterController> controller_;
     std::unique_ptr<FaultInjector> faults_;
+};
+
+/**
+ * Event-driven serving on one node: a 1-node, full-replication
+ * ClusterSimulator, whose dispatch then reduces to a direct inject.
+ */
+class ServingSimulator
+{
+  public:
+    /** Validates @p cfg and prices its phase costs (FatalError). */
+    explicit ServingSimulator(ServingConfig cfg);
+
+    const PhaseCosts &phaseCosts() const { return cluster_.phaseCosts(); }
+
+    /** Serve cfg.streamRequests requests; re-runnable. */
+    ServingResult run();
+
+    /** Per-request latency samples from the last run. */
+    const sim::Distribution &
+    latencySamples() const
+    {
+        return cluster_.latencySamples();
+    }
+
+    /** Per-batch exposed expert-load stalls from the last run. */
+    const sim::Distribution &
+    stallSamples() const
+    {
+        return cluster_.stallSamples();
+    }
+
+    /** The last run's counters (ClusterSimulator::stats()). */
+    const sim::StatSet &stats() const { return cluster_.stats(); }
+
+  private:
+    ClusterSimulator cluster_;
 };
 
 } // namespace sn40l::coe

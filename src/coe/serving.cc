@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "baseline/gpu_executor.h"
-#include "coe/cluster.h"
 #include "coe/cost_cache.h"
 #include "coe/serving_engine.h"
 #include "coe/workload.h"
@@ -60,8 +59,6 @@ validateServingConfig(const ServingConfig &cfg)
     if (cfg.batch <= 0)
         sim::fatal("ServingConfig: batch (--batch) must be positive, got " +
                    std::to_string(cfg.batch));
-    if (cfg.requests <= 0)
-        sim::fatal("ServingConfig: requests must be positive");
     // Written so NaN fails too: every comparison with NaN is false.
     if (cfg.routing == RoutingDistribution::Zipf &&
         !(std::isfinite(cfg.zipfS) && cfg.zipfS > 0.0))
@@ -71,36 +68,34 @@ validateServingConfig(const ServingConfig &cfg)
         sim::fatal("ServingConfig: outputTokens (--tokens) must be "
                    "non-negative, got " +
                    std::to_string(cfg.outputTokens));
-    if (cfg.mode == ServingMode::EventDriven) {
-        if (cfg.streamRequests <= 0)
-            sim::fatal("ServingConfig: streamRequests (--requests) must be "
-                       "positive, got " +
-                       std::to_string(cfg.streamRequests));
-        if (cfg.arrival == ArrivalProcess::Poisson &&
-            !(std::isfinite(cfg.arrivalRatePerSec) &&
-              cfg.arrivalRatePerSec > 0.0))
-            sim::fatal("ServingConfig: arrivalRatePerSec (--arrival-rate) "
-                       "must be finite and positive, got " +
-                       std::to_string(cfg.arrivalRatePerSec));
-        if (cfg.arrival == ArrivalProcess::Poisson)
-            sim::requireTickSeconds(1.0 / cfg.arrivalRatePerSec,
-                                    "ServingConfig: mean arrival gap "
-                                    "1/arrivalRatePerSec (--arrival-rate)");
-        if (cfg.arrival == ArrivalProcess::ClosedLoop && cfg.clients <= 0)
-            sim::fatal("ServingConfig: clients (--clients) must be "
-                       "positive");
-        sim::requireTickSeconds(cfg.thinkSeconds,
-                                "ServingConfig: thinkSeconds (--think)");
-        if (cfg.dmaEngines <= 0)
-            sim::fatal("ServingConfig: dmaEngines (--dma-engines) must be "
-                       "at least 1, got " + std::to_string(cfg.dmaEngines));
-        if (cfg.prefetchDepth < 0)
-            sim::fatal("ServingConfig: prefetchDepth (--prefetch-depth) "
-                       "must be non-negative");
-        if (cfg.prefetchWindow < 0)
-            sim::fatal("ServingConfig: prefetchWindow (--prefetch-window) "
-                       "must be non-negative");
-    }
+    if (cfg.streamRequests <= 0)
+        sim::fatal("ServingConfig: streamRequests (--requests) must be "
+                   "positive, got " +
+                   std::to_string(cfg.streamRequests));
+    if (cfg.arrival == ArrivalProcess::Poisson &&
+        !(std::isfinite(cfg.arrivalRatePerSec) &&
+          cfg.arrivalRatePerSec > 0.0))
+        sim::fatal("ServingConfig: arrivalRatePerSec (--arrival-rate) "
+                   "must be finite and positive, got " +
+                   std::to_string(cfg.arrivalRatePerSec));
+    if (cfg.arrival == ArrivalProcess::Poisson)
+        sim::requireTickSeconds(1.0 / cfg.arrivalRatePerSec,
+                                "ServingConfig: mean arrival gap "
+                                "1/arrivalRatePerSec (--arrival-rate)");
+    if (cfg.arrival == ArrivalProcess::ClosedLoop && cfg.clients <= 0)
+        sim::fatal("ServingConfig: clients (--clients) must be "
+                   "positive");
+    sim::requireTickSeconds(cfg.thinkSeconds,
+                            "ServingConfig: thinkSeconds (--think)");
+    if (cfg.dmaEngines <= 0)
+        sim::fatal("ServingConfig: dmaEngines (--dma-engines) must be "
+                   "at least 1, got " + std::to_string(cfg.dmaEngines));
+    if (cfg.prefetchDepth < 0)
+        sim::fatal("ServingConfig: prefetchDepth (--prefetch-depth) "
+                   "must be non-negative");
+    if (cfg.prefetchWindow < 0)
+        sim::fatal("ServingConfig: prefetchWindow (--prefetch-window) "
+                   "must be non-negative");
     if (cfg.expertRegionBytes < 0)
         sim::fatal("ServingConfig: expertRegionBytes (--expert-region-gb) "
                    "must be non-negative");
@@ -162,14 +157,6 @@ buildServingZoo(const ServingConfig &cfg)
         zoo.add(std::move(m));
     }
     return zoo;
-}
-
-ServingSimulator::ServingSimulator(ServingConfig cfg) : cfg_(std::move(cfg))
-{
-    validateServingConfig(cfg_);
-    computeCosts();
-    if (cfg_.expertRegionBytes > 0)
-        costs_.expertRegionBytes = cfg_.expertRegionBytes;
 }
 
 PhaseCosts
@@ -236,38 +223,32 @@ computePhaseCosts(const ServingConfig &cfg)
         // Backing capacity: node DDR minus a runtime reserve.
         costs.capacityBytes =
             static_cast<double>(node.totalDdrBytes()) - 256e9;
-        return costs;
+    } else {
+        baseline::DgxConfig dgx = cfg.platform == Platform::DgxA100
+            ? baseline::DgxConfig::dgxA100()
+            : baseline::DgxConfig::dgxH100();
+        baseline::GpuExecutor executor(dgx);
+
+        // The process-wide cost memo prices each shape once per
+        // platform, graph build included.
+        auto seconds = [&](const WorkloadSpec &spec) {
+            return CostModelCache::instance().seconds(
+                workloadCostKey(platformName(cfg.platform), spec), [&]() {
+                    return executor.run(buildTransformer(spec)).seconds;
+                });
+        };
+        costs.prefillSeconds = seconds(prefill);
+        costs.decodeSecondsPerToken = seconds(decode);
+        costs.routerSeconds = seconds(router_prefill) + seconds(router_decode);
+
+        // Expert switch: host DRAM -> GPU HBM over the host link.
+        costs.switchSeconds = expert_bytes / dgx.hostToGpuBandwidth;
+        costs.expertRegionBytes = dgx.usableHbmBytes();
+        costs.capacityBytes = static_cast<double>(dgx.expertCapacityBytes());
     }
-
-    baseline::DgxConfig dgx = cfg.platform == Platform::DgxA100
-        ? baseline::DgxConfig::dgxA100()
-        : baseline::DgxConfig::dgxH100();
-    baseline::GpuExecutor executor(dgx);
-
-    // The process-wide cost memo prices each shape once per platform,
-    // graph build included.
-    auto seconds = [&](const WorkloadSpec &spec) {
-        return CostModelCache::instance().seconds(
-            workloadCostKey(platformName(cfg.platform), spec), [&]() {
-                return executor.run(buildTransformer(spec)).seconds;
-            });
-    };
-    costs.prefillSeconds = seconds(prefill);
-    costs.decodeSecondsPerToken = seconds(decode);
-    costs.routerSeconds = seconds(router_prefill) + seconds(router_decode);
-
-    // Expert switch: host DRAM -> GPU HBM over the host link.
-    costs.switchSeconds = expert_bytes / dgx.hostToGpuBandwidth;
-    costs.expertRegionBytes = dgx.usableHbmBytes();
-    costs.capacityBytes =
-        static_cast<double>(dgx.expertCapacityBytes());
+    if (cfg.expertRegionBytes > 0)
+        costs.expertRegionBytes = cfg.expertRegionBytes;
     return costs;
-}
-
-void
-ServingSimulator::computeCosts()
-{
-    costs_ = computePhaseCosts(cfg_);
 }
 
 mem::MemorySystemConfig
@@ -308,104 +289,68 @@ platformMemoryConfig(const ServingConfig &cfg)
 }
 
 ServingResult
-ServingSimulator::run()
+analyticBatches(const ServingConfig &cfg, int batches)
 {
-    if (cfg_.mode == ServingMode::LegacyAnalytic)
-        return runAnalytic();
-
-    ServingResult result;
-    ExpertZoo zoo = buildServingZoo(cfg_);
-    result.residentCapacityExperts = static_cast<int>(
-        static_cast<double>(
-            ServingEngine::effectiveExpertRegionBytes(cfg_, costs_)) /
-        zoo.maxExpertBytes());
-    double backing = zoo.totalBytes();
-    if (cfg_.zoo.enabled)
-        backing += cfg_.expertBase.weightBytes();
-    if (backing > costs_.capacityBytes) {
-        result.oom = true;
-        return result;
-    }
-
-    // The node stack is one ServingEngine behind a 1-node,
-    // full-replication, single-threaded cluster: the cluster's
-    // dispatch layer reduces to a direct inject, so the run is the
-    // engine's own event sequence and finish() assembles the metrics.
-    ClusterConfig single;
-    single.node = cfg_;
-    ClusterSimulator cluster(std::move(single));
-    ClusterResult r = cluster.run();
-    result.oom = r.oom;
-    result.stream = r.stream;
-    result.perBatch = r.perBatch;
-    result.missRate = r.missRate;
-    result.expertSecondsPerPrompt =
-        costs_.prefillSeconds +
-        cfg_.outputTokens * costs_.decodeSecondsPerToken;
-    latency_ = cluster.latencySamples();
-    stalls_ = cluster.stallSamples();
-    stats_ = cluster.stats();
-    return result;
-}
-
-ServingResult
-ServingSimulator::runAnalytic()
-{
+    validateServingConfig(cfg);
+    if (batches <= 0)
+        sim::fatal("analyticBatches: batches must be positive, got " +
+                   std::to_string(batches));
+    PhaseCosts costs = computePhaseCosts(cfg);
     ServingResult result;
 
-    ExpertZoo zoo = buildServingZoo(cfg_);
+    ExpertZoo zoo = buildServingZoo(cfg);
     std::int64_t region =
-        ServingEngine::effectiveExpertRegionBytes(cfg_, costs_);
+        ServingEngine::effectiveExpertRegionBytes(cfg, costs);
     result.residentCapacityExperts = static_cast<int>(
         static_cast<double>(region) / zoo.maxExpertBytes());
 
     double backing = zoo.totalBytes();
-    if (cfg_.zoo.enabled)
-        backing += cfg_.expertBase.weightBytes();
-    if (backing > costs_.capacityBytes) {
+    if (cfg.zoo.enabled)
+        backing += cfg.expertBase.weightBytes();
+    if (backing > costs.capacityBytes) {
         result.oom = true;
         return result;
     }
 
     CoeRuntime runtime(zoo, region);
-    Router router(cfg_.numExperts, cfg_.routing, cfg_.seed, cfg_.zipfS);
+    Router router(cfg.numExperts, cfg.routing, cfg.seed, cfg.zipfS);
 
     double router_total = 0.0, switch_total = 0.0, exec_total = 0.0;
     std::int64_t prompts = 0, misses = 0;
 
     double per_prompt_exec =
-        costs_.prefillSeconds +
-        cfg_.outputTokens * costs_.decodeSecondsPerToken;
-    if (cfg_.specDecode.enabled) {
+        costs.prefillSeconds +
+        cfg.outputTokens * costs.decodeSecondsPerToken;
+    if (cfg.specDecode.enabled) {
         // Closed-form counterpart of the event-driven per-request
         // sampler: expected steps at the configured acceptance rate,
         // each step paying one target verification plus gamma draft
         // tokens at draftRatio of the target's decode cost.
         runtime::SpecDecodeConfig sd;
-        sd.gamma = cfg_.specDecode.gamma;
-        sd.acceptRate = cfg_.specDecode.acceptRate;
-        double steps = cfg_.outputTokens / sd.expectedTokensPerStep();
-        double step_seconds = costs_.decodeSecondsPerToken *
-            (1.0 + sd.gamma * cfg_.specDecode.draftRatio);
-        per_prompt_exec = costs_.prefillSeconds + steps * step_seconds;
+        sd.gamma = cfg.specDecode.gamma;
+        sd.acceptRate = cfg.specDecode.acceptRate;
+        double steps = cfg.outputTokens / sd.expectedTokensPerStep();
+        double step_seconds = costs.decodeSecondsPerToken *
+            (1.0 + sd.gamma * cfg.specDecode.draftRatio);
+        per_prompt_exec = costs.prefillSeconds + steps * step_seconds;
     }
 
-    for (int r = 0; r < cfg_.requests; ++r) {
-        router_total += costs_.routerSeconds;
-        for (int b = 0; b < cfg_.batch; ++b) {
+    for (int r = 0; r < batches; ++r) {
+        router_total += costs.routerSeconds;
+        for (int b = 0; b < cfg.batch; ++b) {
             ++prompts;
             int expert = router.route();
             Activation act = runtime.activate(expert);
             if (!act.hit) {
                 ++misses;
                 double bytes = act.bytesToLoad + act.bytesToWriteBack;
-                double copy = costs_.switchSeconds *
+                double copy = costs.switchSeconds *
                     (bytes / zoo.expert(expert).bytes);
-                if (cfg_.predictivePrefetch) {
+                if (cfg.predictivePrefetch) {
                     // The copy overlaps the router (first prompt) or
                     // the previous prompt's execution (later prompts);
                     // only the remainder is exposed.
-                    double hide = b == 0 ? costs_.routerSeconds
+                    double hide = b == 0 ? costs.routerSeconds
                                          : per_prompt_exec;
                     copy = std::max(0.0, copy - hide);
                 }
@@ -415,10 +360,10 @@ ServingSimulator::runAnalytic()
         }
     }
 
-    double batches = static_cast<double>(cfg_.requests);
-    result.perBatch.routerSeconds = router_total / batches;
-    result.perBatch.switchSeconds = switch_total / batches;
-    result.perBatch.execSeconds = exec_total / batches;
+    double n = static_cast<double>(batches);
+    result.perBatch.routerSeconds = router_total / n;
+    result.perBatch.switchSeconds = switch_total / n;
+    result.perBatch.execSeconds = exec_total / n;
     result.missRate =
         static_cast<double>(misses) / static_cast<double>(prompts);
     result.expertSecondsPerPrompt = per_prompt_exec;

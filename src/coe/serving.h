@@ -5,21 +5,19 @@
  * execution, on an SN40L node (three-tier memory) or a DGX baseline
  * (HBM + host DRAM over the host link).
  *
- * Two modes:
+ * ServingSimulator (cluster.h) is the request-stream scheduler on
+ * sim::EventQueue. Requests arrive via an open-loop Poisson process
+ * or a closed-loop client pool, wait in an admission queue, and are
+ * formed into continuous batches by a policy (FIFO or expert-affinity)
+ * that plays against the live CoeRuntime LRU state. It reports tail
+ * latency (p50/p95/p99), sustained throughput, queue depth, and miss
+ * rate under load, and runs as a 1-node, full-replication
+ * coe::ClusterSimulator (cluster.h), the one event-driven driver.
  *
- *  - LegacyAnalytic: the paper-anchor closed-form averager. Every
- *    batch is fully formed up front; the result is the mean latency
- *    breakdown per batch (Figs 1, 12, Table V).
- *
- *  - EventDriven: a request-stream scheduler on sim::EventQueue.
- *    Requests arrive via an open-loop Poisson process or a
- *    closed-loop client pool, wait in an admission queue, and are
- *    formed into continuous batches by a policy (FIFO or
- *    expert-affinity) that plays against the live CoeRuntime LRU
- *    state. This reports tail latency (p50/p95/p99), sustained
- *    throughput, queue depth, and miss rate under load. It runs as a
- *    1-node, full-replication coe::ClusterSimulator (cluster.h), the
- *    one event-driven driver.
+ * analyticBatches() is the paper's closed-form batch model (Figs 1,
+ * 12, Table V): every batch is fully formed up front and the result
+ * is the mean latency breakdown per batch. It is the reference the
+ * event-driven path is compared against.
  */
 
 #ifndef SN40L_COE_SERVING_H
@@ -43,16 +41,16 @@ enum class Platform { Sn40l, DgxA100, DgxH100 };
 
 const char *platformName(Platform platform);
 
-/** How the simulator advances time. */
-enum class ServingMode { LegacyAnalytic, EventDriven };
+/** Ignored: every run is event-driven. The benchmark still sets it. */
+enum class ServingMode { EventDriven };
 
-/** How requests enter the system (EventDriven mode). */
+/** How requests enter the system. */
 enum class ArrivalProcess {
     Poisson,    ///< open loop: exponential inter-arrival times
     ClosedLoop, ///< fixed client pool; a client re-issues after think time
 };
 
-/** How the admission queue is drained into batches (EventDriven). */
+/** How the admission queue is drained into batches. */
 enum class SchedulerPolicy {
     Fifo,           ///< strict arrival order, experts as they come
     ExpertAffinity, ///< group same-expert requests; prefer resident experts
@@ -120,13 +118,12 @@ struct ServingConfig
 {
     Platform platform = Platform::Sn40l;
 
-    ServingMode mode = ServingMode::LegacyAnalytic;
+    ServingMode mode = ServingMode::EventDriven; ///< ignored
 
     int numExperts = 150;
     int batch = 1;         ///< prompts per CoE batch (paper: 1 and 8)
     int outputTokens = 20; ///< paper: 20 (chat) and 200 (translation)
     int promptLen = 2048;
-    int requests = 64;     ///< LegacyAnalytic: batches to simulate
 
     RoutingDistribution routing = RoutingDistribution::Uniform;
     double zipfS = 1.0;    ///< skew for RoutingDistribution::Zipf
@@ -145,7 +142,7 @@ struct ServingConfig
     /** Tensor parallel degree (TP8 on every platform, Section VI-C). */
     int tensorParallel = 8;
 
-    // ----------------------- EventDriven-only parameters -----------
+    // ----------------------------------------- request stream ------
 
     ArrivalProcess arrival = ArrivalProcess::Poisson;
     SchedulerPolicy scheduler = SchedulerPolicy::Fifo;
@@ -167,7 +164,7 @@ struct ServingConfig
      */
     int affinityMaxSkips = 8;
 
-    // --------------------- EventDriven memory-system parameters ----
+    // ------------------------------------------ memory system ------
 
     /**
      * DMA engines streaming expert segments DDR -> HBM. More engines
@@ -184,10 +181,9 @@ struct ServingConfig
     std::int64_t expertRegionBytes = 0;
 
     /**
-     * Maximum outstanding speculative prefetches when
-     * predictivePrefetch is set in EventDriven mode. Prefetches are
-     * issued for queued-but-unscheduled requests at low DMA priority
-     * and cancelled under eviction pressure.
+     * Maximum outstanding speculative prefetches when predictivePrefetch
+     * is set. Prefetches are issued for queued-but-unscheduled requests
+     * at low DMA priority and cancelled under eviction pressure.
      */
     int prefetchDepth = 4;
 
@@ -211,17 +207,16 @@ struct ServingConfig
     std::optional<mem::MemorySystemConfig> memoryOverride;
 
     /**
-     * Workload scenario knobs (EventDriven): tenant mixes,
-     * conversational sessions, rate shaping, SLO admission, trace
-     * record/replay. Defaults reproduce the legacy single-tenant
-     * arrival processes bit-identically. See coe/workload.h.
+     * Workload scenario knobs: tenant mixes, conversational sessions,
+     * rate shaping, SLO admission, trace record/replay. Defaults keep
+     * the single-tenant arrival processes bit-identical (coe/workload.h).
      */
     WorkloadConfig workload;
 
-    /** Speculative-decoding serving mode (EventDriven). */
+    /** Speculative-decoding serving mode. */
     SpecDecodeServingConfig specDecode;
 
-    /** PEFT expert-zoo serving mode (EventDriven). */
+    /** PEFT expert-zoo serving mode. */
     ZooServingConfig zoo;
 };
 
@@ -246,7 +241,7 @@ struct LatencyBreakdown
     }
 };
 
-/** Load-dependent metrics produced by the EventDriven scheduler. */
+/** Load-dependent metrics produced by the event-driven scheduler. */
 struct StreamMetrics
 {
     double p50LatencySeconds = 0.0;
@@ -322,7 +317,7 @@ struct ServingResult
     /** Per-prompt expert execution time (no router/switch). */
     double expertSecondsPerPrompt = 0.0;
 
-    /** Filled only in ServingMode::EventDriven. */
+    /** Left empty by analyticBatches(). */
     StreamMetrics stream;
 };
 
@@ -340,16 +335,15 @@ struct PhaseCosts
 /**
  * Price the platform's serving primitives (router, prefill, decode,
  * expert switch) for @p cfg through the process-wide cost memo. The
- * returned expertRegionBytes is the platform default; callers apply
- * cfg.expertRegionBytes overrides themselves. Shared by the
- * single-node ServingSimulator and the ClusterSimulator, so every
- * node of a heterogeneous cluster prices its graphs exactly once.
+ * returned expertRegionBytes is cfg.expertRegionBytes when set, else
+ * the platform default. The ClusterSimulator prices once for all its
+ * nodes; a per-node region override replaces expertRegionBytes.
  */
 PhaseCosts computePhaseCosts(const ServingConfig &cfg);
 
 /**
  * Reject invalid or contradictory ServingConfig fields with a
- * FatalError. Shared by ServingSimulator and ClusterSimulator.
+ * FatalError. Shared by ClusterSimulator and analyticBatches().
  */
 void validateServingConfig(const ServingConfig &cfg);
 
@@ -358,7 +352,7 @@ void validateServingConfig(const ServingConfig &cfg);
  * of expertBase by default, or cfg.numExperts LoRA adapters of
  * loraAdapterBytes(expertBase, zoo.rank) each when the zoo is
  * enabled (base weights are pinned separately by the engine). Shared
- * by ServingSimulator and ClusterSimulator so placement and serving
+ * by ClusterSimulator and analyticBatches() so placement and serving
  * agree on expert sizes.
  */
 ExpertZoo buildServingZoo(const ServingConfig &cfg);
@@ -372,40 +366,15 @@ ExpertZoo buildServingZoo(const ServingConfig &cfg);
  */
 mem::MemorySystemConfig platformMemoryConfig(const ServingConfig &cfg);
 
-class ServingSimulator
-{
-  public:
-    explicit ServingSimulator(ServingConfig cfg);
-
-    const PhaseCosts &phaseCosts() const { return costs_; }
-
-    /**
-     * Run in cfg.mode. LegacyAnalytic simulates cfg.requests batches
-     * and returns average behaviour; EventDriven serves
-     * cfg.streamRequests arriving requests and additionally fills
-     * ServingResult::stream.
-     */
-    ServingResult run();
-
-    /** Per-request latency samples from the last EventDriven run. */
-    const sim::Distribution &latencySamples() const { return latency_; }
-
-    /** Per-batch exposed expert-load stalls (EventDriven). */
-    const sim::Distribution &stallSamples() const { return stalls_; }
-
-    /** Scheduler counters from the last EventDriven run. */
-    const sim::StatSet &stats() const { return stats_; }
-
-  private:
-    void computeCosts();
-    ServingResult runAnalytic();
-
-    ServingConfig cfg_;
-    PhaseCosts costs_;
-    sim::Distribution latency_{"request_latency"};
-    sim::Distribution stalls_{"switch_stall"};
-    sim::StatSet stats_{"serving"};
-};
+/**
+ * The paper's closed-form batch model (Figs 1, 12, Table V): route
+ * @p batches batches of cfg.batch prompts through the LRU, charging
+ * the router once per batch, an expert copy per miss (less what
+ * predictive prefetch hides behind the router or the previous
+ * prompt) and every prompt's execution. Returns the mean per-batch
+ * breakdown; ServingResult::stream stays empty. @p batches > 0.
+ */
+ServingResult analyticBatches(const ServingConfig &cfg, int batches);
 
 } // namespace sn40l::coe
 

@@ -38,8 +38,6 @@ ServingEngine::effectiveExpertRegionBytes(const ServingConfig &cfg,
                                           const PhaseCosts &costs)
 {
     std::int64_t region = costs.expertRegionBytes;
-    if (cfg.expertRegionBytes > 0)
-        region = cfg.expertRegionBytes;
     double reserve = 0.0;
     if (cfg.specDecode.enabled)
         reserve +=

@@ -2,7 +2,7 @@
  * @file
  * One node's event-driven serving stack. coe::ClusterSimulator runs
  * one engine per node on a single shared sim::EventQueue.
- * Single-node EventDriven serving (ServingSimulator) is a 1-node
+ * Single-node serving (ServingSimulator) is a 1-node
  * cluster, so every event-driven run drives its engines through the
  * cluster. The engine only ever schedules against the sim::EventQueue
  * it was constructed with and touches no state outside its node.
@@ -105,7 +105,7 @@ class ServingEngine
 {
   public:
     /**
-     * @param cfg   fully validated EventDriven serving config for this
+     * @param cfg   fully validated serving config for this
      *              node (batch, scheduler, prefetch, DMA shape).
      * @param costs platform phase costs; costs.expertRegionBytes sizes
      *              this node's HBM expert region.

@@ -80,9 +80,16 @@ validateShape(const RateShape &shape, const std::string &who)
         sim::fatal(who + ": non-positive diurnal period");
     if (!(std::isfinite(shape.burstFactor) && shape.burstFactor >= 1.0))
         sim::fatal(who + ": burst factor must be at least 1");
+    auto nonNegative = [&who](double seconds, const char *field) {
+        if (!(std::isfinite(seconds) && seconds >= 0.0))
+            sim::fatal(who + ": " + field +
+                       " must be finite and non-negative, got " +
+                       std::to_string(seconds));
+    };
+    nonNegative(shape.burstEverySeconds, "burstEverySeconds (--burst-every)");
+    nonNegative(shape.burstSeconds, "burstSeconds (--burst-seconds)");
     if (shape.burstFactor > 1.0) {
-        if (!(std::isfinite(shape.burstEverySeconds) &&
-              shape.burstEverySeconds > 0.0 && shape.burstSeconds > 0.0))
+        if (!(shape.burstEverySeconds > 0.0 && shape.burstSeconds > 0.0))
             sim::fatal(who + ": bursts need positive --burst-every and "
                              "--burst-seconds");
         if (shape.burstSeconds > shape.burstEverySeconds)

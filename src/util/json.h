@@ -265,9 +265,12 @@ struct JsonLineParser
     double
     number(const char *key)
     {
-        return parsed(key, "number", [](const char *b, char **e) {
+        double v = parsed(key, "number", [](const char *b, char **e) {
             return std::strtod(b, e);
         });
+        if (!std::isfinite(v))
+            die(std::string("non-finite number for key '") + key + "'");
+        return v;
     }
 
     std::string

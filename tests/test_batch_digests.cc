@@ -60,7 +60,6 @@ baseConfig(int nodes, std::uint64_t seed)
 {
     ClusterConfig cfg;
     cfg.nodes = nodes;
-    cfg.node.mode = ServingMode::EventDriven;
     cfg.node.numExperts = 150;
     cfg.node.batch = 8;
     cfg.node.streamRequests = 360;

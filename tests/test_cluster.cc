@@ -36,7 +36,6 @@ clusterConfig(int nodes)
 {
     ClusterConfig cfg;
     cfg.nodes = nodes;
-    cfg.node.mode = ServingMode::EventDriven;
     cfg.node.numExperts = 150;
     cfg.node.batch = 8;
     cfg.node.streamRequests = 400;
@@ -168,7 +167,6 @@ ServingConfig
 oneNodeCaseConfig(const OneNodeCase &c)
 {
     ServingConfig cfg;
-    cfg.mode = ServingMode::EventDriven;
     cfg.batch = 8;
     cfg.streamRequests = 384;
     cfg.arrivalRatePerSec = 16.0;
@@ -730,6 +728,17 @@ TEST(ClusterSimulator, HeterogeneousNodesRespectOverrides)
     EXPECT_GT(r.nodes[1].missRate, r.nodes[0].missRate);
     EXPECT_LE(r.nodes[1].peakResidentBytes,
               static_cast<std::int64_t>(200e9));
+
+    // A base region (--expert-region-gb) does not override the
+    // per-node one (--node-region-gb).
+    cfg.node.expertRegionBytes = static_cast<std::int64_t>(400e9);
+    r = ClusterSimulator(cfg).run();
+    EXPECT_EQ(r.stream.completed, cfg.node.streamRequests);
+    EXPECT_GT(r.nodes[1].missRate, r.nodes[0].missRate);
+    EXPECT_LE(r.nodes[1].peakResidentBytes,
+              static_cast<std::int64_t>(200e9));
+    EXPECT_GT(r.nodes[0].peakResidentBytes,
+              static_cast<std::int64_t>(200e9));
 }
 
 // ------------------------------------- placement trade-off anchor
@@ -749,7 +758,6 @@ TEST(ClusterSimulator, ReplicateHotBeatsPartitionP95AndReplicationFootprint)
         cfg.placement = placement;
         cfg.dispatch = DispatchPolicy::LeastOutstanding;
         cfg.hotExperts = 15;
-        cfg.node.mode = ServingMode::EventDriven;
         cfg.node.numExperts = 150;
         cfg.node.batch = 8;
         cfg.node.streamRequests = 1200;

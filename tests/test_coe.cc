@@ -10,13 +10,14 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "coe/cluster.h"
 #include "coe/coe_runtime.h"
 #include "coe/expert.h"
 #include "coe/footprint.h"
 #include "coe/router.h"
-#include "coe/serving.h"
 #include "sim/log.h"
 #include "sim/rng.h"
 
@@ -235,17 +236,46 @@ TEST(Serving, DgxOomAboveOneHundredFiftyExperts)
 {
     ServingConfig cfg;
     cfg.platform = Platform::DgxA100;
-    cfg.requests = 4;
 
     cfg.numExperts = 150;
-    EXPECT_FALSE(ServingSimulator(cfg).run().oom);
+    EXPECT_FALSE(analyticBatches(cfg, 4).oom);
     cfg.numExperts = 160;
-    EXPECT_TRUE(ServingSimulator(cfg).run().oom);
+    EXPECT_TRUE(analyticBatches(cfg, 4).oom);
 
     // The SN40L node holds 850 experts (Section VI-C).
     cfg.platform = Platform::Sn40l;
     cfg.numExperts = 850;
-    EXPECT_FALSE(ServingSimulator(cfg).run().oom);
+    EXPECT_FALSE(analyticBatches(cfg, 4).oom);
+}
+
+/**
+ * analyticBatches() and the event-driven ServingSimulator (through
+ * its 1-node cluster) check OOM and size the expert region apart;
+ * they must agree on both, on each side of every platform's limit.
+ */
+TEST(Serving, AnalyticAndEventDrivenAgreeOnCapacity)
+{
+    int ooms = 0;
+    for (Platform p :
+         {Platform::Sn40l, Platform::DgxA100, Platform::DgxH100}) {
+        for (int experts : {150, 160, 850, 900}) {
+            SCOPED_TRACE(std::string(platformName(p)) + ", " +
+                         std::to_string(experts) + " experts");
+            ServingConfig cfg;
+            cfg.platform = p;
+            cfg.numExperts = experts;
+            cfg.streamRequests = 16;
+            ServingResult analytic = analyticBatches(cfg, 4);
+            ServingResult event = ServingSimulator(cfg).run();
+            EXPECT_EQ(event.oom, analytic.oom);
+            EXPECT_EQ(event.residentCapacityExperts,
+                      analytic.residentCapacityExperts);
+            ooms += analytic.oom ? 1 : 0;
+        }
+    }
+    // Both sides of the limit are exercised.
+    EXPECT_GT(ooms, 0);
+    EXPECT_LT(ooms, 12);
 }
 
 TEST(Serving, OverallSpeedupBandsAtOneFiftyExperts)
@@ -256,8 +286,7 @@ TEST(Serving, OverallSpeedupBandsAtOneFiftyExperts)
         cfg.numExperts = 150;
         cfg.batch = batch;
         cfg.outputTokens = 20;
-        cfg.requests = 100;
-        return ServingSimulator(cfg).run().perBatch.total();
+        return analyticBatches(cfg, 100).perBatch.total();
     };
 
     // Paper Table V: BS=8, 20 tokens: 6.6x vs DGX A100, 3.7x vs H100.
@@ -274,8 +303,7 @@ TEST(Serving, SwitchShareGrowsWithExpertCount)
         ServingConfig cfg;
         cfg.platform = Platform::DgxA100;
         cfg.numExperts = experts;
-        cfg.requests = 100;
-        return ServingSimulator(cfg).run().perBatch.switchShare();
+        return analyticBatches(cfg, 100).perBatch.switchShare();
     };
     double small = share(30);
     double big = share(140);
@@ -288,12 +316,11 @@ TEST(Serving, ZipfRoutingReducesSwitching)
     ServingConfig cfg;
     cfg.platform = Platform::Sn40l;
     cfg.numExperts = 150;
-    cfg.requests = 200;
 
     cfg.routing = RoutingDistribution::Uniform;
-    double uniform = ServingSimulator(cfg).run().missRate;
+    double uniform = analyticBatches(cfg, 200).missRate;
     cfg.routing = RoutingDistribution::Zipf;
-    double zipf = ServingSimulator(cfg).run().missRate;
+    double zipf = analyticBatches(cfg, 200).missRate;
     EXPECT_LT(zipf, uniform * 0.8);
 }
 

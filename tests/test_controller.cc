@@ -29,7 +29,6 @@ clusterConfig(int nodes)
 {
     ClusterConfig cfg;
     cfg.nodes = nodes;
-    cfg.node.mode = ServingMode::EventDriven;
     cfg.node.numExperts = 150;
     cfg.node.batch = 8;
     cfg.node.streamRequests = 400;
@@ -337,7 +336,6 @@ TEST(ClusterApi, SnapshotWindowsAdvance)
 TEST(Controller, ReactiveSavesNodeHoursOnDiurnalTrace)
 {
     ServingConfig gen;
-    gen.mode = ServingMode::EventDriven;
     gen.numExperts = 150;
     gen.batch = 8;
     gen.streamRequests = 3000;

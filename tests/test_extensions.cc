@@ -21,9 +21,8 @@ TEST(Prefetch, HidesSwitchingBehindRouterAndExecution)
         cfg.platform = coe::Platform::Sn40l;
         cfg.numExperts = 150;
         cfg.batch = batch;
-        cfg.requests = 100;
         cfg.predictivePrefetch = prefetch;
-        return coe::ServingSimulator(cfg).run();
+        return coe::analyticBatches(cfg, 100);
     };
 
     // Prefetch never hurts and strictly helps when there are misses.

@@ -44,7 +44,6 @@ clusterConfig(int nodes)
 {
     ClusterConfig cfg;
     cfg.nodes = nodes;
-    cfg.node.mode = ServingMode::EventDriven;
     cfg.node.numExperts = 150;
     cfg.node.batch = 8;
     cfg.node.streamRequests = 400;
@@ -264,6 +263,25 @@ TEST(FaultScheduleIo, CorruptionMatrixDiesWithLineNumbers)
     expectLoadDies(header + "{\"at\":abc,\"kind\":\"crash\","
                             "\"node\":0,\"factor\":1,\"duration\":0}\n",
                    "malformed number");
+    // Non-finite numbers die on their line, naming the key.
+    expectLoadDies(header + "{\"at\":nan,\"kind\":\"crash\","
+                            "\"node\":0,\"factor\":1,\"duration\":0}\n",
+                   "line 2: non-finite number for key 'at'");
+    expectLoadDies(header + "{\"at\":inf,\"kind\":\"crash\","
+                            "\"node\":0,\"factor\":1,\"duration\":0}\n",
+                   "line 2: non-finite number for key 'at'");
+    expectLoadDies(header + "{\"at\":1,\"kind\":\"straggler\","
+                            "\"node\":0,\"factor\":inf,\"duration\":0}\n",
+                   "line 2: non-finite number for key 'factor'");
+    expectLoadDies(header + "{\"at\":1,\"kind\":\"flaky\","
+                            "\"node\":0,\"factor\":nan,\"duration\":0}\n",
+                   "line 2: non-finite number for key 'factor'");
+    expectLoadDies(header + "{\"at\":1,\"kind\":\"crash\","
+                            "\"node\":0,\"factor\":1,\"duration\":nan}\n",
+                   "line 2: non-finite number for key 'duration'");
+    expectLoadDies(header + "{\"at\":1,\"kind\":\"crash\","
+                            "\"node\":0,\"factor\":1,\"duration\":inf}\n",
+                   "line 2: non-finite number for key 'duration'");
     expectLoadDies(header +
                        "{\"at\":1,\"kind\":\"crash\",\"node\":0,"
                        "\"factor\":1,\"duration\":0} \n",

@@ -161,8 +161,7 @@ TEST(Integration, EndToEndCoeLatencyOrdering)
         coe::ServingConfig cfg;
         cfg.platform = p;
         cfg.numExperts = 150;
-        cfg.requests = 50;
-        return coe::ServingSimulator(cfg).run().perBatch.total();
+        return coe::analyticBatches(cfg, 50).perBatch.total();
     };
     double rdu = latency(coe::Platform::Sn40l);
     double h100 = latency(coe::Platform::DgxH100);
@@ -180,8 +179,7 @@ TEST(Integration, SwitchTimeDominatesDgxNotRdu)
         cfg.platform = p;
         cfg.numExperts = 150;
         cfg.batch = 8;
-        cfg.requests = 50;
-        return coe::ServingSimulator(cfg).run().perBatch.switchShare();
+        return coe::analyticBatches(cfg, 50).perBatch.switchShare();
     };
     EXPECT_GT(share(coe::Platform::DgxA100), 0.5);
     EXPECT_LT(share(coe::Platform::Sn40l), 0.35);

@@ -274,13 +274,12 @@ TEST(InterleavedMemory, ClosedFormSplitMatchesPerChannelReference)
 
 TEST(ServingConsistency, DesDmaAgreesWithAnalyticSwitchModel)
 {
-    // The ServingSimulator charges switches with an analytic estimate;
+    // analyticBatches charges switches with an analytic estimate;
     // verify that pushing the same expert copy through the node's DES
     // DMA path (Fig 9's memcpy step) lands within 2%.
     coe::ServingConfig cfg;
     cfg.platform = coe::Platform::Sn40l;
-    coe::ServingSimulator sim_model(cfg);
-    double analytic = sim_model.phaseCosts().switchSeconds;
+    double analytic = coe::computePhaseCosts(cfg).switchSeconds;
 
     arch::NodeConfig node_cfg = arch::NodeConfig::sn40lNode(8);
     sim::EventQueue eq;

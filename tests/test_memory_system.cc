@@ -11,8 +11,8 @@
 
 #include <vector>
 
+#include "coe/cluster.h"
 #include "coe/coe_runtime.h"
-#include "coe/serving.h"
 #include "mem/memory_system.h"
 #include "sim/log.h"
 
@@ -55,7 +55,6 @@ ServingConfig
 asyncStreamConfig(bool prefetch)
 {
     ServingConfig cfg;
-    cfg.mode = ServingMode::EventDriven;
     cfg.platform = Platform::Sn40l;
     cfg.numExperts = 150;
     cfg.batch = 1;

@@ -83,7 +83,6 @@ clusterConfig(int nodes)
     cfg.nodes = nodes;
     cfg.dispatch = DispatchPolicy::RoundRobin;
     cfg.placement = PlacementPolicy::FullReplication;
-    cfg.node.mode = ServingMode::EventDriven;
     cfg.node.numExperts = 150;
     cfg.node.batch = 8;
     cfg.node.streamRequests = 400;

@@ -197,9 +197,8 @@ TEST_P(ServingSweep, BreakdownIsConsistent)
     cfg.platform = std::get<0>(GetParam());
     cfg.batch = std::get<1>(GetParam());
     cfg.numExperts = 100;
-    cfg.requests = 40;
 
-    coe::ServingResult r = coe::ServingSimulator(cfg).run();
+    coe::ServingResult r = coe::analyticBatches(cfg, 40);
     ASSERT_FALSE(r.oom);
     EXPECT_GE(r.perBatch.routerSeconds, 0.0);
     EXPECT_GE(r.perBatch.switchSeconds, 0.0);

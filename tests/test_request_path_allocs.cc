@@ -132,7 +132,6 @@ ServingConfig
 openLoopNode(int requests, double rate)
 {
     ServingConfig n;
-    n.mode = ServingMode::EventDriven;
     n.arrival = ArrivalProcess::Poisson;
     n.batch = 8;
     n.outputTokens = 20;

@@ -54,7 +54,6 @@ ServingConfig
 randomServingConfig(sim::Rng &rng, int trial)
 {
     ServingConfig cfg;
-    cfg.mode = ServingMode::EventDriven;
     cfg.platform = Platform::Sn40l;
     cfg.numExperts = 20 + static_cast<int>(rng.uniformInt(80));
     cfg.batch = 1 + static_cast<int>(rng.uniformInt(8));
@@ -552,7 +551,6 @@ TEST(ClusterInvariants, SnapshotWindowsSumToRunTotals)
         SCOPED_TRACE("hedged chaos seed " + std::to_string(seed));
         ClusterConfig cfg;
         cfg.nodes = 3;
-        cfg.node.mode = ServingMode::EventDriven;
         cfg.node.streamRequests = 300;
         cfg.node.routing = RoutingDistribution::Zipf;
         cfg.node.arrivalRatePerSec = 64.0;

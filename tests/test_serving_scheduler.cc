@@ -20,7 +20,7 @@
 #include <set>
 #include <vector>
 
-#include "coe/serving.h"
+#include "coe/cluster.h"
 #include "coe/serving_engine.h"
 #include "sim/event_queue.h"
 #include "sim/log.h"
@@ -35,7 +35,6 @@ ServingConfig
 streamConfig()
 {
     ServingConfig cfg;
-    cfg.mode = ServingMode::EventDriven;
     cfg.platform = Platform::Sn40l;
     cfg.numExperts = 150;
     cfg.batch = 8;
@@ -203,11 +202,12 @@ TEST(StreamScheduler, StreamMetricsAreConsistent)
 }
 
 /**
- * Legacy analytic mode must reproduce the pre-refactor ServingResult
- * bit for bit. The expected values below were captured from the seed
- * simulator (before the event-driven refactor) at full precision.
+ * The closed-form batch model must reproduce the pre-refactor
+ * ServingResult bit for bit. The expected values below were captured
+ * from the seed simulator (before the event-driven refactor) at full
+ * precision.
  */
-TEST(LegacyAnalytic, BitIdenticalToPreRefactorResults)
+TEST(AnalyticBatches, BitIdenticalToPreRefactorResults)
 {
     struct Golden
     {
@@ -236,16 +236,14 @@ TEST(LegacyAnalytic, BitIdenticalToPreRefactorResults)
 
     for (const Golden &g : goldens) {
         ServingConfig cfg;
-        cfg.mode = ServingMode::LegacyAnalytic;
         cfg.platform = g.platform;
         cfg.numExperts = g.experts;
         cfg.batch = g.batch;
         cfg.routing = g.routing;
         cfg.predictivePrefetch = g.prefetch;
-        cfg.requests = 64;
         cfg.seed = 1;
 
-        ServingResult r = ServingSimulator(cfg).run();
+        ServingResult r = analyticBatches(cfg, 64);
         EXPECT_FALSE(r.oom);
         EXPECT_DOUBLE_EQ(r.perBatch.routerSeconds, g.router);
         EXPECT_DOUBLE_EQ(r.perBatch.switchSeconds, g.switches);
@@ -269,7 +267,6 @@ TEST(LegacyAnalytic, BitIdenticalToPreRefactorResults)
 TEST(StreamScheduler, EventDrivenBitIdenticalToPr2Engine)
 {
     ServingConfig base;
-    base.mode = ServingMode::EventDriven;
     base.batch = 8;
     base.streamRequests = 384;
     base.arrivalRatePerSec = 16.0;
@@ -319,7 +316,6 @@ TEST(StreamScheduler, EventDrivenBitIdenticalToPr2Engine)
     }
     {
         ServingConfig cfg;
-        cfg.mode = ServingMode::EventDriven;
         cfg.batch = 4;
         cfg.streamRequests = 256;
         cfg.arrival = ArrivalProcess::ClosedLoop;

@@ -36,7 +36,6 @@ backloggedSpecConfig()
 {
     ServingConfig cfg;
     cfg.platform = Platform::Sn40l;
-    cfg.mode = ServingMode::EventDriven;
     cfg.numExperts = 8;
     cfg.batch = 8;
     cfg.promptLen = 128;
@@ -97,7 +96,6 @@ TEST(Engine, ExpertRegionReservationsComeOutOfTheLru)
 {
     ServingConfig cfg;
     cfg.platform = Platform::Sn40l;
-    cfg.mode = ServingMode::EventDriven;
     PhaseCosts costs = computePhaseCosts(cfg);
     std::int64_t base =
         ServingEngine::effectiveExpertRegionBytes(cfg, costs);
@@ -122,9 +120,9 @@ TEST(Engine, ExpertRegionReservationsComeOutOfTheLru)
     ServingConfig broke = spec;
     broke.expertRegionBytes =
         static_cast<std::int64_t>(0.01 * weights);
-    EXPECT_THROW(
-        ServingEngine::effectiveExpertRegionBytes(broke, costs),
-        sim::FatalError);
+    EXPECT_THROW(ServingEngine::effectiveExpertRegionBytes(
+                     broke, computePhaseCosts(broke)),
+                 sim::FatalError);
 }
 
 // ------------------------------------------------------ config policing
@@ -132,7 +130,6 @@ TEST(Engine, ExpertRegionReservationsComeOutOfTheLru)
 TEST(Config, SpecAndZooFieldsArePolicedOnlyWhenEnabled)
 {
     ServingConfig cfg;
-    cfg.mode = ServingMode::EventDriven;
     cfg.specDecode.gamma = -3; // ignored while disabled
     validateServingConfig(cfg);
 
@@ -169,7 +166,6 @@ TEST(Config, SpecAndZooFieldsArePolicedOnlyWhenEnabled)
 TEST(Config, ZipfSkewIsPolicedUnderZipfRouting)
 {
     ServingConfig cfg;
-    cfg.mode = ServingMode::EventDriven;
     cfg.zipfS = std::nan(""); // ignored without Zipf routing
     validateServingConfig(cfg);
 
@@ -284,7 +280,6 @@ TEST(ZooServing, HitRateRisesWithAdapterRegion)
     auto hit_rate = [](int slots) {
         ServingConfig cfg;
         cfg.platform = Platform::Sn40l;
-        cfg.mode = ServingMode::EventDriven;
         cfg.numExperts = 500;
         cfg.zoo.enabled = true;
         cfg.zoo.rank = 16;
@@ -314,7 +309,6 @@ TEST(ZooServing, ChurnKeepsConservationAndChangesTraffic)
 {
     ServingConfig cfg;
     cfg.platform = Platform::Sn40l;
-    cfg.mode = ServingMode::EventDriven;
     cfg.numExperts = 64;
     cfg.zoo.enabled = true;
     cfg.zoo.rank = 16;
@@ -347,7 +341,6 @@ TEST(ClusterSpecZoo, ClusterConservesWithBothFeaturesOn)
     cfg.nodes = 3;
     cfg.dispatch = DispatchPolicy::RoundRobin;
     cfg.placement = PlacementPolicy::FullReplication;
-    cfg.node.mode = ServingMode::EventDriven;
     cfg.node.platform = Platform::Sn40l;
     cfg.node.numExperts = 200;
     cfg.node.zoo.enabled = true;

@@ -97,7 +97,6 @@ TEST(CostModelCache, ServingSimulatorPricesEachShapeOnce)
     CostModelCache::instance().clear();
 
     ServingConfig cfg;
-    cfg.mode = ServingMode::EventDriven;
     cfg.batch = 4;
     cfg.streamRequests = 32;
     cfg.arrivalRatePerSec = 16.0;
@@ -125,7 +124,6 @@ TEST(CostModelCache, ServingSimulatorPricesEachShapeOnce)
 TEST(SweepGrid, CartesianPointsInGridOrder)
 {
     SweepGrid grid;
-    grid.base.mode = ServingMode::EventDriven;
     grid.expertCounts = {50, 100};
     grid.arrivalRates = {8.0};
     grid.batchSizes = {1, 8};
@@ -159,7 +157,6 @@ TEST(SweepGrid, EmptyAxesInheritBaseConfig)
 TEST(SweepGrid, ClusterAxesLiftPointsOntoClusters)
 {
     SweepGrid grid;
-    grid.base.mode = ServingMode::EventDriven;
     grid.base.arrivalRatePerSec = 8.0;
     grid.nodeCounts = {1, 4};
     grid.placements = {PlacementPolicy::FullReplication,
@@ -190,7 +187,6 @@ TEST(SweepGrid, ClusterAxesLiftPointsOntoClusters)
 TEST(Sweep, ClusterPointsParallelMatchesSequential)
 {
     SweepGrid grid;
-    grid.base.mode = ServingMode::EventDriven;
     grid.base.streamRequests = 96;
     grid.base.routing = RoutingDistribution::Zipf;
     grid.base.zipfS = 1.0;
@@ -223,7 +219,6 @@ TEST(Sweep, ClusterPointsParallelMatchesSequential)
 TEST(Sweep, ParallelMatchesSequentialBitForBit)
 {
     SweepGrid grid;
-    grid.base.mode = ServingMode::EventDriven;
     grid.base.streamRequests = 64;
     grid.base.routing = RoutingDistribution::Zipf;
     grid.base.zipfS = 1.1;

@@ -32,7 +32,6 @@ ServingConfig
 streamConfig()
 {
     ServingConfig cfg;
-    cfg.mode = ServingMode::EventDriven;
     cfg.platform = Platform::Sn40l;
     cfg.numExperts = 150;
     cfg.batch = 8;
@@ -312,6 +311,17 @@ TEST(TraceFormat, CorruptAndTruncatedTracesAreFatal)
           "\"session\":-1,\"turn\":0,\"prompt\":0,\"tokens\":0,"
           "\"prio\":0,\"deadline\":0}\n");
     EXPECT_THROW(loadTrace(t.path), sim::FatalError);
+    // Non-finite deadlines.
+    for (const char *bad : {"nan", "inf"}) {
+        SCOPED_TRACE(bad);
+        write(t.path, std::string("{\"sn40l_trace\":1,\"requests\":1}\n"
+                                  "{\"id\":0,\"tick\":5,\"tenant\":0,"
+                                  "\"expert\":1,\"session\":-1,\"turn\":0,"
+                                  "\"prompt\":0,\"tokens\":0,\"prio\":0,"
+                                  "\"deadline\":") +
+                          bad + "}\n");
+        EXPECT_THROW(loadTrace(t.path), sim::FatalError);
+    }
     // Non-sequential ids.
     write(t.path, "{\"sn40l_trace\":1,\"requests\":2}\n" + line(0, 5) +
                       line(2, 9));

@@ -90,7 +90,6 @@ int
 runServe(int argc, char **argv)
 {
     coe::ServingConfig cfg;
-    cfg.mode = coe::ServingMode::EventDriven;
     cfg.batch = 8;
     std::string scheduler_name = "both";
 
@@ -230,7 +229,6 @@ int
 runSweepCmd(int argc, char **argv)
 {
     coe::SweepGrid grid;
-    grid.base.mode = coe::ServingMode::EventDriven;
     grid.base.batch = 8;
     grid.base.arrivalRatePerSec = 8.0;
     std::string scheduler_name = "both";
@@ -534,7 +532,6 @@ runClusterCmd(int argc, char **argv)
     cfg.nodes = 4;
     cfg.placement = coe::PlacementPolicy::ReplicateHotPartitionCold;
     cfg.dispatch = coe::DispatchPolicy::LeastOutstanding;
-    cfg.node.mode = coe::ServingMode::EventDriven;
     cfg.node.batch = 8;
     cfg.node.scheduler = coe::SchedulerPolicy::ExpertAffinity;
     std::string scheduler_name = "affinity";
