@@ -403,6 +403,7 @@ validateClusterConfig(const ClusterConfig &cfg)
                        "got " +
                        std::to_string(cfg.diurnalPeriodSeconds));
     }
+    std::int64_t hbm = platformHbmBytes(cfg.node);
     for (const ClusterNodeOverride &o : cfg.overrides) {
         if (o.node < 0 || o.node >= cfg.nodes)
             sim::fatal("ClusterConfig: override for out-of-range node " +
@@ -413,6 +414,13 @@ validateClusterConfig(const ClusterConfig &cfg)
         if (o.expertRegionBytes < 0)
             sim::fatal("ClusterConfig: override expertRegionBytes "
                        "(--node-region-gb) must be non-negative");
+        if (o.expertRegionBytes > hbm)
+            sim::fatal("ClusterConfig: override expertRegionBytes "
+                       "(--node-region-gb) of node " +
+                       std::to_string(o.node) + " must fit the node's " +
+                       std::to_string(hbm) +
+                       " bytes of HBM, got " +
+                       std::to_string(o.expertRegionBytes));
     }
 
     for (const ScheduledAction &a : cfg.actions) {

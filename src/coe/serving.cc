@@ -48,6 +48,21 @@ schedulerPolicyFromName(const std::string &name)
                "' (expected fifo or affinity)");
 }
 
+std::int64_t
+platformHbmBytes(const ServingConfig &cfg)
+{
+    switch (cfg.platform) {
+      case Platform::Sn40l:
+        return arch::NodeConfig::sn40lNode(cfg.tensorParallel)
+            .totalHbmBytes();
+      case Platform::DgxA100:
+        return baseline::DgxConfig::dgxA100().totalHbmBytes();
+      case Platform::DgxH100:
+        return baseline::DgxConfig::dgxH100().totalHbmBytes();
+    }
+    sim::fatal("platformHbmBytes: unknown platform");
+}
+
 void
 validateServingConfig(const ServingConfig &cfg)
 {
@@ -99,6 +114,12 @@ validateServingConfig(const ServingConfig &cfg)
     if (cfg.expertRegionBytes < 0)
         sim::fatal("ServingConfig: expertRegionBytes (--expert-region-gb) "
                    "must be non-negative");
+    std::int64_t hbm = platformHbmBytes(cfg);
+    if (cfg.expertRegionBytes > hbm)
+        sim::fatal("ServingConfig: expertRegionBytes (--expert-region-gb) "
+                   "must fit the node's " + std::to_string(hbm) +
+                   " bytes of HBM, got " +
+                   std::to_string(cfg.expertRegionBytes));
     if (cfg.specDecode.enabled) {
         if (cfg.specDecode.gamma < 0)
             sim::fatal("ServingConfig: specDecode.gamma (--spec-gamma) "

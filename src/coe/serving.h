@@ -341,6 +341,9 @@ struct PhaseCosts
  */
 PhaseCosts computePhaseCosts(const ServingConfig &cfg);
 
+/** Total HBM of one serving node of cfg.platform: the expert region's cap. */
+std::int64_t platformHbmBytes(const ServingConfig &cfg);
+
 /**
  * Reject invalid or contradictory ServingConfig fields with a
  * FatalError. Shared by ClusterSimulator and analyticBatches().

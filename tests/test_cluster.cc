@@ -688,6 +688,50 @@ TEST(ClusterSimulator, RejectsBadClusterConfigs)
     EXPECT_THROW(ClusterSimulator{cfg}, sim::FatalError);
 }
 
+/** The message of the FatalError @p validate throws, or "" if none. */
+static std::string
+fatalMessage(const std::function<void()> &validate)
+{
+    try {
+        validate();
+    } catch (const sim::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ClusterSimulator, RejectsExpertRegionsBeyondNodeHbm)
+{
+    // An expert region is carved out of the node's HBM: a larger one
+    // used to run, peaking above the HBM it claims to live in.
+    ClusterConfig cfg = clusterConfig(2);
+    std::int64_t hbm = platformHbmBytes(cfg.node);
+    EXPECT_EQ(hbm, arch::NodeConfig::sn40lNode(8).totalHbmBytes());
+
+    cfg.node.expertRegionBytes = hbm;
+    validateClusterConfig(cfg);
+    cfg.node.expertRegionBytes = hbm + 1;
+    EXPECT_NE(fatalMessage([&] { validateServingConfig(cfg.node); })
+                  .find("expertRegionBytes (--expert-region-gb)"),
+              std::string::npos);
+
+    cfg = clusterConfig(2);
+    cfg.overrides.push_back({0, 0, hbm});
+    validateClusterConfig(cfg);
+    cfg.overrides.push_back({1, 0, hbm + 1});
+    EXPECT_NE(fatalMessage([&] { validateClusterConfig(cfg); })
+                  .find("(--node-region-gb) of node 1"),
+              std::string::npos);
+
+    // The DGX baselines cap it at the GPUs' pooled HBM.
+    cfg = clusterConfig(2);
+    cfg.node.platform = Platform::DgxH100;
+    EXPECT_EQ(platformHbmBytes(cfg.node),
+              baseline::DgxConfig::dgxH100().totalHbmBytes());
+    cfg.node.expertRegionBytes = platformHbmBytes(cfg.node) + 1;
+    EXPECT_THROW(validateClusterConfig(cfg), sim::FatalError);
+}
+
 // --------------------------------------------- scenario diversity
 
 TEST(ClusterSimulator, DiurnalRampCompletesAndShiftsTail)
