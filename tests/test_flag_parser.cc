@@ -6,8 +6,10 @@
  * --flag value parse identically, --help short-circuits and is
  * rendered (word-wrapped) from the registration table, malformed or
  * out-of-range numbers name their flag, the whole-string number
- * parsers reject trailing garbage, and parseList rejects malformed
- * lists.
+ * parsers reject trailing garbage, parseList rejects malformed
+ * lists, given() reports the last parse's flags (either alias), and
+ * check() callbacks run in registration order after the last flag,
+ * never after --help.
  */
 
 #include <gtest/gtest.h>
@@ -163,6 +165,58 @@ TEST(FlagParser, HelpShortCircuitsAndPrints)
     std::ostringstream help2;
     EXPECT_TRUE(p.parse({"-h"}, help2));
     EXPECT_FALSE(help2.str().empty());
+}
+
+TEST(FlagParser, GivenReportsTheLastParse)
+{
+    FlagParser p("fake", kAbout);
+    p.value("-j, --jobs", "N", "help", [](const std::string &) {});
+    p.flag("--prefetch", "help", []() {});
+    std::ostringstream help;
+    EXPECT_FALSE(p.given("--jobs"));
+    EXPECT_FALSE(p.parse({"-j", "2", "--prefetch"}, help));
+    // Either name of an alias pair answers for the pair.
+    EXPECT_TRUE(p.given("-j"));
+    EXPECT_TRUE(p.given("--jobs"));
+    EXPECT_TRUE(p.given("--prefetch"));
+    EXPECT_FALSE(p.parse({"--jobs=3"}, help));
+    EXPECT_TRUE(p.given("-j"));
+    EXPECT_FALSE(p.given("--prefetch")); // reset between parses
+    EXPECT_FALSE(p.parse({}, help));
+    EXPECT_FALSE(p.given("--jobs"));
+    // A flag this parser never registered was never given.
+    EXPECT_FALSE(p.given("--closed-loop"));
+}
+
+TEST(FlagParser, ChecksRunInRegistrationOrderAfterEveryFlag)
+{
+    FlagParser p("fake", kAbout);
+    int experts = 0;
+    std::vector<std::string> ran;
+    p.check([&]() { ran.push_back("first:" + std::to_string(experts)); });
+    p.value("--experts", "X", "help",
+            [&](const std::string &v) { experts = parseInt(v); });
+    p.check([&]() {
+        ran.push_back("second");
+        if (p.given("--zoo") && p.given("--experts"))
+            p.fail("--zoo replaces --experts");
+    });
+    p.flag("--zoo", "help", []() {});
+    std::ostringstream help;
+    // The first check was registered before --experts, yet it sees the
+    // parsed value: checks run after the last flag is applied.
+    EXPECT_FALSE(p.parse({"--experts", "4"}, help));
+    EXPECT_EQ(ran, (std::vector<std::string>{"first:4", "second"}));
+
+    ran.clear();
+    expectUsageError([&]() { p.parse({"--zoo", "--experts", "2"}, help); },
+                     "--zoo replaces --experts");
+    EXPECT_EQ(ran, (std::vector<std::string>{"first:2", "second"}));
+
+    // --help prints and returns before any check runs.
+    ran.clear();
+    EXPECT_TRUE(p.parse({"--zoo", "--experts", "2", "--help"}, help));
+    EXPECT_TRUE(ran.empty());
 }
 
 TEST(FlagParser, RegisteringTheSameFlagTwiceIsAProgrammerError)

@@ -13,6 +13,13 @@
  * parse whole (or that overflows) fails naming the flag and the
  * value. Errors throw FlagUsageError instead of exiting, so the tool's
  * main() owns the exit path and tests can assert on messages.
+ *
+ * The parser is also the one record of what the command line said:
+ * given("--flag") reports whether the last parse() saw a flag (under
+ * either name of an alias pair), so no caller keeps its own "was it
+ * set" booleans. Each flag group registers its cross-flag
+ * contradictions with check(); parse() runs them in registration
+ * order once every flag is applied, and never after --help.
  */
 
 #ifndef SN40L_TOOLS_FLAG_PARSER_H
@@ -25,6 +32,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sn40l::tools {
@@ -180,6 +188,25 @@ class FlagParser
         addSpec(names, metavar, help, std::move(apply));
     }
 
+    /**
+     * Register a contradiction check. parse() runs every check, in
+     * registration order, after the last flag is applied; a check
+     * rejects through fail(). --help skips them.
+     */
+    void check(std::function<void()> fn) { checks_.push_back(std::move(fn)); }
+
+    /**
+     * Whether the last parse() saw @p name; either name of an alias
+     * pair counts. A name this parser never registered reads false,
+     * so a shared check can ask about a flag one subcommand lacks.
+     */
+    bool
+    given(const std::string &name) const
+    {
+        const Spec *spec = find(name);
+        return spec && spec->seen;
+    }
+
     /** Shared failure path for parse and cross-flag validation. */
     [[noreturn]] void
     fail(const std::string &msg) const
@@ -229,6 +256,8 @@ class FlagParser
                 spec->apply(std::string());
             }
         }
+        for (const std::function<void()> &c : checks_)
+            c();
         return false;
     }
 
@@ -298,13 +327,19 @@ class FlagParser
         return keys;
     }
 
-    Spec *
-    find(const std::string &arg)
+    const Spec *
+    find(const std::string &arg) const
     {
-        for (Spec &s : specs_)
+        for (const Spec &s : specs_)
             if (std::find(s.keys.begin(), s.keys.end(), arg) != s.keys.end())
                 return &s;
         return nullptr;
+    }
+
+    Spec *
+    find(const std::string &arg)
+    {
+        return const_cast<Spec *>(std::as_const(*this).find(arg));
     }
 
     void
@@ -350,6 +385,7 @@ class FlagParser
     const char *about_;
     std::string group_ = "Flags";
     std::vector<Spec> specs_;
+    std::vector<std::function<void()>> checks_;
 };
 
 /** Parse a comma-separated list through @p parse; empty elements fail. */

@@ -99,23 +99,14 @@ runServe(int argc, char **argv)
         "continuously batched against the live LRU expert cache, and\n"
         "every expert switch streams DDR->HBM through the platform's\n"
         "DMA engines, contending with decode traffic.");
-    WorkloadFlagState wst;
-    ArrivalFlagState ast;
-    ScenarioFlagState sst;
-    SpecZooFlagState szst;
-    bool set_experts = false;
-    addWorkloadFlags(parser, cfg, wst);
-    addArrivalFlags(parser, cfg, ast);
-    addScenarioFlags(parser, cfg, sst);
-    addCoreServingFlags(parser, cfg, scheduler_name, &set_experts);
-    addSpecZooFlags(parser, cfg, szst);
+    addWorkloadFlags(parser, cfg);
+    addArrivalFlags(parser, cfg);
+    addScenarioFlags(parser, cfg);
+    addCoreServingFlags(parser, cfg, scheduler_name);
+    addSpecZooFlags(parser, cfg);
 
     if (parser.parse(argc, argv, std::cout))
         return 0;
-    validateWorkloadFlags(parser, cfg, wst);
-    validateArrivalFlags(parser, cfg, ast);
-    validateScenarioFlags(parser, cfg, sst, ast);
-    validateSpecZooFlags(parser, cfg, szst, set_experts);
 
     std::vector<coe::SchedulerPolicy> policies;
     if (scheduler_name == "both") {
@@ -232,7 +223,7 @@ runSweepCmd(int argc, char **argv)
     grid.base.batch = 8;
     grid.base.arrivalRatePerSec = 8.0;
     std::string scheduler_name = "both";
-    std::string json_path;
+    std::string json_path, faults_path;
     int jobs = static_cast<int>(std::thread::hardware_concurrency());
     if (jobs <= 0)
         jobs = 1;
@@ -246,7 +237,6 @@ runSweepCmd(int argc, char **argv)
         "own event queue, so `-j N` produces bit-identical per-point\n"
         "results to `-j 1`. The other flags mean what they mean under\n"
         "`serve` and apply to every point.");
-    bool set_placement = false, set_dispatch = false;
     parser.group("Sweep axes (comma-separated lists)");
     parser.value("--experts", "LIST", "experts in the zoo (default 150)",
                  [&](const std::string &v) {
@@ -276,23 +266,25 @@ runSweepCmd(int argc, char **argv)
                  [&](const std::string &v) {
                      grid.placements = parseList<coe::PlacementPolicy>(
                          parser, v, &coe::placementPolicyFromName);
-                     set_placement = true;
                  });
     parser.value("--dispatch", "D",
                  "dispatch policy of the cluster points (needs --nodes)",
                  [&](const std::string &v) {
                      grid.dispatch = coe::dispatchPolicyFromName(v);
-                     set_dispatch = true;
                  });
+    // Ahead of the scenario group's check, which would otherwise
+    // report the rate axis as a workload-generator flag.
+    parser.check([&] {
+        if (!grid.base.workload.traceIn.empty() &&
+            !grid.arrivalRates.empty())
+            parser.fail("--trace-in fixes the arrival stream; an "
+                        "--arrival-rate axis does not apply");
+    });
     addSchedulerFlag(parser, scheduler_name);
-    WorkloadFlagState wst;
-    ScenarioFlagState sst;
-    FaultFlagState fst;
-    SpecZooFlagState szst;
-    addWorkloadFlags(parser, grid.base, wst);
-    addScenarioFlags(parser, grid.base, sst);
-    addSpecZooFlags(parser, grid.base, szst);
-    addFaultFlags(parser, grid.faultPolicy, fst);
+    addWorkloadFlags(parser, grid.base);
+    addScenarioFlags(parser, grid.base);
+    addSpecZooFlags(parser, grid.base);
+    addFaultFlags(parser, grid.faultPolicy, faults_path, grid.base);
     parser.group("Execution");
     parser.value("-j, --jobs", "N",
                  "worker threads (default: hardware concurrency)",
@@ -302,36 +294,24 @@ runSweepCmd(int argc, char **argv)
 
     if (parser.parse(argc, argv, std::cout))
         return 0;
-    validateWorkloadFlags(parser, grid.base, wst);
-    // sweep has no --closed-loop/--arrival-rate scalar flags (the
-    // rate is a grid axis), so the shared arrival-state checks get a
-    // default state; the axis-specific conflicts are checked below.
-    validateScenarioFlags(parser, grid.base, sst, ArrivalFlagState{});
-    // sweep's --experts is a grid axis: a non-empty axis list plays
-    // the scalar flag's role in the --zoo-adapters conflict check.
-    validateSpecZooFlags(parser, grid.base, szst,
-                         !grid.expertCounts.empty());
-    validateFaultFlags(parser, grid.faultPolicy, fst, grid.base);
-    if ((fst.setFaults || grid.faultPolicy.anyEnabled()) &&
+    bool faults = parser.given("--faults");
+    if ((faults || grid.faultPolicy.anyEnabled()) &&
         grid.nodeCounts.empty())
         parser.fail("--faults and the degraded-mode flags act on the "
                     "cluster dispatch layer; they require --nodes");
-    if (fst.setFaults) {
+    if (faults) {
         // Parse once; every grid point (and worker thread) replays the
         // same immutable schedule, mirroring the --trace-in pattern.
         grid.faults =
             std::make_shared<const std::vector<coe::FaultEvent>>(
-                coe::loadFaultSchedule(fst.faultsPath));
+                coe::loadFaultSchedule(faults_path));
     }
     if (!grid.base.workload.traceOut.empty())
         parser.fail("--trace-out is ambiguous across sweep points; "
                     "record a trace with `serve` or `cluster` and "
                     "replay it here with --trace-in");
-    if (!grid.base.workload.traceIn.empty() &&
-        !grid.arrivalRates.empty())
-        parser.fail("--trace-in fixes the arrival stream; an "
-                    "--arrival-rate axis does not apply");
-    if ((set_placement || set_dispatch) && grid.nodeCounts.empty())
+    if (anyGiven(parser, {"--placement", "--dispatch"}) &&
+        grid.nodeCounts.empty())
         parser.fail("--placement/--dispatch require --nodes");
     // No config field behind --jobs: this is its only check.
     if (jobs <= 0)
@@ -440,13 +420,14 @@ runSweepCmd(int argc, char **argv)
  */
 int
 runPlanCapacity(const FlagParser &parser, coe::ClusterConfig cfg,
-                const PlanFlagState &plan, bool set_rate)
+                const PlanFlagState &plan)
 {
     if (cfg.node.arrival == coe::ArrivalProcess::ClosedLoop)
         parser.fail("--plan-capacity sizes for offered load; "
                     "closed-loop demand self-paces, drop "
                     "--closed-loop");
-    if (!set_rate && cfg.node.workload.traceIn.empty())
+    if (!parser.given("--arrival-rate") &&
+        cfg.node.workload.traceIn.empty())
         parser.fail("--plan-capacity needs the demand pinned: give an "
                     "explicit --arrival-rate or a --trace-in trace "
                     "(the default rate scales with the node count)");
@@ -463,7 +444,8 @@ runPlanCapacity(const FlagParser &parser, coe::ClusterConfig cfg,
         parser.fail("--plan-capacity runs the demand several times; "
                     "--trace-out is ambiguous");
 
-    int max_nodes = plan.setMaxNodes ? plan.maxNodes : cfg.nodes;
+    int max_nodes =
+        parser.given("--plan-max-nodes") ? plan.maxNodes : cfg.nodes;
 
     std::cout << "Capacity plan: smallest cluster meeting p95 <= "
               << util::formatDouble(plan.p95Ms, 1) << " ms, shed <= "
@@ -546,16 +528,12 @@ runClusterCmd(int argc, char **argv)
         "autoscaling control plane, capacity planning, an event-driven\n"
         "interconnect, and fault injection. The workload flags mean\n"
         "what they mean under `serve`.");
-    bool set_rate = false, set_hot = false;
-    bool set_drain_at = false, set_drain_node = false;
-    bool set_rejoin = false, set_diurnal_amp = false;
-    bool set_diurnal_period = false;
     double drain_at = 0.0, rejoin_at = 0.0;
     int drain_node = 0;
     std::vector<int> node_dma;
     std::vector<double> node_region_gb;
-    std::string schedule_csv;
-    std::string json_path;
+    std::string schedule_csv, json_path, faults_path;
+    PlanFlagState plan;
 
     parser.group("Cluster");
     parser.value("--nodes", "N", "nodes in the cluster (default 4)",
@@ -568,44 +546,24 @@ runClusterCmd(int argc, char **argv)
                  });
     parser.value("--hot-experts", "N",
                  "hot head size for replicate-hot (default experts/10)",
-                 [&](const std::string &v) {
-                     cfg.hotExperts = parseInt(v);
-                     set_hot = true;
-                 });
+                 [&](const std::string &v) { cfg.hotExperts = parseInt(v); });
     parser.value("--dispatch", "D",
                  "round-robin | least-outstanding | expert-affinity | "
                  "topo-aware (default least-outstanding)",
                  [&](const std::string &v) {
                      cfg.dispatch = coe::dispatchPolicyFromName(v);
                  });
-    WorkloadFlagState wst;
-    ArrivalFlagState ast;
-    ScenarioFlagState sst;
-    ControllerFlagState cst;
-    PlanFlagState plan;
-    FaultFlagState fst;
-    SpecZooFlagState szst;
-    bool set_experts = false, set_link = false;
-    addFabricFlags(parser, cfg.fabric, set_link);
+    addFabricFlags(parser, cfg.fabric);
     parser.group("Scenarios");
     // Stricter than ScheduledAction::atSeconds: a drain at 0 is no
     // mid-run drain.
     parser.value("--drain-at", "SEC",
                  "drain a node mid-run; its queue re-dispatches",
-                 [&](const std::string &v) {
-                     drain_at = parseDouble(v);
-                     set_drain_at = true;
-                 });
+                 [&](const std::string &v) { drain_at = parseDouble(v); });
     parser.value("--drain-node", "N", "which node drains (default 0)",
-                 [&](const std::string &v) {
-                     drain_node = parseInt(v);
-                     set_drain_node = true;
-                 });
+                 [&](const std::string &v) { drain_node = parseInt(v); });
     parser.value("--rejoin-at", "SEC", "the drained node rejoins cold",
-                 [&](const std::string &v) {
-                     rejoin_at = parseDouble(v);
-                     set_rejoin = true;
-                 });
+                 [&](const std::string &v) { rejoin_at = parseDouble(v); });
     parser.value("--schedule", "LIST",
                  "KIND:AT[:ARG] actions, KIND drain|rejoin|rate, e.g. "
                  "drain:3:1,rate:12:0.5",
@@ -614,12 +572,10 @@ runClusterCmd(int argc, char **argv)
                  "sinusoidal ramp on the Poisson rate, in [0, 1)",
                  [&](const std::string &v) {
                      cfg.diurnalAmplitude = parseDouble(v);
-                     set_diurnal_amp = true;
                  });
     parser.value("--diurnal-period", "SEC", "ramp period (default 86400)",
                  [&](const std::string &v) {
                      cfg.diurnalPeriodSeconds = parseDouble(v);
-                     set_diurnal_period = true;
                  });
     parser.value("--node-dma-engines", "LIST",
                  "per-node DMA engine counts (length --nodes)",
@@ -632,63 +588,59 @@ runClusterCmd(int argc, char **argv)
                      node_region_gb =
                          parseList<double>(parser, v, &parseDouble);
                  });
-    addControllerFlags(parser, cfg.controller, cst);
+    addControllerFlags(parser, cfg.controller);
     addPlanFlags(parser, plan);
-    addFaultFlags(parser, cfg.faultPolicy, fst);
+    addFaultFlags(parser, cfg.faultPolicy, faults_path, cfg.node);
     parser.group("Output");
     parser.value("--json", "FILE", "write the cluster result as JSON",
                  [&](const std::string &v) { json_path = v; });
-    addWorkloadFlags(parser, cfg.node, wst);
-    addArrivalFlags(parser, cfg.node, ast);
-    addScenarioFlags(parser, cfg.node, sst);
-    addCoreServingFlags(parser, cfg.node, scheduler_name, &set_experts);
-    addSpecZooFlags(parser, cfg.node, szst);
+    addWorkloadFlags(parser, cfg.node);
+    addArrivalFlags(parser, cfg.node);
+    addScenarioFlags(parser, cfg.node);
+    addCoreServingFlags(parser, cfg.node, scheduler_name);
+    addSpecZooFlags(parser, cfg.node);
 
     if (parser.parse(argc, argv, std::cout))
         return 0;
-    validateWorkloadFlags(parser, cfg.node, wst);
-    validateArrivalFlags(parser, cfg.node, ast);
-    validateScenarioFlags(parser, cfg.node, sst, ast);
-    validateSpecZooFlags(parser, cfg.node, szst, set_experts);
-    validateControllerFlags(parser, cfg.controller, cst);
-    validatePlanFlags(parser, plan);
-    validateFaultFlags(parser, cfg.faultPolicy, fst, cfg.node);
-    validateFabricFlags(parser, cfg.fabric, set_link, cfg.dispatch);
+    if (cfg.dispatch == coe::DispatchPolicy::TopologyAware &&
+        !cfg.fabric.enabled)
+        parser.fail("--dispatch topo-aware routes around fabric congestion; "
+                    "it requires --topology");
     // The diurnal ramp shapes the arrival generator, which a replay
     // bypasses entirely — reject it like the other generator flags
     // instead of silently replaying the flat recorded stream.
+    bool diurnal_amp = parser.given("--diurnal-amplitude");
     if (!cfg.node.workload.traceIn.empty() &&
-        (set_diurnal_amp || set_diurnal_period))
+        (diurnal_amp || parser.given("--diurnal-period")))
         parser.fail("--trace-in replays a recorded request stream; "
                     "--diurnal-amplitude/--diurnal-period do not "
                     "apply");
-    // The shared arrival group tracked whether --arrival-rate was set;
-    // if not, the open-loop default scales with the cluster size.
-    set_rate = ast.setArrivalRate;
 
     if (scheduler_name == "both")
         parser.fail("cluster runs a single scheduler; pick fifo or "
                     "affinity");
     cfg.node.scheduler = coe::schedulerPolicyFromName(scheduler_name);
-    if (set_hot &&
+    if (parser.given("--hot-experts") &&
         cfg.placement != coe::PlacementPolicy::ReplicateHotPartitionCold)
         parser.fail("--hot-experts requires --placement replicate-hot");
+    bool drain = parser.given("--drain-at");
+    bool rejoin = parser.given("--rejoin-at");
     // Written so NaN fails too: every comparison with NaN is false.
-    if (set_drain_at && !(drain_at > 0.0))
+    if (drain && !(drain_at > 0.0))
         parser.fail("--drain-at must be positive (the drain fires "
                     "mid-run)");
-    if ((set_drain_node || set_rejoin) && !set_drain_at)
+    if ((parser.given("--drain-node") || rejoin) && !drain)
         parser.fail("--drain-node/--rejoin-at require --drain-at");
-    if (set_rejoin && !(rejoin_at > drain_at))
+    if (rejoin && !(rejoin_at > drain_at))
         parser.fail("--rejoin-at must come after --drain-at");
-    if (set_diurnal_period && !set_diurnal_amp)
+    if (parser.given("--diurnal-period") && !diurnal_amp)
         parser.fail("--diurnal-period requires --diurnal-amplitude");
     // --drain-at/--drain-node/--rejoin-at alias a drain (and a cold
     // rejoin) of one node, fired ahead of the --schedule entries.
-    if (set_drain_at)
+    if (drain)
         cfg.actions.push_back(
             {drain_at, coe::ActionKind::Drain, drain_node});
-    if (set_rejoin)
+    if (rejoin)
         cfg.actions.push_back(
             {rejoin_at, coe::ActionKind::Rejoin, drain_node});
     std::vector<coe::ScheduledAction> scheduled;
@@ -715,26 +667,30 @@ runClusterCmd(int argc, char **argv)
         if (!node_dma.empty() || !node_region_gb.empty())
             cfg.overrides.push_back(o);
     }
-    if (!set_rate && cfg.node.arrival == coe::ArrivalProcess::Poisson)
+    // Without --arrival-rate the open-loop default scales with the
+    // cluster size.
+    if (!parser.given("--arrival-rate") &&
+        cfg.node.arrival == coe::ArrivalProcess::Poisson)
         cfg.node.arrivalRatePerSec = 8.0 * cfg.nodes;
-    if (fst.setFaults) {
+    bool faults = parser.given("--faults");
+    if (faults) {
         // Parse (and strictly validate) once; validateClusterConfig
         // checks it against the node count.
         cfg.faults =
             std::make_shared<const std::vector<coe::FaultEvent>>(
-                coe::loadFaultSchedule(fst.faultsPath));
+                coe::loadFaultSchedule(faults_path));
     }
     coe::validateClusterConfig(cfg);
     loadTraceOnce(cfg.node.workload);
 
-    if (plan.plan) {
+    if (parser.given("--plan-capacity")) {
         if (!json_path.empty())
             parser.fail("--json reports a single cluster run; it does "
                         "not combine with --plan-capacity");
-        if (fst.setFaults || cfg.faultPolicy.anyEnabled())
+        if (faults || cfg.faultPolicy.anyEnabled())
             parser.fail("--plan-capacity sizes clean static clusters; "
                         "drop --faults and the degraded-mode flags");
-        return runPlanCapacity(parser, cfg, plan, set_rate);
+        return runPlanCapacity(parser, cfg, plan);
     }
 
     std::cout << "CoE cluster on "
@@ -866,11 +822,11 @@ runClusterCmd(int argc, char **argv)
         std::cout << "Schedule: " << scheduled.size() << " scripted action"
                   << (scheduled.size() == 1 ? "" : "s") << " applied, "
                   << r.redispatched << " requests re-dispatched\n";
-    if (set_drain_at) {
+    if (drain) {
         std::cout << "Drain: node " << drain_node << " drained at "
                   << util::formatDouble(drain_at, 1) << " s, "
                   << r.redispatched << " queued requests re-dispatched"
-                  << (set_rejoin ? ", rejoined cold at " +
+                  << (rejoin ? ", rejoined cold at " +
                                        util::formatDouble(rejoin_at, 1) +
                                        " s"
                                  : ", no rejoin")
