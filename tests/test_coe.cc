@@ -351,3 +351,56 @@ TEST(Footprint, RejectsImpossiblePlans)
     EXPECT_THROW(sn40lFootprint(0, 1e9, node), sim::FatalError);
     EXPECT_THROW(sn40lFootprint(1, 1e15, node), sim::FatalError);
 }
+
+/**
+ * The event-driven path against the paper's closed-form model at its
+ * batch-serial operating point: batch size 1, one closed-loop client
+ * with no think time, so every batch is one prompt and batches never
+ * overlap. Router, miss rate and exec agree; the switch differs only
+ * by the router overlap the event path models even without prefetch
+ * (the copy starts when the router does), and on SN40L by the gap
+ * between the DMA engine's copy and computePhaseCosts's estimate.
+ */
+TEST(Serving, EventDrivenMatchesAnalyticAtBatchOne)
+{
+    struct Point { Platform platform; int experts; double switchTol; };
+    const std::vector<Point> points = {
+        {Platform::Sn40l, 50, 2e-3},    {Platform::Sn40l, 150, 2e-3},
+        {Platform::Sn40l, 300, 2e-3},   {Platform::DgxA100, 50, 1e-9},
+        {Platform::DgxA100, 100, 1e-9}, {Platform::DgxA100, 150, 1e-9},
+        {Platform::DgxH100, 50, 1e-9},  {Platform::DgxH100, 100, 1e-9},
+        {Platform::DgxH100, 150, 1e-9},
+    };
+    constexpr int kRequests = 200;
+    for (const Point &pt : points) {
+        SCOPED_TRACE(std::string(platformName(pt.platform)) + ", " +
+                     std::to_string(pt.experts) + " experts");
+        ServingConfig cfg;
+        cfg.platform = pt.platform;
+        cfg.numExperts = pt.experts;
+        cfg.batch = 1;
+        cfg.arrival = ArrivalProcess::ClosedLoop;
+        cfg.clients = 1;
+        cfg.thinkSeconds = 0.0;
+        cfg.streamRequests = kRequests;
+
+        ServingResult analytic = analyticBatches(cfg, kRequests);
+        ServingResult event = ServingSimulator(cfg).run();
+        ASSERT_FALSE(analytic.oom);
+        ASSERT_FALSE(event.oom);
+        // Batch-serial: one prompt per batch, one batch per request.
+        EXPECT_EQ(event.stream.batches, kRequests);
+        EXPECT_EQ(event.stream.meanBatchOccupancy, 1.0);
+
+        EXPECT_EQ(event.perBatch.routerSeconds,
+                  analytic.perBatch.routerSeconds);
+        EXPECT_EQ(event.missRate, analytic.missRate);
+        EXPECT_NEAR(event.perBatch.execSeconds,
+                    analytic.perBatch.execSeconds, 1e-9);
+        double expected = analytic.perBatch.switchSeconds -
+            analytic.missRate * analytic.perBatch.routerSeconds;
+        EXPECT_GT(expected, 0.0);
+        EXPECT_NEAR(event.perBatch.switchSeconds, expected,
+                    pt.switchTol * expected);
+    }
+}
