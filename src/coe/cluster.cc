@@ -418,8 +418,7 @@ validateClusterConfig(const ClusterConfig &cfg)
             sim::fatal("ClusterConfig: override expertRegionBytes "
                        "(--node-region-gb) of node " +
                        std::to_string(o.node) + " must fit the node's " +
-                       std::to_string(hbm) +
-                       " bytes of HBM, got " +
+                       std::to_string(hbm) + " bytes of HBM, got " +
                        std::to_string(o.expertRegionBytes));
     }
 

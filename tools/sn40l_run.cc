@@ -827,9 +827,8 @@ runClusterCmd(int argc, char **argv)
                   << util::formatDouble(drain_at, 1) << " s, "
                   << r.redispatched << " queued requests re-dispatched"
                   << (rejoin ? ", rejoined cold at " +
-                                       util::formatDouble(rejoin_at, 1) +
-                                       " s"
-                                 : ", no rejoin")
+                                   util::formatDouble(rejoin_at, 1) + " s"
+                             : ", no rejoin")
                   << "\n";
     }
     if (!cfg.node.workload.traceOut.empty())
