@@ -27,6 +27,19 @@ platformName(Platform platform)
     sim::panic("platformName: unknown platform");
 }
 
+Platform
+platformFromName(const std::string &name)
+{
+    if (name == "sn40l")
+        return Platform::Sn40l;
+    if (name == "dgx-a100")
+        return Platform::DgxA100;
+    if (name == "dgx-h100")
+        return Platform::DgxH100;
+    sim::fatal("unknown platform '" + name +
+               "' (expected sn40l, dgx-a100, or dgx-h100)");
+}
+
 const char *
 schedulerPolicyName(SchedulerPolicy policy)
 {

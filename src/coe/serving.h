@@ -40,6 +40,8 @@ namespace sn40l::coe {
 enum class Platform { Sn40l, DgxA100, DgxH100 };
 
 const char *platformName(Platform platform);
+/** "sn40l", "dgx-a100" or "dgx-h100"; anything else is sim::fatal. */
+Platform platformFromName(const std::string &name);
 
 /** Ignored: every run is event-driven. The benchmark still sets it. */
 enum class ServingMode { EventDriven };

@@ -7,9 +7,11 @@
  * rendered (word-wrapped) from the registration table, malformed or
  * out-of-range numbers name their flag, the whole-string number
  * parsers reject trailing garbage, parseList rejects malformed
- * lists, given() reports the last parse's flags (either alias), and
+ * lists, given() reports the last parse's flags (either alias),
  * check() callbacks run in registration order after the last flag,
- * never after --help.
+ * never after --help, the program name leads the usage line and the
+ * error hint, runMain() turns every exception into exit status 1, and
+ * --workload closed-loop counts as closed-loop for the arrival checks.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/log.h"
+#include "tools/cli_config.h"
 #include "tools/flag_parser.h"
 
 using namespace sn40l;
@@ -49,7 +53,7 @@ expectUsageError(Fn &&fn, const std::string &needle)
     } catch (const FlagUsageError &e) {
         EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
             << "message was: " << e.what();
-        EXPECT_STREQ(e.subcommand().c_str(), "fake");
+        EXPECT_EQ(e.command(), "sn40l_run fake");
     }
 }
 
@@ -57,7 +61,7 @@ expectUsageError(Fn &&fn, const std::string &needle)
 
 TEST(FlagParser, ParsesValuesAndBareFlags)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     int experts = 0;
     bool prefetch = false;
     p.value("--experts", "X", "help",
@@ -76,7 +80,7 @@ TEST(FlagParser, EqualsSpellingMatchesSpaceSpelling)
     for (const std::vector<std::string> &args :
          {std::vector<std::string>{"--experts=42"},
           std::vector<std::string>{"--experts", "42"}}) {
-        FlagParser p("fake", kAbout);
+        FlagParser p("sn40l_run", "fake", kAbout);
         int experts = 0;
         p.value("--experts", "X", "help",
                 [&](const std::string &v) { experts = std::stoi(v); });
@@ -102,7 +106,7 @@ TEST(FlagParser, SplitEqualsArgsOnlyTouchesDoubleDashFlags)
 
 TEST(FlagParser, UnknownFlagNamesTheSubcommand)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     p.flag("--known", "help", []() {});
     std::ostringstream help;
     expectUsageError([&]() { p.parse({"--bogus"}, help); },
@@ -111,7 +115,7 @@ TEST(FlagParser, UnknownFlagNamesTheSubcommand)
 
 TEST(FlagParser, MissingValueFails)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     p.value("--experts", "X", "help", [](const std::string &) {});
     std::ostringstream help;
     expectUsageError([&]() { p.parse({"--experts"}, help); },
@@ -120,7 +124,7 @@ TEST(FlagParser, MissingValueFails)
 
 TEST(FlagParser, DuplicateFlagFails)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     int experts = 0;
     p.value("--experts", "X", "help",
             [&](const std::string &v) { experts = std::stoi(v); });
@@ -130,7 +134,7 @@ TEST(FlagParser, DuplicateFlagFails)
         "given more than once");
 
     // Bare flags are rejected on repeat too.
-    FlagParser q("fake", kAbout);
+    FlagParser q("sn40l_run", "fake", kAbout);
     q.flag("--prefetch", "help", []() {});
     expectUsageError(
         [&]() { q.parse({"--prefetch", "--prefetch"}, help); },
@@ -141,7 +145,7 @@ TEST(FlagParser, ParseStateResetsBetweenRuns)
 {
     // The seen-set must reset, or a reused parser would report a
     // duplicate across independent parses.
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     int experts = 0;
     p.value("--experts", "X", "help",
             [&](const std::string &v) { experts = std::stoi(v); });
@@ -153,7 +157,7 @@ TEST(FlagParser, ParseStateResetsBetweenRuns)
 
 TEST(FlagParser, HelpShortCircuitsAndPrints)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     bool touched = false;
     p.flag("--touch", "help", [&]() { touched = true; });
     std::ostringstream help;
@@ -169,7 +173,7 @@ TEST(FlagParser, HelpShortCircuitsAndPrints)
 
 TEST(FlagParser, GivenReportsTheLastParse)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     p.value("-j, --jobs", "N", "help", [](const std::string &) {});
     p.flag("--prefetch", "help", []() {});
     std::ostringstream help;
@@ -190,7 +194,7 @@ TEST(FlagParser, GivenReportsTheLastParse)
 
 TEST(FlagParser, ChecksRunInRegistrationOrderAfterEveryFlag)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     int experts = 0;
     std::vector<std::string> ran;
     p.check([&]() { ran.push_back("first:" + std::to_string(experts)); });
@@ -221,7 +225,7 @@ TEST(FlagParser, ChecksRunInRegistrationOrderAfterEveryFlag)
 
 TEST(FlagParser, RegisteringTheSameFlagTwiceIsAProgrammerError)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     p.flag("--x", "help", []() {});
     EXPECT_THROW(p.flag("--x", "help", []() {}), std::logic_error);
     EXPECT_THROW(p.value("--x", "X", "help", [](const std::string &) {}),
@@ -233,7 +237,7 @@ TEST(FlagParser, RegisteringTheSameFlagTwiceIsAProgrammerError)
 
 TEST(FlagParser, AliasPairIsOneSpec)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     int threads = 0;
     p.value("-j, --threads", "N", "worker threads",
             [&](const std::string &v) { threads = parseInt(v); });
@@ -253,7 +257,7 @@ TEST(FlagParser, AliasPairIsOneSpec)
 
 TEST(FlagParser, HelpIsRenderedFromTheTable)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     p.group("First");
     p.value("--alpha", "N", "the alpha knob", [](const std::string &) {});
     p.group("Second");
@@ -279,7 +283,7 @@ TEST(FlagParser, HelpIsRenderedFromTheTable)
 
     // Flags before any group() land under "Flags"; a long help line
     // wraps at 80 columns, continuing under the help column.
-    FlagParser wide("fake", kAbout);
+    FlagParser wide("sn40l_run", "fake", kAbout);
     wide.value("--long", "N",
                "one two three four five six seven eight nine ten eleven "
                "twelve thirteen",
@@ -295,7 +299,7 @@ TEST(FlagParser, HelpIsRenderedFromTheTable)
         << wide_help.str();
 
     // The bare program path has no subcommand in its usage or errors.
-    FlagParser top("", "About the program.");
+    FlagParser top("sn40l_run", "", "About the program.");
     top.flag("--x", "x", []() {});
     std::ostringstream top_help;
     ASSERT_TRUE(top.parse({"-h"}, top_help));
@@ -305,20 +309,20 @@ TEST(FlagParser, HelpIsRenderedFromTheTable)
         FAIL() << "expected FlagUsageError";
     } catch (const FlagUsageError &e) {
         EXPECT_STREQ(e.what(), "unknown flag '--y'");
-        EXPECT_TRUE(e.subcommand().empty());
+        EXPECT_EQ(e.command(), "sn40l_run");
     }
 }
 
 TEST(FlagParser, FailThrowsWithSubcommand)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     expectUsageError([&]() { p.fail("custom validation message"); },
                      "custom validation message");
 }
 
 TEST(ParseListFn, ParsesCommaSeparatedValues)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     std::vector<int> v = parseList<int>(
         p, "1,2,3", +[](const std::string &s) { return std::stoi(s); });
     ASSERT_EQ(v.size(), 3u);
@@ -328,7 +332,7 @@ TEST(ParseListFn, ParsesCommaSeparatedValues)
 
 TEST(ParseListFn, EmptyElementsAndEmptyListsFail)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     auto parse = +[](const std::string &s) { return std::stoi(s); };
     expectUsageError([&]() { parseList<int>(p, "1,,3", parse); },
                      "empty element");
@@ -338,7 +342,7 @@ TEST(ParseListFn, EmptyElementsAndEmptyListsFail)
 
 TEST(FlagParser, BadNumbersNameTheFlagAndValue)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     int nodes = 0;
     double rate = 0.0;
     p.value("--nodes", "N", "help",
@@ -388,7 +392,7 @@ TEST(WholeNumberParsers, RejectTrailingGarbage)
 
 TEST(FlagParser, TrailingGarbageNamesTheFlagAndValue)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     int requests = 0;
     double rate = 0.0;
     std::uint64_t seed = 0;
@@ -418,11 +422,118 @@ TEST(FlagParser, TrailingGarbageNamesTheFlagAndValue)
 
 TEST(ParseListFn, WholeNumberElementsRejectTrailingGarbage)
 {
-    FlagParser p("fake", kAbout);
+    FlagParser p("sn40l_run", "fake", kAbout);
     EXPECT_EQ(parseList<int>(p, "100,150", &parseInt),
               (std::vector<int>{100, 150}));
     EXPECT_THROW(parseList<int>(p, "100,150x", &parseInt),
                  std::invalid_argument);
     EXPECT_THROW(parseList<double>(p, "8,16.5/s", &parseDouble),
                  std::invalid_argument);
+}
+
+TEST(FlagParser, ProgramNameLeadsUsageAndErrors)
+{
+    FlagParser p("abl_chaos", "", "A bench.");
+    p.flag("--smoke", "smaller run", []() {});
+    std::ostringstream help;
+    ASSERT_TRUE(p.parse({"--help"}, help));
+    EXPECT_EQ(help.str().rfind("usage: abl_chaos [flags]\n", 0), 0u);
+    try {
+        p.parse({"--bogus"}, help);
+        FAIL() << "expected FlagUsageError";
+    } catch (const FlagUsageError &e) {
+        EXPECT_STREQ(e.what(), "unknown flag '--bogus'");
+        EXPECT_EQ(e.command(), "abl_chaos");
+    }
+}
+
+namespace {
+
+int
+throwUsage(int, char **)
+{
+    FlagParser p("abl_chaos", "", kAbout);
+    p.fail("flag --requests: malformed number 'abc'");
+}
+
+int
+throwFatal(int, char **)
+{
+    sim::fatal("unknown platform 'bogus'");
+}
+
+int
+throwOther(int, char **)
+{
+    throw std::runtime_error("cannot read floor.json");
+}
+
+int
+returnSeven(int, char **)
+{
+    return 7;
+}
+
+/** runMain(@p body)'s exit status; its stderr goes to @p err. */
+int
+runCaptured(int (*body)(int, char **), std::string &err)
+{
+    testing::internal::CaptureStderr();
+    int rc = tools::runMain(body, 0, nullptr);
+    err = testing::internal::GetCapturedStderr();
+    return rc;
+}
+
+} // namespace
+
+TEST(RunMain, EveryExceptionExitsOneWithAnErrorLine)
+{
+    std::string err;
+    EXPECT_EQ(runCaptured(&throwUsage, err), 1);
+    EXPECT_EQ(err, "error: flag --requests: malformed number 'abc'\n"
+                   "run `abl_chaos --help` for the flag reference\n");
+    EXPECT_EQ(runCaptured(&throwFatal, err), 1);
+    EXPECT_EQ(err, "error: fatal: unknown platform 'bogus'\n");
+    EXPECT_EQ(runCaptured(&throwOther, err), 1);
+    EXPECT_EQ(err, "error: cannot read floor.json\n");
+    EXPECT_EQ(runCaptured(&returnSeven, err), 7);
+    EXPECT_TRUE(err.empty());
+}
+
+namespace {
+
+/** Parse @p args through the arrival and scenario flag groups. */
+void
+parseArrivals(const std::vector<std::string> &args, coe::ServingConfig &cfg)
+{
+    FlagParser p("sn40l_run", "fake", kAbout);
+    tools::addArrivalFlags(p, cfg);
+    tools::addScenarioFlags(p, cfg);
+    std::ostringstream help;
+    p.parse(args, help);
+}
+
+} // namespace
+
+TEST(ArrivalFlags, WorkloadClosedLoopIsAClosedLoopRun)
+{
+    // Accepted: the pool flags apply to --workload closed-loop, in
+    // either order.
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"--workload", "closed-loop", "--clients",
+                                   "4"},
+          std::vector<std::string>{"--think", "0.1", "--workload",
+                                   "closed-loop"}}) {
+        coe::ServingConfig cfg;
+        EXPECT_NO_THROW(parseArrivals(args, cfg));
+        EXPECT_EQ(cfg.arrival, coe::ArrivalProcess::ClosedLoop);
+    }
+    // Rejected: an open-loop rate has no meaning there.
+    coe::ServingConfig cfg;
+    expectUsageError(
+        [&]() {
+            parseArrivals({"--workload", "closed-loop", "--arrival-rate", "4"},
+                          cfg);
+        },
+        "--arrival-rate is an open-loop parameter");
 }

@@ -28,7 +28,6 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
-#include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -42,17 +41,6 @@
 #include "flag_parser.h"
 
 namespace sn40l::tools {
-
-inline coe::Platform
-platformByName(const std::string &name)
-{
-    if (name == "sn40l") return coe::Platform::Sn40l;
-    if (name == "dgx-a100") return coe::Platform::DgxA100;
-    if (name == "dgx-h100") return coe::Platform::DgxH100;
-    std::cerr << "unknown platform '" << name
-              << "' (expected sn40l, dgx-a100, or dgx-h100)\n";
-    std::exit(1);
-}
 
 /**
  * GB to bytes for --expert-region-gb and --node-region-gb. The config
@@ -109,7 +97,9 @@ addWorkloadFlags(FlagParser &p, coe::ServingConfig &cfg)
 {
     p.group("Workload");
     p.value("--platform", "P", "sn40l | dgx-a100 | dgx-h100 (default sn40l)",
-            [&](const std::string &v) { cfg.platform = platformByName(v); });
+            [&](const std::string &v) {
+                cfg.platform = coe::platformFromName(v);
+            });
     p.value("--tokens", "N", "output tokens per prompt (default 20)",
             [&](const std::string &v) { cfg.outputTokens = parseInt(v); });
     p.value("--requests", "N",
@@ -169,8 +159,8 @@ addArrivalFlags(FlagParser &p, coe::ServingConfig &cfg)
     p.value("--think", "SEC",
             "client think time (requires --closed-loop; default 0)",
             [&](const std::string &v) { cfg.thinkSeconds = parseDouble(v); });
-    // Registered ahead of the scenario group's check, so it reads the
-    // arrival process before --workload resolves it.
+    // --workload closed-loop sets the arrival process as it parses,
+    // so this check sees it whichever group registered first.
     p.check([&p, &cfg] {
         bool closed = cfg.arrival == coe::ArrivalProcess::ClosedLoop;
         if (closed && p.given("--arrival-rate"))
@@ -197,7 +187,11 @@ addScenarioFlags(FlagParser &p, coe::ServingConfig &cfg)
     p.group("Workload scenarios");
     p.value("--workload", "W",
             "poisson | closed-loop | mix (default poisson)",
-            [workload](const std::string &v) { *workload = v; });
+            [&cfg, workload](const std::string &v) {
+                *workload = v;
+                if (v == "closed-loop")
+                    cfg.arrival = coe::ArrivalProcess::ClosedLoop;
+            });
     p.value("--tenants", "N", "tenants in the mix (with --workload mix: 4)",
             [&](const std::string &v) {
                 cfg.workload.tenants = parseInt(v);
@@ -255,12 +249,10 @@ addScenarioFlags(FlagParser &p, coe::ServingConfig &cfg)
                 if (closed_loop)
                     p.fail("--workload poisson contradicts --closed-loop");
                 cfg.arrival = coe::ArrivalProcess::Poisson;
-            } else if (*workload == "closed-loop") {
-                cfg.arrival = coe::ArrivalProcess::ClosedLoop;
             } else if (*workload == "mix") {
                 if (!tenants)
                     cfg.workload.tenants = 4;
-            } else {
+            } else if (*workload != "closed-loop") {
                 p.fail("unknown --workload '" + *workload +
                        "' (expected poisson, closed-loop, or mix)");
             }

@@ -1,18 +1,24 @@
 /**
  * @file
- * Table-driven subcommand flag parsing for sn40l_run, extracted into a
- * header so the parser is unit-testable (tests/test_flag_parser.cc).
+ * Table-driven flag parsing for every binary that reads a command
+ * line: sn40l_run and its subcommands, and the benches that take a
+ * size or an output file. A header, so the parser is unit-testable
+ * (tests/test_flag_parser.cc).
  *
- * Each subcommand registers its flag specs (shared groups plus its
- * own), each with a metavar, one help line and a group heading, so
- * --help is rendered from the same table parse() walks. In argv,
+ * A parser is made for one program name and subcommand ("" for none),
+ * which --help's usage line and the error hint print. Each command
+ * registers its flag specs (shared groups plus its own), each with a
+ * metavar, one help line and a group heading, so --help is rendered
+ * from the same table parse() walks. In argv,
  * "--flag value" and "--flag=value" both work, "--help"/"-h" prints
  * the help, a flag given twice (under either name of an alias pair)
  * is rejected, an unrecognized flag fails with an error naming the
  * subcommand, and a value the flag's parseInt/parseDouble/... cannot
  * parse whole (or that overflows) fails naming the flag and the
- * value. Errors throw FlagUsageError instead of exiting, so the tool's
- * main() owns the exit path and tests can assert on messages.
+ * value. Errors throw FlagUsageError instead of exiting, so tests can
+ * assert on messages, and every binary's main() is runMain(), the one
+ * exit path: any exception it catches becomes "error: ..." on stderr
+ * and exit status 1, never an abort.
  *
  * The parser is also the one record of what the command line said:
  * given("--flag") reports whether the last parse() saw a flag (under
@@ -28,6 +34,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iostream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -40,20 +47,21 @@ namespace sn40l::tools {
 /**
  * A command-line usage error: unknown flag, missing value, duplicate
  * flag, or a failed cross-flag validation. what() is the message to
- * print; subcommand() names the subcommand whose --help to suggest.
+ * print; command() is the command line whose --help to suggest
+ * ("sn40l_run serve", "abl_chaos").
  */
 class FlagUsageError : public std::runtime_error
 {
   public:
-    FlagUsageError(std::string subcommand, const std::string &msg)
-        : std::runtime_error(msg), subcommand_(std::move(subcommand))
+    FlagUsageError(std::string command, const std::string &msg)
+        : std::runtime_error(msg), command_(std::move(command))
     {
     }
 
-    const std::string &subcommand() const { return subcommand_; }
+    const std::string &command() const { return command_; }
 
   private:
-    std::string subcommand_;
+    std::string command_;
 };
 
 namespace detail {
@@ -155,12 +163,13 @@ class FlagParser
 {
   public:
     /**
-     * @p subcommand names the subcommand in errors and on the usage
-     * line ("" for the bare `sn40l_run` path); @p about is the
-     * paragraph --help prints under the usage line.
+     * @p program and @p subcommand ("" for none) name the command on
+     * the usage line and in errors; @p about is the paragraph --help
+     * prints under the usage line.
      */
-    FlagParser(const char *subcommand, const char *about)
-        : subcommand_(subcommand), about_(about)
+    FlagParser(const char *program, const char *subcommand,
+               const char *about)
+        : program_(program), subcommand_(subcommand), about_(about)
     {
     }
 
@@ -172,9 +181,9 @@ class FlagParser
      * pair spelled as --help shows it ("-j, --jobs").
      */
     void
-    flag(const char *names, const char *help, std::function<void()> apply)
+    flag(const char *names, std::string help, std::function<void()> apply)
     {
-        addSpec(names, nullptr, help,
+        addSpec(names, nullptr, std::move(help),
                 [apply = std::move(apply)](const std::string &) {
                     apply();
                 });
@@ -182,10 +191,10 @@ class FlagParser
 
     /** Register a flag that consumes the next argument (@p metavar). */
     void
-    value(const char *names, const char *metavar, const char *help,
+    value(const char *names, const char *metavar, std::string help,
           std::function<void(const std::string &)> apply)
     {
-        addSpec(names, metavar, help, std::move(apply));
+        addSpec(names, metavar, std::move(help), std::move(apply));
     }
 
     /**
@@ -211,7 +220,7 @@ class FlagParser
     [[noreturn]] void
     fail(const std::string &msg) const
     {
-        throw FlagUsageError(subcommand_, msg);
+        throw FlagUsageError(command(), msg);
     }
 
     /**
@@ -276,8 +285,7 @@ class FlagParser
     void
     printHelp(std::ostream &os) const
     {
-        os << "usage: sn40l_run " << subcommand_
-           << (*subcommand_ ? " " : "") << "[flags]\n\n"
+        os << "usage: " << command() << " [flags]\n\n"
            << about_ << "\n";
         std::vector<std::string> groups;
         for (const Spec &s : specs_)
@@ -299,7 +307,13 @@ class FlagParser
         helpLine(os, "-h, --help", "print this help and exit");
     }
 
-    const char *subcommand() const { return subcommand_; }
+    /** The program name, then the subcommand if there is one. */
+    std::string
+    command() const
+    {
+        return std::string(program_) + (*subcommand_ ? " " : "") +
+            subcommand_;
+    }
 
   private:
     struct Spec
@@ -307,7 +321,7 @@ class FlagParser
         std::string names;             ///< as --help shows: "-j, --jobs"
         std::vector<std::string> keys; ///< each name: "-j", "--jobs"
         const char *metavar;           ///< nullptr: a value-less flag
-        const char *help;
+        std::string help;
         std::string group;
         std::function<void(const std::string &)> apply;
         bool seen = false;
@@ -343,22 +357,23 @@ class FlagParser
     }
 
     void
-    addSpec(const char *names, const char *metavar, const char *help,
+    addSpec(const char *names, const char *metavar, std::string help,
             std::function<void(const std::string &)> apply)
     {
         std::vector<std::string> keys = splitNames(names);
         for (const std::string &k : keys)
             if (find(k) || k == "--help" || k == "-h")
-                throw std::logic_error(
-                    "FlagParser: flag '" + k + "' registered twice on " +
-                    (*subcommand_ ? subcommand_ : "sn40l_run"));
-        specs_.push_back({names, std::move(keys), metavar, help, group_,
-                          std::move(apply), false});
+                throw std::logic_error("FlagParser: flag '" + k +
+                                       "' registered twice on " +
+                                       command());
+        specs_.push_back({names, std::move(keys), metavar, std::move(help),
+                          group_, std::move(apply), false});
     }
 
     /** "  --flag METAVAR   help", the help word-wrapped to 80 columns. */
     static void
-    helpLine(std::ostream &os, const std::string &left, const char *help)
+    helpLine(std::ostream &os, const std::string &left,
+             const std::string &help)
     {
         constexpr std::size_t kIndent = 26, kWidth = 80;
         os << "  " << left;
@@ -381,6 +396,7 @@ class FlagParser
         os << "\n";
     }
 
+    const char *program_;
     const char *subcommand_;
     const char *about_;
     std::string group_ = "Flags";
@@ -405,6 +421,30 @@ parseList(const FlagParser &p, const std::string &csv,
     if (out.empty())
         p.fail("empty list argument");
     return out;
+}
+
+/**
+ * The one exit path of every binary that reads a command line:
+ * `int main(int argc, char **argv) { return runMain(run, argc, argv); }`.
+ * A FlagUsageError prints its message and a --help hint, any other
+ * exception (a sim::fatal config error included) its message, each
+ * after "error: " on stderr; all three exit 1.
+ */
+inline int
+runMain(int (*body)(int, char **), int argc, char **argv)
+{
+    try {
+        return body(argc, argv);
+    } catch (const FlagUsageError &e) {
+        std::cerr << "error: " << e.what() << "\n"
+                  << "run `" << e.command()
+                  << " --help` for the flag reference\n";
+    } catch (const std::invalid_argument &) {
+        std::cerr << "error: malformed numeric argument\n";
+    } catch (const std::exception &e) {
+        std::cerr << "error: " << e.what() << "\n";
+    }
+    return 1;
 }
 
 } // namespace sn40l::tools

@@ -58,7 +58,7 @@ using namespace sn40l::tools;
 namespace {
 
 models::LlmConfig
-modelByName(const std::string &name)
+modelByName(const FlagParser &parser, const std::string &name)
 {
     using models::LlmConfig;
     static const std::map<std::string, LlmConfig (*)()> zoo = {
@@ -76,10 +76,11 @@ modelByName(const std::string &name)
     };
     auto it = zoo.find(name);
     if (it == zoo.end()) {
-        std::cerr << "unknown model '" << name << "'. Available:\n";
+        std::string known;
         for (const auto &kv : zoo)
-            std::cerr << "  " << kv.first << "\n";
-        std::exit(1);
+            known += (known.empty() ? "" : ", ") + kv.first;
+        parser.fail("unknown --model '" + name + "' (expected " + known +
+                    ")");
     }
     return it->second();
 }
@@ -94,7 +95,7 @@ runServe(int argc, char **argv)
     std::string scheduler_name = "both";
 
     FlagParser parser(
-        "serve",
+        "sn40l_run", "serve",
         "Event-driven CoE request-stream serving: requests arrive, are\n"
         "continuously batched against the live LRU expert cache, and\n"
         "every expert switch streams DDR->HBM through the platform's\n"
@@ -229,7 +230,7 @@ runSweepCmd(int argc, char **argv)
         jobs = 1;
 
     FlagParser parser(
-        "sweep",
+        "sn40l_run", "sweep",
         "Cartesian sweep of event-driven serving points (nodes x\n"
         "placements x experts x arrival rates x batch sizes x\n"
         "schedulers x seeds), sharded across a thread pool. Every\n"
@@ -519,7 +520,7 @@ runClusterCmd(int argc, char **argv)
     std::string scheduler_name = "affinity";
 
     FlagParser parser(
-        "cluster",
+        "sn40l_run", "cluster",
         "Multi-node CoE serving cluster: N per-node serving stacks\n"
         "(each its own LRU expert cache and DMA memory system) fronted\n"
         "by a cluster router with pluggable expert placement and\n"
@@ -863,7 +864,7 @@ run(int argc, char **argv)
     int seq = 2048, batch = 1, tp = 8, sockets = 8;
 
     FlagParser parser(
-        "",
+        "sn40l_run", "",
         "Compile and execute one workload on an SN40L node and print a\n"
         "report. Subcommands, each with its own --help:\n"
         "  sn40l_run serve [flags]    single-node event-driven serving\n"
@@ -892,7 +893,7 @@ run(int argc, char **argv)
         return 0;
 
     models::WorkloadSpec spec;
-    spec.model = modelByName(model_name);
+    spec.model = modelByName(parser, model_name);
     spec.seqLen = seq;
     spec.batch = batch;
     spec.tensorParallel = tp;
@@ -959,17 +960,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const tools::FlagUsageError &e) {
-        std::cerr << "error: " << e.what() << "\n"
-                  << "run `sn40l_run " << e.subcommand()
-                  << (e.subcommand().empty() ? "" : " ")
-                  << "--help` for the flag reference\n";
-    } catch (const std::invalid_argument &) {
-        std::cerr << "error: malformed numeric argument\n";
-    } catch (const std::exception &e) {
-        std::cerr << "error: " << e.what() << "\n";
-    }
-    return 1;
+    return runMain(run, argc, argv);
 }
