@@ -22,7 +22,6 @@
  * Emits BENCH_autoscale.json.
  */
 
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -31,7 +30,6 @@
 #include "coe/cluster.h"
 #include "coe/workload.h"
 #include "perf_common.h"
-#include "sim/event_queue.h"
 #include "util/json.h"
 #include "util/table.h"
 
@@ -39,61 +37,18 @@ using namespace sn40l;
 
 namespace {
 
-/**
- * Generate the shared diurnal arrival trace in memory: an open-loop
- * Poisson stream shaped by a sinusoid whose period divides the run
- * into three day/night cycles, recorded exactly as a file trace would
- * be (same model, same RNG draws) but without touching disk.
- */
-std::shared_ptr<const std::vector<coe::TraceEntry>>
-recordDiurnalTrace(const coe::ServingConfig &gen)
-{
-    sim::EventQueue eq;
-    std::unique_ptr<coe::WorkloadModel> model =
-        coe::makeWorkloadModel(gen);
-    auto entries = std::make_shared<std::vector<coe::TraceEntry>>();
-    model->bind(eq, [&](const coe::TrafficRequest &r) {
-        entries->push_back({r, eq.now()});
-    });
-    model->start();
-    eq.run(); // open loop: arrivals self-schedule, no feedback needed
-    return entries;
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    bool smoke = false;
-    int requests = 60'000;
-    bool requests_set = false;
-    std::string json_path = "BENCH_autoscale.json";
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "abl_autoscale: " << arg
-                          << " expects a value\n";
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--smoke") smoke = true;
-        else if (arg == "--requests") {
-            requests = std::stoi(next());
-            requests_set = true;
-        }
-        else if (arg == "--json") json_path = next();
-        else {
-            std::cerr << "usage: abl_autoscale [--smoke] [--requests N] "
-                      << "[--json FILE]\n";
-            return 1;
-        }
-    }
-    if (smoke && !requests_set)
-        requests = 12'000;
+    bench::BenchArgs args{60'000, "BENCH_autoscale.json"};
+    tools::FlagParser parser(
+        "abl_autoscale", "",
+        "Autoscaling ablation: static against reactive provisioning on\n"
+        "one diurnal trace. Exits 1 if its corner flips.");
+    bench::addBenchFlags(parser, args, 12'000);
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
+    const int requests = args.requests;
 
     const int nodes = 4;
     const double total_rate = 24.0; // mean req/s across the cluster
@@ -124,7 +79,7 @@ main(int argc, char **argv)
               << "Both corners replay the same recorded trace.\n\n";
 
     std::shared_ptr<const std::vector<coe::TraceEntry>> trace =
-        recordDiurnalTrace(gen);
+        bench::recordTrace(gen);
 
     coe::ClusterConfig base;
     base.nodes = nodes;
@@ -205,16 +160,8 @@ main(int argc, char **argv)
                             " shed_ok=" + std::to_string(shed_ok) +
                             ").\n");
 
-    std::ofstream out(json_path);
-    {
-        util::JsonWriter w(out, /*pretty=*/true);
-        w.beginObject()
-            .field("bench", "abl_autoscale")
-            .field("commit", bench::gitCommitHash())
-            .field("timestamp_utc", bench::isoTimestampUtc())
-            .field("mode", smoke ? "smoke" : "full")
-            .field("requests", requests)
-            .field("arrival_rate", total_rate)
+    bench::writeBenchJson("abl_autoscale", args, [&](util::JsonWriter &w) {
+        w.field("arrival_rate", total_rate)
             .field("diurnal_amplitude", 0.75)
             .field("diurnal_period_s", period);
         auto corner = [&w](const char *name,
@@ -236,10 +183,15 @@ main(int argc, char **argv)
         corner("reactive", re);
         w.field("node_hours_saved_pct", saved_pct)
             .field("p95_ratio", p95_ratio)
-            .field("corner_holds", wins)
-            .endObject();
-        out << "\n";
-    }
-    std::cout << "wrote " << json_path << "\n";
+            .field("corner_holds", wins);
+    });
     return wins ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runMain(run, argc, argv);
 }

@@ -31,7 +31,6 @@
  * Emits BENCH_chaos.json.
  */
 
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -41,7 +40,6 @@
 #include "coe/faults.h"
 #include "coe/workload.h"
 #include "perf_common.h"
-#include "sim/event_queue.h"
 #include "util/json.h"
 #include "util/table.h"
 
@@ -49,63 +47,24 @@ using namespace sn40l;
 
 namespace {
 
-/** Record the shared multi-tenant arrival trace in memory (same
- *  model and RNG draws as a --trace-out file, no disk). */
-std::shared_ptr<const std::vector<coe::TraceEntry>>
-recordTrace(const coe::ServingConfig &gen)
-{
-    sim::EventQueue eq;
-    std::unique_ptr<coe::WorkloadModel> model =
-        coe::makeWorkloadModel(gen);
-    auto entries = std::make_shared<std::vector<coe::TraceEntry>>();
-    model->bind(eq, [&](const coe::TrafficRequest &r) {
-        entries->push_back({r, eq.now()});
-    });
-    model->start();
-    eq.run(); // open loop: arrivals self-schedule
-    return entries;
-}
-
 struct Corner
 {
     std::string name;
     coe::ClusterResult r;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    bool smoke = false;
-    int requests = 40'000;
-    bool requests_set = false;
-    std::string json_path = "BENCH_chaos.json";
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "abl_chaos: " << arg
-                          << " expects a value\n";
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--smoke") smoke = true;
-        else if (arg == "--requests") {
-            requests = std::stoi(next());
-            requests_set = true;
-        }
-        else if (arg == "--json") json_path = next();
-        else {
-            std::cerr << "usage: abl_chaos [--smoke] [--requests N] "
-                      << "[--json FILE]\n";
-            return 1;
-        }
-    }
-    if (smoke && !requests_set)
-        requests = 8'000;
+    bench::BenchArgs args{40'000, "BENCH_chaos.json"};
+    tools::FlagParser parser(
+        "abl_chaos", "",
+        "Chaos ablation: degraded-mode policies under one fault\n"
+        "schedule. Exits 1 if its corner flips.");
+    bench::addBenchFlags(parser, args, 8'000);
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
+    const int requests = args.requests;
 
     const int nodes = 4;
     const double total_rate = 24.0;
@@ -145,7 +104,7 @@ main(int argc, char **argv)
               << "Every corner replays the same trace and schedule.\n\n";
 
     std::shared_ptr<const std::vector<coe::TraceEntry>> trace =
-        recordTrace(gen);
+        bench::recordTrace(gen);
 
     coe::ClusterConfig base;
     base.nodes = nodes;
@@ -251,16 +210,8 @@ main(int argc, char **argv)
                              " tail=" + std::to_string(tail_ok) +
                              ").\n");
 
-    std::ofstream out(json_path);
-    {
-        util::JsonWriter w(out, /*pretty=*/true);
-        w.beginObject()
-            .field("bench", "abl_chaos")
-            .field("commit", bench::gitCommitHash())
-            .field("timestamp_utc", bench::isoTimestampUtc())
-            .field("mode", smoke ? "smoke" : "full")
-            .field("requests", requests)
-            .field("arrival_rate", total_rate)
+    bench::writeBenchJson("abl_chaos", args, [&](util::JsonWriter &w) {
+        w.field("arrival_rate", total_rate)
             .field("slo_s", gen.workload.sloSeconds)
             .field("fault_events",
                    static_cast<int>(faults->size()));
@@ -288,10 +239,15 @@ main(int argc, char **argv)
         w.field("served_or_shed_frac", served_frac)
             .field("p99_ratio", p99_ratio)
             .field("p99_cap", p99_cap)
-            .field("corner_holds", wins)
-            .endObject();
-        out << "\n";
-    }
-    std::cout << "wrote " << json_path << "\n";
+            .field("corner_holds", wins);
+    });
     return wins ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runMain(run, argc, argv);
 }

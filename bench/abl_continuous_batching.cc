@@ -7,22 +7,32 @@
  * throughput, and expert-cache miss rate — the queueing behaviour the
  * closed-form averager of Fig 1 cannot show.
  *
- *   $ ./build/bench/abl_continuous_batching [requests]
+ *   $ ./build/bench/abl_continuous_batching [--requests N]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "coe/cluster.h"
+#include "perf_common.h"
 #include "util/table.h"
 
 using namespace sn40l;
 using namespace sn40l::coe;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    int requests = argc > 1 ? std::atoi(argv[1]) : 400;
+    int requests = 400;
+    tools::FlagParser parser(
+        "abl_continuous_batching", "",
+        "Continuous batching: arrival rate against FIFO and\n"
+        "expert-affinity scheduling on one SN40L node.");
+    bench::addCountFlag(parser, "--requests", requests,
+                        "requests per cell (default 400)");
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
 
     std::cout << "Ablation A9: continuous batching (SN40L node, 150 "
               << "experts, Zipf routing,\nmax batch 8, " << requests
@@ -66,4 +76,12 @@ main(int argc, char **argv)
               << "batching trades arrival order for fewer expert\n"
               << "switches, cutting the miss rate on skewed routing.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runMain(run, argc, argv);
 }

@@ -21,7 +21,7 @@
  * Dispatch is least-outstanding throughout so the differences come
  * from placement eligibility, not the dispatcher.
  *
- *   abl_expert_placement [requests-per-point]   (default 1200)
+ *   abl_expert_placement [--requests N]   (default 1200 per point)
  */
 
 #include <cstdint>
@@ -30,16 +30,25 @@
 #include <vector>
 
 #include "coe/cluster.h"
+#include "perf_common.h"
 #include "util/table.h"
 
 using namespace sn40l;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     int requests = 1200;
-    if (argc > 1)
-        requests = std::stoi(argv[1]);
+    tools::FlagParser parser(
+        "abl_expert_placement", "",
+        "Expert-placement ablation on a Zipf-routed cluster. Exits 1 if\n"
+        "replicate-hot stops winning its corner at 4 nodes.");
+    bench::addCountFlag(parser, "--requests", requests,
+                        "requests per point (default 1200)");
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
 
     std::cout << "Expert placement ablation: 150 experts, Zipf(1.0) "
               << "routing, least-outstanding dispatch,\n"
@@ -129,4 +138,12 @@ main(int argc, char **argv)
                       : "WARNING: replicate-hot did not win both axes "
                         "at 4 nodes.\n");
     return hot_wins ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runMain(run, argc, argv);
 }

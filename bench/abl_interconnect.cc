@@ -24,7 +24,6 @@
  * Emits BENCH_interconnect.json.
  */
 
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -34,30 +33,12 @@
 #include "coe/faults.h"
 #include "coe/workload.h"
 #include "perf_common.h"
-#include "sim/event_queue.h"
 #include "util/json.h"
 #include "util/table.h"
 
 using namespace sn40l;
 
 namespace {
-
-/** Record the shared arrival trace in memory (same model and RNG
- *  draws as a --trace-out file, no disk). */
-std::shared_ptr<const std::vector<coe::TraceEntry>>
-recordTrace(const coe::ServingConfig &gen)
-{
-    sim::EventQueue eq;
-    std::unique_ptr<coe::WorkloadModel> model =
-        coe::makeWorkloadModel(gen);
-    auto entries = std::make_shared<std::vector<coe::TraceEntry>>();
-    model->bind(eq, [&](const coe::TrafficRequest &r) {
-        entries->push_back({r, eq.now()});
-    });
-    model->start();
-    eq.run(); // open loop: arrivals self-schedule
-    return entries;
-}
 
 struct Corner
 {
@@ -66,40 +47,18 @@ struct Corner
     coe::ClusterResult r;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    bool smoke = false;
-    int requests = 20'000;
-    bool requests_set = false;
-    std::string json_path = "BENCH_interconnect.json";
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "abl_interconnect: " << arg
-                          << " expects a value\n";
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--smoke") smoke = true;
-        else if (arg == "--requests") {
-            requests = std::stoi(next());
-            requests_set = true;
-        }
-        else if (arg == "--json") json_path = next();
-        else {
-            std::cerr << "usage: abl_interconnect [--smoke] "
-                      << "[--requests N] [--json FILE]\n";
-            return 1;
-        }
-    }
-    if (smoke && !requests_set)
-        requests = 4'000;
+    bench::BenchArgs args{20'000, "BENCH_interconnect.json"};
+    tools::FlagParser parser(
+        "abl_interconnect", "",
+        "Interconnect ablation: topology x dispatch under a degraded\n"
+        "link. Exits 1 if its corner flips.");
+    bench::addBenchFlags(parser, args, 4'000);
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
+    const int requests = args.requests;
 
     const int nodes = 8;
     const double total_rate = 8.0 * nodes;
@@ -133,7 +92,7 @@ main(int argc, char **argv)
               << " s. Every corner replays the same trace.\n\n";
 
     std::shared_ptr<const std::vector<coe::TraceEntry>> trace =
-        recordTrace(gen);
+        bench::recordTrace(gen);
 
     coe::ClusterConfig base;
     base.nodes = nodes;
@@ -215,16 +174,8 @@ main(int argc, char **argv)
                         "(congested=" + std::to_string(congested) +
                             " wins=" + std::to_string(wins) + ").\n");
 
-    std::ofstream out(json_path);
-    {
-        util::JsonWriter w(out, /*pretty=*/true);
-        w.beginObject()
-            .field("bench", "abl_interconnect")
-            .field("commit", bench::gitCommitHash())
-            .field("timestamp_utc", bench::isoTimestampUtc())
-            .field("mode", smoke ? "smoke" : "full")
-            .field("requests", requests)
-            .field("arrival_rate", total_rate)
+    bench::writeBenchJson("abl_interconnect", args, [&](util::JsonWriter &w) {
+        w.field("arrival_rate", total_rate)
             .field("link_gbps", base.fabric.linkGbps)
             .field("degrade_factor", 40.0);
         w.key("corners").beginArray();
@@ -247,10 +198,15 @@ main(int argc, char **argv)
             .field("star_rr_p95_s", rr_p95)
             .field("star_topo_p95_s", topo_p95)
             .field("congested", congested)
-            .field("corner_holds", wins && congested)
-            .endObject();
-        out << "\n";
-    }
-    std::cout << "wrote " << json_path << "\n";
+            .field("corner_holds", wins && congested);
+    });
     return (wins && congested) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runMain(run, argc, argv);
 }

@@ -25,7 +25,6 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -52,40 +51,18 @@ struct ZooPoint
     double dmaLoads = 0.0;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    bool smoke = false;
-    int requests = 2'000;
-    bool requests_set = false;
-    std::string json_path = "BENCH_peft_experts.json";
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "abl_peft_experts: " << arg
-                          << " expects a value\n";
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--smoke") smoke = true;
-        else if (arg == "--requests") {
-            requests = std::stoi(next());
-            requests_set = true;
-        }
-        else if (arg == "--json") json_path = next();
-        else {
-            std::cerr << "usage: abl_peft_experts [--smoke] "
-                      << "[--requests N] [--json FILE]\n";
-            return 1;
-        }
-    }
-    if (smoke && !requests_set)
-        requests = 400;
+    bench::BenchArgs args{2'000, "BENCH_peft_experts.json"};
+    tools::FlagParser parser(
+        "abl_peft_experts", "",
+        "PEFT ablation: full experts against a live LoRA adapter zoo.\n"
+        "Exits 1 if the zoo hit rate falls as its region grows.");
+    bench::addBenchFlags(parser, args, 400);
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
+    const int requests = args.requests;
 
     // ------------------------------------------------------------
     // Part 1: static capacity table.
@@ -210,16 +187,8 @@ main(int argc, char **argv)
               << "the DDR tier (not adapter tricks) is what makes that "
               << "affordable.\n";
 
-    std::ofstream out(json_path);
-    {
-        util::JsonWriter w(out, /*pretty=*/true);
-        w.beginObject()
-            .field("bench", "abl_peft_experts")
-            .field("commit", bench::gitCommitHash())
-            .field("timestamp_utc", bench::isoTimestampUtc())
-            .field("mode", smoke ? "smoke" : "full")
-            .field("requests", requests)
-            .field("adapters", adapters)
+    bench::writeBenchJson("abl_peft_experts", args, [&](util::JsonWriter &w) {
+        w.field("adapters", adapters)
             .field("rank", rank)
             .field("adapter_bytes", adapter_bytes)
             .field("full_expert_bytes", full);
@@ -236,10 +205,15 @@ main(int argc, char **argv)
         w.endArray();
         w.field("monotone", monotone)
             .field("full_region_hot", full_region_hot)
-            .field("corner_holds", holds)
-            .endObject();
-        out << "\n";
-    }
-    std::cout << "wrote " << json_path << "\n";
+            .field("corner_holds", holds);
+    });
     return holds ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runMain(run, argc, argv);
 }

@@ -27,8 +27,8 @@
  * Emits BENCH_spec_decode.json.
  */
 
-#include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -78,11 +78,10 @@ runPoint(const ServingConfig &cfg, double accept)
     Point p;
     p.accept = accept;
     ServingResult r = ServingSimulator(cfg).run();
-    if (r.oom || r.stream.completed != cfg.streamRequests) {
-        std::cerr << "abl_spec_decode: point accept=" << accept
-                  << " did not complete\n";
-        std::exit(1);
-    }
+    if (r.oom || r.stream.completed != cfg.streamRequests)
+        throw std::runtime_error("point accept=" +
+                                 util::formatDouble(accept, 2) +
+                                 " did not complete");
     p.tokensPerSec = r.stream.throughputTokensPerSec;
     p.p95 = r.stream.p95LatencySeconds;
     p.specSteps = r.stream.specSteps;
@@ -96,40 +95,18 @@ runPoint(const ServingConfig &cfg, double accept)
     return p;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    bool smoke = false;
-    int requests = 2'000;
-    bool requests_set = false;
-    std::string json_path = "BENCH_spec_decode.json";
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "abl_spec_decode: " << arg
-                          << " expects a value\n";
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--smoke") smoke = true;
-        else if (arg == "--requests") {
-            requests = std::stoi(next());
-            requests_set = true;
-        }
-        else if (arg == "--json") json_path = next();
-        else {
-            std::cerr << "usage: abl_spec_decode [--smoke] "
-                      << "[--requests N] [--json FILE]\n";
-            return 1;
-        }
-    }
-    if (smoke && !requests_set)
-        requests = 300;
+    bench::BenchArgs args{2'000, "BENCH_spec_decode.json"};
+    tools::FlagParser parser(
+        "abl_spec_decode", "",
+        "Speculative-decoding ablation: tokens/s against the draft\n"
+        "acceptance rate. Exits 1 if its corner flips.");
+    bench::addBenchFlags(parser, args, 300);
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
+    const int requests = args.requests;
 
     const int gamma = 4;
     const double draft_ratio = 0.05;
@@ -201,16 +178,8 @@ main(int argc, char **argv)
                             " wins_high=" + std::to_string(wins_high) +
                             ").\n");
 
-    std::ofstream out(json_path);
-    {
-        util::JsonWriter w(out, /*pretty=*/true);
-        w.beginObject()
-            .field("bench", "abl_spec_decode")
-            .field("commit", bench::gitCommitHash())
-            .field("timestamp_utc", bench::isoTimestampUtc())
-            .field("mode", smoke ? "smoke" : "full")
-            .field("requests", requests)
-            .field("gamma", gamma)
+    bench::writeBenchJson("abl_spec_decode", args, [&](util::JsonWriter &w) {
+        w.field("gamma", gamma)
             .field("draft_ratio", draft_ratio)
             .field("ar_tokens_per_sec", ar.tokensPerSec)
             .field("ar_p95_s", ar.p95);
@@ -231,10 +200,15 @@ main(int argc, char **argv)
         w.field("monotone", monotone)
             .field("loses_at_zero_accept", loses_at_zero)
             .field("wins_at_high_accept", wins_high)
-            .field("corner_holds", holds)
-            .endObject();
-        out << "\n";
-    }
-    std::cout << "wrote " << json_path << "\n";
+            .field("corner_holds", holds);
+    });
     return holds ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runMain(run, argc, argv);
 }

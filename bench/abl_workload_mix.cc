@@ -18,16 +18,16 @@
  * and exits non-zero if the replay is not bit-identical, keeping the
  * record/replay invariant visible in CI's bench-smoke log.
  *
- *   $ ./build/bench/abl_workload_mix [requests]
+ *   $ ./build/bench/abl_workload_mix [--requests N]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "coe/cluster.h"
 #include "coe/workload.h"
+#include "perf_common.h"
 #include "util/table.h"
 
 using namespace sn40l;
@@ -51,12 +51,18 @@ baseConfig(int requests)
     return cfg;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    int requests = argc > 1 ? std::atoi(argv[1]) : 600;
+    int requests = 600;
+    tools::FlagParser parser(
+        "abl_workload_mix", "",
+        "Workload scenarios at one offered load, then a trace record\n"
+        "and replay. Exits 1 if the replay is not bit-identical.");
+    bench::addCountFlag(parser, "--requests", requests,
+                        "requests per scenario row (default 600)");
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
 
     std::cout << "Ablation A12: workload scenarios (SN40L node, 150 "
               << "experts, affinity\nbatching, 24 req/s offered, "
@@ -155,4 +161,12 @@ main(int argc, char **argv)
               << "SLO admission trades shed requests for a bounded "
               << "tail.\n";
     return identical ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runMain(run, argc, argv);
 }

@@ -56,6 +56,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,7 +69,6 @@
 #include "util/json.h"
 
 using namespace sn40l;
-using bench::jsonNumber;
 using bench::wallSeconds;
 
 namespace {
@@ -193,45 +193,31 @@ passTable(int nodes, int requests)
             {"chaos", chaos, true, false}};
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    bool smoke = false;
-    int requests = 400'000;
-    bool requests_set = false;
+    bench::BenchArgs args{400'000, "BENCH_perf.json"};
     int nodes = 4;
-    std::string json_path = "BENCH_perf.json";
     std::string floor_path;
+    tools::FlagParser parser(
+        "perf_gate", "",
+        "Simulator performance gate: a table of passes, each held to\n"
+        "the --floor file's events/request ceiling and events/s floor.");
+    bench::addBenchFlags(parser, args, 20'000);
+    bench::addCountFlag(parser, "--nodes", nodes,
+                        "nodes in the cluster passes (default 4)");
+    parser.value("--floor", "FILE",
+                  "gate against this floor file (bench/perf_gate_floor.json)",
+                  [&](const std::string &v) { floor_path = v; });
+    if (parser.parse(argc, argv, std::cout))
+        return 0;
+    const int requests = args.requests;
+    // Read before the first pass, so a bad path fails up front.
+    std::optional<bench::JsonFile> floor;
+    if (!floor_path.empty())
+        floor.emplace(floor_path);
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "perf_gate: " << arg << " expects a value\n";
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--smoke") smoke = true;
-        else if (arg == "--requests") {
-            requests = std::stoi(next());
-            requests_set = true;
-        }
-        else if (arg == "--nodes") nodes = std::stoi(next());
-        else if (arg == "--json") json_path = next();
-        else if (arg == "--floor") floor_path = next();
-        else {
-            std::cerr << "usage: perf_gate [--smoke] [--requests N] "
-                      << "[--nodes N] [--json FILE] [--floor FILE]\n";
-            return 1;
-        }
-    }
-    if (smoke && !requests_set)
-        requests = 20'000;
-
-    double core_eps = coreEventsPerSec(smoke ? 500'000 : 5'000'000);
+    double core_eps = coreEventsPerSec(args.smoke ? 500'000 : 5'000'000);
     std::cout << "event core: " << static_cast<std::uint64_t>(core_eps)
               << " events/s (schedule/fire/cancel mix)\n";
 
@@ -249,22 +235,17 @@ main(int argc, char **argv)
               << cold.size()
               << " ServingSimulator constructions, cost memo cleared)\n";
 
-    std::ofstream out(json_path);
+    std::ofstream out(args.jsonPath);
     util::JsonWriter w(out, /*pretty=*/true);
-    w.beginObject()
-        .field("bench", "perf_gate")
-        .field("commit", bench::gitCommitHash())
-        .field("timestamp_utc", bench::isoTimestampUtc())
-        .field("mode", smoke ? "smoke" : "full")
+    bench::beginBenchJson(w, "perf_gate", args.smoke)
         .field("nodes", nodes)
         .field("requests", requests)
         .field("core_events_per_sec", core_eps)
         .field("cold_setup_s", cold_setup);
 
     // Ceilings and the re-arm check hold only where they were pinned.
-    const bool pinned = !floor_path.empty() &&
-        nodes == jsonNumber("perf_gate", floor_path, "nodes") &&
-        requests == jsonNumber("perf_gate", floor_path, "requests");
+    const bool pinned = floor && nodes == floor->number("nodes") &&
+        requests == floor->number("requests");
     bool failed = false;
     auto fail = [&](const std::string &what) {
         std::cerr << "perf_gate: REGRESSION: " << what << " (from "
@@ -310,16 +291,14 @@ main(int argc, char **argv)
                 fail("the " + p.name + " pass re-armed no batch; it no "
                      "longer exercises the early coe.batch_done path");
         }
-        if (!floor_path.empty() && p.wallFloor) {
-            double gate =
-                0.8 * jsonNumber("perf_gate", floor_path, key + "sec");
+        if (floor && p.wallFloor) {
+            double gate = 0.8 * floor->number(key + "sec");
             if (eps < gate)
                 fail(p.name + " " + std::to_string(eps) +
                      " events/s < gate " + std::to_string(gate));
         }
         if (pinned) {
-            double ceiling =
-                jsonNumber("perf_gate", floor_path, key + "request");
+            double ceiling = floor->number(key + "request");
             if (epr > ceiling)
                 fail(p.name + " " + std::to_string(m.eventsExecuted) +
                      " events > ceiling " +
@@ -328,15 +307,23 @@ main(int argc, char **argv)
     }
     w.field("peak_rss_bytes", bench::peakRssBytes()).endObject();
     out << "\n";
-    std::cout << "wrote " << json_path << "\n";
+    std::cout << "wrote " << args.jsonPath << "\n";
 
-    if (!floor_path.empty() && !pinned)
+    if (floor && !pinned)
         std::cout << "events/request ceilings and the re-arm check "
                      "skipped: they are pinned at the floor's "
                      "nodes/requests\n";
     if (failed)
         return 1;
-    if (!floor_path.empty())
+    if (floor)
         std::cout << "perf gate passed (" << floor_path << ")\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runMain(run, argc, argv);
 }
