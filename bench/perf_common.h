@@ -190,7 +190,8 @@ writeBenchJson(const char *bench, const BenchArgs &args, Body body)
 /**
  * A small JSON file, read whole on construction so a missing file
  * fails before the caller runs anything, with a minimal "key": value
- * lookup. Both failures throw, naming the file.
+ * lookup. Every failure (no file, no key, no number after the key)
+ * throws, naming the file.
  */
 class JsonFile
 {
@@ -211,8 +212,13 @@ class JsonFile
         auto pos = text_.find("\"" + key + "\"");
         if (pos == std::string::npos)
             throw std::runtime_error("no \"" + key + "\" in " + path_);
-        pos = text_.find(':', pos);
-        return std::stod(text_.substr(pos + 1));
+        std::istringstream in(text_.substr(pos + key.size() + 2));
+        char colon = 0;
+        double value = 0.0;
+        if (!(in >> colon >> value) || colon != ':')
+            throw std::runtime_error("bad number for \"" + key + "\" in " +
+                                     path_);
+        return value;
     }
 
   private:

@@ -57,6 +57,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -216,6 +217,9 @@ run(int argc, char **argv)
     std::optional<bench::JsonFile> floor;
     if (!floor_path.empty())
         floor.emplace(floor_path);
+    // Ceilings and the re-arm check hold only where they were pinned.
+    const bool pinned = floor && nodes == floor->number("nodes") &&
+        requests == floor->number("requests");
 
     double core_eps = coreEventsPerSec(args.smoke ? 500'000 : 5'000'000);
     std::cout << "event core: " << static_cast<std::uint64_t>(core_eps)
@@ -236,6 +240,8 @@ run(int argc, char **argv)
               << " ServingSimulator constructions, cost memo cleared)\n";
 
     std::ofstream out(args.jsonPath);
+    if (!out)
+        throw std::runtime_error("cannot write " + args.jsonPath);
     util::JsonWriter w(out, /*pretty=*/true);
     bench::beginBenchJson(w, "perf_gate", args.smoke)
         .field("nodes", nodes)
@@ -243,9 +249,6 @@ run(int argc, char **argv)
         .field("core_events_per_sec", core_eps)
         .field("cold_setup_s", cold_setup);
 
-    // Ceilings and the re-arm check hold only where they were pinned.
-    const bool pinned = floor && nodes == floor->number("nodes") &&
-        requests == floor->number("requests");
     bool failed = false;
     auto fail = [&](const std::string &what) {
         std::cerr << "perf_gate: REGRESSION: " << what << " (from "

@@ -92,10 +92,8 @@ TEST(FlagParser, EqualsSpellingMatchesSpaceSpelling)
 
 TEST(FlagParser, SplitEqualsArgsOnlyTouchesDoubleDashFlags)
 {
-    const char *argv[] = {"sn40l_run", "fake", "--a=1", "plain=2", "-j",
-                          "4"};
     std::vector<std::string> out =
-        splitEqualsArgs(6, const_cast<char **>(argv), 2);
+        splitEqualsArgs({"--a=1", "plain=2", "-j", "4"});
     ASSERT_EQ(out.size(), 5u);
     EXPECT_EQ(out[0], "--a");
     EXPECT_EQ(out[1], "1");
@@ -535,5 +533,18 @@ TEST(ArrivalFlags, WorkloadClosedLoopIsAClosedLoopRun)
             parseArrivals({"--workload", "closed-loop", "--arrival-rate", "4"},
                           cfg);
         },
-        "--arrival-rate is an open-loop parameter");
+        "cannot be combined with --workload closed-loop");
+    // Rejected: sessions are open-loop, whichever flag made the pool.
+    expectUsageError(
+        [&]() {
+            parseArrivals({"--workload", "closed-loop", "--session-prob",
+                           "0.5"},
+                          cfg);
+        },
+        "open-loop workloads; drop --workload closed-loop");
+    expectUsageError(
+        [&]() {
+            parseArrivals({"--session-prob", "0.5", "--closed-loop"}, cfg);
+        },
+        "open-loop workloads; drop --closed-loop");
 }

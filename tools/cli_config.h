@@ -85,6 +85,14 @@ anyGiven(const FlagParser &p, std::initializer_list<const char *> names)
     return false;
 }
 
+/** The flag that made the run closed-loop, as errors name it. */
+inline std::string
+closedLoopFlag(const FlagParser &p)
+{
+    return p.given("--closed-loop") ? "--closed-loop"
+                                    : "--workload closed-loop";
+}
+
 // ------------------------------------------- shared flag groups
 
 /**
@@ -165,7 +173,7 @@ addArrivalFlags(FlagParser &p, coe::ServingConfig &cfg)
         bool closed = cfg.arrival == coe::ArrivalProcess::ClosedLoop;
         if (closed && p.given("--arrival-rate"))
             p.fail("--arrival-rate is an open-loop parameter; it cannot "
-                   "be combined with --closed-loop");
+                   "be combined with " + closedLoopFlag(p));
         if (!closed && anyGiven(p, {"--clients", "--think"}))
             p.fail("--clients/--think only apply to --closed-loop runs");
     });
@@ -243,7 +251,7 @@ addScenarioFlags(FlagParser &p, coe::ServingConfig &cfg)
         bool tenants = p.given("--tenants");
         bool sessions = anyGiven(
             p, {"--session-prob", "--session-think", "--session-turns"});
-        bool closed_loop = p.given("--closed-loop");
+        bool closed_loop = cfg.arrival == coe::ArrivalProcess::ClosedLoop;
         if (named) {
             if (*workload == "poisson") {
                 if (closed_loop)
@@ -261,7 +269,7 @@ addScenarioFlags(FlagParser &p, coe::ServingConfig &cfg)
             p.fail("--tenants requires --workload mix");
         if ((tenants || sessions) && closed_loop)
             p.fail("tenant mixes and sessions are open-loop workloads; "
-                   "drop --closed-loop");
+                   "drop " + closedLoopFlag(p));
         if (!cfg.workload.traceIn.empty() &&
             (named || tenants || sessions || closed_loop ||
              anyGiven(p, {"--burst-factor", "--burst-every",

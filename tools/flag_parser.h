@@ -150,15 +150,6 @@ splitEqualsArgs(const std::vector<std::string> &args)
     return out;
 }
 
-inline std::vector<std::string>
-splitEqualsArgs(int argc, char **argv, int first)
-{
-    std::vector<std::string> raw;
-    for (int i = first; i < argc; ++i)
-        raw.emplace_back(argv[i]);
-    return splitEqualsArgs(raw);
-}
-
 class FlagParser
 {
   public:
@@ -274,8 +265,7 @@ class FlagParser
     bool
     parse(int argc, char **argv, std::ostream &help_out)
     {
-        return parse(splitEqualsArgs(argc, argv, *subcommand_ ? 2 : 1),
-                     help_out);
+        return parse({argv + (*subcommand_ ? 2 : 1), argv + argc}, help_out);
     }
 
     /**
