@@ -664,7 +664,7 @@ ClusterSimulator::begin()
     // The workload model emits routed requests from inside arrival
     // events; the cluster dispatches each to a hosting node. Dispatch
     // itself lives in dispatchRequest(), where the degraded-mode
-    // policies hook in.
+    // policies hook in, and every hand-off in handOff().
     rs_->workload->bind(rs_->eq, [this](const TrafficRequest &r) {
         if (rs_->firstArrival < 0)
             rs_->firstArrival = rs_->eq.now();
@@ -678,10 +678,10 @@ ClusterSimulator::begin()
 /**
  * Route one arriving request to a hosting node, applying the
  * degraded-mode policies on the way: brown-out shedding at the door,
- * flaky-dispatch failures into the retry path, and hedged dispatch of
- * a duplicate when the chosen node's backlog estimate blows the SLO.
- * Runs inside the arrival event; with every policy disabled it
- * reduces exactly to the plain dispatch.
+ * flaky-dispatch failures into the retry path (both in route()), and
+ * hedged dispatch of a duplicate when the chosen node's backlog
+ * estimate blows the SLO. Runs inside the arrival event; with every
+ * policy disabled it reduces exactly to the plain dispatch.
  */
 void
 ClusterSimulator::dispatchRequest(const TrafficRequest &request)
@@ -699,37 +699,15 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
         return;
     }
 
-    int n = pickNode(request.expert);
-
-    // Flaky node: the dispatch itself fails and the request enters
-    // the same retry-or-lost path a crash displacement does, with its
-    // arrival timestamp preserved. Drawn from the dedicated fault
-    // stream only while a flaky window is open.
-    if (rs.flakyProb[static_cast<std::size_t>(n)] > 0.0 &&
-        rs.faultRng->uniformDouble() <
-            rs.flakyProb[static_cast<std::size_t>(n)]) {
-        rs.flakyFailures += 1.0;
-        handleDisplaced(
-            rs.engines[static_cast<std::size_t>(n)]->makeEngineRequest(
-                request, rs.eq.now()));
+    // Node overrides touch only the DMA engines and the region size,
+    // so every engine prices a request alike: one EngineRequest,
+    // stamped with the arrival tick, serves whichever node takes it.
+    // Measured latency then includes any fabric transit and retries.
+    EngineRequest engineRequest =
+        rs.engines.front()->makeEngineRequest(request, rs.eq.now());
+    int n = route(engineRequest);
+    if (n < 0)
         return;
-    }
-
-    auto deliver = [this, &rs](int node, const TrafficRequest &r) {
-        ++rs.dispatchedTo[static_cast<std::size_t>(node)];
-        if (rs.fabric) {
-            // The EngineRequest is built at the dispatch tick (its
-            // arrival stamp), so measured latency includes the
-            // network transit; injection happens when the last flit
-            // lands at the node.
-            forwardRequest(
-                node, rs.engines[static_cast<std::size_t>(node)]
-                          ->makeEngineRequest(r, rs.eq.now()));
-            return;
-        }
-        rs.engines[static_cast<std::size_t>(node)]->inject(r);
-    };
-    deliver(n, request);
 
     // Hedged dispatch: when the chosen node's queueing-delay estimate
     // exceeds the priority-scaled SLO, race a duplicate on the best
@@ -759,9 +737,8 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
             for (int c = 0; c < cfg_.nodes; ++c)
                 consider(c);
         if (alt >= 0) {
-            TrafficRequest dup = request;
-            dup.hedgeDuplicate = true;
-            deliver(alt, dup);
+            engineRequest.hedgeDuplicate = true;
+            handOff(hub(), alt, std::move(engineRequest));
             rs.hedges.emplace(request.id,
                               RunState::HedgePair{n, alt});
             rs.hedged += 1.0;
@@ -770,22 +747,55 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
 }
 
 /**
- * Ship one request (initial dispatch, retry, or hedge duplicate) from
- * the hub to @p node over the fabric. The wire size is the modeled
- * prompt-handoff payload plus the per-message overhead — NOT the
- * request's trafficBytes, which counts node-local HBM streaming;
- * delivery goes through deliverViaFabric() when the last flit lands.
+ * Send @p request from the hub to the node pickNode() chooses: first
+ * dispatch and every retry. A flaky target fails the dispatch instead,
+ * and the request enters the same retry-or-lost path a crash
+ * displacement does, with its arrival timestamp preserved. The coin
+ * comes from the dedicated fault stream, drawn only while the target's
+ * flaky window is open. @return the node, or -1 when the dispatch
+ * failed.
  */
-void
-ClusterSimulator::forwardRequest(int node, EngineRequest request)
+int
+ClusterSimulator::route(EngineRequest request)
 {
     RunState &rs = *rs_;
+    int n = pickNode(request.expert);
+    double flaky = rs.flakyProb[static_cast<std::size_t>(n)];
+    if (flaky > 0.0 && rs.faultRng->uniformDouble() < flaky) {
+        rs.flakyFailures += 1.0;
+        handleDisplaced(std::move(request));
+        return -1;
+    }
+    handOff(hub(), n, std::move(request));
+    return n;
+}
+
+/**
+ * The one place a request moves to @p node: from the hub (dispatch,
+ * retry, hedge duplicate) or from a draining node (re-placement).
+ * Without the fabric the engine takes it at once. With it, the request
+ * parks on the wire while a message of the modeled hand-off size
+ * (prompt payload plus per-message overhead, NOT the request's
+ * trafficBytes, which counts node-local HBM streaming) crosses from
+ * @p from, and deliverViaFabric() hands it over when the last flit
+ * lands.
+ */
+void
+ClusterSimulator::handOff(int from, int node, EngineRequest request)
+{
+    RunState &rs = *rs_;
+    ++rs.dispatchedTo[static_cast<std::size_t>(node)];
+    if (!rs.fabric) {
+        rs.engines[static_cast<std::size_t>(node)]->injectAt(
+            std::move(request));
+        return;
+    }
     std::uint32_t slot = rs.parkOnWire(std::move(request));
-    rs.fabric->sendRequest(node, cfg_.fabric.requestPayloadBytes,
-                           [this, node, slot]() {
-                               deliverViaFabric(
-                                   node, rs_->takeFromWire(slot));
-                           });
+    rs.fabric->sendTransfer(from, node, rs.fabric->requestBytes(),
+                            [this, node, slot]() {
+                                deliverViaFabric(
+                                    node, rs_->takeFromWire(slot));
+                            });
 }
 
 /**
@@ -805,6 +815,22 @@ ClusterSimulator::deliverViaFabric(int node, EngineRequest request)
         return;
     }
     rs.engines[ns]->injectAt(std::move(request));
+}
+
+ClusterSimulator::RunState &
+ClusterSimulator::activeRun(const char *who) const
+{
+    if (!rs_)
+        sim::panic(std::string("cluster: ") + who +
+                   " outside an active run");
+    return *rs_;
+}
+
+void
+ClusterSimulator::requireInRange(int value, int size, const char *what)
+{
+    if (value < 0 || value >= size)
+        sim::fatal(std::string("cluster: ") + what + " out of range");
 }
 
 int
@@ -890,44 +916,44 @@ ClusterSimulator::accrueNodeSeconds()
     rs.liveMark = now;
 }
 
+/**
+ * Take live @p node out of dispatch (drain or crash) and close its
+ * live-time account. @return false, changing nothing, when it is
+ * already down or is the last live node (requests must have somewhere
+ * to go).
+ */
 bool
-ClusterSimulator::drainNode(int node)
+ClusterSimulator::takeNodeDown(int node)
 {
-    if (!rs_)
-        sim::panic("cluster: drainNode outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: drainNode out of range");
     RunState &rs = *rs_;
     auto d = static_cast<std::size_t>(node);
-    if (!rs.live[d])
-        return false; // idempotent: already drained
-    if (rs.liveCount <= 1)
-        return false; // requests must have somewhere to go
+    if (!rs.live[d] || rs.liveCount <= 1)
+        return false;
     accrueNodeSeconds();
     rs.live[d] = 0;
     rs.wasDrained[d] = 1;
     --rs.liveCount;
+    return true;
+}
+
+bool
+ClusterSimulator::drainNode(int node)
+{
+    RunState &rs = activeRun("drainNode");
+    requireInRange(node, cfg_.nodes, "drainNode");
+    if (!takeNodeDown(node))
+        return false;
     stats_.inc("drain_events");
     // The executing batch finishes on the draining node; everything
-    // still queued re-dispatches with its full request state (arrival
-    // timestamp, tenant, SLO), so tail latency tells the truth about
-    // the disruption.
+    // still queued re-dispatches node -> node with its full request
+    // state (arrival timestamp, tenant, SLO), so tail latency tells
+    // the truth about the disruption.
+    auto d = static_cast<std::size_t>(node);
     std::vector<EngineRequest> moved = rs.engines[d]->extractQueued();
     rs.redispatchedFrom[d] += static_cast<std::int64_t>(moved.size());
     for (EngineRequest &r : moved) {
         int n = pickNode(r.expert);
-        ++rs.dispatchedTo[static_cast<std::size_t>(n)];
-        if (rs.fabric) {
-            // Re-placement pays a node -> node transfer of the
-            // request's wire size before the target takes it.
-            std::uint32_t slot = rs.parkOnWire(std::move(r));
-            rs.fabric->sendTransfer(
-                node, n, rs.fabric->requestBytes(), [this, n, slot]() {
-                    deliverViaFabric(n, rs_->takeFromWire(slot));
-                });
-            continue;
-        }
-        rs.engines[static_cast<std::size_t>(n)]->injectAt(std::move(r));
+        handOff(node, n, std::move(r));
     }
     return true;
 }
@@ -935,11 +961,8 @@ ClusterSimulator::drainNode(int node)
 bool
 ClusterSimulator::rejoinNode(int node)
 {
-    if (!rs_)
-        sim::panic("cluster: rejoinNode outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: rejoinNode out of range");
-    RunState &rs = *rs_;
+    RunState &rs = activeRun("rejoinNode");
+    requireInRange(node, cfg_.nodes, "rejoinNode");
     auto d = static_cast<std::size_t>(node);
     if (rs.live[d])
         return false; // idempotent: already live
@@ -956,26 +979,17 @@ ClusterSimulator::rejoinNode(int node)
 bool
 ClusterSimulator::crashNode(int node)
 {
-    if (!rs_)
-        sim::panic("cluster: crashNode outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: crashNode out of range");
-    RunState &rs = *rs_;
-    auto d = static_cast<std::size_t>(node);
-    if (!rs.live[d])
-        return false; // already down
-    if (rs.liveCount <= 1)
-        return false; // displaced requests must have somewhere to go
-    accrueNodeSeconds();
-    rs.live[d] = 0;
-    rs.wasDrained[d] = 1;
-    --rs.liveCount;
+    RunState &rs = activeRun("crashNode");
+    requireInRange(node, cfg_.nodes, "crashNode");
+    if (!takeNodeDown(node))
+        return false;
     ++rs.crashes;
     // Unlike a clean drain, the in-flight batch dies with the node:
     // crashExtract() hands back queued AND executing requests (the
     // abandoned batch resolves as a ghost that completes nothing) and
     // every one of them goes through the retry-or-lost policy.
-    std::vector<EngineRequest> displaced = rs.engines[d]->crashExtract();
+    std::vector<EngineRequest> displaced =
+        rs.engines[static_cast<std::size_t>(node)]->crashExtract();
     for (EngineRequest &r : displaced)
         handleDisplaced(std::move(r));
     return true;
@@ -984,55 +998,46 @@ ClusterSimulator::crashNode(int node)
 void
 ClusterSimulator::setNodeDmaFactor(int node, double factor)
 {
-    if (!rs_)
-        sim::panic("cluster: setNodeDmaFactor outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: setNodeDmaFactor out of range");
+    RunState &rs = activeRun("setNodeDmaFactor");
+    requireInRange(node, cfg_.nodes, "setNodeDmaFactor");
     if (factor < 1.0)
         sim::fatal("cluster: DMA stall factor must be at least 1");
     auto d = static_cast<std::size_t>(node);
-    rs_->engines[d]->memorySystem().setDmaRateFactor(factor);
-    rs_->dmaFactor[d] = factor;
+    rs.engines[d]->memorySystem().setDmaRateFactor(factor);
+    rs.dmaFactor[d] = factor;
     stats_.inc(factor == 1.0 ? "dma_heals" : "dma_stalls");
 }
 
 void
 ClusterSimulator::setNodeServiceFactor(int node, double factor)
 {
-    if (!rs_)
-        sim::panic("cluster: setNodeServiceFactor outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: setNodeServiceFactor out of range");
+    RunState &rs = activeRun("setNodeServiceFactor");
+    requireInRange(node, cfg_.nodes, "setNodeServiceFactor");
     auto d = static_cast<std::size_t>(node);
-    rs_->engines[d]->setServiceFactor(factor);
-    rs_->serviceFactor[d] = factor;
+    rs.engines[d]->setServiceFactor(factor);
+    rs.serviceFactor[d] = factor;
     stats_.inc(factor == 1.0 ? "straggler_heals" : "stragglers");
 }
 
 void
 ClusterSimulator::setNodeFlakyProbability(int node, double p)
 {
-    if (!rs_)
-        sim::panic("cluster: setNodeFlakyProbability outside an "
-                   "active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: setNodeFlakyProbability out of range");
+    RunState &rs = activeRun("setNodeFlakyProbability");
+    requireInRange(node, cfg_.nodes, "setNodeFlakyProbability");
     if (p < 0.0 || p > 1.0)
         sim::fatal("cluster: flaky probability must be in [0, 1]");
-    rs_->flakyProb[static_cast<std::size_t>(node)] = p;
+    rs.flakyProb[static_cast<std::size_t>(node)] = p;
     stats_.inc(p == 0.0 ? "flaky_heals" : "flaky_windows");
 }
 
 void
 ClusterSimulator::setNodeLinkFactor(int node, double factor)
 {
-    if (!rs_)
-        sim::panic("cluster: setNodeLinkFactor outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: setNodeLinkFactor out of range");
-    if (!rs_->fabric)
+    RunState &rs = activeRun("setNodeLinkFactor");
+    requireInRange(node, cfg_.nodes, "setNodeLinkFactor");
+    if (!rs.fabric)
         sim::fatal("cluster: setNodeLinkFactor without the fabric");
-    rs_->fabric->degradeNode(node, factor);
+    rs.fabric->degradeNode(node, factor);
     stats_.inc(factor == 1.0 ? "link_heals" : "link_degrades");
 }
 
@@ -1073,9 +1078,11 @@ ClusterSimulator::handleDisplaced(EngineRequest request)
         // doubling exact.
         double backoff = std::ldexp(policy.retryBackoffSeconds,
                                     request.attempt - 1);
+        // The retry lands back at the hub and is routed afresh, with
+        // its original arrival timestamp intact.
         rs.eq.scheduleIn(
             sim::fromSeconds(backoff),
-            [this, request]() { redispatch(request); },
+            [this, request]() { route(request); },
             "cluster.retry");
         return;
     }
@@ -1099,31 +1106,6 @@ ClusterSimulator::handleDisplaced(EngineRequest request)
     return;
 }
 
-/** A retry lands: re-dispatch with the original arrival timestamp. */
-void
-ClusterSimulator::redispatch(EngineRequest request)
-{
-    RunState &rs = *rs_;
-    int n = pickNode(request.expert);
-    auto ns = static_cast<std::size_t>(n);
-    // The retry target can be flaky too — the request cycles back
-    // into the displaced path and burns another attempt.
-    if (rs.flakyProb[ns] > 0.0 &&
-        rs.faultRng->uniformDouble() < rs.flakyProb[ns]) {
-        rs.flakyFailures += 1.0;
-        handleDisplaced(std::move(request));
-        return;
-    }
-    ++rs.dispatchedTo[ns];
-    if (rs.fabric) {
-        // The retry crosses the fabric again from the hub, with its
-        // original arrival timestamp intact.
-        forwardRequest(n, std::move(request));
-        return;
-    }
-    rs.engines[ns]->injectAt(std::move(request));
-}
-
 /**
  * Hub-side queueing-delay estimate for hedging: backlog (dispatched
  * minus the last policy-tick view of completed + shed) priced at
@@ -1141,15 +1123,12 @@ ClusterSimulator::estimateDelaySeconds(int node) const
         rs.dispatchedTo[ns] - rs.knownDone[ns];
     if (backlog <= 0)
         return 0.0;
-    const PhaseCosts &c = rs.nodeCosts[ns];
     const ServingConfig &ncfg = rs.nodeCfg[ns];
     int batch = std::max(1, ncfg.batch);
-    double perPrompt = c.prefillSeconds +
-        c.decodeSecondsPerToken * static_cast<double>(ncfg.outputTokens);
     double batches = static_cast<double>(backlog) /
         static_cast<double>(batch);
     return batches *
-        (c.routerSeconds + perPrompt * static_cast<double>(batch)) *
+        rs.nodeCosts[ns].batchSeconds(batch, ncfg.outputTokens) *
         rs.serviceFactor[ns] * rs.dmaFactor[ns];
 }
 
@@ -1277,15 +1256,12 @@ ClusterSimulator::creditHedgeWin(double dup_latency)
 bool
 ClusterSimulator::migrateExpert(int expert, int from, int to)
 {
-    if (!rs_)
-        sim::panic("cluster: migrateExpert outside an active run");
-    if (expert < 0 || expert >= cfg_.node.numExperts)
-        sim::fatal("cluster: migrateExpert expert out of range");
-    if (from < 0 || from >= cfg_.nodes || to < 0 || to >= cfg_.nodes)
-        sim::fatal("cluster: migrateExpert node out of range");
+    RunState &rs = activeRun("migrateExpert");
+    requireInRange(expert, cfg_.node.numExperts, "migrateExpert expert");
+    requireInRange(from, cfg_.nodes, "migrateExpert node");
+    requireInRange(to, cfg_.nodes, "migrateExpert node");
     if (from == to)
         return false;
-    RunState &rs = *rs_;
     auto e = static_cast<std::size_t>(expert);
     std::vector<int> &hosts = rs.placement.hostsOfExpert[e];
     if (std::find(hosts.begin(), hosts.end(), from) == hosts.end())
@@ -1362,11 +1338,8 @@ ClusterSimulator::commitMigration(int expert, int from, int to,
 bool
 ClusterSimulator::setReplication(int expert, int replicas)
 {
-    if (!rs_)
-        sim::panic("cluster: setReplication outside an active run");
-    if (expert < 0 || expert >= cfg_.node.numExperts)
-        sim::fatal("cluster: setReplication expert out of range");
-    RunState &rs = *rs_;
+    RunState &rs = activeRun("setReplication");
+    requireInRange(expert, cfg_.node.numExperts, "setReplication expert");
     int want = std::max(1, std::min(replicas, cfg_.nodes));
     auto e = static_cast<std::size_t>(expert);
     std::vector<int> &hosts = rs.placement.hostsOfExpert[e];
@@ -1446,28 +1419,23 @@ ClusterSimulator::setReplication(int expert, int replicas)
 void
 ClusterSimulator::setRateFactor(double factor)
 {
-    if (!rs_)
-        sim::panic("cluster: setRateFactor outside an active run");
+    RunState &rs = activeRun("setRateFactor");
     if (factor <= 0.0)
         sim::fatal("cluster: rate factor must be positive");
-    rs_->workload->setRateFactor(factor);
+    rs.workload->setRateFactor(factor);
     stats_.inc("rate_overrides");
 }
 
 int
 ClusterSimulator::liveNodes() const
 {
-    if (!rs_)
-        sim::panic("cluster: liveNodes outside an active run");
-    return rs_->liveCount;
+    return activeRun("liveNodes").liveCount;
 }
 
 bool
 ClusterSimulator::idle() const
 {
-    if (!rs_)
-        sim::panic("cluster: idle outside an active run");
-    const RunState &rs = *rs_;
+    const RunState &rs = activeRun("idle");
     if (rs.workload->emitted() != rs.workload->plannedRequests())
         return false;
     if (rs.fabric &&
@@ -1486,9 +1454,7 @@ ClusterSimulator::idle() const
 sim::EventQueue &
 ClusterSimulator::eventQueue()
 {
-    if (!rs_)
-        sim::panic("cluster: eventQueue outside an active run");
-    return rs_->eq;
+    return activeRun("eventQueue").eq;
 }
 
 ServingEngine &
@@ -1502,17 +1468,13 @@ ClusterSimulator::engine(int node)
 const ExpertPlacement &
 ClusterSimulator::placement() const
 {
-    if (!rs_)
-        sim::panic("cluster: placement outside an active run");
-    return rs_->placement;
+    return activeRun("placement").placement;
 }
 
 MetricsSnapshot
 ClusterSimulator::snapshot()
 {
-    if (!rs_)
-        sim::panic("cluster: snapshot outside an active run");
-    RunState &rs = *rs_;
+    RunState &rs = activeRun("snapshot");
     accrueNodeSeconds();
 
     // The window is the difference of two reads of the run's
@@ -1750,12 +1712,6 @@ ClusterSimulator::finish()
         nm.peakResidentBytes = e.peakResidentBytes();
 
         m.maxQueueDepth = std::max(m.maxQueueDepth, e.queueDepthMax());
-        m.prefetchesIssued += static_cast<std::int64_t>(
-            e.stats().get("prefetches_issued"));
-        m.prefetchHits += static_cast<std::int64_t>(
-            e.stats().get("prefetch_hits"));
-        m.prefetchesCancelled += static_cast<std::int64_t>(
-            e.stats().get("prefetches_cancelled"));
         // The engines' own counters (prefetch_*, shed_tenant_*, ...),
         // summed next to the hub's.
         for (const std::string &name : e.stats().names())
@@ -1766,6 +1722,11 @@ ClusterSimulator::finish()
         result.placedBytesTotal += nm.placedBytes;
         result.peakResidentBytesTotal += nm.peakResidentBytes;
     }
+    m.prefetchesIssued =
+        static_cast<std::int64_t>(stats_.get("prefetches_issued"));
+    m.prefetchHits = static_cast<std::int64_t>(stats_.get("prefetch_hits"));
+    m.prefetchesCancelled =
+        static_cast<std::int64_t>(stats_.get("prefetches_cancelled"));
     double meanCompleted =
         static_cast<double>(completed) / static_cast<double>(N);
     result.loadImbalance = meanCompleted > 0.0
@@ -1852,9 +1813,7 @@ ServingSimulator::run()
     result.stream = r.stream;
     result.perBatch = r.perBatch;
     result.missRate = r.missRate;
-    result.expertSecondsPerPrompt =
-        costs.prefillSeconds +
-        cfg.outputTokens * costs.decodeSecondsPerToken;
+    result.expertSecondsPerPrompt = costs.promptSeconds(cfg.outputTokens);
     return result;
 }
 

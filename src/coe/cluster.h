@@ -435,15 +435,25 @@ class ClusterSimulator
   private:
     struct RunState;
 
+    /** The active run; panics "cluster: <who> outside an active run". */
+    RunState &activeRun(const char *who) const;
+    /** FatalError "cluster: <what> out of range" unless in [0, size). */
+    static void requireInRange(int value, int size, const char *what);
+
     int pickNode(int expert);
     void accrueNodeSeconds();
+    bool takeNodeDown(int node);
+
+    // ---- the request path (cluster.cc) ----------------------------
+    /** The hub's fabric endpoint, one past the last node. */
+    int hub() const { return cfg_.nodes; }
+    void dispatchRequest(const TrafficRequest &request);
+    int route(EngineRequest request);
+    void handOff(int from, int node, EngineRequest request);
+    void deliverViaFabric(int node, EngineRequest request);
 
     // ---- degraded-mode policy internals (cluster.cc) -------------
-    void dispatchRequest(const TrafficRequest &request);
     void handleDisplaced(EngineRequest request);
-    void redispatch(EngineRequest request);
-    void forwardRequest(int node, EngineRequest request);
-    void deliverViaFabric(int node, EngineRequest request);
     double estimateDelaySeconds(int node) const;
     void policyTick();
     void armPolicyTick();

@@ -85,12 +85,8 @@ ClusterController::ClusterController(ClusterSimulator &cluster,
     // execution, so the sustainable per-node rate is batch over that
     // (switch stalls make the real rate lower; targetUtilization < 1
     // is the headroom for them).
-    const PhaseCosts &costs = cluster_.phaseCosts();
-    double perRequest = costs.prefillSeconds +
-        static_cast<double>(cc.node.outputTokens) *
-            costs.decodeSecondsPerToken;
-    double batchSeconds = costs.routerSeconds +
-        static_cast<double>(cc.node.batch) * perRequest;
+    double batchSeconds = cluster_.phaseCosts().batchSeconds(
+        cc.node.batch, cc.node.outputTokens);
     serviceRatePerNode_ = batchSeconds > 0.0
         ? static_cast<double>(cc.node.batch) / batchSeconds
         : 0.0;

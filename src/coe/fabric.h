@@ -78,7 +78,12 @@ class ClusterFabric
     ClusterFabric(sim::EventQueue &eq, const FabricConfig &cfg,
                   int nodes);
 
-    /** Dispatch a request (or retry/hedge) from the hub to a node. */
+    /**
+     * Hub -> node message of @p bytes plus the per-message overhead.
+     * With bytes = requestPayloadBytes it is the message
+     * ClusterSimulator::handOff sends for a dispatch (sendTransfer
+     * from the hub endpoint, requestBytes() long).
+     */
     void sendRequest(int node, double bytes, Callback on_delivered);
 
     /** Wire size of one dispatched request (payload + overhead). */

@@ -352,9 +352,7 @@ analyticBatches(const ServingConfig &cfg, int batches)
     double router_total = 0.0, switch_total = 0.0, exec_total = 0.0;
     std::int64_t prompts = 0, misses = 0;
 
-    double per_prompt_exec =
-        costs.prefillSeconds +
-        cfg.outputTokens * costs.decodeSecondsPerToken;
+    double per_prompt_exec = costs.promptSeconds(cfg.outputTokens);
     if (cfg.specDecode.enabled) {
         // Closed-form counterpart of the event-driven per-request
         // sampler: expected steps at the configured acceptance rate,

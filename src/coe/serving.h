@@ -332,6 +332,22 @@ struct PhaseCosts
     double switchSeconds = 0.0;          ///< per expert copy
     std::int64_t expertRegionBytes = 0;  ///< HBM available for experts
     double capacityBytes = 0.0;          ///< total expert capacity
+
+    /** One default-shape prompt: prefill plus @p outputTokens decodes. */
+    double
+    promptSeconds(int outputTokens) const
+    {
+        return prefillSeconds +
+            static_cast<double>(outputTokens) * decodeSecondsPerToken;
+    }
+
+    /** A full batch: the router plus @p batch default prompts. */
+    double
+    batchSeconds(int batch, int outputTokens) const
+    {
+        return routerSeconds +
+            static_cast<double>(batch) * promptSeconds(outputTokens);
+    }
 };
 
 /**

@@ -81,9 +81,6 @@ ServingEngine::ServingEngine(sim::EventQueue &eq, const ServingConfig &cfg,
 
     affinity_ = cfg_.scheduler == SchedulerPolicy::ExpertAffinity;
 
-    perPromptExec_ = costs_.prefillSeconds +
-        cfg_.outputTokens * costs_.decodeSecondsPerToken;
-
     // HBM bytes one prompt's execution streams through the working
     // tier: the weights once for prefill, then once per decoded token
     // — the traffic the expert DMA engines contend with.
@@ -270,13 +267,7 @@ ServingEngine::inject(int id, int expert)
     TrafficRequest req;
     req.id = id;
     req.expert = expert;
-    inject(req);
-}
-
-void
-ServingEngine::inject(const TrafficRequest &request)
-{
-    injectAt(makeEngineRequest(request, eq_.now()));
+    injectAt(makeEngineRequest(req, eq_.now()));
 }
 
 EngineRequest
@@ -342,11 +333,10 @@ ServingEngine::setServiceFactor(double factor)
 
 /**
  * Per-prompt execution time for a request's shape. The default shape
- * (both fields 0) returns the precomputed constant verbatim, so legacy
- * single-shape runs schedule bit-identical ticks. Non-default prompt
- * lengths scale the priced prefill linearly — the priced graph walk is
- * for cfg.promptLen, and re-pricing per request would defeat the cost
- * memo — and decode cost is exactly linear in emitted tokens.
+ * (both fields 0) is PhaseCosts::promptSeconds verbatim. Non-default
+ * prompt lengths scale the priced prefill linearly — the priced graph
+ * walk is for cfg.promptLen, and re-pricing per request would defeat
+ * the cost memo — and decode cost is exactly linear in emitted tokens.
  */
 double
 ServingEngine::prefillSecondsFor(int prompt_len) const
@@ -361,11 +351,11 @@ ServingEngine::prefillSecondsFor(int prompt_len) const
 double
 ServingEngine::execSecondsFor(int prompt_len, int output_tokens) const
 {
-    if (prompt_len <= 0 && output_tokens <= 0)
-        return perPromptExec_;
-    double prefill = prefillSecondsFor(prompt_len);
     int tokens = output_tokens > 0 ? output_tokens : cfg_.outputTokens;
-    return prefill + tokens * costs_.decodeSecondsPerToken;
+    if (prompt_len <= 0 || prompt_len == cfg_.promptLen)
+        return costs_.promptSeconds(tokens);
+    return prefillSecondsFor(prompt_len) +
+        tokens * costs_.decodeSecondsPerToken;
 }
 
 double
@@ -387,8 +377,8 @@ ServingEngine::trafficBytesFor(int output_tokens) const
 bool
 ServingEngine::shouldShed(const EngineRequest &request) const
 {
-    double batch_seconds = costs_.routerSeconds +
-        static_cast<double>(cfg_.batch) * perPromptExec_;
+    double batch_seconds =
+        costs_.batchSeconds(cfg_.batch, cfg_.outputTokens);
     double batches_ahead = static_cast<double>(
         queueDepth() / static_cast<std::size_t>(cfg_.batch) +
         (busy_ ? 1 : 0));
@@ -401,10 +391,6 @@ ServingEngine::shouldShed(const EngineRequest &request) const
 void
 ServingEngine::injectAt(EngineRequest request)
 {
-    if (request.execSeconds <= 0.0)
-        request.execSeconds = perPromptExec_;
-    if (request.trafficBytes <= 0.0)
-        request.trafficBytes = trafficBytesPerPrompt_;
     if (request.deadlineSeconds > 0.0 && shouldShed(request)) {
         // A hedge duplicate is speculative capacity, not a request:
         // refusing it is silent (the primary copy's fate is the one
@@ -835,7 +821,6 @@ ServingEngine::maybeLaunch()
     double stall = std::max(
         0.0, sim::toSeconds(eq_.now() - batchStart_) -
                  costs_.routerSeconds);
-    stalls_.record(stall);
     if (stallsMirror_)
         stallsMirror_->record(stall);
     switchTotal_ += stall;

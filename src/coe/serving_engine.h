@@ -17,9 +17,10 @@
  *
  * entirely through events on the caller's queue. It does NOT generate
  * arrivals and does NOT draw routing decisions: the cluster owns the
- * workload model (arrivals + routing) and calls inject() from inside
- * arrival events, and its finish() turns the engines' totals into
- * StreamMetrics and the Fig 1 per-batch split.
+ * workload model (arrivals + routing), hands each request to an
+ * engine's injectAt() in ClusterSimulator::handOff, and its finish()
+ * turns the engines' totals into StreamMetrics and the Fig 1
+ * per-batch split.
  */
 
 #ifndef SN40L_COE_SERVING_ENGINE_H
@@ -172,30 +173,23 @@ class ServingEngine
     }
 
     /**
-     * Admit request @p id for @p expert; must be called from inside an
-     * event on the shared queue. The request's arrival timestamp is
-     * now().
+     * Admit a default-shape request @p id for @p expert; must be
+     * called from inside an event on the shared queue. The request's
+     * arrival timestamp is now().
      */
     void inject(int id, int expert);
 
     /**
-     * Admit a workload-sourced request (tenant, session, per-request
-     * shape, SLO deadline); arrival timestamp is now(). When the
-     * request carries a deadline, SLO admission control may shed it
-     * instead: the request never enters the queue, shedCount() grows,
-     * and the shed hook fires. The shed estimate is deliberately
-     * simple and deterministic — batches already committed ahead of
-     * the request, each priced at router + a full batch of default
-     * prompts — so replaying a trace under a different SLO is
-     * reproducible.
-     */
-    void inject(const TrafficRequest &request);
-
-    /**
-     * Admit a fully built request carrying its own arrival timestamp —
-     * used when a drained node's queued requests are re-dispatched so
-     * their end-to-end latency still counts from the original arrival.
-     * Runs the same SLO admission check as inject().
+     * Admit a fully built request carrying its own arrival timestamp
+     * (makeEngineRequest), so a request that crossed the fabric, was
+     * retried or re-dispatched still counts its latency from the
+     * original arrival. When the request carries a deadline, SLO
+     * admission control may shed it instead: the request never enters
+     * the queue, shedCount() grows, and the shed hook fires. The shed
+     * estimate is deliberately simple and deterministic — batches
+     * already committed ahead of the request, each priced at
+     * PhaseCosts::batchSeconds — so replaying a trace under a
+     * different SLO is reproducible.
      */
     void injectAt(EngineRequest request);
 
@@ -230,9 +224,10 @@ class ServingEngine
 
     /**
      * Resolve a workload request into an EngineRequest carrying
-     * @p arrival, exactly as inject() would — the cluster uses it to
-     * keep original arrival timestamps on retried requests that never
-     * reached an engine.
+     * @p arrival. The result depends only on the node-independent
+     * fields of the config and costs (never dmaEngines or the region
+     * size), so the cluster builds one per arrival for whichever node
+     * serves it, and its retries and hedge copy keep that arrival.
      */
     EngineRequest makeEngineRequest(const TrafficRequest &request,
                                     sim::Tick arrival) const;
@@ -309,12 +304,9 @@ class ServingEngine
     int residentCapacityExperts() const { return residentCapacity_; }
 
     const sim::Distribution &latency() const { return latency_; }
-    const sim::Distribution &stalls() const { return stalls_; }
     const sim::StatSet &stats() const { return stats_; }
 
-    CoeRuntime &runtime() { return runtime_; }
     mem::MemorySystem &memorySystem() { return memsys_; }
-    const ExpertZoo &zoo() const { return zoo_; }
 
   private:
     /** Engine-side state of one expert, dense by expert id. */
@@ -428,7 +420,6 @@ class ServingEngine
     mem::MemorySystem memsys_;
 
     sim::Distribution latency_{"request_latency"};
-    sim::Distribution stalls_{"switch_stall"};
     sim::StatSet stats_{"serving"};
     // Counters resolved once (StatSet::counter): these run per
     // request, per batch or per load.
@@ -450,7 +441,6 @@ class ServingEngine
     std::function<void(const EngineRequest &)> onRequestComplete_;
     std::function<void(const EngineRequest &)> onRequestShed_;
 
-    double perPromptExec_ = 0.0;
     double trafficBytesPerPrompt_ = 0.0;
     double serviceFactor_ = 1.0;
     bool logCompletions_ = false;

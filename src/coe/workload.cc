@@ -633,6 +633,11 @@ validateWorkloadConfig(const ServingConfig &cfg)
         sim::fatal("WorkloadConfig: tenant mixes and sessions are "
                    "open-loop workloads; they cannot be combined with a "
                    "closed loop");
+    if (w.shape.burstFactor > 1.0 &&
+        cfg.arrival == ArrivalProcess::ClosedLoop)
+        sim::fatal("WorkloadConfig: burstFactor (--burst-factor) shapes "
+                   "open-loop arrivals; it cannot be combined with a "
+                   "closed loop");
     for (const TenantSpec &t : w.tenantSpecs) {
         if (!(std::isfinite(t.rateShare) && t.rateShare > 0.0))
             sim::fatal("TenantSpec " + t.name +

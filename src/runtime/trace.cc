@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "util/json.h"
+
 namespace sn40l::runtime {
 
 void
@@ -10,27 +12,6 @@ TraceWriter::record(const std::string &lane, const std::string &name,
 {
     events_.push_back({lane, name, start, duration});
 }
-
-namespace {
-
-/** Escape a string for JSON output. */
-std::string
-escape(const std::string &in)
-{
-    std::string out;
-    out.reserve(in.size());
-    for (char c : in) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 void
 TraceWriter::writeJson(std::ostream &os) const
@@ -44,23 +25,33 @@ TraceWriter::writeJson(std::ostream &os) const
         }
     }
 
-    os << "{\"traceEvents\":[";
-    bool first = true;
+    // Compact JSON; ts/dur in microseconds at 17 significant digits,
+    // so a minutes-long timeline keeps sub-nanosecond slices exact.
+    util::JsonWriter w(os);
+    w.beginObject().key("traceEvents").beginArray();
     for (const auto &kv : lane_tid) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-           << "\"tid\":" << kv.second << ",\"args\":{\"name\":\""
-           << escape(kv.first) << "\"}}";
+        w.beginObject()
+            .field("name", "thread_name")
+            .field("ph", "M")
+            .field("pid", 1)
+            .field("tid", kv.second)
+            .key("args")
+            .beginObject()
+            .field("name", kv.first)
+            .endObject()
+            .endObject();
     }
     for (const Event &e : events_) {
-        os << ",{\"name\":\"" << escape(e.name) << "\",\"ph\":\"X\","
-           << "\"pid\":1,\"tid\":" << lane_tid[e.lane]
-           << ",\"ts\":" << sim::toUs(e.start)
-           << ",\"dur\":" << sim::toUs(e.duration) << "}";
+        w.beginObject()
+            .field("name", e.name)
+            .field("ph", "X")
+            .field("pid", 1)
+            .field("tid", lane_tid.at(e.lane))
+            .field("ts", sim::toUs(e.start))
+            .field("dur", sim::toUs(e.duration))
+            .endObject();
     }
-    os << "]}";
+    w.endArray().endObject();
 }
 
 } // namespace sn40l::runtime

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
 #include "arch/agcu.h"
@@ -123,7 +124,11 @@ TEST(TraceWriter, RecordsAndEmitsChromeJson)
     runtime::TraceWriter trace;
     trace.record("kernels", "decoder.L0", sim::fromUs(5), sim::fromUs(50));
     trace.record("orchestration", "software", 0, sim::fromUs(5));
-    EXPECT_EQ(trace.eventCount(), 2u);
+    // Past 1e6 us a 6-digit print would round away whole
+    // milliseconds; the timestamp must round-trip exactly.
+    const sim::Tick late = sim::fromSeconds(1234.5) + 891;
+    trace.record("kernels", "late", late, sim::fromNs(250));
+    EXPECT_EQ(trace.eventCount(), 3u);
 
     std::ostringstream os;
     trace.writeJson(os);
@@ -131,7 +136,14 @@ TEST(TraceWriter, RecordsAndEmitsChromeJson)
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("decoder.L0"), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"dur\":50"), std::string::npos);
+    EXPECT_NE(json.find("\"dur\":50}"), std::string::npos);
+    EXPECT_NE(json.find("\"dur\":0.25}"), std::string::npos);
+
+    std::size_t at = json.find("\"ts\":", json.find("\"name\":\"late\""));
+    ASSERT_NE(at, std::string::npos);
+    double ts = std::strtod(json.c_str() + at + 5, nullptr);
+    EXPECT_GT(ts, 1e6);
+    EXPECT_EQ(ts, sim::toUs(late));
 }
 
 TEST(TraceWriter, ExecutorIntegration)

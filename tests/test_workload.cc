@@ -585,6 +585,15 @@ TEST(WorkloadValidation, RejectsContradictoryConfigs)
     }
     {
         ServingConfig cfg = streamConfig();
+        cfg.arrival = ArrivalProcess::ClosedLoop;
+        cfg.clients = 4;
+        cfg.workload.shape.burstFactor = 4.0; // bursts are open-loop
+        cfg.workload.shape.burstEverySeconds = 5.0;
+        cfg.workload.shape.burstSeconds = 1.0;
+        expectFatalNaming(cfg, "burstFactor (--burst-factor)");
+    }
+    {
+        ServingConfig cfg = streamConfig();
         TenantSpec t;
         t.rateShare = 0.0;
         cfg.workload.tenantSpecs = {t};
