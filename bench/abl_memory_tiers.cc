@@ -15,8 +15,6 @@
 #include <iostream>
 
 #include "coe/cluster.h"
-#include "models/llm_config.h"
-#include "runtime/machine.h"
 #include "util/table.h"
 
 using namespace sn40l;
@@ -53,16 +51,15 @@ main()
     cfg.platform = Platform::Sn40l;
     ServingResult rdu = analyticBatches(cfg, 200);
     PhaseCosts costs = computePhaseCosts(cfg);
+    double ddr_rate = platformMemoryConfig(cfg).copyBandwidth();
 
     // SN40L-without-DDR: identical execution, but misses load over the
     // host PCIe link instead of node DDR.
     arch::NodeConfig node = arch::NodeConfig::sn40lNode(8);
-    double pcie_switch =
-        models::LlmConfig::llama2_7b().weightBytes() /
-        (node.chip.pcieBandwidth);
-    double no_ddr_total = rdu.perBatch.routerSeconds +
-        rdu.perBatch.execSeconds +
-        rdu.missRate * pcie_switch; // per batch, BS=1
+    ServingConfig spill = cfg;
+    spill.memoryOverride = hostSpillMemory(node, cfg.dmaEngines);
+    double no_ddr_total = analyticBatches(spill, 200).perBatch.total();
+    double pcie_switch = computePhaseCosts(spill).switchSeconds;
 
     cfg.platform = Platform::DgxA100;
     ServingResult a100 = analyticBatches(cfg, 200);
@@ -73,12 +70,11 @@ main()
                        "vs three-tier"});
     double base = rdu.perBatch.total();
     table.addRow({"SN40L three-tier (DDR+HBM+SRAM)",
-                  "DDR->HBM @ " + util::formatBandwidth(
-                      node.ddrToHbmBandwidth()),
+                  "DDR->HBM @ " + util::formatBandwidth(ddr_rate),
                   util::formatSeconds(base), "1.00x"});
     table.addRow({"SN40L w/o DDR (host spill)",
                   "host->HBM @ " + util::formatBandwidth(
-                      node.chip.pcieBandwidth),
+                      spill.memoryOverride->copyBandwidth()),
                   util::formatSeconds(no_ddr_total),
                   util::formatDouble(no_ddr_total / base, 2) + "x"});
     table.addRow({"DGX A100", "host->GPU @ 32 GB/s",

@@ -68,7 +68,7 @@ run(int argc, char **argv)
     // Part 1: static capacity table.
     models::LlmConfig base = models::LlmConfig::llama2_7b();
     arch::NodeConfig node = arch::NodeConfig::sn40lNode(8);
-    double switch_rate = node.ddrToHbmBandwidth();
+    double switch_rate = platformMemoryConfig(ServingConfig{}).copyBandwidth();
     const double host_reserve = 256e9;
     double total_ddr = static_cast<double>(node.totalDdrBytes());
     if (host_reserve > total_ddr)

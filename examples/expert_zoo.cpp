@@ -13,6 +13,7 @@
 #include "arch/chip_config.h"
 #include "coe/coe_runtime.h"
 #include "coe/router.h"
+#include "coe/serving.h"
 #include "models/llm_config.h"
 #include "util/table.h"
 
@@ -81,7 +82,8 @@ main()
                       runtime.stats().get("evictions"), 0)});
     table.print(std::cout);
 
-    double switch_rate = node.ddrToHbmBandwidth();
+    // The idle DDR->HBM copy rate of the SN40L serving platform.
+    double switch_rate = platformMemoryConfig(ServingConfig{}).copyBandwidth();
     std::cout << "\nAt " << util::formatBandwidth(switch_rate)
               << " node DDR->HBM, the moved bytes cost "
               << util::formatSeconds(bytes_moved / switch_rate)

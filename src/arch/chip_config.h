@@ -120,15 +120,6 @@ struct NodeConfig
 
     std::int64_t totalHbmBytes() const { return sockets * chip.hbmBytes; }
     std::int64_t totalDdrBytes() const { return sockets * chip.ddrBytes; }
-    double totalHbmBandwidth() const { return sockets * chip.hbmBandwidth; }
-
-    /** Node-aggregate DDR->HBM copy bandwidth (all sockets copy their
-     *  tensor-parallel shard concurrently). */
-    double ddrToHbmBandwidth() const
-    {
-        return sockets * std::min(chip.effectiveDdrBandwidth(),
-                                  chip.effectiveHbmBandwidth());
-    }
 
     static NodeConfig sn40lNode(int sockets = 8);
 };

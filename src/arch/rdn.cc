@@ -66,7 +66,6 @@ RdnMesh::addFlow(Coord src, Coord dst, double bytes_per_sec)
 {
     for (const Link &link : routeLinks(src, dst))
         linkLoad_[link] += bytes_per_sec;
-    ++flowCount_;
 }
 
 void
@@ -75,14 +74,12 @@ RdnMesh::addMulticastFlow(Coord src, const std::vector<Coord> &dsts,
 {
     for (const Link &link : multicastTree(src, dsts))
         linkLoad_[link] += bytes_per_sec;
-    ++flowCount_;
 }
 
 void
 RdnMesh::clearFlows()
 {
     linkLoad_.clear();
-    flowCount_ = 0;
 }
 
 double

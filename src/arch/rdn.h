@@ -101,13 +101,10 @@ class RdnMesh
      */
     double congestionFactor(double link_bw) const;
 
-    std::size_t flowCount() const { return flowCount_; }
-
   private:
     int cols_;
     int rows_;
     std::map<Link, double> linkLoad_;
-    std::size_t flowCount_ = 0;
 };
 
 /**
@@ -192,7 +189,6 @@ class CreditLink
      */
     void send(int flits, Callback on_delivered);
 
-    int availableCredits() const { return credits_; }
     sim::StatSet &stats() { return stats_; }
 
   private:

@@ -65,7 +65,6 @@ class RduChip
     Tile &tile(int i) { return *tiles_.at(i); }
 
     int totalPcus() const { return cfg_.pcuCount; }
-    int totalPmus() const { return cfg_.pmuCount; }
 
     /** PCUs a single fused kernel may occupy (placeable fraction). */
     int placeablePcus() const;

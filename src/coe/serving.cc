@@ -10,7 +10,6 @@
 #include "coe/workload.h"
 #include "runtime/runner.h"
 #include "runtime/spec_decode.h"
-#include "sim/event_queue.h"
 #include "sim/log.h"
 #include "sim/ticks.h"
 
@@ -218,8 +217,6 @@ computePhaseCosts(const ServingConfig &cfg)
     WorkloadSpec router_decode = decode;
     router_decode.batch = cfg.batch;
 
-    double expert_bytes = cfg.expertBase.weightBytes();
-
     if (cfg.platform == Platform::Sn40l) {
         arch::NodeConfig node =
             arch::NodeConfig::sn40lNode(cfg.tensorParallel);
@@ -242,11 +239,6 @@ computePhaseCosts(const ServingConfig &cfg)
         costs.decodeSecondsPerToken = seconds(decode);
         costs.routerSeconds =
             seconds(router_prefill) + seconds(router_decode);
-
-        sim::EventQueue eq;
-        runtime::RduNode machine(eq, node);
-        costs.switchSeconds =
-            sim::toSeconds(machine.estimateDdrToHbm(expert_bytes));
 
         // HBM region for experts: node HBM minus the router's weights
         // and a KV/activation reserve (Fig 9's "Router Region").
@@ -274,14 +266,15 @@ computePhaseCosts(const ServingConfig &cfg)
         costs.prefillSeconds = seconds(prefill);
         costs.decodeSecondsPerToken = seconds(decode);
         costs.routerSeconds = seconds(router_prefill) + seconds(router_decode);
-
-        // Expert switch: host DRAM -> GPU HBM over the host link.
-        costs.switchSeconds = expert_bytes / dgx.hostToGpuBandwidth;
         costs.expertRegionBytes = dgx.usableHbmBytes();
         costs.capacityBytes = static_cast<double>(dgx.expertCapacityBytes());
     }
     if (cfg.expertRegionBytes > 0)
         costs.expertRegionBytes = cfg.expertRegionBytes;
+    // Expert switch: one idle copy on the platform's memory system
+    // (node DDR on the SN40L, the host link on the DGX baselines).
+    costs.switchSeconds = sim::toSeconds(
+        platformMemoryConfig(cfg).copyTicks(cfg.expertBase.weightBytes()));
     return costs;
 }
 
@@ -348,6 +341,7 @@ analyticBatches(const ServingConfig &cfg, int batches)
 
     CoeRuntime runtime(zoo, region);
     Router router(cfg.numExperts, cfg.routing, cfg.seed, cfg.zipfS);
+    mem::MemorySystemConfig memory = platformMemoryConfig(cfg);
 
     double router_total = 0.0, switch_total = 0.0, exec_total = 0.0;
     std::int64_t prompts = 0, misses = 0;
@@ -375,9 +369,10 @@ analyticBatches(const ServingConfig &cfg, int batches)
             Activation act = runtime.activate(expert);
             if (!act.hit) {
                 ++misses;
-                double bytes = act.bytesToLoad + act.bytesToWriteBack;
-                double copy = costs.switchSeconds *
-                    (bytes / zoo.expert(expert).bytes);
+                // Priced from the bytes this miss moves: an adapter
+                // miss is an adapter-sized copy, not an expert switch.
+                double copy = sim::toSeconds(memory.copyTicks(
+                    act.bytesToLoad + act.bytesToWriteBack));
                 if (cfg.predictivePrefetch) {
                     // The copy overlaps the router (first prompt) or
                     // the previous prompt's execution (later prompts);

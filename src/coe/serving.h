@@ -203,8 +203,9 @@ struct ServingConfig
      * Replace the platform-derived memory-system shape (channel
      * counts, bandwidths, interleave) — used by ablations to model
      * e.g. an SN40L whose experts spill over the host link instead of
-     * node DDR. dmaEngines inside the override wins over the field
-     * above.
+     * node DDR. It moves the analytic switch price too
+     * (computePhaseCosts). dmaEngines inside the override wins over
+     * the field above.
      */
     std::optional<mem::MemorySystemConfig> memoryOverride;
 
@@ -329,7 +330,7 @@ struct PhaseCosts
     double routerSeconds = 0.0;          ///< per batch
     double prefillSeconds = 0.0;         ///< per prompt
     double decodeSecondsPerToken = 0.0;  ///< per prompt per token
-    double switchSeconds = 0.0;          ///< per expert copy
+    double switchSeconds = 0.0;          ///< per idle expert copy
     std::int64_t expertRegionBytes = 0;  ///< HBM available for experts
     double capacityBytes = 0.0;          ///< total expert capacity
 
@@ -383,17 +384,20 @@ ExpertZoo buildServingZoo(const ServingConfig &cfg);
  * SN40L streams experts from node DDR (one DDR and one HBM channel
  * group per socket), the DGX baselines from host DRAM over the single
  * host link into the GPUs' pooled HBM. Honors cfg.memoryOverride and
- * cfg.dmaEngines.
+ * cfg.dmaEngines. The one description of the platform's copy path:
+ * its copyTicks() is the analytic switch price and the event path's
+ * idle load estimate.
  */
 mem::MemorySystemConfig platformMemoryConfig(const ServingConfig &cfg);
 
 /**
  * The paper's closed-form batch model (Figs 1, 12, Table V): route
  * @p batches batches of cfg.batch prompts through the LRU, charging
- * the router once per batch, an expert copy per miss (less what
- * predictive prefetch hides behind the router or the previous
- * prompt) and every prompt's execution. Returns the mean per-batch
- * breakdown; ServingResult::stream stays empty. @p batches > 0.
+ * the router once per batch, a copy of the bytes each miss moves at
+ * platformMemoryConfig's idle rate (less what predictive prefetch
+ * hides behind the router or the previous prompt) and every prompt's
+ * execution. Returns the mean per-batch breakdown;
+ * ServingResult::stream stays empty. @p batches > 0.
  */
 ServingResult analyticBatches(const ServingConfig &cfg, int batches);
 

@@ -38,7 +38,6 @@ class BandwidthChannel
                      sim::Tick latency = 0);
 
     const std::string &name() const { return name_; }
-    double peakBandwidth() const { return peakBw_; }
     double efficiency() const { return efficiency_; }
     double effectiveBandwidth() const { return peakBw_ * efficiency_; }
 

@@ -57,16 +57,6 @@ DmaEngine::scheduleCompletion(sim::Tick done, Callback on_done)
 }
 
 void
-DmaEngine::copy(BandwidthChannel &src, BandwidthChannel &dst, double bytes,
-                Callback on_done)
-{
-    copiesStat_ += 1.0;
-    bytesStat_ += bytes;
-    sim::Tick done = std::max(src.book(bytes), dst.book(bytes));
-    scheduleCompletion(done, std::move(on_done));
-}
-
-void
 DmaEngine::copy(InterleavedMemory &src, std::int64_t src_addr,
                 InterleavedMemory &dst, std::int64_t dst_addr, double bytes,
                 Callback on_done)
@@ -76,13 +66,6 @@ DmaEngine::copy(InterleavedMemory &src, std::int64_t src_addr,
     sim::Tick done = std::max(src.bookAccess(src_addr, bytes),
                               dst.bookAccess(dst_addr, bytes));
     scheduleCompletion(done, std::move(on_done));
-}
-
-sim::Tick
-DmaEngine::estimate(const BandwidthChannel &src, const BandwidthChannel &dst,
-                    double bytes)
-{
-    return std::max(src.estimate(bytes), dst.estimate(bytes));
 }
 
 } // namespace sn40l::mem

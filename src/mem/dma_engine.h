@@ -1,13 +1,11 @@
 /**
  * @file
- * DMA engine moving data between two bandwidth channels (e.g. DDR to
- * HBM for expert activation — Section V-B, or host DRAM to GPU HBM
- * over PCIe for the DGX baseline). A copy occupies both endpoints and
- * completes when the slower side finishes.
- *
- * Engines also copy between whole InterleavedMemory tiers, spreading
- * each endpoint's share across the tier's channels; MemorySystem pools
- * several engines and schedules expert-streaming jobs onto them.
+ * DMA engine copying between two InterleavedMemory tiers (e.g. node
+ * DDR to HBM for expert activation — Section V-B, or host DRAM to GPU
+ * HBM over PCIe for the DGX baseline). A copy spreads each endpoint's
+ * share across the tier's channels and completes when the slower
+ * tier finishes; MemorySystem pools several engines and schedules
+ * expert-streaming jobs onto them.
  *
  * Copies book both endpoints in closed form and schedule a single
  * completion event at the slower endpoint's finish tick, so an
@@ -33,13 +31,6 @@ class DmaEngine
     using Callback = BandwidthChannel::Callback;
 
     DmaEngine(sim::EventQueue &eq, std::string name);
-
-    /**
-     * Copy @p bytes from @p src to @p dst. @p on_done fires when both
-     * channels have drained the copy.
-     */
-    void copy(BandwidthChannel &src, BandwidthChannel &dst, double bytes,
-              Callback on_done);
 
     /**
      * Copy @p bytes between interleaved tiers: read @p src starting at
@@ -77,11 +68,6 @@ class DmaEngine
      * Negative values are a FatalError.
      */
     void setSetupTicks(sim::Tick ticks);
-    sim::Tick setupTicks() const { return setupTicks_; }
-
-    /** Idle-channel estimate: bytes at the slower endpoint's rate. */
-    static sim::Tick estimate(const BandwidthChannel &src,
-                              const BandwidthChannel &dst, double bytes);
 
     sim::StatSet &stats() { return stats_; }
 

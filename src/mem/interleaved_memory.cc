@@ -27,13 +27,6 @@ InterleavedMemory::InterleavedMemory(sim::EventQueue &eq, std::string name,
     scratch_.assign(channels_.size(), 0.0);
 }
 
-double
-InterleavedMemory::aggregateBandwidth() const
-{
-    return static_cast<double>(channels_.size()) *
-           channels_.front()->effectiveBandwidth();
-}
-
 int
 InterleavedMemory::channelOf(std::int64_t addr) const
 {

@@ -36,7 +36,6 @@ class InterleavedMemory
                       double efficiency = 1.0, sim::Tick latency = 0);
 
     int numChannels() const { return static_cast<int>(channels_.size()); }
-    double aggregateBandwidth() const;
     std::int64_t interleaveBytes() const { return interleaveBytes_; }
 
     /** Channel owning byte address @p addr. */

@@ -23,7 +23,7 @@ MemorySystemConfig::validate() const
 
 MemorySystem::MemorySystem(sim::EventQueue &eq, std::string name,
                            const MemorySystemConfig &cfg)
-    : eq_(eq), name_(std::move(name)), stats_(name_),
+    : eq_(eq), name_(std::move(name)), cfg_(cfg), stats_(name_),
       demandLoadsStat_(stats_.counter("demand_loads")),
       prefetchLoadsStat_(stats_.counter("prefetch_loads")),
       cancelledLoadsStat_(stats_.counter("cancelled_loads")),
@@ -140,14 +140,6 @@ MemorySystem::traffic(double bytes, sim::Tick at)
     // Contiguous stream over the whole working set: spreads evenly
     // across every HBM channel, queueing behind in-flight DMA writes.
     return hbm_->bookAccess(0, bytes, at);
-}
-
-sim::Tick
-MemorySystem::estimateLoad(double bytes) const
-{
-    return std::max(
-        sim::transferTicks(bytes, ddr_->aggregateBandwidth()),
-        sim::transferTicks(bytes, hbm_->aggregateBandwidth()));
 }
 
 void

@@ -20,6 +20,7 @@
 #ifndef SN40L_MEM_MEMORY_SYSTEM_H
 #define SN40L_MEM_MEMORY_SYSTEM_H
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -42,6 +43,12 @@ struct TierConfig
     double perChannelBandwidth = 0.0; ///< bytes/sec peak per channel
     double efficiency = 1.0;
     std::int64_t interleaveBytes = 1 << 20;
+
+    /** Effective bandwidth of all channels together, bytes/sec. */
+    double aggregateBandwidth() const
+    {
+        return channels * (perChannelBandwidth * efficiency);
+    }
 };
 
 struct MemorySystemConfig
@@ -58,6 +65,24 @@ struct MemorySystemConfig
      * a real per-transfer overhead (see DmaEngine::setSetupTicks).
      */
     double dmaSetupSeconds = 0.0;
+
+    /**
+     * The idle DDR->HBM copy rate, bytes/sec: the slower tier's
+     * aggregate bandwidth paces every byte. The one price of an
+     * expert copy — the analytic switch (computePhaseCosts), the
+     * analytic per-miss charge and MemorySystem::estimateLoad all
+     * come from it. DMA setup is not included.
+     */
+    double copyBandwidth() const
+    {
+        return std::min(ddr.aggregateBandwidth(), hbm.aggregateBandwidth());
+    }
+
+    /** Idle time of a @p bytes copy at copyBandwidth(), setup excluded. */
+    sim::Tick copyTicks(double bytes) const
+    {
+        return sim::transferTicks(bytes, copyBandwidth());
+    }
 
     /** Throws FatalError on non-positive channel/engine counts. */
     void validate() const;
@@ -133,15 +158,17 @@ class MemorySystem
             e->setRateFactor(factor);
     }
 
-    int dmaEngineCount() const { return static_cast<int>(engines_.size()); }
     int queuedLoads() const
     {
         return static_cast<int>(demandQueue_.size() + prefetchQueue_.size());
     }
     int loadsInFlight() const { return static_cast<int>(inFlight_.parked()); }
 
-    /** Idle-system estimate of one load: slower tier paces the copy. */
-    sim::Tick estimateLoad(double bytes) const;
+    /** Idle-system time of one load (MemorySystemConfig::copyTicks). */
+    sim::Tick estimateLoad(double bytes) const
+    {
+        return cfg_.copyTicks(bytes);
+    }
 
     sim::StatSet &stats() { return stats_; }
     const sim::StatSet &stats() const { return stats_; }
@@ -184,6 +211,7 @@ class MemorySystem
 
     sim::EventQueue &eq_;
     std::string name_;
+    MemorySystemConfig cfg_;
     std::unique_ptr<InterleavedMemory> ddr_;
     std::unique_ptr<InterleavedMemory> hbm_;
     std::vector<std::unique_ptr<DmaEngine>> engines_;

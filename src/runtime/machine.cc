@@ -1,9 +1,5 @@
 #include "runtime/machine.h"
 
-#include <algorithm>
-
-#include "sim/log.h"
-
 namespace sn40l::runtime {
 
 RduSocket::RduSocket(sim::EventQueue &eq, const arch::ChipConfig &cfg,
@@ -19,56 +15,13 @@ RduSocket::RduSocket(sim::EventQueue &eq, const arch::ChipConfig &cfg,
 
 RduNode::RduNode(sim::EventQueue &eq, const arch::NodeConfig &cfg)
     : eq_(eq), cfg_(cfg),
-      pcie_(eq, cfg.name + ".pcie", cfg.chip.pcieBandwidth, 1.0,
-            sim::fromUs(2)),
       p2p_(eq, cfg.name + ".p2p", cfg.chip.p2pBandwidth * cfg.sockets, 1.0,
-           sim::fromUs(1)),
-      dma_(eq, cfg.name + ".dma")
+           sim::fromUs(1))
 {
     for (int i = 0; i < cfg_.sockets; ++i) {
         sockets_.push_back(std::make_unique<RduSocket>(
             eq, cfg_.chip, cfg_.name + ".rdu" + std::to_string(i)));
     }
-}
-
-void
-RduNode::copyDdrToHbm(double total_bytes, Callback on_done)
-{
-    // Each socket DMAs its shard through its own DDR + HBM channels;
-    // completion when the slowest socket finishes.
-    double shard = total_bytes / numSockets();
-    auto remaining = std::make_shared<int>(numSockets());
-    for (auto &socket : sockets_) {
-        dma_.copy(socket->ddr(), socket->hbm(), shard,
-                  [remaining, on_done]() {
-                      if (--*remaining == 0 && on_done)
-                          on_done();
-                  });
-    }
-}
-
-void
-RduNode::copyHostToHbm(double total_bytes, Callback on_done)
-{
-    // Host DRAM feeds the sockets through the (much narrower) host
-    // link; HBM-side time is negligible by comparison but still
-    // modeled through the first socket's channel.
-    auto remaining = std::make_shared<int>(2);
-    auto join = [remaining, on_done]() {
-        if (--*remaining == 0 && on_done)
-            on_done();
-    };
-    pcie_.transfer(total_bytes, join);
-    socket(0).hbm().transfer(total_bytes / numSockets(), join);
-}
-
-sim::Tick
-RduNode::estimateDdrToHbm(double total_bytes) const
-{
-    double shard = total_bytes / cfg_.sockets;
-    double rate = std::min(cfg_.chip.effectiveDdrBandwidth(),
-                           cfg_.chip.effectiveHbmBandwidth());
-    return sim::transferTicks(shard, rate);
 }
 
 } // namespace sn40l::runtime

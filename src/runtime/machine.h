@@ -1,14 +1,15 @@
 /**
  * @file
  * Machine models: an SN40L socket (HBM + DDR channels + launch
- * sequencer) and an SN40L node (eight sockets, P2P links, host PCIe).
- * All timing flows through the shared event queue.
+ * sequencer) and an SN40L node (eight sockets and their P2P links),
+ * on which the executor runs a compiled program. All timing flows
+ * through the shared event queue. Expert copies between the tiers
+ * are the serving layer's mem::MemorySystem.
  */
 
 #ifndef SN40L_RUNTIME_MACHINE_H
 #define SN40L_RUNTIME_MACHINE_H
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "arch/agcu.h"
 #include "arch/chip_config.h"
 #include "mem/bandwidth_channel.h"
-#include "mem/dma_engine.h"
 #include "sim/event_queue.h"
 
 namespace sn40l::runtime {
@@ -45,8 +45,6 @@ class RduSocket
 class RduNode
 {
   public:
-    using Callback = std::function<void()>;
-
     RduNode(sim::EventQueue &eq, const arch::NodeConfig &cfg);
 
     sim::EventQueue &eventQueue() { return eq_; }
@@ -54,29 +52,13 @@ class RduNode
     int numSockets() const { return static_cast<int>(sockets_.size()); }
     RduSocket &socket(int i) { return *sockets_.at(i); }
 
-    mem::BandwidthChannel &pcie() { return pcie_; }
     mem::BandwidthChannel &p2p() { return p2p_; }
-
-    /**
-     * Copy @p total_bytes from DDR to HBM, sharded across all sockets
-     * (each moves its tensor-parallel slice concurrently) — the CoE
-     * expert-switch path (Fig 9).
-     */
-    void copyDdrToHbm(double total_bytes, Callback on_done);
-
-    /** Copy from host DRAM to HBM over PCIe (the DGX-style path). */
-    void copyHostToHbm(double total_bytes, Callback on_done);
-
-    /** Idle-machine estimate of the DDR->HBM copy. */
-    sim::Tick estimateDdrToHbm(double total_bytes) const;
 
   private:
     sim::EventQueue &eq_;
     arch::NodeConfig cfg_;
     std::vector<std::unique_ptr<RduSocket>> sockets_;
-    mem::BandwidthChannel pcie_;
     mem::BandwidthChannel p2p_;
-    mem::DmaEngine dma_;
 };
 
 } // namespace sn40l::runtime

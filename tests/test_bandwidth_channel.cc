@@ -4,6 +4,8 @@
 
 #include "mem/bandwidth_channel.h"
 #include "mem/dma_engine.h"
+#include "mem/interleaved_memory.h"
+#include "mem/memory_system.h"
 #include "sim/log.h"
 
 using namespace sn40l;
@@ -102,29 +104,32 @@ TEST(BandwidthChannel, FireAndForgetTransferStillAccountsTime)
 TEST(DmaEngine, CompletionGatedBySlowerSide)
 {
     EventQueue eq;
-    mem::BandwidthChannel ddr(eq, "ddr", 100e9);  // 100 GB/s
-    mem::BandwidthChannel hbm(eq, "hbm", 1600e9); // 1.6 TB/s
+    mem::InterleavedMemory ddr(eq, "ddr", 1, 100e9, 1 << 20);  // 100 GB/s
+    mem::InterleavedMemory hbm(eq, "hbm", 1, 1600e9, 1 << 20); // 1.6 TB/s
     mem::DmaEngine dma(eq, "dma");
 
     Tick done_at = -1;
-    dma.copy(ddr, hbm, 10e9, [&]() { done_at = eq.now(); }); // 10 GB
+    dma.copy(ddr, 0, hbm, 0, 10e9, [&]() { done_at = eq.now(); }); // 10 GB
     eq.run();
     // Slower side: 10 GB at 100 GB/s = 100 ms.
     EXPECT_EQ(done_at, sim::fromMs(100.0));
-    EXPECT_EQ(mem::DmaEngine::estimate(ddr, hbm, 10e9), sim::fromMs(100.0));
+    mem::MemorySystemConfig idle;
+    idle.ddr.perChannelBandwidth = 100e9;
+    idle.hbm.perChannelBandwidth = 1600e9;
+    EXPECT_EQ(idle.copyTicks(10e9), sim::fromMs(100.0));
     EXPECT_DOUBLE_EQ(dma.stats().get("bytes"), 10e9);
 }
 
 TEST(DmaEngine, ConcurrentCopiesShareChannel)
 {
     EventQueue eq;
-    mem::BandwidthChannel ddr(eq, "ddr", 100e9);
-    mem::BandwidthChannel hbm(eq, "hbm", 1600e9);
+    mem::InterleavedMemory ddr(eq, "ddr", 1, 100e9, 1 << 20);
+    mem::InterleavedMemory hbm(eq, "hbm", 1, 1600e9, 1 << 20);
     mem::DmaEngine dma(eq, "dma");
 
     std::vector<Tick> done;
-    dma.copy(ddr, hbm, 10e9, [&]() { done.push_back(eq.now()); });
-    dma.copy(ddr, hbm, 10e9, [&]() { done.push_back(eq.now()); });
+    dma.copy(ddr, 0, hbm, 0, 10e9, [&]() { done.push_back(eq.now()); });
+    dma.copy(ddr, 0, hbm, 0, 10e9, [&]() { done.push_back(eq.now()); });
     eq.run();
     ASSERT_EQ(done.size(), 2u);
     // The second copy waits for DDR to free up.

@@ -201,6 +201,56 @@ TEST(MemorySystem, TrafficContendsWithExpertStreaming)
     EXPECT_EQ(traffic_done, 2 * hbm_share);
 }
 
+namespace {
+
+/** Time one idle DMA load of @p bytes takes on a @p cfg system. */
+Tick
+idleLoadTicks(const mem::MemorySystemConfig &cfg, double bytes)
+{
+    EventQueue eq;
+    mem::MemorySystem m(eq, "m", cfg);
+    Tick done = -1;
+    m.load(0, 0, bytes, mem::TransferPriority::Demand,
+           [&]() { done = eq.now(); });
+    eq.run();
+    return done;
+}
+
+} // namespace
+
+TEST(PlatformMemory, NodeAggregateDdrToHbmExceedsOneTerabytePerSecond)
+{
+    // Paper: "Models are loaded from DDR to HBM at over 1 TB/s in a
+    // single SN40L Node."
+    mem::MemorySystemConfig node = platformMemoryConfig(ServingConfig{});
+
+    double bytes = 13.48e9; // one Llama2-7B expert
+    Tick est = node.copyTicks(bytes);
+    double rate = bytes / sim::toSeconds(est);
+    EXPECT_GT(rate, 1e12);
+
+    // The DES copy agrees with the estimate.
+    EventQueue eq;
+    EXPECT_EQ(mem::MemorySystem(eq, "m", node).estimateLoad(bytes), est);
+    Tick done = idleLoadTicks(node, bytes);
+    EXPECT_NEAR(static_cast<double>(done), static_cast<double>(est),
+                static_cast<double>(est) * 0.01 + 2e6);
+}
+
+TEST(PlatformMemory, HostPathIsMuchSlowerThanDdrPath)
+{
+    // The same node with its experts in host DRAM: every copy crosses
+    // the single host link instead of the sockets' DDR channels.
+    mem::MemorySystemConfig node = platformMemoryConfig(ServingConfig{});
+    mem::MemorySystemConfig host = node;
+    host.ddr.channels = 1;
+    host.ddr.perChannelBandwidth = arch::ChipConfig::sn40l().pcieBandwidth;
+    host.ddr.efficiency = 1.0;
+
+    double bytes = 13.48e9;
+    EXPECT_GT(idleLoadTicks(host, bytes), 10 * idleLoadTicks(node, bytes));
+}
+
 // ---------------------------------------------------------------
 // Async CoeRuntime protocol
 

@@ -12,6 +12,7 @@
 #include "arch/chip_config.h"
 #include "arch/pcu.h"
 #include "arch/pmu.h"
+#include "coe/serving.h"
 #include "sim/log.h"
 
 using namespace sn40l;
@@ -51,7 +52,8 @@ TEST(ChipConfig, NodeAggregates)
               8 * static_cast<std::int64_t>(1.5 * 1024) * 1024 * 1024 *
                   1024);
     // Paper: models load DDR->HBM at over 1 TB/s in a single node.
-    EXPECT_GT(node.ddrToHbmBandwidth(), 1e12);
+    EXPECT_GT(coe::platformMemoryConfig(coe::ServingConfig{}).copyBandwidth(),
+              1e12);
 }
 
 TEST(ChipConfig, ValidationCatchesNonsense)

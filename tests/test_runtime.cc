@@ -35,41 +35,6 @@ smallDecode()
 
 } // namespace
 
-TEST(Machine, NodeAggregateDdrToHbmExceedsOneTerabytePerSecond)
-{
-    // Paper: "Models are loaded from DDR to HBM at over 1 TB/s in a
-    // single SN40L Node."
-    arch::NodeConfig cfg = arch::NodeConfig::sn40lNode(8);
-    sim::EventQueue eq;
-    RduNode node(eq, cfg);
-
-    double bytes = 13.48e9; // one Llama2-7B expert
-    sim::Tick est = node.estimateDdrToHbm(bytes);
-    double rate = bytes / sim::toSeconds(est);
-    EXPECT_GT(rate, 1e12);
-
-    // The DES copy agrees with the estimate.
-    sim::Tick done = -1;
-    node.copyDdrToHbm(bytes, [&]() { done = eq.now(); });
-    eq.run();
-    EXPECT_NEAR(static_cast<double>(done), static_cast<double>(est),
-                static_cast<double>(est) * 0.01 + 2e6);
-}
-
-TEST(Machine, HostPathIsMuchSlowerThanDdrPath)
-{
-    arch::NodeConfig cfg = arch::NodeConfig::sn40lNode(8);
-    sim::EventQueue eq;
-    RduNode node(eq, cfg);
-
-    double bytes = 13.48e9;
-    sim::Tick ddr_done = -1, host_done = -1;
-    node.copyDdrToHbm(bytes, [&]() { ddr_done = eq.now(); });
-    node.copyHostToHbm(bytes, [&]() { host_done = eq.now(); });
-    eq.run();
-    EXPECT_GT(host_done, 10 * ddr_done);
-}
-
 TEST(Executor, TimeIsLaunchPlusExec)
 {
     graph::DataflowGraph g = smallDecode();

@@ -254,6 +254,32 @@ TEST(AnalyticBatches, BitIdenticalToPreRefactorResults)
     }
 }
 
+TEST(AnalyticBatches, AdapterMissCostsAnAdapterCopy)
+{
+    // A PEFT zoo miss moves one LoRA adapter, not a full expert: the
+    // closed form charges each miss the platform's idle copy of the
+    // bytes it moves, as MemorySystem::estimateLoad would.
+    ServingConfig cfg;
+    cfg.zoo.enabled = true;
+    cfg.numExperts = 2000;
+    cfg.routing = RoutingDistribution::Zipf;
+    cfg.zipfS = 1.0;
+    cfg.expertRegionBytes = static_cast<std::int64_t>(15.6e9);
+    ServingResult r = analyticBatches(cfg, 200);
+    ASSERT_FALSE(r.oom);
+    ASSERT_GT(r.missRate, 0.0);
+
+    double adapter = loraAdapterBytes(cfg.expertBase, cfg.zoo.rank);
+    double copy =
+        sim::toSeconds(platformMemoryConfig(cfg).copyTicks(adapter));
+    double misses_per_batch = r.missRate * cfg.batch;
+    EXPECT_NEAR(r.perBatch.switchSeconds, misses_per_batch * copy,
+                copy * 1e-6);
+    // Two orders of magnitude below a full-expert switch per miss.
+    EXPECT_LT(r.perBatch.switchSeconds,
+              0.01 * misses_per_batch * computePhaseCosts(cfg).switchSeconds);
+}
+
 /**
  * The event-driven scheduler must also stay bit-identical across
  * engine work. These values were captured at full precision from the

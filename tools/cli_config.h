@@ -27,6 +27,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <memory>
 #include <sstream>
@@ -73,6 +75,30 @@ loadTraceOnce(coe::WorkloadConfig &w)
     if (!w.traceIn.empty())
         w.traceEntries = std::make_shared<const std::vector<coe::TraceEntry>>(
             coe::loadTrace(w.traceIn));
+}
+
+/**
+ * Open each non-empty output path in @p paths (--json, --trace,
+ * --trace-out, --controller-log) before anything is printed: a path
+ * that cannot be written, say under a missing directory, fails the
+ * command up front instead of after the whole run. The probe leaves
+ * no trace: it appends nothing to an existing file and removes a file
+ * it had to create, so a run that fails later writes nothing.
+ */
+inline void
+requireWritable(const FlagParser &p,
+                std::initializer_list<std::string> paths)
+{
+    for (const std::string &path : paths) {
+        if (path.empty())
+            continue;
+        std::error_code ec;
+        bool existed = std::filesystem::exists(path, ec);
+        if (!std::ofstream(path, std::ios::app))
+            p.fail("cannot write " + path);
+        if (!existed)
+            std::filesystem::remove(path, ec);
+    }
 }
 
 /** Whether the last parse saw any of @p names. */

@@ -125,6 +125,7 @@ runServe(int argc, char **argv)
     }
     coe::validateServingConfig(cfg);
     loadTraceOnce(cfg.workload);
+    requireWritable(parser, {cfg.workload.traceOut});
 
     std::cout << "CoE request stream on " << coe::platformName(cfg.platform)
               << ": " << cfg.numExperts << " experts, "
@@ -329,6 +330,7 @@ runSweepCmd(int argc, char **argv)
     std::vector<coe::SweepPoint> points = grid.points();
     for (const coe::SweepPoint &point : points)
         coe::validateSweepPoint(point);
+    requireWritable(parser, {json_path});
     std::cout << "CoE sweep on " << coe::platformName(grid.base.platform)
               << ": " << points.size() << " points x "
               << grid.base.streamRequests << " requests, " << jobs
@@ -693,6 +695,8 @@ runClusterCmd(int argc, char **argv)
                         "drop --faults and the degraded-mode flags");
         return runPlanCapacity(parser, cfg, plan);
     }
+    requireWritable(parser, {json_path, cfg.node.workload.traceOut,
+                             cfg.controller.logPath});
 
     std::cout << "CoE cluster on "
               << coe::platformName(cfg.node.platform) << ": "
@@ -914,6 +918,7 @@ run(int argc, char **argv)
 
     graph::DataflowGraph g = models::buildTransformer(spec);
     arch::NodeConfig node_cfg = arch::NodeConfig::sn40lNode(sockets);
+    requireWritable(parser, {trace_path});
 
     runtime::TraceWriter trace;
     runtime::RunOutcome outcome = runtime::runWorkload(
