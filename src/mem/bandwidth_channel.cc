@@ -20,14 +20,6 @@ BandwidthChannel::BandwidthChannel(sim::EventQueue &eq, std::string name,
         sim::fatal("BandwidthChannel " + name_ + ": efficiency out of (0,1]");
 }
 
-void
-BandwidthChannel::setEfficiency(double efficiency)
-{
-    if (efficiency <= 0.0 || efficiency > 1.0)
-        sim::fatal("BandwidthChannel " + name_ + ": efficiency out of (0,1]");
-    efficiency_ = efficiency;
-}
-
 sim::Tick
 BandwidthChannel::estimate(double bytes) const
 {

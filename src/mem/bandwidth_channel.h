@@ -38,10 +38,7 @@ class BandwidthChannel
                      sim::Tick latency = 0);
 
     const std::string &name() const { return name_; }
-    double efficiency() const { return efficiency_; }
     double effectiveBandwidth() const { return peakBw_ * efficiency_; }
-
-    void setEfficiency(double efficiency);
 
     /**
      * Enqueue a transfer of @p bytes; @p on_done fires when the last

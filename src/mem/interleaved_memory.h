@@ -2,53 +2,51 @@
  * @file
  * Channel-interleaved memory: an HBM stack as N independent channels
  * with addresses interleaved at a fixed granularity. Captures the
- * bank/channel-level parallelism the paper's PMU/HBM design leans on:
- * contiguous streams spread across all channels and reach aggregate
- * bandwidth, while channel-camping strides collapse to a single
- * channel's worth.
+ * channel-level parallelism the paper's PMU/HBM design leans on: a
+ * contiguous stream spreads across all channels and reaches aggregate
+ * bandwidth, while accesses that share a channel serialize on it.
+ *
+ * Each channel is a FIFO at one effective bandwidth, kept as flat
+ * state (its busy tick and the bytes booked on it), so a contiguous
+ * access is priced once per channel group rather than once per
+ * channel.
  */
 
 #ifndef SN40L_MEM_INTERLEAVED_MEMORY_H
 #define SN40L_MEM_INTERLEAVED_MEMORY_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "mem/bandwidth_channel.h"
+#include "sim/event_queue.h"
+#include "sim/stats.h"
+#include "sim/ticks.h"
 
 namespace sn40l::mem {
 
 class InterleavedMemory
 {
   public:
-    using Callback = BandwidthChannel::Callback;
-
     /**
      * @param channels          number of independent channels
-     * @param per_channel_bw    bytes/sec of one channel
+     * @param per_channel_bw    peak bytes/sec of one channel
      * @param interleave_bytes  contiguous bytes mapped to one channel
      *                          before rotating to the next
+     * @param efficiency        fraction of peak a channel sustains, in
+     *                          (0, 1] (as BandwidthChannel)
+     * @param latency           fixed ticks added to every channel leg
      */
     InterleavedMemory(sim::EventQueue &eq, std::string name, int channels,
                       double per_channel_bw, std::int64_t interleave_bytes,
                       double efficiency = 1.0, sim::Tick latency = 0);
 
-    int numChannels() const { return static_cast<int>(channels_.size()); }
-    std::int64_t interleaveBytes() const { return interleaveBytes_; }
+    int numChannels() const { return static_cast<int>(busyUntil_.size()); }
 
-    /** Channel owning byte address @p addr. */
-    int channelOf(std::int64_t addr) const;
-
-    BandwidthChannel &channel(int i) { return *channels_.at(i); }
-
-    /**
-     * Issue a contiguous access of @p bytes starting at @p addr; each
-     * channel serves its interleaved share, and @p on_done fires when
-     * the slowest channel finishes.
-     */
-    void access(std::int64_t addr, double bytes, Callback on_done);
+    /** Tick at which channel @p c next becomes idle. */
+    sim::Tick busyUntil(int c) const { return busyUntil_.at(c); }
+    /** Bytes booked on channel @p c so far. */
+    double channelBytes(int c) const { return channelBytes_.at(c); }
 
     /**
      * Book a contiguous access on every channel without scheduling a
@@ -64,8 +62,8 @@ class InterleavedMemory
     }
 
     /**
-     * bookAccess() as if issued at tick @p at: every channel share is
-     * booked with BandwidthChannel::book(share, at).
+     * bookAccess() as if issued at tick @p at: each channel's share
+     * starts at the later of @p at and that channel's busy tick.
      */
     sim::Tick bookAccess(std::int64_t addr, double bytes, sim::Tick at);
 
@@ -76,35 +74,50 @@ class InterleavedMemory
     sim::Tick endIfBooked(std::int64_t addr, double bytes,
                           sim::Tick at) const;
 
-    /**
-     * Issue a strided access: @p count elements of @p elem_bytes, with
-     * byte stride @p stride from @p base. Strides that are multiples
-     * of channels x interleave camp on one channel.
-     */
-    void accessStrided(std::int64_t base, std::int64_t stride,
-                       std::int64_t count, std::int64_t elem_bytes,
-                       Callback on_done);
-
     sim::StatSet &stats() { return stats_; }
 
   private:
-    /** Split a contiguous access into per-channel shares in scratch_. */
-    void splitContiguous(std::int64_t addr, double bytes) const;
     /**
-     * The latest of @p at and @p leg(channel, share) over the channels
-     * with a nonzero share in scratch_: the join of an access's legs.
+     * Division of non-negative operands by a fixed count: a shift and a
+     * mask when the count is a power of two (as the platforms' channel
+     * counts and interleaves are), a hardware divide otherwise.
      */
-    template <typename Leg> sim::Tick joinShares(sim::Tick at, Leg leg) const;
-    /** Book the per-channel byte shares in scratch_. @return done tick. */
-    sim::Tick bookScratch(sim::Tick at);
+    struct Divisor
+    {
+        explicit Divisor(std::int64_t d);
+        std::int64_t quot(std::int64_t x) const
+        {
+            return shift >= 0 ? x >> shift : x / d;
+        }
+        std::int64_t rem(std::int64_t x) const
+        {
+            return shift >= 0 ? x & (d - 1) : x % d;
+        }
+
+        std::int64_t d;
+        int shift = -1; ///< log2(d), or -1 when d is not a power of two
+    };
+
+    /**
+     * Walk the channels a contiguous access touches and @return the
+     * latest of @p at and every leg's end plus the latency. @p leg(c,
+     * share, span) returns the end tick of channel @p c's share
+     * taking @p span ticks; every channel of one group (same share)
+     * gets the same span, priced once.
+     */
+    template <typename Leg>
+    sim::Tick walk(std::int64_t addr, double bytes, sim::Tick at,
+                   Leg leg) const;
 
     sim::EventQueue &eq_;
     std::string name_;
-    std::string doneLabel_;
-    std::int64_t interleaveBytes_;
-    std::vector<std::unique_ptr<BandwidthChannel>> channels_;
-    /** Per-channel split, reused per access and per query. */
-    mutable std::vector<double> scratch_;
+    Divisor line_;  ///< interleave bytes
+    Divisor chans_; ///< channel count
+    /** Effective bytes/sec of one channel: peak x efficiency. */
+    double channelBw_;
+    sim::Tick latency_;
+    std::vector<sim::Tick> busyUntil_;
+    std::vector<double> channelBytes_;
 
     sim::StatSet stats_;
     double &accessesStat_;

@@ -4,7 +4,7 @@ namespace sn40l::runtime {
 
 RduSocket::RduSocket(sim::EventQueue &eq, const arch::ChipConfig &cfg,
                      std::string name)
-    : name_(std::move(name)), cfg_(cfg),
+    : name_(std::move(name)),
       hbm_(eq, name_ + ".hbm", cfg.hbmBandwidth, cfg.hbmEfficiency,
            sim::fromNs(300)),
       ddr_(eq, name_ + ".ddr", cfg.ddrBandwidth, cfg.ddrEfficiency,

@@ -28,7 +28,6 @@ class RduSocket
               std::string name);
 
     const std::string &name() const { return name_; }
-    const arch::ChipConfig &config() const { return cfg_; }
 
     mem::BandwidthChannel &hbm() { return hbm_; }
     mem::BandwidthChannel &ddr() { return ddr_; }
@@ -36,7 +35,6 @@ class RduSocket
 
   private:
     std::string name_;
-    const arch::ChipConfig &cfg_;
     mem::BandwidthChannel hbm_;
     mem::BandwidthChannel ddr_;
     arch::Agcu agcu_;
@@ -48,7 +46,6 @@ class RduNode
     RduNode(sim::EventQueue &eq, const arch::NodeConfig &cfg);
 
     sim::EventQueue &eventQueue() { return eq_; }
-    const arch::NodeConfig &config() const { return cfg_; }
     int numSockets() const { return static_cast<int>(sockets_.size()); }
     RduSocket &socket(int i) { return *sockets_.at(i); }
 
@@ -56,6 +53,7 @@ class RduNode
 
   private:
     sim::EventQueue &eq_;
+    /** Owned copy: each socket's Agcu keeps a reference to its chip. */
     arch::NodeConfig cfg_;
     std::vector<std::unique_ptr<RduSocket>> sockets_;
     mem::BandwidthChannel p2p_;

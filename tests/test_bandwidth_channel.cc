@@ -85,8 +85,7 @@ TEST(BandwidthChannel, RejectsBadConfig)
     EventQueue eq;
     EXPECT_THROW(mem::BandwidthChannel(eq, "x", -1.0), sim::FatalError);
     EXPECT_THROW(mem::BandwidthChannel(eq, "x", 1e9, 1.5), sim::FatalError);
-    mem::BandwidthChannel ok(eq, "ok", 1e9);
-    EXPECT_THROW(ok.setEfficiency(0.0), sim::FatalError);
+    EXPECT_THROW(mem::BandwidthChannel(eq, "x", 1e9, 0.0), sim::FatalError);
 }
 
 TEST(BandwidthChannel, FireAndForgetTransferStillAccountsTime)
