@@ -14,6 +14,7 @@
 
 #include <iostream>
 
+#include "baseline/gpu_config.h"
 #include "coe/cluster.h"
 #include "util/table.h"
 
@@ -66,6 +67,12 @@ main()
     cfg.platform = Platform::DgxH100;
     ServingResult h100 = analyticBatches(cfg, 200);
 
+    // The DGX switch path is its host link, labelled in whole GB/s.
+    auto hostLink = [](const baseline::DgxConfig &dgx) {
+        return "host->GPU @ " +
+            util::formatDouble(dgx.hostToGpuBandwidth / 1e9, 0) + " GB/s";
+    };
+
     util::Table table({"Configuration", "Switch path", "Per-request",
                        "vs three-tier"});
     double base = rdu.perBatch.total();
@@ -77,11 +84,11 @@ main()
                       spill.memoryOverride->copyBandwidth()),
                   util::formatSeconds(no_ddr_total),
                   util::formatDouble(no_ddr_total / base, 2) + "x"});
-    table.addRow({"DGX A100", "host->GPU @ 32 GB/s",
+    table.addRow({"DGX A100", hostLink(baseline::DgxConfig::dgxA100()),
                   util::formatSeconds(a100.perBatch.total()),
                   util::formatDouble(a100.perBatch.total() / base, 2) +
                       "x"});
-    table.addRow({"DGX H100", "host->GPU @ 64 GB/s",
+    table.addRow({"DGX H100", hostLink(baseline::DgxConfig::dgxH100()),
                   util::formatSeconds(h100.perBatch.total()),
                   util::formatDouble(h100.perBatch.total() / base, 2) +
                       "x"});

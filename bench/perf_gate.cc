@@ -294,6 +294,26 @@ run(int argc, char **argv)
                 fail("the " + p.name + " pass re-armed no batch; it no "
                      "longer exercises the early coe.batch_done path");
         }
+        if (p.cfg.fabric.enabled) {
+            // Topology-aware dispatch reads link state only on a busy
+            // fabric; the idle-route cache and one-candidate picks
+            // read none.
+            const double lwpr =
+                static_cast<double>(r.networkLinkWalks) / requests;
+            std::cout << "  " << r.networkLinkWalks << " link walks, "
+                      << lwpr << " per request\n";
+            w.field((p.name + "_link_walks").c_str(), r.networkLinkWalks)
+                .field((p.name + "_link_walks_per_request").c_str(), lwpr);
+            if (pinned) {
+                double ceiling =
+                    floor->number(p.name + "_link_walks_per_request");
+                if (lwpr > ceiling)
+                    fail(p.name + " " +
+                         std::to_string(r.networkLinkWalks) +
+                         " link walks > ceiling " +
+                         std::to_string(std::llround(ceiling * requests)));
+            }
+        }
         if (floor && p.wallFloor) {
             double gate = 0.8 * floor->number(key + "sec");
             if (eps < gate)

@@ -14,34 +14,6 @@
 namespace sn40l::coe {
 
 const char *
-dispatchPolicyName(DispatchPolicy policy)
-{
-    switch (policy) {
-      case DispatchPolicy::RoundRobin: return "round-robin";
-      case DispatchPolicy::LeastOutstanding: return "least-outstanding";
-      case DispatchPolicy::ExpertAffinity: return "expert-affinity";
-      case DispatchPolicy::TopologyAware: return "topo-aware";
-    }
-    sim::panic("dispatchPolicyName: unknown policy");
-}
-
-DispatchPolicy
-dispatchPolicyFromName(const std::string &name)
-{
-    if (name == "round-robin" || name == "rr")
-        return DispatchPolicy::RoundRobin;
-    if (name == "least-outstanding" || name == "least")
-        return DispatchPolicy::LeastOutstanding;
-    if (name == "expert-affinity" || name == "affinity")
-        return DispatchPolicy::ExpertAffinity;
-    if (name == "topo-aware" || name == "topology-aware")
-        return DispatchPolicy::TopologyAware;
-    sim::fatal("unknown dispatch policy '" + name +
-               "' (expected round-robin, least-outstanding, "
-               "expert-affinity, or topo-aware)");
-}
-
-const char *
 placementPolicyName(PlacementPolicy policy)
 {
     switch (policy) {
@@ -119,54 +91,6 @@ makePlacement(PlacementPolicy policy, int experts, int nodes,
 
 namespace {
 
-using sim::mix64; // the consistent-hash ring's hash
-
-/**
- * Consistent-hash ring over the node set. Every node contributes
- * kVirtualPoints points; an expert hashes to a ring position and
- * walks clockwise to the first eligible node. Because the ring is
- * built once over ALL nodes, removing a node (drain) only moves the
- * experts that lived on it — everyone else keeps their home node.
- */
-class HashRing
-{
-  public:
-    explicit HashRing(int nodes)
-    {
-        constexpr int kVirtualPoints = 16;
-        points_.reserve(static_cast<std::size_t>(nodes) * kVirtualPoints);
-        for (int n = 0; n < nodes; ++n)
-            for (int v = 0; v < kVirtualPoints; ++v)
-                points_.emplace_back(
-                    mix64((static_cast<std::uint64_t>(n) << 32) |
-                          static_cast<std::uint64_t>(v)),
-                    n);
-        std::sort(points_.begin(), points_.end());
-    }
-
-    /** First eligible node clockwise of @p expert's hash, or -1. */
-    int
-    lookup(int expert, const std::vector<char> &eligible) const
-    {
-        std::uint64_t h =
-            mix64(0xc0e5e4f1ull ^ static_cast<std::uint64_t>(expert));
-        auto it = std::lower_bound(
-            points_.begin(), points_.end(),
-            std::make_pair(h, -1));
-        for (std::size_t walked = 0; walked < points_.size(); ++walked) {
-            if (it == points_.end())
-                it = points_.begin();
-            if (eligible[static_cast<std::size_t>(it->second)])
-                return it->second;
-            ++it;
-        }
-        return -1;
-    }
-
-  private:
-    std::vector<std::pair<std::uint64_t, int>> points_;
-};
-
 /**
  * One cumulative read of a run's counters (RunState::readTotals()).
  * snapshot() reports the difference of two reads; finish() reports
@@ -205,30 +129,47 @@ struct RunTotals
  * queue, engines, dispatch state and the run's counters. One fresh
  * RunState per begin(), so the simulator stays re-runnable.
  */
-struct ClusterSimulator::RunState
+struct ClusterSimulator::RunState final : DispatchSignals
 {
-    RunState(int nodes, const std::string &trace_out, sim::StatSet &stats)
-        : recorder(trace_out),
-          live(static_cast<std::size_t>(nodes), 1),
-          wasDrained(static_cast<std::size_t>(nodes), 0),
-          isCandidate(static_cast<std::size_t>(nodes), 0),
-          dispatchedTo(static_cast<std::size_t>(nodes), 0),
-          redispatchedFrom(static_cast<std::size_t>(nodes), 0),
-          ring(nodes), liveCount(nodes),
+    RunState(const ClusterConfig &cfg, ExpertPlacement placement_in,
+             sim::StatSet &stats)
+        : placement(std::move(placement_in)),
+          recorder(cfg.node.workload.traceOut),
+          wasDrained(static_cast<std::size_t>(cfg.nodes), 0),
+          dispatchedTo(static_cast<std::size_t>(cfg.nodes), 0),
+          redispatchedFrom(static_cast<std::size_t>(cfg.nodes), 0),
           hedged(stats.counter("hedged")),
           brownoutShed(stats.counter("brownout_shed")),
           flakyFailures(stats.counter("flaky_failures")),
           networkDisplaced(stats.counter("network_displaced")),
-          dispatchFallbacks(stats.counter("dispatch_fallbacks"))
+          dispatchFallbacks(stats.counter("dispatch_fallbacks")),
+          dispatcher(cfg.dispatch, placement, cfg.nodes, *this,
+                     dispatchFallbacks)
     {
-        candidates.reserve(static_cast<std::size_t>(nodes));
     }
 
     /** The run's counters as of now, all cumulative since begin(). */
     RunTotals readTotals() const;
 
+    // ---- what the dispatcher reads per pick
+    std::int64_t
+    outstanding(int node) const override
+    {
+        return engines[static_cast<std::size_t>(node)]->outstanding();
+    }
+    double
+    hubCongestion(int node) override
+    {
+        return fabric->hubCongestion(node);
+    }
+    std::int64_t
+    dispatched(int node) const override
+    {
+        return dispatchedTo[static_cast<std::size_t>(node)];
+    }
+
     sim::EventQueue eq; ///< shared by the hub, fabric and every engine
-    ExpertPlacement placement;
+    ExpertPlacement placement; ///< the dispatcher reads it by reference
     std::vector<ServingConfig> nodeCfg;
     std::vector<PhaseCosts> nodeCosts;
     std::vector<double> expertBytes;    ///< per expert id
@@ -237,20 +178,13 @@ struct ClusterSimulator::RunState
     TraceRecorder recorder;
     std::vector<std::unique_ptr<ServingEngine>> engines;
 
-    // ---- dispatch state
-    std::vector<char> live;
+    // ---- dispatch state (liveness lives in the dispatcher)
     std::vector<char> wasDrained;
-    std::vector<char> isCandidate;
     std::vector<std::int64_t> dispatchedTo;
     std::vector<std::int64_t> redispatchedFrom;
-    std::vector<std::int64_t> expertHits; ///< cumulative, per expert
-    HashRing ring;
-    std::size_t rrCursor = 0;
-    std::vector<int> candidates;
     sim::Tick firstArrival = -1;
 
     // ---- node-hours accounting
-    int liveCount;
     sim::Tick liveMark = 0;
     double nodeSecondsLive = 0.0;
 
@@ -302,6 +236,9 @@ struct ClusterSimulator::RunState
     double &flakyFailures;
     double &networkDisplaced;
     double &dispatchFallbacks;
+
+    /** After the handles: it counts into dispatchFallbacks. */
+    Dispatcher dispatcher;
 
     // ---- interconnect (null when cfg.fabric.enabled == false)
     std::unique_ptr<ClusterFabric> fabric;
@@ -361,7 +298,7 @@ ClusterSimulator::RunState::readTotals() const
     t.retried = retried;
     t.hedged = static_cast<std::int64_t>(hedged);
     t.hedgeWon = hedgeWon;
-    t.expertHits = expertHits;
+    t.expertHits = dispatcher.picks();
     if (fabric) {
         const sim::Network &net = fabric->network();
         t.linkBusy.resize(static_cast<std::size_t>(net.linkCount()));
@@ -521,11 +458,11 @@ ClusterSimulator::begin()
     latency_.clear();
     stalls_.clear();
     stats_ = sim::StatSet("cluster");
-    auto rs =
-        std::make_unique<RunState>(N, base.workload.traceOut, stats_);
-
-    rs->placement = makePlacement(cfg_.placement, base.numExperts, N,
-                                  cfg_.hotExperts);
+    auto rs = std::make_unique<RunState>(
+        cfg_,
+        makePlacement(cfg_.placement, base.numExperts, N,
+                      cfg_.hotExperts),
+        stats_);
 
     // Per-node configs and costs with heterogeneous overrides applied.
     rs->nodeCfg.assign(static_cast<std::size_t>(N), base);
@@ -551,7 +488,6 @@ ClusterSimulator::begin()
     rs->placedBytesNow.assign(
         static_cast<std::size_t>(N),
         base.zoo.enabled ? base.expertBase.weightBytes() : 0.0);
-    rs->expertHits.assign(static_cast<std::size_t>(base.numExperts), 0);
     for (int n = 0; n < N; ++n) {
         for (int e :
              rs->placement.expertsOfNode[static_cast<std::size_t>(n)])
@@ -720,7 +656,7 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
         int alt = -1;
         double altEst = 0.0;
         auto consider = [&](int c) {
-            if (c == n || !rs.live[static_cast<std::size_t>(c)])
+            if (c == n || !rs.dispatcher.live(c))
                 return;
             double est = estimateDelaySeconds(c);
             if (alt < 0 || est < altEst) { // ties keep the lowest id
@@ -747,7 +683,7 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
 }
 
 /**
- * Send @p request from the hub to the node pickNode() chooses: first
+ * Send @p request from the hub to the node the dispatcher picks: first
  * dispatch and every retry. A flaky target fails the dispatch instead,
  * and the request enters the same retry-or-lost path a crash
  * displacement does, with its arrival timestamp preserved. The coin
@@ -759,7 +695,7 @@ int
 ClusterSimulator::route(EngineRequest request)
 {
     RunState &rs = *rs_;
-    int n = pickNode(request.expert);
+    int n = rs.dispatcher.pick(request.expert);
     double flaky = rs.flakyProb[static_cast<std::size_t>(n)];
     if (flaky > 0.0 && rs.faultRng->uniformDouble() < flaky) {
         rs.flakyFailures += 1.0;
@@ -808,13 +744,13 @@ void
 ClusterSimulator::deliverViaFabric(int node, EngineRequest request)
 {
     RunState &rs = *rs_;
-    auto ns = static_cast<std::size_t>(node);
-    if (!rs.live[ns]) {
+    if (!rs.dispatcher.live(node)) {
         rs.networkDisplaced += 1.0;
         handleDisplaced(std::move(request));
         return;
     }
-    rs.engines[ns]->injectAt(std::move(request));
+    rs.engines[static_cast<std::size_t>(node)]->injectAt(
+        std::move(request));
 }
 
 ClusterSimulator::RunState &
@@ -833,78 +769,6 @@ ClusterSimulator::requireInRange(int value, int size, const char *what)
         sim::fatal(std::string("cluster: ") + what + " out of range");
 }
 
-int
-ClusterSimulator::pickNode(int expert)
-{
-    RunState &rs = *rs_;
-    ++rs.expertHits[static_cast<std::size_t>(expert)];
-    rs.candidates.clear();
-    for (int n :
-         rs.placement.hostsOfExpert[static_cast<std::size_t>(expert)])
-        if (rs.live[static_cast<std::size_t>(n)])
-            rs.candidates.push_back(n);
-    if (rs.candidates.empty()) {
-        // Every host of this expert is draining: fall back to any
-        // live node, which demand-streams the expert from its own
-        // DDR copy of the zoo. Counted so studies can see it.
-        rs.dispatchFallbacks += 1.0;
-        for (int n = 0; n < cfg_.nodes; ++n)
-            if (rs.live[static_cast<std::size_t>(n)])
-                rs.candidates.push_back(n);
-    }
-    if (rs.candidates.empty())
-        sim::panic("cluster: no live node to dispatch to");
-    switch (cfg_.dispatch) {
-      case DispatchPolicy::RoundRobin:
-        return rs.candidates[rs.rrCursor++ % rs.candidates.size()];
-      case DispatchPolicy::LeastOutstanding: {
-        int best = rs.candidates.front();
-        std::int64_t best_out =
-            rs.engines[static_cast<std::size_t>(best)]->outstanding();
-        for (std::size_t i = 1; i < rs.candidates.size(); ++i) {
-            int n = rs.candidates[i];
-            std::int64_t out =
-                rs.engines[static_cast<std::size_t>(n)]->outstanding();
-            if (out < best_out) { // ties keep the lowest node id
-                best = n;
-                best_out = out;
-            }
-        }
-        return best;
-      }
-      case DispatchPolicy::ExpertAffinity: {
-        for (int n : rs.candidates)
-            rs.isCandidate[static_cast<std::size_t>(n)] = 1;
-        int n = rs.ring.lookup(expert, rs.isCandidate);
-        for (int c : rs.candidates)
-            rs.isCandidate[static_cast<std::size_t>(c)] = 0;
-        sim::simAssert(n >= 0, "cluster: ring lookup failed");
-        return n;
-      }
-      case DispatchPolicy::TopologyAware: {
-        // Least-congested hub -> node path, read off the network
-        // state. First tie-break: fewest requests sent so far, so an
-        // idle fabric degenerates to an even spread.
-        int best = rs.candidates.front();
-        double bestCong = rs.fabric->hubCongestion(best);
-        for (std::size_t i = 1; i < rs.candidates.size(); ++i) {
-            int n = rs.candidates[i];
-            double cong = rs.fabric->hubCongestion(n);
-            auto nsz = static_cast<std::size_t>(n);
-            auto bsz = static_cast<std::size_t>(best);
-            if (cong < bestCong ||
-                (cong == bestCong &&
-                 rs.dispatchedTo[nsz] < rs.dispatchedTo[bsz])) {
-                best = n;
-                bestCong = cong;
-            }
-        }
-        return best;
-      }
-    }
-    sim::panic("cluster: unknown dispatch policy");
-}
-
 void
 ClusterSimulator::accrueNodeSeconds()
 {
@@ -912,7 +776,7 @@ ClusterSimulator::accrueNodeSeconds()
     sim::Tick now = rs.eq.now();
     if (now > rs.liveMark)
         rs.nodeSecondsLive += sim::toSeconds(now - rs.liveMark) *
-            static_cast<double>(rs.liveCount);
+            static_cast<double>(rs.dispatcher.liveCount());
     rs.liveMark = now;
 }
 
@@ -926,13 +790,11 @@ bool
 ClusterSimulator::takeNodeDown(int node)
 {
     RunState &rs = *rs_;
-    auto d = static_cast<std::size_t>(node);
-    if (!rs.live[d] || rs.liveCount <= 1)
+    if (!rs.dispatcher.live(node) || rs.dispatcher.liveCount() <= 1)
         return false;
     accrueNodeSeconds();
-    rs.live[d] = 0;
-    rs.wasDrained[d] = 1;
-    --rs.liveCount;
+    rs.dispatcher.setLive(node, false);
+    rs.wasDrained[static_cast<std::size_t>(node)] = 1;
     return true;
 }
 
@@ -952,7 +814,7 @@ ClusterSimulator::drainNode(int node)
     std::vector<EngineRequest> moved = rs.engines[d]->extractQueued();
     rs.redispatchedFrom[d] += static_cast<std::int64_t>(moved.size());
     for (EngineRequest &r : moved) {
-        int n = pickNode(r.expert);
+        int n = rs.dispatcher.pick(r.expert);
         handOff(node, n, std::move(r));
     }
     return true;
@@ -963,15 +825,13 @@ ClusterSimulator::rejoinNode(int node)
 {
     RunState &rs = activeRun("rejoinNode");
     requireInRange(node, cfg_.nodes, "rejoinNode");
-    auto d = static_cast<std::size_t>(node);
-    if (rs.live[d])
+    if (rs.dispatcher.live(node))
         return false; // idempotent: already live
     accrueNodeSeconds();
     // Cold rejoin: the resident set is flushed and re-warms from live
     // traffic.
-    rs.engines[d]->flushResident();
-    rs.live[d] = 1;
-    ++rs.liveCount;
+    rs.engines[static_cast<std::size_t>(node)]->flushResident();
+    rs.dispatcher.setLive(node, true);
     stats_.inc("rejoin_events");
     return true;
 }
@@ -1166,7 +1026,7 @@ ClusterSimulator::policyTick()
         int live = 0;
         for (int n = 0; n < cfg_.nodes; ++n) {
             auto ns = static_cast<std::size_t>(n);
-            if (!rs.live[ns])
+            if (!rs.dispatcher.live(n))
                 continue;
             depth += static_cast<std::int64_t>(
                 rs.engines[ns]->queueDepth());
@@ -1331,6 +1191,7 @@ ClusterSimulator::commitMigration(int expert, int from, int to,
     fromExperts.erase(
         std::find(fromExperts.begin(), fromExperts.end(), expert));
     rs.placement.expertsOfNode[t].push_back(expert);
+    rs.dispatcher.placementChanged();
     rs.placedBytesNow[f] -= bytes;
     stats_.inc("expert_migrations");
 }
@@ -1366,8 +1227,8 @@ ClusterSimulator::setReplication(int expert, int replicas)
                 continue;
             }
             auto ps = static_cast<std::size_t>(pick);
-            if (rs.live[ns] != rs.live[ps]) {
-                if (rs.live[ns])
+            if (rs.dispatcher.live(n) != rs.dispatcher.live(pick)) {
+                if (rs.dispatcher.live(n))
                     pick = n;
                 continue;
             }
@@ -1391,8 +1252,8 @@ ClusterSimulator::setReplication(int expert, int replicas)
         for (int n : hosts) {
             auto ns = static_cast<std::size_t>(n);
             auto ps = static_cast<std::size_t>(pick);
-            if (rs.live[ns] != rs.live[ps]) {
-                if (!rs.live[ns])
+            if (rs.dispatcher.live(n) != rs.dispatcher.live(pick)) {
+                if (!rs.dispatcher.live(n))
                     pick = n;
                 continue;
             }
@@ -1411,8 +1272,10 @@ ClusterSimulator::setReplication(int expert, int replicas)
         --rs.placement.replicas;
         changed = true;
     }
-    if (changed)
+    if (changed) {
+        rs.dispatcher.placementChanged();
         stats_.inc("replication_changes");
+    }
     return changed;
 }
 
@@ -1429,7 +1292,7 @@ ClusterSimulator::setRateFactor(double factor)
 int
 ClusterSimulator::liveNodes() const
 {
-    return activeRun("liveNodes").liveCount;
+    return activeRun("liveNodes").dispatcher.liveCount();
 }
 
 bool
@@ -1463,6 +1326,19 @@ ClusterSimulator::engine(int node)
     if (!rs_ || node < 0 || node >= cfg_.nodes)
         sim::panic("cluster: engine outside an active run");
     return *rs_->engines[static_cast<std::size_t>(node)];
+}
+
+Dispatcher &
+ClusterSimulator::dispatcher()
+{
+    return activeRun("dispatcher").dispatcher;
+}
+
+sim::Network *
+ClusterSimulator::network()
+{
+    RunState &rs = activeRun("network");
+    return rs.fabric ? &rs.fabric->network() : nullptr;
 }
 
 const ExpertPlacement &
@@ -1505,7 +1381,7 @@ ClusterSimulator::snapshot()
         const ServingEngine &e = *rs.engines[n];
         NodeSnapshot &node = s.nodes[n];
         node.node = static_cast<int>(n);
-        node.live = rs.live[n] != 0;
+        node.live = rs.dispatcher.live(static_cast<int>(n));
         node.wasDrained = rs.wasDrained[n] != 0;
         node.queueDepth = e.queueDepth();
         node.outstanding = e.outstanding();
@@ -1754,6 +1630,7 @@ ClusterSimulator::finish()
         result.networkMessages = net.messagesDelivered();
         result.networkFlits = net.flitsDelivered();
         result.networkCreditStalls = net.creditStalls();
+        result.networkLinkWalks = net.linkWalks();
         sim::Tick span =
             lastCompletion - std::max<sim::Tick>(rs.firstArrival, 0);
         if (span > 0 && !t.linkBusy.empty()) {

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "coe/controller.h"
+#include "coe/dispatcher.h"
 #include "coe/fabric.h"
 #include "coe/faults.h"
 #include "coe/serving.h"
@@ -57,17 +58,6 @@ namespace sn40l::coe {
 struct EngineRequest; // serving_engine.h
 class ServingEngine;  // serving_engine.h
 
-/** How the cluster router picks a hosting node for a prompt. */
-enum class DispatchPolicy {
-    RoundRobin,       ///< cycle through the expert's eligible hosts
-    LeastOutstanding, ///< eligible host with fewest in-flight requests
-    ExpertAffinity,   ///< consistent hashing: stable expert -> node map
-    TopologyAware,    ///< eligible host with the least-congested path
-                      ///< from the hub (requires the fabric)
-};
-
-const char *dispatchPolicyName(DispatchPolicy policy);
-DispatchPolicy dispatchPolicyFromName(const std::string &name);
 
 /** Which nodes hold (and may serve) each expert. */
 enum class PlacementPolicy {
@@ -181,14 +171,6 @@ struct ClusterConfig
  * field and its flag. The CLI calls this before it prints.
  */
 void validateClusterConfig(const ClusterConfig &cfg);
-
-/** Static expert-to-node placement map. */
-struct ExpertPlacement
-{
-    std::vector<std::vector<int>> hostsOfExpert; ///< expert -> node ids
-    std::vector<std::vector<int>> expertsOfNode; ///< node -> expert ids
-    int replicas = 0; ///< total (expert, node) pairs
-};
 
 /**
  * Build the placement for @p experts experts over @p nodes nodes.
@@ -322,6 +304,8 @@ struct ClusterResult
     std::int64_t networkMessages = 0;
     std::int64_t networkFlits = 0;
     std::int64_t networkCreditStalls = 0;
+    /** Per-link state reads behind congestion-aware dispatch. */
+    std::int64_t networkLinkWalks = 0;
     double networkMaxLinkUtilization = 0.0;  ///< busy / makespan
     double networkMeanLinkUtilization = 0.0;
 };
@@ -363,6 +347,13 @@ class ClusterSimulator
      * read its completion log (ServingEngine::setLogCompletions).
      */
     ServingEngine &engine(int node);
+    /**
+     * The active run's hub dispatcher, and its fabric network (null
+     * without the fabric), begin() first. Tests check their caches
+     * against the uncached rules.
+     */
+    Dispatcher &dispatcher();
+    sim::Network *network();
 
     /** Windowed observation; advances the snapshot window. */
     MetricsSnapshot snapshot();
@@ -440,7 +431,6 @@ class ClusterSimulator
     /** FatalError "cluster: <what> out of range" unless in [0, size). */
     static void requireInRange(int value, int size, const char *what);
 
-    int pickNode(int expert);
     void accrueNodeSeconds();
     bool takeNodeDown(int node);
 

@@ -84,8 +84,8 @@ ServingEngine::ServingEngine(sim::EventQueue &eq, const ServingConfig &cfg,
     // HBM bytes one prompt's execution streams through the working
     // tier: the weights once for prefill, then once per decoded token
     // — the traffic the expert DMA engines contend with.
-    trafficBytesPerPrompt_ =
-        (1.0 + cfg_.outputTokens) * cfg_.expertBase.weightBytes();
+    weightBytes_ = cfg_.expertBase.weightBytes();
+    trafficBytesPerPrompt_ = (1.0 + cfg_.outputTokens) * weightBytes_;
 
     ddrOffset_.resize(static_cast<std::size_t>(zoo_.size()), 0);
     std::int64_t cursor = 0;
@@ -309,8 +309,7 @@ ServingEngine::makeEngineRequest(const TrafficRequest &request,
         req.specSteps = steps;
         req.execSeconds = prefillSecondsFor(request.promptLen) +
             steps * step_cost * costs_.decodeSecondsPerToken;
-        req.trafficBytes = cfg_.expertBase.weightBytes() *
-            (1.0 + steps * step_cost);
+        req.trafficBytes = weightBytes_ * (1.0 + steps * step_cost);
     }
     return req;
 }
@@ -363,7 +362,7 @@ ServingEngine::trafficBytesFor(int output_tokens) const
 {
     if (output_tokens <= 0 || output_tokens == cfg_.outputTokens)
         return trafficBytesPerPrompt_;
-    return (1.0 + output_tokens) * cfg_.expertBase.weightBytes();
+    return (1.0 + output_tokens) * weightBytes_;
 }
 
 /**

@@ -509,6 +509,8 @@ class ServingEngine
     double queueDepthMax_ = 0.0;
 
     std::int64_t peakResidentBytes_ = 0;
+    /** cfg_.expertBase.weightBytes(), read once: one weight stream. */
+    double weightBytes_ = 0.0;
 };
 
 } // namespace sn40l::coe

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <string>
 #include <tuple>
 
 #include "sim/log.h"
@@ -297,6 +299,13 @@ Network::computeRoute(int src, int dst) const
 const std::vector<int> &
 Network::route(int src, int dst)
 {
+    return routes_[routeSlot(src, dst)];
+}
+
+/** Index of the cached route src -> dst, computed on first use. */
+std::size_t
+Network::routeSlot(int src, int dst)
+{
     if (src < 0 || src >= cfg_.endpoints || dst < 0 ||
         dst >= cfg_.endpoints)
         fatal("Network: endpoint out of range");
@@ -308,8 +317,9 @@ Network::route(int src, int dst)
     if (slot < 0) {
         slot = static_cast<int>(routes_.size());
         routes_.push_back(computeRoute(src, dst));
+        idleCongestion_.push_back(idleCongestion(routes_.back()));
     }
-    return routes_[static_cast<std::size_t>(slot)];
+    return static_cast<std::size_t>(slot);
 }
 
 int
@@ -345,27 +355,73 @@ Network::linkNow(const Link &l, int &queued, Tick &free_at) const
     }
 }
 
+namespace {
+
+/**
+ * One link's share of pathCongestion: occupancy scaled by the link's
+ * serialization stretch (a backlog on a slow link takes rateFactor
+ * times longer to drain), plus the stretch itself, so an *empty*
+ * degraded link still advertises it. A purely reactive signal would
+ * keep trickling traffic onto a 40x link until the queue built, each
+ * trickle head-of-line blocking the shared upstream hops.
+ */
 double
-Network::pathCongestion(int src, int dst)
+congestionTerm(double occupancy, double rate_factor)
+{
+    return occupancy * rate_factor + (rate_factor - 1.0);
+}
+
+} // namespace
+
+double
+Network::walkCongestion(const std::vector<int> &path) const
 {
     double c = 0.0;
-    for (int li : route(src, dst)) {
+    for (int li : path) {
         const Link &l = links_[static_cast<std::size_t>(li)];
-        // Occupancy scaled by the link's serialization stretch: a
-        // backlog on a slow link takes rateFactor times longer to
-        // drain, and an *empty* degraded link still advertises its
-        // stretch — a purely reactive signal would keep trickling
-        // traffic onto a 40x link until the queue built, each trickle
-        // head-of-line blocking the shared upstream hops.
         int queued = 0;
         Tick free_at = 0;
         linkNow(l, queued, free_at);
         double occ = static_cast<double>(queued);
         if (free_at > eq_.now())
             occ += 1.0;
-        c += occ * l.rateFactor + (l.rateFactor - 1.0);
+        c += congestionTerm(occ, l.rateFactor);
     }
     return c;
+}
+
+double
+Network::idleCongestion(const std::vector<int> &path) const
+{
+    double c = 0.0;
+    for (int li : path)
+        c += congestionTerm(
+            0.0, links_[static_cast<std::size_t>(li)].rateFactor);
+    return c;
+}
+
+double
+Network::pathCongestion(int src, int dst)
+{
+    std::size_t slot = routeSlot(src, dst);
+    const std::vector<int> &path = routes_[slot];
+    if (inFlight_ == 0) {
+        // An empty fabric has no queued flit and no link serializing
+        // past now, so the walk would sum each link's idle term in
+        // route order: exactly the cached sum.
+        double idle = idleCongestion_[slot];
+        if (auditIdle_) {
+            double walked = walkCongestion(path);
+            if (std::memcmp(&idle, &walked, sizeof idle) != 0)
+                panic("Network: cached idle congestion " +
+                      std::to_string(idle) + " != link walk " +
+                      std::to_string(walked));
+        }
+        ++idleReads_;
+        return idle;
+    }
+    linkWalks_ += static_cast<std::int64_t>(path.size());
+    return walkCongestion(path);
 }
 
 void
@@ -387,6 +443,8 @@ Network::setEndpointLinkFactor(int endpoint, double factor)
     for (Link &l : links_)
         if (l.from == endpoint || l.to == endpoint)
             l.rateFactor = factor;
+    for (std::size_t slot = 0; slot < routes_.size(); ++slot)
+        idleCongestion_[slot] = idleCongestion(routes_[slot]);
 }
 
 int

@@ -140,7 +140,9 @@ class Network
      * serialization stretch factor, plus the stretch itself — so a
      * degraded link advertises its slowness even when idle. Reading
      * it never mutates state visible to the simulation, so a
-     * dispatch policy may poll it between events.
+     * dispatch policy may poll it between events. With no message in
+     * flight every link is empty and idle, and the answer is the
+     * route's cached sum of stretches, bit-identical to the walk.
      */
     double pathCongestion(int src, int dst);
 
@@ -162,6 +164,10 @@ class Network
     std::int64_t flitsDelivered() const;
     /** Transmit attempts that found flits queued but zero credits. */
     std::int64_t creditStalls() const { return creditStalls_; }
+    /** Per-link state reads behind pathCongestion (busy fabric). */
+    std::int64_t linkWalks() const { return linkWalks_; }
+    /** pathCongestion reads answered from the idle-route cache. */
+    std::int64_t idleCongestionReads() const { return idleReads_; }
     /** Messages the per-flit engine carried, wholly or in part
      *  (sent while it was active, or handed over mid-train). */
     std::int64_t trainFallbacks() const { return trainFallbacks_; }
@@ -254,6 +260,11 @@ class Network
     void buildGrid(bool wrap);
     void buildFatTree();
     std::vector<int> computeRoute(int src, int dst) const;
+    std::size_t routeSlot(int src, int dst);
+    /** pathCongestion of @p path from the live link state. */
+    double walkCongestion(const std::vector<int> &path) const;
+    /** pathCongestion of @p path on an empty, idle fabric. */
+    double idleCongestion(const std::vector<int> &path) const;
     std::vector<int> gridRoute(int src, int dst, bool wrap) const;
     int portOf(const Link &l, int upstream_link) const;
     void pushFlit(int link, int upstream_link, int msg, int hop);
@@ -295,6 +306,12 @@ class Network
      *  (-1 until first use). A deque keeps cached paths in place. */
     std::vector<int> routeSlot_;
     std::deque<std::vector<int>> routes_;
+    /** Per route slot: idleCongestion(), refreshed on every re-rate. */
+    std::vector<double> idleCongestion_;
+    std::int64_t linkWalks_ = 0;
+    std::int64_t idleReads_ = 0;
+    /** Test-only: check every idle read against the walk (panics). */
+    bool auditIdle_ = false;
     std::vector<Message> messages_; ///< slab, recycled via freeIds_
     std::vector<int> freeIds_;
     std::int64_t messagesSent_ = 0;

@@ -31,7 +31,7 @@ Distribution::record(double sample)
 {
     if (count_ < maxExact_) {
         samples_.push_back(sample);
-        sortedValid_ = false;
+        selectionValid_ = false;
     } else {
         // Algorithm R: the n-th sample replaces a uniformly random
         // reservoir slot with probability maxExact_/n, keeping the
@@ -39,7 +39,7 @@ Distribution::record(double sample)
         std::uint64_t j = reservoirRng_.uniformInt(count_ + 1);
         if (j < maxExact_) {
             samples_[static_cast<std::size_t>(j)] = sample;
-            sortedValid_ = false;
+            selectionValid_ = false;
         }
     }
     if (count_ == 0) {
@@ -103,7 +103,7 @@ Distribution::merge(const Distribution &other)
         merged.insert(merged.end(), theirs.begin(), theirs.end());
         samples_ = std::move(merged);
     }
-    sortedValid_ = false;
+    selectionValid_ = false;
 
     if (count_ == 0) {
         min_ = other.min_;
@@ -142,21 +142,29 @@ Distribution::quantile(double q) const
               " outside [0, 1]");
     if (count_ == 0)
         return 0.0;
-    if (!sortedValid_) {
-        sorted_ = samples_;
-        std::sort(sorted_.begin(), sorted_.end());
-        sortedValid_ = true;
-    }
     if (q <= 0.0)
         return min();
     if (q >= 1.0)
         return max();
-    double rank = q * static_cast<double>(sorted_.size() - 1);
+    if (!selectionValid_) {
+        selection_ = samples_;
+        selectionValid_ = true;
+    }
+    // Selection, not a sort: the element of rank lo, then the least
+    // element above it, which is the sorted order's lo + 1. Both are
+    // the values a full sort puts there, so the interpolation is
+    // bit-identical, at O(n) per call; no caller reads more than three
+    // quantiles of one distribution.
+    double rank = q * static_cast<double>(selection_.size() - 1);
     std::size_t lo = static_cast<std::size_t>(rank);
     double frac = rank - static_cast<double>(lo);
-    double value = lo + 1 >= sorted_.size()
-        ? sorted_.back()
-        : sorted_[lo] + frac * (sorted_[lo + 1] - sorted_[lo]);
+    auto nth = selection_.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(selection_.begin(), nth, selection_.end());
+    double at_lo = *nth;
+    double value = lo + 1 >= selection_.size()
+        ? at_lo
+        : at_lo + frac * (*std::min_element(nth + 1, selection_.end()) -
+                          at_lo);
     // In reservoir mode the sample can miss the true extremes; the
     // exact running bounds are always authoritative.
     return std::clamp(value, min(), max());
@@ -166,8 +174,8 @@ void
 Distribution::clear()
 {
     samples_.clear();
-    sorted_.clear();
-    sortedValid_ = false;
+    selection_.clear();
+    selectionValid_ = false;
     count_ = 0;
     sum_ = 0.0;
     min_ = 0.0;

@@ -39,8 +39,9 @@ namespace sn40l::sim {
  *    Memory is O(max_exact_samples) regardless of how many samples
  *    are recorded.
  *
- * Recording is O(1); min()/max()/mean() are O(1); quantile() sorts
- * lazily and caches the sorted view until the next record().
+ * Recording is O(1); min()/max()/mean() are O(1); quantile() selects
+ * its two ranks in O(n) from a copy of the samples it keeps until the
+ * next record().
  */
 class Distribution
 {
@@ -109,8 +110,9 @@ class Distribution
     std::string name_;
     std::size_t maxExact_;
     std::vector<double> samples_;
-    mutable std::vector<double> sorted_; ///< lazy cache for quantile()
-    mutable bool sortedValid_ = false;
+    /** quantile()'s copy of samples_, left partially ordered. */
+    mutable std::vector<double> selection_;
+    mutable bool selectionValid_ = false;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;

@@ -18,8 +18,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/rdn.h"
@@ -64,6 +67,14 @@ class NetworkTestPeer
     static std::int64_t creditScans(const Network &net)
     {
         return net.creditScans_;
+    }
+    /** From now on every pathCongestion read answered from the idle
+     *  cache is also walked, and a differing bit panics. */
+    static void auditIdleReads(Network &net) { net.auditIdle_ = true; }
+    /** pathCongestion src -> dst by the link walk, cache or not. */
+    static double walkedCongestion(Network &net, int src, int dst)
+    {
+        return net.walkCongestion(net.route(src, dst));
     }
 };
 
@@ -490,6 +501,151 @@ TEST(FabricCluster, LinkDegradeConservesRequests)
     EXPECT_EQ(r.crashes, 0);
 }
 
+// ------------------------------------------- idle congestion cache
+//
+// With no message in flight, pathCongestion answers from each route's
+// cached sum of link stretches. The link walk stays as the reference:
+// every read below is checked against it bit for bit.
+
+namespace {
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+} // namespace
+
+TEST(NetworkCongestion, IdleReadsMatchTheLinkWalkAcrossReRates)
+{
+    for (sim::Topology topo :
+         {sim::Topology::Star, sim::Topology::Mesh2D,
+          sim::Topology::Torus2D, sim::Topology::FatTree}) {
+        SCOPED_TRACE(sim::topologyName(topo));
+        sim::NetworkConfig cfg;
+        cfg.topology = topo;
+        cfg.endpoints = 6;
+        cfg.fatTreeRadix = 2;
+        cfg.flitBytes = 256.0;
+        cfg.linkBytesPerSec = 1e9;
+        sim::EventQueue eq;
+        sim::Network net(eq, cfg);
+        auto expectIdleReadsMatchTheWalk = [&]() {
+            ASSERT_EQ(net.messagesInFlight(), 0);
+            for (int s = 0; s < cfg.endpoints; ++s)
+                for (int d = 0; d < cfg.endpoints; ++d) {
+                    if (s == d)
+                        continue;
+                    double cached = net.pathCongestion(s, d);
+                    double walked =
+                        sim::NetworkTestPeer::walkedCongestion(net, s, d);
+                    EXPECT_TRUE(sameBits(cached, walked))
+                        << s << " -> " << d << ": cached " << cached
+                        << ", walked " << walked;
+                }
+        };
+        expectIdleReadsMatchTheWalk(); // every route cached at rate 1
+        const std::int64_t walks = net.linkWalks();
+        net.setEndpointLinkFactor(1, 40.0);
+        expectIdleReadsMatchTheWalk();
+        net.send(0, 3, 20000.0, nullptr);
+        eq.run();
+        expectIdleReadsMatchTheWalk();
+        net.setEndpointLinkFactor(1, 1.0);
+        net.setEndpointLinkFactor(4, 3.5);
+        expectIdleReadsMatchTheWalk();
+        // Every read above came from the cache, none from the walk.
+        EXPECT_EQ(net.linkWalks(), walks);
+        EXPECT_EQ(net.idleCongestionReads(), 4 * 30);
+    }
+}
+
+TEST(FabricCluster, IdleCongestionReadsMatchTheWalkInClusterRuns)
+{
+    // Topology-aware dispatch over replicate-hot placement: hot experts
+    // have every node as a candidate and read the fabric, cold ones
+    // have one. Each run audits every idle read against the walk.
+    auto topoAware = [](sim::Topology topo) {
+        ClusterConfig cfg = clusterConfig(4);
+        cfg.dispatch = DispatchPolicy::TopologyAware;
+        cfg.placement = PlacementPolicy::ReplicateHotPartitionCold;
+        cfg.fabric.enabled = true;
+        cfg.fabric.topology = topo;
+        return cfg;
+    };
+    auto crashes = []() {
+        return std::make_shared<std::vector<FaultEvent>>(
+            std::vector<FaultEvent>{
+                {2.0, FaultKind::NodeCrash, 1, 1.0, 4.0}});
+    };
+    std::vector<std::pair<std::string, ClusterConfig>> cases;
+    cases.emplace_back("star", topoAware(sim::Topology::Star));
+    cases.emplace_back("mesh", topoAware(sim::Topology::Mesh2D));
+    cases.emplace_back("torus", topoAware(sim::Topology::Torus2D));
+    cases.emplace_back("fat-tree", topoAware(sim::Topology::FatTree));
+    {
+        ClusterConfig cfg = topoAware(sim::Topology::Mesh2D);
+        cfg.fabric.linkGbps = 2.0; // thin links: the fabric is busy
+        cfg.faults = std::make_shared<std::vector<FaultEvent>>(
+            std::vector<FaultEvent>{
+                {1.0, FaultKind::LinkDegrade, 2, 40.0, 3.0}});
+        cases.emplace_back("mesh link-degrade", cfg);
+    }
+    {
+        ClusterConfig cfg = topoAware(sim::Topology::Mesh2D);
+        cfg.actions = {{3.0, ActionKind::Drain, 2, 1.0}};
+        cases.emplace_back("mesh drain", cfg);
+    }
+    {
+        ClusterConfig cfg = topoAware(sim::Topology::Mesh2D);
+        cfg.faults = crashes();
+        cfg.faultPolicy.retryMax = 3;
+        cfg.faultPolicy.retryBackoffSeconds = 0.02;
+        cases.emplace_back("mesh crash", cfg);
+    }
+    {
+        ClusterConfig cfg = topoAware(sim::Topology::Mesh2D);
+        cfg.node.arrivalRatePerSec = 160.0; // enough backlog to hedge
+        cfg.node.workload.sloSeconds = 1.0;
+        cfg.faults = crashes();
+        cfg.faultPolicy.retryMax = 3;
+        cfg.faultPolicy.retryBackoffSeconds = 0.02;
+        cfg.faultPolicy.hedge = true;
+        cases.emplace_back("mesh crash hedge", cfg);
+    }
+    std::int64_t idle = 0, walks = 0;
+    for (auto &[name, cfg] : cases) {
+        SCOPED_TRACE(name);
+        ClusterSimulator sim(cfg);
+        ASSERT_TRUE(sim.begin());
+        sim::Network *net = sim.network();
+        ASSERT_NE(net, nullptr);
+        sim::NetworkTestPeer::auditIdleReads(*net);
+        EXPECT_NO_THROW(sim.eventQueue().run());
+        EXPECT_GT(net->idleCongestionReads(), 0);
+        idle += net->idleCongestionReads();
+        const std::int64_t runWalks = net->linkWalks();
+        walks += runWalks;
+        ClusterResult r = sim.finish(); // net is gone from here on
+        EXPECT_EQ(r.stream.completed + r.stream.shed + r.stream.lost,
+                  400);
+        EXPECT_EQ(r.networkLinkWalks, runWalks);
+        // Each case exercised what it names.
+        if (name == "mesh link-degrade") {
+            EXPECT_EQ(r.faultsInjected, 1);
+        } else if (name == "mesh drain") {
+            EXPECT_GT(r.redispatched, 0);
+        } else if (name == "mesh crash") {
+            EXPECT_EQ(r.crashes, 1);
+        } else if (name == "mesh crash hedge") {
+            EXPECT_GT(r.stream.hedged, 0);
+        }
+    }
+    // The walk ran too: these runs also read a busy fabric.
+    EXPECT_GT(walks, 0);
+}
+
 // ------------------------------------------------- train fast path
 //
 // Differential tests: every send stream runs twice, on a Network that
@@ -498,7 +654,8 @@ TEST(FabricCluster, LinkDegradeConservesRequests)
 // exactly: per-message delivery ticks, flitsDelivered (also inside the
 // delivery callbacks), creditStalls, messagesInFlight, every link's
 // busy ticks and flit count, and pathCongestion for every endpoint pair
-// before every operation.
+// before every operation. Both sides also audit every idle-cache
+// congestion read against the link walk.
 
 namespace {
 
@@ -577,6 +734,7 @@ replay(const sim::NetworkConfig &cfg, const std::vector<NetOp> &ops,
     sim::Network net(eq, cfg);
     if (!trains)
         sim::NetworkTestPeer::perFlitOnly(net);
+    sim::NetworkTestPeer::auditIdleReads(net);
     NetTrace t;
     const int E = net.endpointCount();
     auto observe = [&](bool drained) {

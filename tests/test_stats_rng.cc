@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/log.h"
@@ -200,6 +203,105 @@ TEST(Distribution, ReservoirIsDeterministic)
     }
     for (double q : {0.5, 0.95, 0.99})
         EXPECT_DOUBLE_EQ(a.quantile(q), b.quantile(q));
+}
+
+namespace {
+
+/** Distribution::quantile as a full sort computes it: the reference
+ *  the selection-based quantile must match bit for bit. */
+double
+sortedQuantile(const sim::Distribution &d, double q)
+{
+    if (d.count() == 0)
+        return 0.0;
+    std::vector<double> sorted = d.samples();
+    std::sort(sorted.begin(), sorted.end());
+    if (q <= 0.0)
+        return d.min();
+    if (q >= 1.0)
+        return d.max();
+    double rank = q * static_cast<double>(sorted.size() - 1);
+    std::size_t lo = static_cast<std::size_t>(rank);
+    double frac = rank - static_cast<double>(lo);
+    double value = lo + 1 >= sorted.size()
+        ? sorted.back()
+        : sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
+    return std::clamp(value, d.min(), d.max());
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Every q that lands on or next to a rank of @p n samples, plus the
+ *  reporters' 0.5 / 0.95 / 0.99 and the ends. */
+std::vector<double>
+probeQuantiles(std::size_t n)
+{
+    std::vector<double> qs = {0.0, 0.5, 0.95, 0.99, 1.0};
+    if (n < 2)
+        return qs;
+    const double last = static_cast<double>(n - 1);
+    for (std::size_t k = 0; k < n; ++k) {
+        double q = static_cast<double>(k) / last;
+        qs.push_back(q);
+        qs.push_back(std::nextafter(q, 0.0));
+        qs.push_back(std::nextafter(q, 1.0));
+    }
+    return qs;
+}
+
+void
+expectSelectionMatchesSort(const sim::Distribution &d)
+{
+    for (double q : probeQuantiles(d.samples().size())) {
+        if (q < 0.0 || q > 1.0)
+            continue;
+        double got = d.quantile(q);
+        double want = sortedQuantile(d, q);
+        ASSERT_TRUE(sameBits(got, want))
+            << d.name() << " q=" << q << " got " << got << " want " << want;
+    }
+}
+
+} // namespace
+
+TEST(Distribution, SelectionQuantilesMatchAFullSortBitForBit)
+{
+    sim::Rng rng(42);
+    // Random, duplicate-heavy and constant inputs in exact mode.
+    for (int trial = 0; trial < 40; ++trial) {
+        sim::Distribution d("exact" + std::to_string(trial));
+        std::size_t n = 1 + rng.uniformInt(300);
+        int distinct = trial % 4 == 0 ? 1 : (trial % 4 == 1 ? 3 : 1000);
+        for (std::size_t i = 0; i < n; ++i)
+            d.record(static_cast<double>(rng.uniformInt(distinct)) *
+                         0.37 +
+                     (trial % 2 ? rng.uniformDouble() * 1e-9 : 0.0));
+        expectSelectionMatchesSort(d);
+    }
+    // Reservoir mode: the buffer is a subsample, clamped to the exact
+    // running bounds.
+    sim::Distribution res("reservoir", 128);
+    for (int i = 0; i < 20'000; ++i)
+        res.record(rng.lognormal(0.0, 1.0));
+    ASSERT_FALSE(res.exact());
+    expectSelectionMatchesSort(res);
+    // Records interleaved with reads: every read selects afresh from
+    // the buffer the last record left.
+    sim::Distribution mixed("interleaved", 64);
+    for (int i = 0; i < 400; ++i) {
+        mixed.record(static_cast<double>(rng.uniformInt(7)));
+        if (i % 9 != 0)
+            continue;
+        for (double q : {0.5, 0.95, 0.99, 0.25}) {
+            ASSERT_TRUE(
+                sameBits(mixed.quantile(q), sortedQuantile(mixed, q)))
+                << "after " << i + 1 << " records, q=" << q;
+        }
+    }
 }
 
 TEST(DistributionMerge, CountAlwaysEqualsSumOfParts)
